@@ -210,7 +210,6 @@ def _cmd_search(args) -> str:
             workers=args.workers,
             chunk=args.chunk,
             retry=_retry_from_args(args),
-            adaptive=not args.no_adaptive,
             shm=not args.no_shm,
             prefilter=prefilter_cfg,
         )
@@ -253,7 +252,6 @@ def _cmd_matrix(args) -> str:
         workers=args.workers,
         chunk=args.chunk,
         retry=_retry_from_args(args),
-        adaptive=not args.no_adaptive,
         shm=not args.no_shm,
     )
     store = _run_store(args)
@@ -291,12 +289,8 @@ def _cmd_matrix(args) -> str:
         f"workers={stats.workers}, {sched}; "
         f"run {result.run_id})",
     ]
-    if stats.backoffs or stats.serial_fallback:
-        lines.append(
-            f"adaptive scheduler: {stats.backoffs} concurrency backoffs, "
-            f"final window {stats.final_window}"
-            + (", finished serially in-process" if stats.serial_fallback else "")
-        )
+    if stats.serial_fallback:
+        lines.append("one CPU: chunks evaluated serially in-process (no pool)")
     if result.n_journaled:
         lines.append(
             f"resumed: {result.n_journaled} pairs taken from the journal, "
@@ -683,7 +677,6 @@ def _cmd_serve(args) -> str:
         chunk=args.chunk,
         retries=args.retries,
         backoff=args.backoff,
-        adaptive=not args.no_adaptive,
         shm=not args.no_shm,
         cache_capacity=args.cache_capacity,
         runs_dir=args.runs_dir,
@@ -1009,7 +1002,6 @@ def _cmd_matstore(args) -> str:
             workers=args.workers,
             chunk=args.chunk,
             retry=_retry_from_args(args),
-            adaptive=not args.no_adaptive,
             shm=not args.no_shm,
         )
 
@@ -1189,12 +1181,6 @@ def build_parser() -> argparse.ArgumentParser:
             default=0,
             help="pairs per scheduling chunk (0 = cost-packed: chunks of "
             "roughly equal predicted work from the pair cost model)",
-        )
-        p.add_argument(
-            "--no-adaptive",
-            action="store_true",
-            help="disable adaptive worker sizing (measured-throughput "
-            "backoff when oversubscribed)",
         )
         p.add_argument(
             "--no-shm",

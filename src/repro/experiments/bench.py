@@ -471,7 +471,7 @@ def format_kernel_bench_report(report: dict) -> str:
 
 def _point_from_stats(stats, wall: float, n_pairs: float, serial_wall: float,
                       identical: bool, workers: int) -> dict:
-    """One bench-parallel grid point (schema v3 shape)."""
+    """One bench-parallel grid point (schema v4 shape)."""
     return {
         "workers": workers,
         "effective_workers": stats.workers,
@@ -483,8 +483,6 @@ def _point_from_stats(stats, wall: float, n_pairs: float, serial_wall: float,
         "chunk_size_max": stats.chunk_size_max,
         "predicted_cost_error": stats.predicted_cost_error(),
         "tail_imbalance": stats.tail_imbalance(),
-        "adaptive_backoffs": stats.backoffs,
-        "final_window": stats.final_window,
         "serial_fallback": stats.serial_fallback,
         "shm_plane": stats.shm_plane,
         "pool_startup_s": stats.pool_startup_s,
@@ -646,11 +644,10 @@ def run_parallel_bench(
     realized chunk sizes (min/mean/max), ``predicted_cost_error`` (mean
     |relative error| of the cost model's chunk predictions against
     worker-side walls, after a single scale fit), ``tail_imbalance``
-    (measured wall over the perfectly-balanced ideal), and the adaptive
-    controller's backoffs / final window / serial-fallback flag.  The
-    ``regression`` block gates the best point's ``speedup_vs_serial``:
-    with adaptive sizing the farm may fall back to serial, it must never
-    lose to it.
+    (measured wall over the perfectly-balanced ideal), and
+    ``serial_fallback`` (the one-CPU rule ran the chunks in-process).
+    The ``regression`` block gates the best point's
+    ``speedup_vs_serial``: the farm must never lose to serial.
 
     Schema v3 adds per-point pool economics — ``pool_startup_s``,
     ``rebuild_s``, ``bytes_to_workers``, ``shm_plane`` — plus a
@@ -658,6 +655,8 @@ def run_parallel_bench(
     section gating the dataset-delivery speedup of shared-memory attach
     over pickling on a large synthetic registry.  The v2 ``regression``
     block is unchanged, so older ``--check`` consumers keep working.
+    Schema v4 drops the per-point ``adaptive_backoffs`` and
+    ``final_window`` keys.
     """
     import os
 
@@ -668,7 +667,7 @@ def run_parallel_bench(
     ds = load_dataset(dataset)
     method = TMAlignMethod()
     report: dict = {
-        "schema": "repro-bench-parallel/3",
+        "schema": "repro-bench-parallel/4",
         "generated_unix": time.time(),
         "python": sys.version.split()[0],
         "platform": platform.platform(),
@@ -751,7 +750,7 @@ def format_parallel_bench_report(report: dict) -> str:
                 "speedup",
                 "cost err",
                 "tail imb",
-                "backoffs",
+                "serial",
                 "identical",
             ),
             [
@@ -773,10 +772,7 @@ def format_parallel_bench_report(report: dict) -> str:
                         if p.get("tail_imbalance") is not None
                         else "-"
                     ),
-                    (
-                        f"{p.get('adaptive_backoffs', 0)}"
-                        + (" (serial)" if p.get("serial_fallback") else "")
-                    ),
+                    "yes" if p.get("serial_fallback") else "no",
                     "yes" if p["bit_identical_to_serial"] else "NO",
                 )
                 for p in report["points"]

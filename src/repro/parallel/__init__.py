@@ -10,7 +10,6 @@ See :mod:`repro.parallel.farm` for the public API.
 """
 
 from repro.parallel.costsched import (
-    AdaptiveController,
     ChunkPlan,
     pack_chunks,
     predict_pair_seconds,
@@ -42,7 +41,6 @@ from repro.parallel.shmplane import (
 __all__ = [
     "DEFAULT_CHUNK",
     "SERIAL_RETRY_CHUNK_CAP",
-    "AdaptiveController",
     "ChunkPlan",
     "DatasetPlane",
     "FarmStats",

@@ -1,18 +1,10 @@
-"""Cost-model-driven chunk packing and adaptive concurrency control.
+"""Cost-model-driven chunk packing for the farm.
 
-The farm's original scheduler cut the job list into *equal-count* chunks
-and obeyed ``--workers`` blindly.  Both choices lose throughput in
-exactly the ways the paper's dynamic master–slaves farm was designed to
-avoid:
-
-* per-pair TM-align cost spans an order of magnitude across chain
-  lengths, so equal-count chunks carry wildly unequal work and the run
-  ends on a straggler chunk of long chains (tail imbalance);
-* on a machine with fewer cores than workers, every extra worker is pure
-  context-switch overhead — the committed ``BENCH_parallel.json`` once
-  recorded 4 workers running *slower than serial* on a 1-CPU box.
-
-This module fixes both with the repro's own cost model:
+The farm's original scheduler cut the job list into *equal-count*
+chunks.  Per-pair TM-align cost spans an order of magnitude across
+chain lengths, so equal-count chunks carry wildly unequal work and the
+run ends on a straggler chunk of long chains (tail imbalance).  This
+module prices and packs the job list with the repro's own cost model:
 
 * :func:`predict_pair_seconds` prices every ``(i, j)`` job from chain
   lengths alone, vectorized over the whole job list (the per-op-class
@@ -23,21 +15,17 @@ This module fixes both with the repro's own cost model:
   roughly equal *predicted cost* instead of equal pair count.
   Contiguity is load-bearing: the farm drains results in chunk-index
   order, so contiguous chunks keep the ordered-result stream (and the
-  bit-identical-to-serial guarantee) without buffering the whole table;
-* :class:`AdaptiveController` measures per-chunk throughput during the
-  first scheduling rounds and backs concurrency off while a lower level
-  sustains the throughput of a higher one — the signature of
-  oversubscription.  If even one pool worker cannot beat the master
-  evaluating a probe chunk in-process, the farm falls back to serial for
-  the remainder: the farm may *become* the serial path, it can no longer
-  lose to it.
+  bit-identical-to-serial guarantee) without buffering the whole table.
+
+Concurrency itself is not decided here: the farm keeps one chunk in
+flight per worker, the paper's master–slaves rule (see
+:mod:`repro.parallel.farm`).
 """
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -47,7 +35,6 @@ from repro.cost.model import DEFAULT_PAIR_COST_MODEL, PairCostModel
 __all__ = [
     "CHUNKS_PER_WORKER",
     "MAX_CHUNK_PAIRS",
-    "AdaptiveController",
     "ChunkPlan",
     "pack_chunks",
     "predict_pair_seconds",
@@ -149,126 +136,3 @@ def pack_chunks(
     chunks.append(cur)
     predicted.append(cur_cost)
     return ChunkPlan(chunks, predicted, budget)
-
-
-@dataclass
-class AdaptiveController:
-    """Measured-throughput concurrency governor for the farm drain.
-
-    Starts at the requested worker count and probes *downward*: after a
-    full round of chunk completions at the current level it halves the
-    in-flight cap and measures again.  If the lower level sustains at
-    least ``hysteresis`` of the best higher-level throughput, the extra
-    workers were oversubscription — back off and keep probing.  The
-    first time a lower level clearly loses, the best measured level is
-    restored and the controller locks.  When backoff bottoms out at one
-    in-flight chunk, the drain runs one probe chunk in-process on the
-    master (:meth:`note_serial`); if the master matches the pool, the
-    remainder of the run is evaluated serially — pool overhead (IPC,
-    context switches) can cost wall-clock only while it is paying for
-    itself.
-
-    Round-1 elapsed time includes pool spawn, which *under*-states the
-    top level's throughput; the bias is toward backing off, i.e. toward
-    the serial-safe side, and ``hysteresis`` leaves margin for it.  A
-    measured round compares aggregate predicted-cost-per-second, so the
-    comparison is fair as long as chunks are cost-balanced — which
-    :func:`pack_chunks` guarantees.
-    """
-
-    workers: int
-    n_chunks: int
-    enabled: bool = True
-    single_cpu: bool = False
-    hysteresis: float = 0.9
-    # Serial takeover needs a clear win now, not a near-tie: with the
-    # shared-memory plane a pool (and any rebuild of it) is near-free to
-    # keep warm, so abandoning it for the master costs optionality and
-    # pays back nothing unless the master is genuinely faster.
-    # Re-fitted from 0.95 when the plane landed.
-    serial_margin: float = 0.9
-    clock: Callable[[], float] = time.perf_counter
-
-    backoffs: int = 0
-    serial_mode: bool = False
-    locked: bool = False
-    _level: int = field(init=False)
-    _static_window: int = field(init=False)
-    _best: Dict[int, float] = field(init=False, default_factory=dict)
-    _round_len: int = field(init=False)
-    _round_cost: float = field(init=False, default=0.0)
-    _round_done: int = field(init=False, default=0)
-    _round_t0: float = field(init=False)
-    _probe_pending: bool = field(init=False, default=False)
-
-    def __post_init__(self) -> None:
-        self.workers = max(1, self.workers)
-        self._level = self.workers
-        self._static_window = max(2 * self.workers, 4)
-        if self.workers <= 1 or self.n_chunks < 2 * self.workers + 2:
-            # nothing to adapt, or too few chunks to measure a round at
-            # the start level plus one at a lower level
-            self.enabled = False
-        elif self.enabled and self.single_cpu:
-            # one core: pool workers cannot outrun the master by physics,
-            # they can only add IPC — skip the measurement rounds and
-            # take the serial path outright (probing would spend most of
-            # the run paying the overhead it exists to detect)
-            self.serial_mode = True
-            self.locked = True
-        self._round_len = max(self._level, 2)
-        self._round_t0 = self.clock()
-
-    @property
-    def window(self) -> int:
-        """Current in-flight chunk cap for the drain."""
-        if not self.enabled:
-            return self._static_window
-        if self.serial_mode or self._probe_pending:
-            return 0
-        return self._level
-
-    @property
-    def wants_serial_probe(self) -> bool:
-        return self.enabled and self._probe_pending and not self.serial_mode
-
-    def record(self, predicted_cost: float) -> None:
-        """Account one completed chunk; may change :attr:`window`."""
-        if not self.enabled or self.locked or self.serial_mode:
-            return
-        self._round_cost += predicted_cost
-        self._round_done += 1
-        if self._round_done < self._round_len:
-            return
-        now = self.clock()
-        elapsed = now - self._round_t0
-        tput = self._round_cost / elapsed if elapsed > 0 else float("inf")
-        self._best[self._level] = max(self._best.get(self._level, 0.0), tput)
-        higher = [lvl for lvl in self._best if lvl > self._level]
-        if not higher:
-            # first measurement (start level): probe the next level down
-            self._level = max(1, self._level // 2)
-        elif tput >= self.hysteresis * max(self._best[lvl] for lvl in higher):
-            # the lower level kept up: the extra workers were overhead
-            self.backoffs += 1
-            if self._level == 1:
-                self._probe_pending = True  # can one worker beat in-process?
-                self.locked = True
-            else:
-                self._level = max(1, self._level // 2)
-        else:
-            # parallelism was paying for itself: restore the best level
-            self._level = max(self._best, key=self._best.get)
-            self.locked = True
-        self._round_cost, self._round_done = 0.0, 0
-        self._round_len = max(self._level, 2)
-        self._round_t0 = now
-
-    def note_serial(self, predicted_cost: float, wall_seconds: float) -> None:
-        """Result of the in-process probe chunk: pick pool or serial."""
-        self._probe_pending = False
-        tput = (
-            predicted_cost / wall_seconds if wall_seconds > 0 else float("inf")
-        )
-        if tput >= self.serial_margin * self._best.get(1, 0.0):
-            self.serial_mode = True

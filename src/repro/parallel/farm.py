@@ -12,14 +12,13 @@ machine instead of the simulated SCC:
   model of :mod:`repro.parallel.costsched`, not a flat pair count);
   whichever worker frees up first takes the next chunk (the paper's
   dynamic farm, with the predicted-cost budget as the granularity dial);
-* **adaptive worker sizing** — requested workers are clamped against
-  ``os.cpu_count()`` (with a warning, so oversubscribed runs are
-  visible), and an :class:`~repro.parallel.costsched.AdaptiveController`
-  measures per-chunk throughput during the first scheduling rounds and
-  backs concurrency off when oversubscription makes the marginal worker
-  worthless — down to evaluating the remainder in-process when even one
-  pool worker cannot beat the master.  The farm may fall back to serial;
-  it can no longer lose to it;
+* **one chunk in flight per worker** — requested workers are clamped
+  against ``os.cpu_count()`` (with a warning, so oversubscribed runs are
+  visible) and the master keeps at most ``workers`` chunks submitted and
+  not yet finished, handing a worker its next chunk when it returns the
+  last one.  On a single-CPU machine (and no fault plan) no pool is
+  built at all: the planned chunks are evaluated in-process in index
+  order, since pool workers could only add IPC to the master's work;
 * **ordered collection** — results are consumed in job order regardless
   of worker arrival order, so score tables, merged cost counters and
   streamed CSV rows are byte-identical to the serial path;
@@ -37,8 +36,8 @@ Scores are bit-identical across any worker/chunk/retry configuration:
 each pair is an independent computation with no accumulation across
 jobs, counters are merged in job order on the master, and a re-dispatch
 recomputes exactly the same values a first attempt would have.  The
-adaptive machinery only moves *where and when* a chunk is evaluated,
-never *what* it computes.
+scheduling rule only moves *where and when* a chunk is evaluated, never
+*what* it computes.
 """
 
 from __future__ import annotations
@@ -61,11 +60,7 @@ from repro.datasets.pairs import all_vs_all_pairs
 from repro.datasets.registry import Dataset
 from repro.faults.farm import FarmFaultPlan, InjectedFault
 from repro.parallel import worker as _worker
-from repro.parallel.costsched import (
-    AdaptiveController,
-    pack_chunks,
-    predict_pair_seconds,
-)
+from repro.parallel.costsched import pack_chunks, predict_pair_seconds
 from repro.parallel.retry import RetryPolicy
 from repro.psc.base import PSCMethod
 from repro.psc.evaluator import EvalMode
@@ -122,21 +117,18 @@ class ParallelConfig:
     defaults to ``fork`` where available (shared copy-on-write dataset
     pages) and ``spawn`` elsewhere.  ``retry`` (None = fail fast, the
     historical behaviour) arms re-dispatch with backoff for failed,
-    killed and stalled chunks.  ``adaptive`` (default on) lets the farm
-    measure throughput and back off concurrency mid-run; it is ignored
-    when a fault plan is injected, so chaos tests stay deterministic.
-    ``shm`` (default on) publishes the dataset once as a shared-memory
-    plane (:mod:`repro.parallel.shmplane`) that workers attach to
-    zero-copy instead of unpickling; it degrades silently to the pickle
-    path when shared memory is unavailable, and results are bit-identical
-    either way — ``shm=False`` (CLI ``--no-shm``) forces the pickle path.
+    killed and stalled chunks.  ``shm`` (default on) publishes the
+    dataset once as a shared-memory plane (:mod:`repro.parallel.shmplane`)
+    that workers attach to zero-copy instead of unpickling; it degrades
+    silently to the pickle path when shared memory is unavailable, and
+    results are bit-identical either way — ``shm=False`` (CLI
+    ``--no-shm``) forces the pickle path.
     """
 
     workers: int = 0
     chunk: int = 0
     start_method: str = ""
     retry: Optional[RetryPolicy] = None
-    adaptive: bool = True
     shm: bool = True
 
     def __post_init__(self) -> None:
@@ -175,9 +167,9 @@ def effective_workers(requested: int) -> int:
     — the historical ``BENCH_parallel.json`` recorded 4 workers running
     slower than serial on a 1-CPU box precisely because the farm obeyed
     ``--workers`` blindly.  The floor of 2 keeps an explicit parallel
-    request on the pool even on a single-core machine (the adaptive
-    controller handles the rest there), so crash-surfacing semantics and
-    tests don't silently degrade to the in-process path.
+    request on the farm path even on a single-core machine, where the
+    chunks are then evaluated in-process unless a fault plan needs the
+    pool's crash isolation (see :func:`iter_pair_results`).
 
     The RuntimeWarning states the clamped value and the detected
     ``os.cpu_count()``, and fires **once per run** for a given
@@ -221,9 +213,9 @@ class FarmStats:
     pool_restarts: int = 0  # rebuilds after an abrupt worker death
     chunk_timeouts: int = 0  # duplicate dispatches of stalled chunks
     cost_packed: bool = False  # chunks cut by predicted cost, not count
-    backoffs: int = 0  # adaptive concurrency reductions
-    final_window: int = 0  # in-flight cap when the drain finished
-    serial_fallback: bool = False  # adaptive takeover ran the tail in-process
+    backoffs: int = 0  # always 0: the in-flight window is static
+    final_window: int = 0  # in-flight chunk cap (0 = in-process, no pool)
+    serial_fallback: bool = False  # one-CPU rule ran the chunks in-process
     shm_plane: bool = False  # workers attached a shared-memory plane
     pool_startup_s: float = 0.0  # first pool warm-up (spawn + initializer)
     rebuild_s: float = 0.0  # cumulative warm-up of fault-triggered rebuilds
@@ -334,7 +326,7 @@ def _plan_chunks(
 
     Returns ``(chunks, predicted_costs, cost_packed, nominal_size)``.
     An explicit ``config.chunk`` forces fixed sizes (still priced, so
-    stats and the adaptive controller keep their cost signal); MODEL
+    stats keep their cost signal); MODEL
     mode is priced trivially per pair, so cost packing is pointless and
     the fixed heuristic is used.
     """
@@ -441,6 +433,40 @@ def _inprocess_chunk(
     return out, time.perf_counter() - t0
 
 
+def _record_chunk(
+    stats: FarmStats, size: int, predicted: float, wall: float, t0: float
+) -> None:
+    stats.chunk_sizes.append(size)
+    stats.chunk_predicted.append(predicted)
+    stats.chunk_walls.append(wall)
+    stats.chunk_done_at.append(time.perf_counter() - t0)
+
+
+def _inprocess_drain(
+    dataset: Dataset,
+    chunks: list[list[tuple[int, int]]],
+    predicted: Optional[list[float]],
+    method: PSCMethod,
+    mode: EvalMode,
+    query: Optional[Chain],
+    retry: Optional[RetryPolicy],
+    stats: Optional[FarmStats],
+) -> Iterator[PairResult]:
+    """The one-CPU rule: the planned chunks, in index order, on the
+    master — no pool, no plane, worker-equivalent failure semantics."""
+    t0 = time.perf_counter()
+    if stats is not None:
+        stats.serial_fallback = True
+    for idx, chunk in enumerate(chunks):
+        payload, wall = _inprocess_chunk(
+            dataset, chunk, method, mode, query, retry, stats
+        )
+        if stats is not None:
+            cost = predicted[idx] if predicted is not None else 0.0
+            _record_chunk(stats, len(chunk), cost, wall, t0)
+        yield from payload
+
+
 def _farm_drain(
     dataset: Dataset,
     chunks: list[list[tuple[int, int]]],
@@ -452,16 +478,17 @@ def _farm_drain(
     workers: int,
     faults: Optional[FarmFaultPlan],
     stats: Optional[FarmStats],
-    controller: AdaptiveController,
     plane=None,
 ) -> Iterator[PairResult]:
-    """Submit-based farm drain: retry, restart, stall and adaptive
-    concurrency handling in one loop.
+    """Submit-based farm drain: retry, restart and stall handling in one
+    loop.
 
-    Chunks are dispatched through the controller's in-flight window so
-    stall deadlines start close to actual execution and concurrency can
-    be throttled mid-run; results are buffered per chunk index and
-    yielded strictly in job order.
+    At most ``workers`` chunks are submitted and not yet finished — one
+    per worker, the paper's master–slaves rule — so a submitted chunk
+    starts executing at once and its stall deadline times the chunk,
+    not a wait in the pool's queue.  The only excess is a stall
+    duplicate, dispatched beside the chunk it shadows.  Results are
+    buffered per chunk index and yielded strictly in job order.
 
     With a live ``plane`` (see :mod:`repro.parallel.shmplane`), worker
     initializers carry a segment name instead of the pickled dataset, so
@@ -527,42 +554,14 @@ def _farm_drain(
             time.monotonic() + timeout_s if timeout_s > 0 else math.inf
         )
 
-    def chunk_cost(idx: int) -> float:
-        return predicted[idx] if predicted is not None else float(len(chunks[idx]))
-
     def mark_done(idx: int, payload: list, exec_wall: float) -> None:
         done[idx] = payload
         if stats is not None:
-            stats.chunk_sizes.append(len(chunks[idx]))
-            stats.chunk_predicted.append(
-                predicted[idx] if predicted is not None else 0.0
-            )
-            stats.chunk_walls.append(exec_wall)
-            stats.chunk_done_at.append(time.perf_counter() - t_drain0)
+            cost = predicted[idx] if predicted is not None else 0.0
+            _record_chunk(stats, len(chunks[idx]), cost, exec_wall, t_drain0)
 
     try:
         while next_yield < n:
-            # Adaptive takeover: once the controller wants the master to
-            # evaluate (probe or full serial fallback), drain the pool
-            # first, then run pending chunks in-process in index order.
-            if (
-                (controller.serial_mode or controller.wants_serial_probe)
-                and not inflight
-                and pending
-            ):
-                idx = pending.popleft()
-                payload, wall = _inprocess_chunk(
-                    dataset, chunks[idx], method, mode, query, retry, stats
-                )
-                mark_done(idx, payload, wall)
-                if controller.wants_serial_probe:
-                    controller.note_serial(chunk_cost(idx), wall)
-                if stats is not None and controller.serial_mode:
-                    stats.serial_fallback = True
-                while next_yield in done:
-                    yield from done.pop(next_yield)
-                    next_yield += 1
-                continue
             # Work past the first failure in job order is never yielded,
             # so don't start it; chunks before it must still run (a pool
             # rebuild may have re-pended them) for the drain to reach
@@ -572,7 +571,7 @@ def _farm_drain(
             while (
                 pending
                 and pending[0] < fatal_floor
-                and len(inflight) < controller.window
+                and len(inflight) < workers
             ):
                 submit(pending.popleft())
             while next_yield in done:
@@ -582,8 +581,6 @@ def _farm_drain(
                 raise failed[next_yield]
             if next_yield >= n:
                 break
-            if not inflight:
-                continue  # window closed for a probe; loop to takeover
             wait_timeout = None
             if timeout_s > 0:
                 wait_timeout = max(
@@ -640,7 +637,6 @@ def _farm_drain(
                             else:
                                 stats.pool_startup_s = warm
                     mark_done(idx, payload, exec_wall)
-                    controller.record(chunk_cost(idx))
                     continue
                 pair = tuple(payload)
                 if att < attempts[idx]:
@@ -684,8 +680,7 @@ def _farm_drain(
                         pending.appendleft(idx)
     finally:
         if stats is not None:
-            stats.backoffs = controller.backoffs
-            stats.final_window = controller.window
+            stats.final_window = workers
         pool.shutdown(wait=False, cancel_futures=True)
 
 
@@ -711,10 +706,10 @@ def iter_pair_results(
 
     Scheduling is cost-aware by default: with ``config.chunk == 0`` the
     job list is packed into contiguous chunks of roughly equal predicted
-    cost, the requested worker count is clamped against the machine, and
-    (``config.adaptive``) measured throughput can back concurrency off
-    mid-run — including a full serial takeover when the pool cannot beat
-    the master.  None of it changes a single result bit.
+    cost.  The requested worker count is clamped against the machine and
+    each worker holds one chunk at a time.  With fewer than 2 CPUs and
+    no fault plan the chunks run in-process instead, in index order.
+    None of it changes a single result bit.
     """
     config = config or ParallelConfig()
     mode = EvalMode(mode)
@@ -745,19 +740,19 @@ def iter_pair_results(
         chunks, predicted, cost_packed, nominal = _plan_chunks(
             dataset, pairs, config, workers, mode, query
         )
-        # Adaptivity pairs with cost-packed scheduling: an explicit
-        # --chunk is a manual override, and fault-injection runs need the
-        # pool's crash isolation, so both pin the static window.
-        controller = AdaptiveController(
-            workers,
-            len(chunks),
-            enabled=config.adaptive and faults is None and config.chunk == 0,
-            single_cpu=(os.cpu_count() or 1) < 2,
-        )
         if stats is not None:
             stats.chunk_size = nominal
             stats.n_chunks = len(chunks)
             stats.cost_packed = cost_packed
+        if (os.cpu_count() or 1) < 2 and faults is None:
+            # one core: pool workers cannot outrun the master, they can
+            # only add IPC; fault-injection runs keep the pool's crash
+            # isolation
+            yield from _inprocess_drain(
+                dataset, chunks, predicted, method, mode, query,
+                config.retry, stats,
+            )
+            return
         plane = None
         if config.shm:
             from repro.parallel import shmplane
@@ -769,7 +764,7 @@ def iter_pair_results(
         try:
             yield from _farm_drain(
                 dataset, chunks, predicted, method, mode, query, config,
-                workers, faults, stats, controller, plane=plane,
+                workers, faults, stats, plane=plane,
             )
         finally:
             if plane is not None:
@@ -797,7 +792,7 @@ def evaluate_pairs(
     that dispatch bounded batches rather than streaming a whole sweep —
     the query service's micro-batcher hands each coalesced batch of
     pair jobs here, so batches inherit the farm's cost-aware chunking,
-    adaptive sizing and retry/backoff machinery unchanged.
+    scheduling rule and retry/backoff machinery unchanged.
     """
     return list(
         iter_pair_results(

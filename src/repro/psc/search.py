@@ -10,12 +10,12 @@ are farmed over a process pool (see :mod:`repro.parallel`) with
 bit-identical results; the default is the plain serial loop.  A
 ``retry`` policy (see :class:`repro.parallel.RetryPolicy`) makes the
 farm absorb worker failures instead of aborting.  With ``chunk`` left at
-0 the farm packs chunks by predicted pair cost and, unless ``adaptive``
-is turned off, sizes its effective concurrency from measured throughput
-(see :mod:`repro.parallel.costsched`).  ``shm`` (default on) publishes
-the dataset once as a shared-memory plane workers attach to zero-copy
-(see :mod:`repro.parallel.shmplane`); ``shm=False`` forces the
-historical pickle-per-worker path — scores are bit-identical either way.
+0 the farm packs chunks by predicted pair cost (see
+:mod:`repro.parallel.costsched`) and keeps one chunk in flight per
+worker.  ``shm`` (default on) publishes the dataset once as a
+shared-memory plane workers attach to zero-copy (see
+:mod:`repro.parallel.shmplane`); ``shm=False`` forces the historical
+pickle-per-worker path — scores are bit-identical either way.
 
 Both tasks also accept ``prefilter`` — the cheap first tier of the
 hierarchical search (:mod:`repro.seqalign.prefilter`).  Pass a
@@ -120,7 +120,6 @@ def one_vs_all(
     workers: int = 0,
     chunk: int = 0,
     retry: Optional["RetryPolicy"] = None,
-    adaptive: bool = True,
     shm: bool = True,
     prefilter: Prefilter = None,
 ) -> list[RankedHit]:
@@ -152,8 +151,7 @@ def one_vs_all(
             counter=counter,
             exclude_self=exclude_self,
             config=ParallelConfig(
-                workers=workers, chunk=chunk, retry=retry, adaptive=adaptive,
-                shm=shm,
+                workers=workers, chunk=chunk, retry=retry, shm=shm
             ),
             include=include,
         )
@@ -217,7 +215,6 @@ def all_vs_all(
     workers: int = 0,
     chunk: int = 0,
     retry: Optional["RetryPolicy"] = None,
-    adaptive: bool = True,
     shm: bool = True,
     prefilter: Prefilter = None,
     store=None,
@@ -255,8 +252,7 @@ def all_vs_all(
                 dataset,
                 params=getattr(method, "params", None),
                 config=ParallelConfig(
-                    workers=workers, chunk=chunk, retry=retry,
-                    adaptive=adaptive, shm=shm,
+                    workers=workers, chunk=chunk, retry=retry, shm=shm
                 ),
                 prefilter=prefilter,
             ).store
@@ -300,8 +296,7 @@ def all_vs_all(
                     method,
                     counter=counter,
                     config=ParallelConfig(
-                        workers=workers, chunk=chunk, retry=retry,
-                        adaptive=adaptive, shm=shm,
+                        workers=workers, chunk=chunk, retry=retry, shm=shm
                     ),
                     pairs=pairs,
                 )
@@ -323,8 +318,7 @@ def all_vs_all(
             method,
             counter=counter,
             config=ParallelConfig(
-                workers=workers, chunk=chunk, retry=retry, adaptive=adaptive,
-                shm=shm,
+                workers=workers, chunk=chunk, retry=retry, shm=shm
             ),
             pairs=pairs,
         )

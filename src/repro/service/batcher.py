@@ -4,9 +4,11 @@ Concurrent ``align``/``search`` requests decompose into pair jobs that
 land on one shared queue.  The batcher drains the queue in batches of up
 to ``max_batch`` jobs — waiting up to ``batch_window`` seconds for
 stragglers to coalesce when the queue is short — and dispatches each
-batch to the :mod:`repro.parallel` farm (serial in-process below 2
-workers, process pool with the PR-3 retry/backoff machinery above),
-where the PR-4 batch-vectorized TM-align kernel does the work.
+batch to the :mod:`repro.parallel` farm, where the batch-vectorized
+TM-align kernel does the work.  The farm's rule is fixed before the
+batch starts: serial in-process below 2 workers or on a one-CPU
+machine, otherwise a process pool holding one chunk per worker, with
+the farm's retry/backoff machinery.
 
 Batches are cut by *predicted cost*, not just job count: every admitted
 job is priced by the farm's pair cost model

@@ -75,7 +75,6 @@ class ServiceConfig:
     chunk: int = 0  # farm chunk size (0 = auto)
     retries: int = 0  # farm retry policy (0 = fail fast)
     backoff: float = 0.05
-    adaptive: bool = True  # farm adaptive worker sizing
     shm: bool = True  # shared-memory dataset plane for farm batches
     cache_capacity: int = 1024  # LRU result-cache entries
     runs_dir: str = "runs"  # durable store for submit-matrix
@@ -92,7 +91,6 @@ class ServiceConfig:
             workers=self.workers,
             chunk=self.chunk,
             retry=retry,
-            adaptive=self.adaptive,
             shm=self.shm,
         )
 

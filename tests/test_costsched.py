@@ -1,10 +1,4 @@
-"""Cost-model-driven scheduling: pair pricing, chunk packing, adaptive
-concurrency control.
-
-The controller tests drive :class:`AdaptiveController` with a fake clock,
-so every backoff decision is deterministic: a "fast" level advances the
-clock a little per chunk, a "slow" one a lot.
-"""
+"""Cost-model-driven scheduling: pair pricing and chunk packing."""
 
 import numpy as np
 import pytest
@@ -13,11 +7,7 @@ from hypothesis import strategies as st
 
 from repro.cost.cpu import AMD_ATHLON_2400
 from repro.cost.model import DEFAULT_PAIR_COST_MODEL
-from repro.parallel import (
-    AdaptiveController,
-    pack_chunks,
-    predict_pair_seconds,
-)
+from repro.parallel import pack_chunks, predict_pair_seconds
 from repro.parallel.costsched import CHUNKS_PER_WORKER, MAX_CHUNK_PAIRS
 
 
@@ -124,98 +114,3 @@ class TestPackChunks:
         assert pack_chunks([], [], 4).n_chunks == 0
         with pytest.raises(ValueError):
             pack_chunks([(0, 1)], [], 4)
-
-
-class FakeClock:
-    def __init__(self):
-        self.t = 0.0
-
-    def __call__(self):
-        return self.t
-
-    def advance(self, dt):
-        self.t += dt
-
-
-def drive_round(ctl, clock, n, seconds_per_chunk, cost=1.0):
-    """Complete ``n`` chunks, each taking ``seconds_per_chunk``."""
-    for _ in range(n):
-        clock.advance(seconds_per_chunk)
-        ctl.record(cost)
-
-
-class TestAdaptiveController:
-    def make(self, workers=4, n_chunks=100, **kw):
-        clock = FakeClock()
-        ctl = AdaptiveController(workers, n_chunks, clock=clock, **kw)
-        return ctl, clock
-
-    def test_disabled_when_serial_or_tiny(self):
-        ctl, _ = self.make(workers=1)
-        assert not ctl.enabled
-        ctl, _ = self.make(workers=4, n_chunks=5)
-        assert not ctl.enabled
-        assert ctl.window == max(2 * 4, 4)  # static resilient window
-
-    def test_backs_off_when_lower_level_keeps_up(self):
-        """Same per-chunk time at every level = pure oversubscription:
-        the controller walks 4 -> 2 -> 1 and asks for a serial probe."""
-        ctl, clock = self.make(workers=4)
-        assert ctl.window == 4
-        drive_round(ctl, clock, 4, 1.0)  # round at 4: tput 1.0
-        assert ctl.window == 2  # first probe down
-        drive_round(ctl, clock, 2, 1.0)  # round at 2: tput 1.0 — kept up
-        assert ctl.backoffs == 1
-        assert ctl.window == 1
-        drive_round(ctl, clock, 2, 1.0)  # round at 1 (min len 2): kept up
-        assert ctl.backoffs == 2
-        assert ctl.wants_serial_probe
-        assert ctl.window == 0  # drain the pool, probe in-process
-
-    def test_restores_best_level_when_backoff_loses(self):
-        """Halving the workers halves the throughput = real parallelism:
-        lock back to the measured-best level and stop probing."""
-        ctl, clock = self.make(workers=4)
-        drive_round(ctl, clock, 4, 1.0)  # tput 1.0 at level 4
-        assert ctl.window == 2
-        drive_round(ctl, clock, 2, 2.0)  # tput 0.5 at level 2 — worse
-        assert ctl.locked
-        assert ctl.window == 4
-        assert ctl.backoffs == 0
-        drive_round(ctl, clock, 10, 5.0)  # locked: no further changes
-        assert ctl.window == 4
-
-    def test_serial_probe_decides_serial_mode(self):
-        ctl, clock = self.make(workers=2)
-        drive_round(ctl, clock, 2, 1.0)  # level 2
-        drive_round(ctl, clock, 2, 1.0)  # level 1 kept up -> probe
-        assert ctl.wants_serial_probe
-        ctl.note_serial(1.0, 0.9)  # in-process beats the pool's 1.0 s/cost
-        assert ctl.serial_mode
-        assert ctl.window == 0
-
-    def test_single_cpu_goes_serial_immediately(self):
-        """One core means pool workers can only add IPC overhead: no
-        measurement rounds, straight to the serial in-process path."""
-        ctl, _ = self.make(workers=4, single_cpu=True)
-        assert ctl.enabled
-        assert ctl.serial_mode
-        assert ctl.locked
-        assert ctl.window == 0
-        assert not ctl.wants_serial_probe
-        assert ctl.backoffs == 0
-
-    def test_single_cpu_flag_ignored_when_disabled(self):
-        ctl, _ = self.make(workers=1, single_cpu=True)
-        assert not ctl.enabled
-        assert not ctl.serial_mode
-        assert ctl.window == max(2 * 1, 4)
-
-    def test_serial_probe_can_choose_the_pool(self):
-        ctl, clock = self.make(workers=2)
-        drive_round(ctl, clock, 2, 1.0)
-        drive_round(ctl, clock, 2, 1.0)
-        assert ctl.wants_serial_probe
-        ctl.note_serial(1.0, 10.0)  # in-process is 10x slower: keep pool
-        assert not ctl.serial_mode
-        assert ctl.window == 1

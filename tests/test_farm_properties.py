@@ -157,7 +157,7 @@ class TestCostPackedFarmProperties:
         list(
             iter_pair_results(
                 ds, pairs, get_method("tmalign"),
-                config=ParallelConfig(workers=2, chunk=0, adaptive=False),
+                config=ParallelConfig(workers=2, chunk=0),
                 stats=stats,
             )
         )

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import multiprocessing
 import os
+from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
@@ -379,7 +380,7 @@ class TestCostAwareScheduling:
                 ck34_mini,
                 [(i, j) for i in range(8) for j in range(i + 1, 8)],
                 get_method("sse_composition"),
-                config=ParallelConfig(workers=2, chunk=0, adaptive=False),
+                config=ParallelConfig(workers=2, chunk=0),
                 stats=stats,
             )
         )
@@ -407,8 +408,8 @@ class TestCostAwareScheduling:
         # recorded in completion order, so compare as a multiset
         assert sorted(stats.chunk_sizes) == [1, 2]
 
-    def test_cost_packed_bit_identical_with_adaptive(self, ck34_mini):
-        """chunk=0 + adaptive on: the full new scheduler against the
+    def test_cost_packed_bit_identical_to_serial(self, ck34_mini):
+        """chunk=0: cost-packed chunks, one per worker, against the
         serial loop — same table, same merged counters, bit for bit."""
         method = get_method("tmalign")
         want_ctr, got_ctr = CostCounter(), CostCounter()
@@ -416,12 +417,74 @@ class TestCostAwareScheduling:
         stats = FarmStats()
         got = parallel_all_vs_all(
             ck34_mini, method, counter=got_ctr,
-            config=ParallelConfig(workers=2, chunk=0, adaptive=True),
+            config=ParallelConfig(workers=2, chunk=0),
             stats=stats,
         )
         assert got == want
         assert got_ctr.as_dict() == want_ctr.as_dict()
         assert stats.cost_packed
+
+    @pytest.mark.parametrize("chunk", [0, 1])
+    def test_one_chunk_in_flight_per_worker(self, ck34_mini, monkeypatch, chunk):
+        """The pool never holds more than ``workers`` unfinished chunks:
+        a chunk queued behind busy workers would start its stall timer
+        before it starts executing."""
+        futures, peak = [], [0]
+        submit = ProcessPoolExecutor.submit
+
+        def tracked(pool, fn, *args, **kwargs):
+            fut = submit(pool, fn, *args, **kwargs)
+            futures.append(fut)
+            peak[0] = max(peak[0], sum(not f.done() for f in futures))
+            return fut
+
+        monkeypatch.setattr(ProcessPoolExecutor, "submit", tracked)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        stats = FarmStats()
+        parallel_all_vs_all(
+            ck34_mini, get_method("sse_composition"),
+            config=ParallelConfig(workers=2, chunk=chunk), stats=stats,
+        )
+        assert len(futures) == stats.n_chunks > 2
+        assert peak[0] <= 2
+        assert stats.final_window == 2 and not stats.serial_fallback
+
+    def test_one_cpu_runs_in_process_unless_faults(self, ck34_mini, monkeypatch):
+        """One CPU and no fault plan: no pool, serial-identical results;
+        a fault plan keeps the pool for its crash isolation."""
+        pools = []
+        init = ProcessPoolExecutor.__init__
+
+        def tracked(pool, *args, **kwargs):
+            pools.append(pool)
+            init(pool, *args, **kwargs)
+
+        monkeypatch.setattr(ProcessPoolExecutor, "__init__", tracked)
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        method = get_method("tmalign")
+        want_ctr, got_ctr = CostCounter(), CostCounter()
+        want = all_vs_all(ck34_mini, method, counter=want_ctr)
+        stats = FarmStats()
+        got = parallel_all_vs_all(
+            ck34_mini, method, counter=got_ctr,
+            config=ParallelConfig(workers=2), stats=stats,
+        )
+        assert got == want
+        assert got_ctr.as_dict() == want_ctr.as_dict()
+        assert not pools
+        assert stats.serial_fallback and stats.backoffs == 0
+        assert stats.final_window == 0
+        stats = FarmStats()
+        parallel_all_vs_all(
+            ck34_mini, get_method("sse_composition"),
+            config=ParallelConfig(
+                workers=2, chunk=2, retry=TestRetryPath.RETRY
+            ),
+            stats=stats,
+            faults=FarmFaultPlan.single("raise", (0, 3)),
+        )
+        assert pools
+        assert not stats.serial_fallback and stats.retries == 1
 
     def test_serial_stats_record_chunks(self, ck34_mini):
         stats = FarmStats()
@@ -444,7 +507,7 @@ class TestCostAwareScheduling:
                 ck34_mini,
                 [(i, j) for i in range(8) for j in range(i + 1, 8)],
                 get_method("tmalign"),
-                config=ParallelConfig(workers=2, chunk=0, adaptive=False),
+                config=ParallelConfig(workers=2, chunk=0),
                 stats=stats,
             )
         )
