@@ -392,6 +392,7 @@ def run_kernel_bench(
     from repro.cost.counters import CostCounter
     from repro.tmalign import tm_align
     from repro.tmalign.dp import _NATIVE_FORWARD
+    from repro.tmalign.tmscore import _NATIVE_SEARCH
 
     baseline, baseline_source = resolve_kernel_baseline(
         output, baseline, strict=strict_baseline
@@ -421,6 +422,7 @@ def run_kernel_bench(
         "pairs_per_second": rate,
         "wall_seconds": best["wall_seconds"],
         "native_dp": _NATIVE_FORWARD is not None,
+        "native_tm": _NATIVE_SEARCH is not None,
         "op_counts_grid": counter.as_dict(),
         "seed_pairs_per_second": SEED_KERNEL_PAIRS_PER_SECOND,
         "speedup_vs_seed": rate / SEED_KERNEL_PAIRS_PER_SECOND,
@@ -449,7 +451,8 @@ def format_kernel_bench_report(report: dict) -> str:
         f"({report['pairs']:.0f} pairs, best of {report['repeats']}) ==",
         f"throughput: {report['pairs_per_second']:.2f} pairs/s "
         f"({report['speedup_vs_seed']:.2f}x vs seed kernel, "
-        f"native DP {'on' if report['native_dp'] else 'off'})",
+        f"native DP {'on' if report['native_dp'] else 'off'}, "
+        f"native search/threading {'on' if report.get('native_tm') else 'off'})",
         f"regression: {reg['ratio']:.2f}x of baseline "
         f"{reg['baseline_pairs_per_second']:.2f} pairs/s "
         f"({reg['baseline_source']}, min {reg['min_ratio']:.2f}) -> "

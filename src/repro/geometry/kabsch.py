@@ -189,51 +189,12 @@ def _kabsch_batch_core(
     return rots, tras
 
 
-def _kabsch_ragged_core(
-    bufa: np.ndarray,
-    bufb: np.ndarray,
-    bounds: list,
-    lens: np.ndarray,
-    span: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Kabsch over padded stacks whose slices have per-group lengths.
-
-    ``bufa``/``bufb`` are ``(g, mmax, 3)`` stacks ordered so that slices
-    of one length are contiguous; ``bounds`` lists ``(lo, hi, m)`` row
-    ranges per length group, ``lens`` is the ``(g, 1)`` float length
-    column and ``span`` is ``arange(mmax)``.  Rows past each slice's
-    length may hold arbitrary (finite) values: they are masked to exact
-    zeros before the covariance GEMM, where they only extend the
-    sequential K accumulation with exact zero terms.  The means — whose
-    pairwise summation trees depend on the element count — reduce per
-    group, so every slice stays bit-identical to the serial kernel.
-    Counters are NOT charged here; callers charge the same totals as the
-    equivalent serial calls.
-    """
-    g = bufa.shape[0]
-    mu_m = np.empty((g, 3))
-    mu_t = np.empty((g, 3))
-    for lo, hi, m in bounds:
-        np.add.reduce(bufa[lo:hi, :m], axis=1, out=mu_m[lo:hi])
-        np.add.reduce(bufb[lo:hi, :m], axis=1, out=mu_t[lo:hi])
-    mu_m /= lens
-    mu_t /= lens
-    mask = (span < lens)[:, :, None]
-    pm = np.where(mask, bufa - mu_m[:, None, :], 0.0)
-    pt = np.where(mask, bufb - mu_t[:, None, :], 0.0)
-    cov = np.matmul(pm.transpose(0, 2, 1), pt)
-    rots = rotations_from_covariances(cov)
-    tras = mu_t - np.matmul(rots, mu_m[:, :, None])[:, :, 0]
-    return rots, tras
-
-
 def rotations_from_covariances(cov: np.ndarray) -> np.ndarray:
     """Optimal rotations for a ``(k, 3, 3)`` stack of cross-covariances.
 
-    The SVD + determinant-correction tail of the Kabsch algorithm, shared
-    by every batched caller (some build their covariances with padded
-    GEMMs and only need this tail).  Slice ``i`` is bit-identical to the
-    serial kernel's rotation for the same covariance.
+    The SVD + determinant-correction tail of the batched Kabsch.  Slice
+    ``i`` is bit-identical to the serial kernel's rotation for the same
+    covariance.
     """
     k = cov.shape[0]
     u, _, vt = _svd3(cov)

@@ -12,21 +12,18 @@ exactly for the non-NaN inputs the DP feeds it).  The band predicate is
 evaluated per cell with the same ``|j - i * slope| <= band`` double
 arithmetic as the NumPy mask, so boundary cells agree exactly.
 
-The kernel is built on first use with the system C compiler and cached
-as a shared object in the user's temp directory; anything going wrong —
-no compiler, sandboxed filesystem, missing ctypes — degrades silently
-to the NumPy sweep.  Set ``REPRO_NO_NATIVE_SW=1`` to force the fallback
-(the equivalence tests exercise both paths).
+The kernel is built on first use by :mod:`repro._native`; anything
+going wrong — no compiler, sandboxed filesystem, missing ctypes —
+degrades silently to the NumPy sweep.  Set ``REPRO_NO_NATIVE_SW=1`` to
+force the fallback (the equivalence tests exercise both paths).
 """
 
 from __future__ import annotations
 
 import ctypes
-import hashlib
-import os
-import subprocess
-import tempfile
 from typing import Optional
+
+from repro._native import load_library
 
 __all__ = ["load_sw_kernel", "NATIVE_SW_ENV"]
 
@@ -103,61 +100,27 @@ void sw_banded_batch(const unsigned char *codes, const unsigned char *qcodes,
 }
 """
 
-_CC_ARGS = ["-O2", "-fPIC", "-shared", "-ffp-contract=off"]
-
-
-def _build_library() -> str:
-    """Compile the kernel into a cached shared object; returns its path."""
-    digest = hashlib.sha256(
-        (_SOURCE + " ".join(_CC_ARGS)).encode()
-    ).hexdigest()[:16]
-    cache = os.path.join(
-        tempfile.gettempdir(), f"repro-native-{os.getuid()}"
-    )
-    lib_path = os.path.join(cache, f"sw_{digest}.so")
-    if os.path.exists(lib_path):
-        return lib_path
-    os.makedirs(cache, exist_ok=True)
-    cc = os.environ.get("CC", "cc")
-    with tempfile.TemporaryDirectory(dir=cache) as tmp:
-        src = os.path.join(tmp, "sw.c")
-        out = os.path.join(tmp, "sw.so")
-        with open(src, "w") as fh:
-            fh.write(_SOURCE)
-        subprocess.run(
-            [cc, *_CC_ARGS, "-lm", "-o", out, src],
-            check=True,
-            capture_output=True,
-            timeout=120,
-        )
-        # atomic publish so concurrent farm workers race benignly
-        os.replace(out, lib_path)
-    return lib_path
-
 
 def load_sw_kernel() -> Optional[ctypes._CFuncPtr]:
     """ctypes handle to ``sw_banded_batch``, or None when unavailable."""
-    if os.environ.get(NATIVE_SW_ENV):
+    lib = load_library("sw", _SOURCE, NATIVE_SW_ENV, libs=("-lm",))
+    if lib is None:
         return None
-    try:
-        lib = ctypes.CDLL(_build_library())
-        fn = lib.sw_banded_batch
-        fn.restype = None
-        fn.argtypes = [
-            ctypes.c_void_p,  # codes
-            ctypes.c_void_p,  # qcodes
-            ctypes.c_void_p,  # lut
-            ctypes.c_ssize_t,  # d (lut dimension)
-            ctypes.c_void_p,  # gaps
-            ctypes.c_void_p,  # slopes
-            ctypes.c_double,  # band
-            ctypes.c_ssize_t,  # n
-            ctypes.c_ssize_t,  # lmax
-            ctypes.c_ssize_t,  # lq
-            ctypes.c_ssize_t,  # nq
-            ctypes.c_void_p,  # hbuf (2 * (lmax + 1) doubles scratch)
-            ctypes.c_void_p,  # best
-        ]
-        return fn
-    except Exception:
-        return None
+    fn = lib.sw_banded_batch
+    fn.restype = None
+    fn.argtypes = [
+        ctypes.c_void_p,  # codes
+        ctypes.c_void_p,  # qcodes
+        ctypes.c_void_p,  # lut
+        ctypes.c_ssize_t,  # d (lut dimension)
+        ctypes.c_void_p,  # gaps
+        ctypes.c_void_p,  # slopes
+        ctypes.c_double,  # band
+        ctypes.c_ssize_t,  # n
+        ctypes.c_ssize_t,  # lmax
+        ctypes.c_ssize_t,  # lq
+        ctypes.c_ssize_t,  # nq
+        ctypes.c_void_p,  # hbuf (2 * (lmax + 1) doubles scratch)
+        ctypes.c_void_p,  # best
+    ]
+    return fn

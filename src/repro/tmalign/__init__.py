@@ -14,8 +14,9 @@ Skolnick (2005), the serial unit operation the paper parallelizes:
 4. report TM-scores normalised by both chain lengths, aligned-region
    RMSD, sequence identity, and the alignment itself.
 
-All heavy kernels are NumPy-vectorized (anti-dependency-free row scans
-for the DP, batched distance math) per the HPC coding guides, and every
+The hot kernels (DP fill and traceback, superposition search, threading
+scans) run as compiled C when a compiler is available and otherwise as
+NumPy-vectorized code that is their bit-identical reference; every
 kernel can charge a :class:`repro.cost.CostCounter` so the simulator can
 price the work on 2013-era CPU models.
 """
@@ -27,6 +28,11 @@ from repro.tmalign.tmscore import tm_score_from_distances, superposition_search
 from repro.tmalign.align import tm_align
 from repro.tmalign.scorer import tm_score_fixed_alignment
 from repro.tmalign.metrics import gdt_score, gdt_ts, gdt_ha, lddt, maxsub_score
+from repro.tmalign._dpnative import self_check as _native_self_check
+
+# keep the compiled search/threading/traceback only if they reproduce the
+# NumPy path bit for bit on this CPU and BLAS build
+_native_self_check()
 
 __all__ = [
     "gdt_score",

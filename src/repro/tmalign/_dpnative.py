@@ -1,36 +1,85 @@
-"""Optional compiled row sweep for the Needleman–Wunsch forward fill.
+"""Compiled TM-align kernel: DP sweep, traceback, superposition search, threading.
 
-The NumPy forward pass in :mod:`repro.tmalign.dp` is dispatch-bound: it
-issues ~8 whole-row ufunc calls per DP row, and a pairwise comparison
-runs ~10^5 rows.  The recurrence itself is pure additions and binary max
-selections over IEEE doubles, so the same dataflow compiled as one C
-loop produces bit-identical matrices (there are no multiplications, so
-no FMA contraction can change any value, and ``a >= b ? a : b``
-reproduces ``np.maximum`` exactly for the non-NaN inputs the DP feeds
-it).
+TM-align's NumPy hot paths are dispatch-bound: the DP forward fill runs
+~8 whole-row ufunc calls per row, the superposition search ~100 small
+array ops per Kabsch/score/reselect iteration, and the threading scans
+one Kabsch and one scoring pass per window.  This module compiles the
+same dataflow as C loops.  The NumPy code stays the single reference:
+every entry point here reproduces it bit for bit, and the modules that
+use them fall back to it whenever a handle is None.
 
-The kernel is built on first use with the system C compiler and cached
-as a shared object in the user's temp directory; anything going wrong —
-no compiler, sandboxed filesystem, missing ctypes — degrades silently to
-the NumPy sweep.  Set ``REPRO_NO_NATIVE_DP=1`` to force the fallback
-(the equivalence tests exercise both paths).
+* ``nw_forward`` — the Gotoh row sweep of :mod:`repro.tmalign.dp`.  Pure
+  additions and binary max selections, so exactness needs only
+  ``a >= b ? a : b`` for ``np.maximum`` over the DP's non-NaN values.
+* ``nw_traceback`` — the corner-to-origin walk of ``nw_align``, with the
+  same exact-equality predecessor tests and M > Ix > Iy tie order.
+* ``tm_search`` — ``superposition_search``: per seed, Kabsch on the seed
+  window, then score / reselect with cutoff escalation / convergence
+  check, keeping the first strictly best score in serial seed order.
+* ``tm_windows`` — one Kabsch plus one GL score per window, for
+  ``gapless_threading`` and ``fragment_threading``.
+
+How the Kabsch and scoring loops match NumPy's floats:
+
+* the 3x3 SVD calls ``dgesdd`` (``jobz='A'``, column-major copy, lwork
+  from a workspace query) in NumPy's own bundled OpenBLAS, exactly as
+  ``numpy.linalg`` does, and ``R @ mu`` calls its ``cblas_dgemv`` with
+  the arguments ``np.matmul`` passes;
+* every GEMM NumPy runs on these shapes (covariance, 3x3 products, the
+  ``(n, 3) @ (3, 3)`` scoring product) accumulates each output as one
+  sequential fused multiply-add chain over K, which ``fma()`` reproduces;
+* window means are sequential sums, score sums use NumPy's pairwise
+  order, and the rest is elementwise IEEE arithmetic compiled with
+  ``-ffp-contract=off``.
+
+The GEMM order depends on the OpenBLAS kernel the CPU selects, so
+:func:`self_check` runs the search, window and traceback entry points on
+a fixed probe against the NumPy path when the package loads and switches
+them off on any bit difference; ``nw_forward`` does not depend on BLAS
+and stays on.  The library is built on first use by :mod:`repro._native`;
+set ``REPRO_NO_NATIVE_DP=1`` to disable all of it.
 """
 
 from __future__ import annotations
 
 import ctypes
-import hashlib
+import glob
 import os
-import subprocess
-import tempfile
 from typing import Optional
 
-__all__ = ["load_forward_kernel", "NATIVE_DP_ENV"]
+import numpy as np
+
+from repro._native import load_library
+
+__all__ = [
+    "load_forward_kernel",
+    "load_tm_kernels",
+    "self_check",
+    "TMKernels",
+    "NATIVE_DP_ENV",
+]
 
 NATIVE_DP_ENV = "REPRO_NO_NATIVE_DP"
 
 _SOURCE = r"""
 #include <stddef.h>
+#include <stdint.h>
+#include <stdlib.h>
+#include <string.h>
+#include <math.h>
+
+/* Hot entry points get an FMA-instruction clone next to the baseline
+ * one (glibc ifunc dispatch); both compute fma() with one rounding, so
+ * the choice changes speed only. */
+#if defined(__GNUC__) && !defined(__clang__) && defined(__x86_64__) \
+    && defined(__GLIBC__)
+#define HOT __attribute__((target_clones("fma", "default")))
+#else
+#define HOT
+#endif
+#define INLINE static inline __attribute__((always_inline))
+
+static double mx(double a, double b) { return a >= b ? a : b; }
 
 /* Row sweep of the three-state Gotoh fill with free gap extension.
  *
@@ -44,8 +93,6 @@ _SOURCE = r"""
  *   Ix[i,j] = max(max(M[i-1,j], Iy[i-1,j]) + gap, Ix[i-1,j])
  *   Iy[i,j] = running max over j' <= j-1 of (max(M[i,j'], Ix[i,j']) + gap)
  */
-static double mx(double a, double b) { return a >= b ? a : b; }
-
 void nw_forward(double *M, double *Ix, double *Iy, const double *score,
                 ptrdiff_t la, ptrdiff_t lb, ptrdiff_t stride,
                 ptrdiff_t sstride, double gap)
@@ -71,59 +118,594 @@ void nw_forward(double *M, double *Ix, double *Iy, const double *score,
         }
     }
 }
+
+/* Traceback from the corner of a filled (M, Ix, Iy), same layout as
+ * nw_forward.  Predecessors are found by exact equality on propagated
+ * values (ties M > Ix > Iy).  Writes the matched (i, j) pairs in
+ * increasing order to ai/aj (capacity min(la, lb)) and returns their
+ * count.  The boundary breaks are unreachable for scores of magnitude
+ * far below the NEG sentinel's; they only keep every read in bounds.
+ */
+ptrdiff_t nw_traceback(const double *M, const double *Ix, const double *Iy,
+                       const double *score, ptrdiff_t la, ptrdiff_t lb,
+                       ptrdiff_t stride, ptrdiff_t sstride, double gap,
+                       ptrdiff_t *ai, ptrdiff_t *aj, double *dp_score)
+{
+    ptrdiff_t i = la, j = lb, n = 0, k;
+    double v0 = M[i * stride + j], v1 = Ix[i * stride + j];
+    double v2 = Iy[i * stride + j];
+    int state;
+    if (v0 >= v1 && v0 >= v2) { state = 0; *dp_score = v0; }
+    else if (v1 >= v2) { state = 1; *dp_score = v1; }
+    else { state = 2; *dp_score = v2; }
+    while (i > 0 || j > 0) {
+        if (state == 0) { /* M: came from (i-1, j-1) */
+            double cur, s;
+            if (i == 0 || j == 0) break;
+            cur = M[i * stride + j];
+            s = score[(i - 1) * sstride + (j - 1)];
+            ai[n] = i - 1;
+            aj[n] = j - 1;
+            ++n;
+            --i;
+            --j;
+            if (s + M[i * stride + j] == cur) state = 0;
+            else if (s + Ix[i * stride + j] == cur) state = 1;
+            else state = 2;
+        } else if (state == 1) { /* Ix: came from (i-1, j) */
+            double cur;
+            if (i == 0) break;
+            cur = Ix[i * stride + j];
+            --i;
+            if (Ix[i * stride + j] == cur) state = 1;
+            else if (M[i * stride + j] + gap == cur) state = 0;
+            else state = 2;
+        } else { /* Iy: came from (i, j-1) */
+            double cur;
+            if (j == 0) break;
+            cur = Iy[i * stride + j];
+            --j;
+            if (Iy[i * stride + j] == cur) state = 2;
+            else if (M[i * stride + j] + gap == cur) state = 0;
+            else state = 1;
+        }
+        if (i == 0 && state == 2) j = 0; /* free leading gap */
+        if (j == 0 && state == 1) i = 0;
+    }
+    for (k = 0; k < n / 2; ++k) {
+        ptrdiff_t t = ai[k];
+        ai[k] = ai[n - 1 - k];
+        ai[n - 1 - k] = t;
+        t = aj[k];
+        aj[k] = aj[n - 1 - k];
+        aj[n - 1 - k] = t;
+    }
+    return n;
+}
+
+/* ---- Kabsch and TM-score, bit-identical to the NumPy batch kernels ---- */
+
+typedef void (*gesdd_fn)(const char *, const int64_t *, const int64_t *,
+                         double *, const int64_t *, double *, double *,
+                         const int64_t *, double *, const int64_t *,
+                         double *, const int64_t *, int64_t *, int64_t *,
+                         size_t);
+typedef void (*gemv_fn)(int, int, int64_t, int64_t, double, const double *,
+                        int64_t, const double *, int64_t, double, double *,
+                        int64_t);
+
+#define SVD_WORK_MAX 512
+static gesdd_fn blas_gesdd;
+static gemv_fn blas_gemv;
+static int64_t svd_lwork;
+
+/* Bind NumPy's ILP64 dgesdd and cblas_dgemv; sizes the SVD workspace by
+ * the same query numpy.linalg makes.  Returns 0 on success. */
+int tm_bind(void *gesdd, void *gemv)
+{
+    char jobz = 'A';
+    int64_t three = 3, query = -1, info = 0, iwork[24];
+    double a[9] = {0}, s[3], u[9], vt[9], wq = 0.0;
+    blas_gesdd = (gesdd_fn)gesdd;
+    blas_gemv = (gemv_fn)gemv;
+    blas_gesdd(&jobz, &three, &three, a, &three, s, u, &three, vt, &three,
+               &wq, &query, iwork, &info, 1);
+    svd_lwork = (int64_t)wq;
+    if (svd_lwork < 1) svd_lwork = 1;
+    return (info != 0 || svd_lwork > SVD_WORK_MAX) ? -1 : 0;
+}
+
+/* C = A @ B (3x3 row-major), each output one fma chain over K from 0 */
+INLINE void mm3(const double *A, const double *B, double *C)
+{
+    int i, j;
+    for (i = 0; i < 3; ++i)
+        for (j = 0; j < 3; ++j) {
+            double acc = 0.0;
+            acc = fma(A[3 * i + 0], B[0 + j], acc);
+            acc = fma(A[3 * i + 1], B[3 + j], acc);
+            acc = fma(A[3 * i + 2], B[6 + j], acc);
+            C[3 * i + j] = acc;
+        }
+}
+
+/* rotations_from_covariances for one covariance */
+INLINE void rotation_from_cov(const double *cov, double *rot)
+{
+    char jobz = 'A';
+    int64_t three = 3, info = 0, iwork[24], lwork = svd_lwork;
+    double a[9], s[3], uf[9], vtf[9], work[SVD_WORK_MAX];
+    double vtT[9], uT[9], det;
+    int i, j;
+    for (i = 0; i < 3; ++i)
+        for (j = 0; j < 3; ++j) a[i + 3 * j] = cov[3 * i + j];
+    blas_gesdd(&jobz, &three, &three, a, &three, s, uf, &three, vtf, &three,
+               work, &lwork, iwork, &info, 1);
+    if (info != 0) { /* numpy.linalg fills failed factors with NaN */
+        for (i = 0; i < 9; ++i) uf[i] = vtf[i] = NAN;
+    }
+    /* Fortran outputs: u[i][j] = uf[i + 3j], vt[i][j] = vtf[i + 3j] */
+    for (i = 0; i < 3; ++i)
+        for (j = 0; j < 3; ++j) {
+            vtT[3 * i + j] = vtf[j + 3 * i];
+            uT[3 * i + j] = uf[j + 3 * i];
+        }
+    mm3(vtT, uT, rot);
+    det = rot[0] * (rot[4] * rot[8] - rot[5] * rot[7])
+        - rot[1] * (rot[3] * rot[8] - rot[5] * rot[6])
+        + rot[2] * (rot[3] * rot[7] - rot[4] * rot[6]);
+    if (!(det > 0.0)) { /* reflection: diag(1,1,-1), degenerate: (1,1,0) */
+        double diag[9] = {1, 0, 0, 0, 1, 0, 0, 0, det == 0.0 ? 0.0 : -1.0};
+        double t[9];
+        mm3(vtT, diag, t);
+        mm3(t, uT, rot);
+    }
+}
+
+/* Kabsch of pa onto pb over m point pairs: rows a0.. / b0.. when sel is
+ * NULL, else the rows i < n with sel[i] (same rows of both sets). */
+INLINE void kabsch(const double *pa, const double *pb, ptrdiff_t a0,
+                   ptrdiff_t b0, ptrdiff_t m, const unsigned char *sel,
+                   ptrdiff_t n, double *rot, double *tra)
+{
+    double mu_a[3] = {0.0, 0.0, 0.0}, mu_b[3] = {0.0, 0.0, 0.0};
+    double cov[9] = {0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0}, y[3];
+    ptrdiff_t r, rows = sel ? n : m;
+    int p, q;
+    pa += 3 * a0;
+    pb += 3 * b0;
+    for (r = 0; r < rows; ++r) {
+        if (sel && !sel[r]) continue;
+        for (p = 0; p < 3; ++p) {
+            mu_a[p] += pa[3 * r + p];
+            mu_b[p] += pb[3 * r + p];
+        }
+    }
+    for (p = 0; p < 3; ++p) {
+        mu_a[p] /= (double)m;
+        mu_b[p] /= (double)m;
+    }
+    for (r = 0; r < rows; ++r) {
+        double da[3], db[3];
+        if (sel && !sel[r]) continue;
+        for (p = 0; p < 3; ++p) {
+            da[p] = pa[3 * r + p] - mu_a[p];
+            db[p] = pb[3 * r + p] - mu_b[p];
+        }
+        for (p = 0; p < 3; ++p)
+            for (q = 0; q < 3; ++q)
+                cov[3 * p + q] = fma(da[p], db[q], cov[3 * p + q]);
+    }
+    rotation_from_cov(cov, rot);
+    blas_gemv(102 /* ColMajor */, 112 /* Trans */, 3, 3, 1.0, rot, 3, mu_a,
+              1, 0.0, y, 1);
+    for (p = 0; p < 3; ++p) tra[p] = mu_b[p] - y[p];
+}
+
+/* np.add.reduce's pairwise summation of a contiguous double row */
+static double pairwise_sum(const double *a, ptrdiff_t n)
+{
+    ptrdiff_t i, n2;
+    int j;
+    double r[8], res = 0.0;
+    if (n < 8) {
+        for (i = 0; i < n; ++i) res += a[i];
+        return res;
+    }
+    if (n > 128) {
+        n2 = n / 2;
+        n2 -= n2 % 8;
+        return pairwise_sum(a, n2) + pairwise_sum(a + n2, n - n2);
+    }
+    for (j = 0; j < 8; ++j) r[j] = a[j];
+    for (i = 8; i < n - (n % 8); i += 8)
+        for (j = 0; j < 8; ++j) r[j] += a[i + j];
+    res = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]));
+    for (; i < n; ++i) res += a[i];
+    return res;
+}
+
+/* TM-score of m pairs under (rot, tra); dist gets the pair distances,
+ * sbuf (m doubles) is scratch. */
+INLINE double score(const double *pa, const double *pb, ptrdiff_t m,
+                    const double *rot, const double *tra, double d0,
+                    double lnorm, double *dist, double *sbuf)
+{
+    ptrdiff_t i;
+    int j;
+    for (i = 0; i < m; ++i) {
+        double w[3], d;
+        for (j = 0; j < 3; ++j) {
+            double acc = 0.0;
+            acc = fma(pa[3 * i + 0], rot[3 * j + 0], acc);
+            acc = fma(pa[3 * i + 1], rot[3 * j + 1], acc);
+            acc = fma(pa[3 * i + 2], rot[3 * j + 2], acc);
+            acc = (acc + tra[j]) - pb[3 * i + j];
+            w[j] = acc * acc;
+        }
+        /* np.add.reduce: identity 0.0, then the elements in order */
+        d = sqrt(((0.0 + w[0]) + w[1]) + w[2]);
+        dist[i] = d;
+        d = d / d0;
+        sbuf[i] = 1.0 / (d * d + 1.0);
+    }
+    return (0.0 + pairwise_sum(sbuf, m)) / lnorm;
+}
+
+/* GL score of nwin windows: Kabsch of xa[a0[w]:a0[w]+lens[w]] onto
+ * ya[b0[w]:...] and the TM-score of the same pairs.  Returns 0, or -1
+ * when scratch allocation fails. */
+HOT int tm_windows(const double *xa, const double *ya, const int64_t *a0,
+                   const int64_t *b0, const int64_t *lens, ptrdiff_t nwin,
+                   double d0, double lnorm, double *tms)
+{
+    ptrdiff_t w, mmax = 1;
+    double *buf;
+    for (w = 0; w < nwin; ++w)
+        if (lens[w] > mmax) mmax = lens[w];
+    buf = malloc(sizeof(double) * 2 * mmax);
+    if (!buf) return -1;
+    for (w = 0; w < nwin; ++w) {
+        double rot[9], tra[3];
+        kabsch(xa, ya, a0[w], b0[w], lens[w], NULL, 0, rot, tra);
+        tms[w] = score(xa + 3 * a0[w], ya + 3 * b0[w], lens[w], rot, tra,
+                       d0, lnorm, buf, buf + mmax);
+    }
+    free(buf);
+    return 0;
+}
+
+/* superposition_search over n matched pairs.  seeds holds (start, len)
+ * per seed in schedule order.  Writes the first strictly best score and
+ * its transform (identity and -1 if none beats -1); ops[0..2] receive
+ * the kabsch, kabsch_point and score_pair counts.  Returns 0, or -1
+ * when scratch allocation fails. */
+HOT int tm_search(const double *pa, const double *pb, ptrdiff_t n,
+                  const int64_t *seeds, ptrdiff_t nseeds, double d0,
+                  double lnorm, double d0_search, ptrdiff_t max_iters,
+                  double *best_tm, double *best_rot, double *best_tra,
+                  int64_t *ops)
+{
+    double *dist = malloc(sizeof(double) * 2 * n);
+    unsigned char *sel = malloc(2 * n);
+    ptrdiff_t s, it, i;
+    if (!dist || !sel) {
+        free(dist);
+        free(sel);
+        return -1;
+    }
+    *best_tm = -1.0;
+    for (i = 0; i < 9; ++i) best_rot[i] = (i % 4 == 0) ? 1.0 : 0.0;
+    for (i = 0; i < 3; ++i) best_tra[i] = 0.0;
+    ops[0] = ops[1] = ops[2] = 0;
+    for (s = 0; s < nseeds; ++s) {
+        double rot[9], tra[3];
+        unsigned char *cur = sel, *prev = sel + n, *tmp;
+        int has_prev = 0;
+        kabsch(pa, pb, seeds[2 * s], seeds[2 * s], seeds[2 * s + 1], NULL, 0,
+               rot, tra);
+        ops[0] += 1;
+        ops[1] += seeds[2 * s + 1];
+        for (it = 0; it < max_iters; ++it) {
+            double tm, cut = d0_search;
+            ptrdiff_t cnt = 0;
+            tm = score(pa, pb, n, rot, tra, d0, lnorm, dist, dist + n);
+            ops[2] += n;
+            if (tm > *best_tm) {
+                *best_tm = tm;
+                memcpy(best_rot, rot, sizeof rot);
+                memcpy(best_tra, tra, sizeof tra);
+            }
+            /* widen the cutoff by 0.5 until >= 3 pairs or 8 A */
+            for (i = 0; i < n; ++i) cnt += (cur[i] = dist[i] < cut);
+            while (cnt < 3 && cut < 8.0) {
+                cut += 0.5;
+                cnt = 0;
+                for (i = 0; i < n; ++i) cnt += (cur[i] = dist[i] < cut);
+            }
+            if (cnt < 3) break; /* hopeless seed: nothing is close */
+            if (has_prev && memcmp(cur, prev, n) == 0) break; /* converged */
+            has_prev = 1;
+            kabsch(pa, pb, 0, 0, cnt, cur, n, rot, tra);
+            ops[0] += 1;
+            ops[1] += cnt;
+            tmp = prev;
+            prev = cur;
+            cur = tmp;
+        }
+    }
+    free(dist);
+    free(sel);
+    return 0;
+}
 """
 
-_CC_ARGS = ["-O2", "-fPIC", "-shared", "-ffp-contract=off"]
+_P = ctypes.c_void_p
+_N = ctypes.c_ssize_t
+_D = ctypes.c_double
 
 
-def _build_library() -> str:
-    """Compile the kernel into a cached shared object; returns its path."""
-    digest = hashlib.sha256(
-        (_SOURCE + " ".join(_CC_ARGS)).encode()
-    ).hexdigest()[:16]
-    cache = os.path.join(
-        tempfile.gettempdir(), f"repro-native-{os.getuid()}"
-    )
-    lib_path = os.path.join(cache, f"nw_{digest}.so")
-    if os.path.exists(lib_path):
-        return lib_path
-    os.makedirs(cache, exist_ok=True)
-    cc = os.environ.get("CC", "cc")
-    with tempfile.TemporaryDirectory(dir=cache) as tmp:
-        src = os.path.join(tmp, "nw.c")
-        out = os.path.join(tmp, "nw.so")
-        with open(src, "w") as fh:
-            fh.write(_SOURCE)
-        subprocess.run(
-            [cc, *_CC_ARGS, "-o", out, src],
-            check=True,
-            capture_output=True,
-            timeout=120,
-        )
-        # atomic publish so concurrent farm workers race benignly
-        os.replace(out, lib_path)
-    return lib_path
+def _library() -> Optional[ctypes.CDLL]:
+    return load_library("tmalign", _SOURCE, NATIVE_DP_ENV, libs=("-lm",))
 
 
 def load_forward_kernel() -> Optional[ctypes._CFuncPtr]:
     """ctypes handle to ``nw_forward``, or None when unavailable."""
-    if os.environ.get(NATIVE_DP_ENV):
+    lib = _library()
+    if lib is None:
+        return None
+    fn = lib.nw_forward
+    fn.restype = None
+    # M, Ix, Iy, score, la, lb, stride (doubles), sstride (doubles), gap
+    fn.argtypes = [_P, _P, _P, _P, _N, _N, _N, _N, _D]
+    return fn
+
+
+def _bundled_blas() -> Optional[tuple[int, int]]:
+    """Addresses of ``dgesdd`` and ``cblas_dgemv`` in NumPy's own OpenBLAS.
+
+    NumPy wheels bundle one ``libscipy_openblas64_`` next to the package;
+    any other layout returns None (the NumPy path then stays in use).
+    """
+    pattern = os.path.join(
+        os.path.dirname(np.__file__), os.pardir, "numpy.libs",
+        "libscipy_openblas64_*.so",
+    )
+    found = glob.glob(pattern)
+    if len(found) != 1:
         return None
     try:
-        lib = ctypes.CDLL(_build_library())
-        fn = lib.nw_forward
-        fn.restype = None
-        fn.argtypes = [
-            ctypes.c_void_p,  # M
-            ctypes.c_void_p,  # Ix
-            ctypes.c_void_p,  # Iy
-            ctypes.c_void_p,  # score
-            ctypes.c_ssize_t,  # la
-            ctypes.c_ssize_t,  # lb
-            ctypes.c_ssize_t,  # stride (doubles)
-            ctypes.c_ssize_t,  # sstride (doubles)
-            ctypes.c_double,  # gap
-        ]
-        return fn
-    except Exception:
+        blas = ctypes.CDLL(found[0])
+        return (
+            ctypes.cast(blas.scipy_dgesdd_64_, _P).value,
+            ctypes.cast(blas.scipy_cblas_dgemv64_, _P).value,
+        )
+    except (OSError, AttributeError):
         return None
+
+
+def _f64(a: np.ndarray) -> np.ndarray:
+    return np.ascontiguousarray(a, dtype=np.float64)
+
+
+def _i64(a) -> np.ndarray:
+    return np.ascontiguousarray(a, dtype=np.int64)
+
+
+def _charge(counter, kabsch: int, kabsch_points: int, score_pairs: int) -> None:
+    if counter is not None:
+        counter.add("kabsch", kabsch)
+        counter.add("kabsch_point", kabsch_points)
+        counter.add("score_pair", score_pairs)
+
+
+class TMKernels:
+    """Python front-ends of ``tm_search``, ``tm_windows`` and ``nw_traceback``.
+
+    Each method validates dtype and contiguity before a pointer reaches
+    C, and charges ``counter`` the totals the NumPy path charges.
+    """
+
+    def __init__(self, lib: ctypes.CDLL) -> None:
+        self._search = lib.tm_search
+        self._search.restype = ctypes.c_int
+        # pa, pb, n, seeds, nseeds, d0, lnorm, d0_search, max_iters,
+        # best_tm, best_rot, best_tra, ops
+        self._search.argtypes = [_P, _P, _N, _P, _N, _D, _D, _D, _N, _P, _P, _P, _P]
+        self._windows = lib.tm_windows
+        self._windows.restype = ctypes.c_int
+        # xa, ya, a0, b0, lens, nwin, d0, lnorm, tms
+        self._windows.argtypes = [_P, _P, _P, _P, _P, _N, _D, _D, _P]
+        self._traceback = lib.nw_traceback
+        self._traceback.restype = ctypes.c_ssize_t
+        # M, Ix, Iy, score, la, lb, stride, sstride, gap, ai, aj, dp_score
+        self._traceback.argtypes = [_P, _P, _P, _P, _N, _N, _N, _N, _D, _P, _P, _P]
+
+    def search(
+        self,
+        pa: np.ndarray,
+        pb: np.ndarray,
+        seeds: list[tuple[int, int]],
+        d0: float,
+        lnorm: int,
+        d0_search: float,
+        max_iters: int,
+        counter=None,
+    ) -> tuple[float, np.ndarray, np.ndarray]:
+        """``(best_tm, rotation, translation)`` of the seeded search."""
+        pa, pb = _f64(pa), _f64(pb)
+        n = pa.shape[0]
+        if pb.shape != (n, 3) or pa.shape != (n, 3):
+            raise ValueError(f"matched (n, 3) sets required: {pa.shape}/{pb.shape}")
+        seed_arr = _i64(seeds).reshape(-1, 2)
+        if len(seed_arr) and (
+            seed_arr.min() < 0 or (seed_arr[:, 0] + seed_arr[:, 1]).max() > n
+        ):
+            raise ValueError("seed window outside the matched pairs")
+        best = np.empty(1)
+        rot = np.empty((3, 3))
+        tra = np.empty(3)
+        ops = np.empty(3, dtype=np.int64)
+        rc = self._search(
+            pa.ctypes.data, pb.ctypes.data, n, seed_arr.ctypes.data,
+            len(seed_arr), d0, float(lnorm), d0_search, max_iters,
+            best.ctypes.data, rot.ctypes.data, tra.ctypes.data, ops.ctypes.data,
+        )
+        if rc != 0:
+            raise MemoryError("tm_search scratch allocation failed")
+        _charge(counter, *ops.tolist())
+        return float(best[0]), rot, tra
+
+    def windows(
+        self,
+        mobile: np.ndarray,
+        target: np.ndarray,
+        starts_m,
+        starts_t,
+        lens,
+        d0: float,
+        lnorm: int,
+        counter=None,
+    ) -> np.ndarray:
+        """GL score of each window ``mobile[sm:sm+m]`` onto ``target[st:st+m]``."""
+        mobile, target = _f64(mobile), _f64(target)
+        sm, st, ln = _i64(starts_m), _i64(starts_t), _i64(lens)
+        if sm.ndim != 1 or not (sm.shape == st.shape == ln.shape):
+            raise ValueError("window start and length arrays must match")
+        if len(ln) and (
+            min(sm.min(), st.min()) < 0
+            or ln.min() < 1
+            or (sm + ln).max() > mobile.shape[0]
+            or (st + ln).max() > target.shape[0]
+        ):
+            raise ValueError("window outside the coordinate sets")
+        tms = np.empty(len(ln))
+        rc = self._windows(
+            mobile.ctypes.data, target.ctypes.data, sm.ctypes.data,
+            st.ctypes.data, ln.ctypes.data, len(ln), d0, float(lnorm),
+            tms.ctypes.data,
+        )
+        if rc != 0:
+            raise MemoryError("tm_windows scratch allocation failed")
+        pts = int(ln.sum())
+        _charge(counter, len(ln), pts, pts)
+        return tms
+
+    def traceback(
+        self,
+        M: np.ndarray,
+        Ix: np.ndarray,
+        Iy: np.ndarray,
+        score: np.ndarray,
+        gap: float,
+    ) -> tuple[np.ndarray, np.ndarray, float]:
+        """``(ai, aj, dp_score)`` of the filled DP matrices.
+
+        ``M``/``Ix``/``Iy`` are the ``(la+1, lb+1)`` views ``_forward``
+        returns (unit column stride, one shared row stride); ``score`` is
+        the ``(la, lb)`` matrix with unit column stride.
+        """
+        la, lb = score.shape
+        if not (
+            M.shape == Ix.shape == Iy.shape == (la + 1, lb + 1)
+            and M.strides == Ix.strides == Iy.strides
+            and M.strides[1] == score.strides[1] == 8
+            and M.dtype == score.dtype == np.float64
+        ):
+            raise ValueError("traceback needs the unit-stride float64 DP views")
+        cap = min(la, lb)
+        ai = np.empty(cap, dtype=np.intp)
+        aj = np.empty(cap, dtype=np.intp)
+        dp_score = np.empty(1)
+        n = self._traceback(
+            M.ctypes.data, Ix.ctypes.data, Iy.ctypes.data, score.ctypes.data,
+            la, lb, M.strides[0] // 8, score.strides[0] // 8, gap,
+            ai.ctypes.data, aj.ctypes.data, dp_score.ctypes.data,
+        )
+        return ai[:n].copy(), aj[:n].copy(), float(dp_score[0])
+
+
+def load_tm_kernels() -> Optional[TMKernels]:
+    """The search, window and traceback entry points, or None when unavailable.
+
+    None when the library does not build, ``REPRO_NO_NATIVE_DP`` is set,
+    or NumPy does not bundle the OpenBLAS whose SVD and GEMV the kernels
+    must call to match it.  The caller runs :func:`self_check` before
+    trusting them.
+    """
+    lib = _library()
+    blas = _bundled_blas()
+    if lib is None or blas is None:
+        return None
+    lib.tm_bind.restype = ctypes.c_int
+    lib.tm_bind.argtypes = [_P, _P]
+    if lib.tm_bind(*blas) != 0:
+        return None
+    return TMKernels(lib)
+
+
+def _probe() -> list:
+    """Results of every native-backed entry point on a fixed small input.
+
+    Covers seeded searches (proper and reflected fits, and one 300-pair
+    covariance, past the K-blocking size of common GEMM kernels), short
+    and long gapless windows, fragment windows, and a tie-heavy DP
+    traceback.  Everything is returned as exact reprs and bytes.
+    """
+    from repro.cost.counters import CostCounter
+    from repro.tmalign.dp import nw_align
+    from repro.tmalign.initial import fragment_threading, gapless_threading
+    from repro.tmalign.tmscore import superposition_search
+
+    rng = np.random.default_rng(2013)
+    xa = np.cumsum(rng.normal(scale=2.0, size=(300, 3)), axis=0)
+    q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+    ya = xa @ q + rng.normal(scale=0.8, size=xa.shape)
+    mirror = ya * np.array([1.0, 1.0, -1.0])
+    ctr = CostCounter()
+    out: list = []
+    for pa, pb, d0, fractions in (
+        (xa[:48], ya[:48], 2.5, None),
+        (xa[:40], mirror[:40], 3.0, (1, 2)),
+        (xa, ya, 4.0, (1,)),
+    ):
+        tm, xf = superposition_search(
+            pa, pb, d0, pa.shape[0] + 7, seed_fractions=fractions, counter=ctr
+        )
+        out.append((repr(tm), xf.rotation.tobytes(), xf.translation.tobytes()))
+    alis = gapless_threading(xa[:24], ya[6:26], 2.0, 20, counter=ctr)
+    alis += gapless_threading(xa, ya[:290], 4.0, 290, min_overlap=286, counter=ctr)
+    alis.append(fragment_threading(xa[:40], mirror[:30], 2.0, 30, counter=ctr))
+    ties = rng.integers(-2, 3, size=(24, 31)).astype(np.float64)
+    alis.append(nw_align(ties, -1.0, counter=ctr))
+    out.extend((a.key(), repr(a.dp_score)) for a in alis)
+    out.append(sorted(ctr.as_dict().items()))
+    return out
+
+
+def self_check() -> bool:
+    """Keep the native search, window and traceback paths only if they match.
+
+    Runs :func:`_probe` with the module handles as loaded and again on
+    the NumPy path; on any difference the handles stay None, so every
+    later call takes the NumPy path (``nw_forward`` is not affected).
+    Returns whether the native entry points are on.
+    """
+    from repro.tmalign import dp, initial, tmscore
+
+    handles = (
+        (dp, "_NATIVE_TRACEBACK"),
+        (tmscore, "_NATIVE_SEARCH"),
+        (initial, "_NATIVE_WINDOWS"),
+    )
+    loaded = [getattr(mod, name) for mod, name in handles]
+    if all(h is None for h in loaded):
+        return False
+    native = _probe()
+    for mod, name in handles:
+        setattr(mod, name, None)
+    if _probe() != native:
+        return False
+    for (mod, name), h in zip(handles, loaded):
+        setattr(mod, name, h)
+    return True

@@ -11,13 +11,15 @@ Leading gap runs are free (zero boundary conditions, as in TM-align);
 trailing runs cost one open per direction like interior ones, because
 the traceback starts at the corner — again matching the original.
 
-Vectorization (per the HPC guides: no per-cell Python loops): with free
-extension the in-row recurrence ``Iy[i,j] = max(open(j-1), Iy[i,j-1])``
-is a running maximum, so each row is computed with a handful of
-whole-row NumPy ops — ``M`` and ``Ix`` from the previous row, ``Iy`` via
-``np.maximum.accumulate``.  The traceback recovers predecessor states by
-exact float equality (all values are propagated, never recomputed), so no
-pointer matrices are stored.
+With free extension the in-row recurrence ``Iy[i,j] = max(open(j-1),
+Iy[i,j-1])`` is a running maximum, so each row is computed with a
+handful of whole-row NumPy ops — ``M`` and ``Ix`` from the previous row,
+``Iy`` via ``np.maximum.accumulate``.  The traceback recovers predecessor
+states by exact float equality (all values are propagated, never
+recomputed), so no pointer matrices are stored.  When the compiled
+kernel loads (:mod:`repro.tmalign._dpnative`), the forward fill and the
+traceback run as C loops with the same dataflow; the NumPy code here is
+their reference and fallback.
 """
 
 from __future__ import annotations
@@ -26,16 +28,19 @@ from typing import Optional
 
 import numpy as np
 
-from repro.tmalign._dpnative import load_forward_kernel
+from repro.tmalign._dpnative import load_forward_kernel, load_tm_kernels
 from repro.tmalign.result import Alignment
 
 __all__ = ["nw_align", "nw_score_only"]
 
 NEG = -1e18  # effectively -inf, but arithmetic-safe
 
-# Compiled row sweep (bit-identical to the NumPy sweep below); None when
-# no C compiler is available or REPRO_NO_NATIVE_DP is set.
+# Compiled row sweep and traceback (bit-identical to the NumPy code
+# below); None when no C compiler is available or REPRO_NO_NATIVE_DP is
+# set.  The traceback handle is also dropped by the load-time self-check
+# (repro.tmalign._dpnative.self_check).
 _NATIVE_FORWARD = load_forward_kernel()
+_NATIVE_TRACEBACK = getattr(load_tm_kernels(), "traceback", None)
 
 # Reusable DP workspace.  The three state matrices (plus two scratch rows)
 # are grown to the largest (la+1, lb+1) seen by this process and sliced per
@@ -159,6 +164,9 @@ def nw_align(
     if counter is not None:
         counter.add("dp_cell", la * lb)
     M, Ix, Iy = _forward(score, gap_open)
+    if _NATIVE_TRACEBACK is not None and score.strides[1] == 8:
+        ai, aj, dp_score = _NATIVE_TRACEBACK(M, Ix, Iy, score, gap_open)
+        return Alignment.from_trusted(ai, aj, dp_score)
 
     # Traceback from the corner; predecessors found by exact equality on
     # propagated values (ties resolved with M > Ix > Iy precedence, the

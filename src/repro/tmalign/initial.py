@@ -6,13 +6,13 @@ and a DP over a score matrix combining the previous two.  A fragment
 threading variant (half-length windows) is included as in the original's
 additional inits.
 
-The threading generators are batch-vectorized: instead of one Kabsch +
-TM-score per shift, all correspondences of equal length are stacked and
-solved with one :func:`~repro.geometry.kabsch.kabsch_batch` call and one
-batched scoring pass.  Equal-length stacking (never padding) keeps every
-slice bit-identical to the reference serial loops
-(``gapless_threading_serial`` / ``fragment_threading_serial``), which
-are retained as the property-test ground truth.
+The threading generators score every candidate window with one Kabsch
+superposition and one TM-score (the "GL score").  When the compiled
+kernel loads, all windows of a scan go to C in one call (``tm_windows``
+in :mod:`repro.tmalign._dpnative`); ranking and argmax stay here.  The
+NumPy path is its reference and fallback: windows of equal length are
+stacked and solved with one batched Kabsch and one batched scoring pass,
+and every slice is bit-identical to scoring that window alone.
 """
 
 from __future__ import annotations
@@ -22,28 +22,23 @@ from typing import Optional
 import numpy as np
 
 from repro.geometry.distances import cross_distances
-from repro.geometry.kabsch import (
-    _kabsch_batch_core,
-    kabsch,
-    rotations_from_covariances,
-)
+from repro.geometry.kabsch import _kabsch_batch_core
+from repro.tmalign._dpnative import load_tm_kernels
 from repro.tmalign.dp import nw_align
 from repro.tmalign.params import TMAlignParams
 from repro.tmalign.result import Alignment
-from repro.tmalign.tmscore import (
-    _moved_tm_score,
-    _moved_tm_scores_batch,
-    tm_score_from_distances,
-)
+from repro.tmalign.tmscore import _moved_tm_scores_batch
 
 __all__ = [
     "gapless_threading",
-    "gapless_threading_serial",
     "ss_alignment",
     "combined_alignment",
     "fragment_threading",
-    "fragment_threading_serial",
 ]
+
+# Compiled window scan (bit-identical to the NumPy batches below); None
+# when the kernel is unavailable or failed its load-time self-check.
+_NATIVE_WINDOWS = getattr(load_tm_kernels(), "windows", None)
 
 # Cap on the element count of one stacked (g, m, 3) threading batch; larger
 # groups are processed in row chunks so very long chains cannot balloon the
@@ -63,124 +58,41 @@ def _gapless_alignment(shift: int, la: int, lb: int) -> tuple[np.ndarray, np.nda
     return ai, ai - shift
 
 
-def _batched_gl_scores(
-    sa: np.ndarray,
-    sb: np.ndarray,
+def _windows_numpy(
+    mobile: np.ndarray,
+    target: np.ndarray,
+    starts_m: np.ndarray,
+    starts_t: np.ndarray,
+    lens: np.ndarray,
     d0: float,
     lnorm: int,
     counter=None,
 ) -> np.ndarray:
-    """One Kabsch + TM-score per slice of the ``(g, m, 3)`` stacks.
+    """NumPy reference of the compiled ``tm_windows``, same signature.
 
-    Equivalent, slice for slice, to ``kabsch`` + ``_moved_tm_score`` on
-    ``(sa[i], sb[i])`` — the "GL score" of each candidate correspondence.
+    GL score of each window ``mobile[sm:sm+m]`` onto ``target[st:st+m]``,
+    in input order.  Windows of equal length stack into ``(g, m, 3)``
+    gathers — in row chunks bounding the element count — for one batched
+    Kabsch and one batched scoring pass; every slice is bit-identical to
+    scoring that window alone.
     """
-    g, m = sa.shape[0], sa.shape[1]
-    rots, tras = _kabsch_batch_core(sa, sb, counter=counter)
-    work = np.empty((g, m, 3))
-    dist = np.empty((g, m))
-    sbuf = np.empty((g, m))
-    return _moved_tm_scores_batch(
-        sa, sb, rots, tras, d0, lnorm, work, dist, sbuf, counter=counter
-    )
-
-
-def _gl_scores_padded(
-    xa: np.ndarray,
-    ya: np.ndarray,
-    groups: list,
-    span: np.ndarray,
-    d0: float,
-    lnorm: int,
-    counter=None,
-) -> list:
-    """GL scores for ragged gapless window groups via one padded pipeline.
-
-    ``groups`` is a list of ``(m, shifts)`` entries, all windows of one
-    entry sharing overlap length ``m``; the stack is padded to the
-    chunk-wide maximum length.  Padding rows are masked to exact zeros
-    before the covariance GEMM, so they only ever extend its K dimension
-    (zero rows contribute exact zero terms to the sequential K
-    accumulation) and the M dimension of the scoring GEMM (extra output
-    rows that are never reduced over); every ragged reduction — window
-    means and score sums, whose pairwise summation trees depend on the
-    element count — runs per equal-length group.  Each window's floats
-    are therefore identical to the serial per-shift path, at a fraction
-    of the per-shift NumPy call count.
-
-    Returns ``[(tm, shift), ...]`` in group order.
-    """
-    g_rows = sum(len(shifts) for _, shifts in groups)
-    mmax = max(m for m, _ in groups)
-    n_pts = sum(m * len(shifts) for m, shifts in groups)
-    if counter is not None:
-        counter.add("kabsch", g_rows)
-        counter.add("kabsch_point", n_pts)
-        counter.add("score_pair", n_pts)
-    bounds = []
-    all_shifts: list[int] = []
-    all_lens: list[float] = []
-    lo = 0
-    for m, shifts in groups:
-        hi = lo + len(shifts)
-        all_shifts.extend(shifts)
-        all_lens.extend([float(m)] * len(shifts))
-        bounds.append((lo, hi, m, shifts))
-        lo = hi
-    # one global gather for every window: index rows are exact inside each
-    # window and clipped into range over the padding (those rows are either
-    # masked to zero before the covariance GEMM or sliced away after the
-    # scoring GEMM, so their values never reach a result)
-    arr = np.asarray(all_shifts, dtype=np.intp)
-    rows_a = np.maximum(0, arr)[:, None] + span[:mmax]
-    rows_b = rows_a - arr[:, None]
-    np.minimum(rows_a, xa.shape[0] - 1, out=rows_a)
-    np.clip(rows_b, 0, ya.shape[0] - 1, out=rows_b)
-    bufa = np.empty((g_rows, mmax, 3))
-    bufb = np.empty((g_rows, mmax, 3))
-    np.take(xa, rows_a, axis=0, out=bufa)
-    np.take(ya, rows_b, axis=0, out=bufb)
-    # window means must reduce over exactly m rows (the pairwise summation
-    # tree depends on the element count), so they go per equal-length group
-    mu_m = np.empty((g_rows, 3))
-    mu_t = np.empty((g_rows, 3))
-    for lo, hi, m, _ in bounds:
-        np.add.reduce(bufa[lo:hi, :m], axis=1, out=mu_m[lo:hi])
-        np.add.reduce(bufb[lo:hi, :m], axis=1, out=mu_t[lo:hi])
-    lens = np.asarray(all_lens)[:, None]
-    mu_m /= lens
-    mu_t /= lens
-    mask = (span[:mmax] < lens)[:, :, None]
-    pm = np.where(mask, bufa - mu_m[:, None, :], 0.0)
-    pt = np.where(mask, bufb - mu_t[:, None, :], 0.0)
-    cov = np.matmul(pm.transpose(0, 2, 1), pt)
-    rots = rotations_from_covariances(cov)
-    tras = mu_t - np.matmul(rots, mu_m[:, :, None])[:, :, 0]
-    work = pm  # same shape; pm is dead after the covariance GEMM
-    np.matmul(bufa, rots.transpose(0, 2, 1), out=work)
-    work += tras[:, None, :]
-    np.subtract(work, bufb, out=work)
-    np.multiply(work, work, out=work)
-    dist = np.add.reduce(work, axis=2)
-    np.sqrt(dist, out=dist)
-    # score chain in place over dist: 1 / (1 + (d/d0)^2)
-    np.divide(dist, d0, out=dist)
-    np.multiply(dist, dist, out=dist)
-    np.add(dist, 1.0, out=dist)
-    np.divide(1.0, dist, out=dist)
-    out = []
-    for lo, hi, m, shifts in bounds:
-        tms = np.add.reduce(dist[lo:hi, :m], axis=1)
-        tms /= lnorm
-        out.extend(zip(map(float, tms), shifts))
-    return out
-
-
-def _chunked(total: int, m: int):
-    """Yield ``(lo, hi)`` row ranges bounding each batch's element count."""
-    step = max(1, _BATCH_ELEMS // max(1, m * 3))
-    for lo in range(0, total, step):
-        yield lo, min(total, lo + step)
+    tms = np.empty(lens.shape[0])
+    for m in np.unique(lens).tolist():
+        span = np.arange(m, dtype=np.intp)
+        rows = np.flatnonzero(lens == m)
+        step = max(1, _BATCH_ELEMS // (m * 3))
+        for lo in range(0, rows.shape[0], step):
+            r = rows[lo : lo + step]
+            sa = mobile[starts_m[r, None] + span]
+            sb = target[starts_t[r, None] + span]
+            rots, tras = _kabsch_batch_core(sa, sb, counter=counter)
+            g = r.shape[0]
+            tms[r] = _moved_tm_scores_batch(
+                sa, sb, rots, tras, d0, lnorm,
+                np.empty((g, m, 3)), np.empty((g, m)), np.empty((g, m)),
+                counter=counter,
+            )
+    return tms
 
 
 def gapless_threading(
@@ -197,95 +109,24 @@ def gapless_threading(
 
     Each shift is scored by one Kabsch superposition of the corresponded
     residues followed by a TM-score evaluation (the "GL score" of the
-    original, without its extra refinement iterations).  All shifts are
-    solved together as one zero-padded stack per chunk (see
-    :func:`_gl_scores_padded`); the final ranking is order-independent,
-    so shifts may be processed grouped by overlap length.
+    original, without its extra refinement iterations).  Shifts rank by
+    score, ties by shift.
     """
     params = params or TMAlignParams()
     la, lb = xa.shape[0], ya.shape[0]
     min_overlap = min(min_overlap, la, lb)
     stride = max(1, params.threading_stride)
-    by_m: dict[int, list[int]] = {}
-    for shift in range(-(lb - min_overlap), la - min_overlap + 1, stride):
-        m = min(la, lb + shift) - max(0, shift)
-        if m < min_overlap:
-            continue
-        by_m.setdefault(m, []).append(shift)
-    if not by_m:
-        return []
-    mmax = max(by_m)
-    # pack the equal-length groups into chunks bounding the padded element
-    # count, splitting oversized groups; chunking never changes any floats
-    row_cap = max(1, _BATCH_ELEMS // (mmax * 3))
-    chunks: list[list[tuple[int, list[int]]]] = [[]]
-    rows_used = 0
-    for m, shifts in by_m.items():
-        lo = 0
-        while lo < len(shifts):
-            if rows_used >= row_cap:
-                chunks.append([])
-                rows_used = 0
-            take = min(len(shifts) - lo, row_cap - rows_used)
-            chunks[-1].append((m, shifts[lo : lo + take]))
-            rows_used += take
-            lo += take
-    span = np.arange(mmax, dtype=np.intp)
-    scored: list[tuple[float, int]] = []
-    for groups in chunks:
-        if groups:
-            scored.extend(
-                _gl_scores_padded(xa, ya, groups, span, d0, lnorm, counter=counter)
-            )
-    scored.sort(key=lambda t: (-t[0], t[1]))
+    # every shift in this range overlaps by at least min_overlap residues
+    shifts = np.arange(-(lb - min_overlap), la - min_overlap + 1, stride)
+    starts = np.maximum(shifts, 0)
+    lens = np.minimum(la, lb + shifts) - starts
+    windows = _NATIVE_WINDOWS or _windows_numpy
+    tms = windows(xa, ya, starts, starts - shifts, lens, d0, lnorm, counter=counter)
+    scored = sorted(zip(tms.tolist(), shifts.tolist()), key=lambda t: (-t[0], t[1]))
     out = []
     for tm, shift in scored[:n_best]:
         ai, aj = _gapless_alignment(shift, la, lb)
         out.append(Alignment.from_trusted(ai, aj, dp_score=tm))
-    return out
-
-
-def gapless_threading_serial(
-    xa: np.ndarray,
-    ya: np.ndarray,
-    d0: float,
-    lnorm: int,
-    params: Optional[TMAlignParams] = None,
-    n_best: int = 2,
-    min_overlap: int = 5,
-    counter=None,
-) -> list[Alignment]:
-    """Reference one-shift-at-a-time threading (pre-batch implementation)."""
-    params = params or TMAlignParams()
-    la, lb = xa.shape[0], ya.shape[0]
-    min_overlap = min(min_overlap, la, lb)
-    scored: list[tuple[float, int]] = []
-    stride = max(1, params.threading_stride)
-    # the correspondence of a shift is contiguous in both chains, so the
-    # coordinate subsets are plain views (no fancy-index copies); scoring
-    # scratch is shared across shifts
-    nmax = min(la, lb)
-    work = np.empty((nmax, 3))
-    dist = np.empty(nmax)
-    sbuf = np.empty(nmax)
-    for shift in range(-(lb - min_overlap), la - min_overlap + 1, stride):
-        i0 = max(0, shift)
-        i1 = min(la, lb + shift)
-        m = i1 - i0
-        if m < min_overlap:
-            continue
-        sa = xa[i0:i1]
-        sb = ya[i0 - shift : i1 - shift]
-        xf = kabsch(sa, sb, counter=counter)
-        tm = _moved_tm_score(
-            sa, sb, xf, d0, lnorm, work[:m], dist[:m], sbuf[:m], counter=counter
-        )
-        scored.append((tm, shift))
-    scored.sort(key=lambda t: (-t[0], t[1]))
-    out = []
-    for tm, shift in scored[:n_best]:
-        ai, aj = _gapless_alignment(shift, la, lb)
-        out.append(Alignment(ai, aj, dp_score=tm))
     return out
 
 
@@ -372,8 +213,8 @@ def fragment_threading(
 
     Catches alignments where only a sub-domain matches; returns None when
     the chains are too short to cut a meaningful fragment.  Every
-    (fragment, segment) placement has the same window length, so the
-    whole search runs as stacked Kabsch + lockstep scoring batches.
+    (fragment, segment) placement has the same window length; the best
+    is the first strict maximum in fragment-major order.
     """
     params = params or TMAlignParams()
     la, lb = xa.shape[0], ya.shape[0]
@@ -386,38 +227,15 @@ def fragment_threading(
     fstarts = np.arange(0, ls - flen + 1, step, dtype=np.intp)
     shifts = np.arange(0, ll - flen + 1, stride, dtype=np.intp)
     nf, ns = fstarts.shape[0], shifts.shape[0]
-    span = np.arange(flen, dtype=np.intp)
-    frags = short[fstarts[:, None] + span]  # (nf, flen, 3)
-    segs = long_[shifts[:, None] + span]  # (ns, flen, 3)
-    # combos enumerate fragment-major (fstart outer, shift inner), matching
-    # the serial loop so first-strict-max tie-breaking is preserved; the
-    # scoring scratch is sized once for the largest chunk
-    total = nf * ns
-    idx = np.arange(total, dtype=np.intp)
-    step = max(1, _BATCH_ELEMS // max(1, flen * 3))
-    rows = min(total, step)
-    work = np.empty((rows, flen, 3))
-    dist = np.empty((rows, flen))
-    sbuf = np.empty((rows, flen))
-    best_tm = -np.inf
-    best_flat = -1
-    for lo in range(0, total, step):
-        hi = min(total, lo + step)
-        sel = idx[lo:hi]
-        fr = frags[sel // ns]
-        sg = segs[sel % ns]
-        g = hi - lo
-        rots, tras = _kabsch_batch_core(fr, sg, counter=counter)
-        tms = _moved_tm_scores_batch(
-            fr, sg, rots, tras, d0, lnorm,
-            work[:g], dist[:g], sbuf[:g], counter=counter,
-        )
-        j = int(np.argmax(tms))
-        if tms[j] > best_tm:
-            best_tm = float(tms[j])
-            best_flat = lo + j
-    if best_flat < 0:
-        return None
+    # placements enumerate fragment-major (fstart outer, shift inner), so
+    # argmax's first maximum is the first strict improvement in that order
+    windows = _NATIVE_WINDOWS or _windows_numpy
+    tms = windows(
+        short, long_, np.repeat(fstarts, ns), np.tile(shifts, nf),
+        np.full(nf * ns, flen), d0, lnorm, counter=counter,
+    )
+    best_flat = int(np.argmax(tms))
+    best_tm = float(tms[best_flat])
     fstart = int(fstarts[best_flat // ns])
     shift = int(shifts[best_flat % ns])
     idx_short = np.arange(fstart, fstart + flen, dtype=np.intp)
@@ -425,43 +243,3 @@ def fragment_threading(
     if swap:
         return Alignment.from_trusted(idx_long, idx_short, dp_score=best_tm)
     return Alignment.from_trusted(idx_short, idx_long, dp_score=best_tm)
-
-
-def fragment_threading_serial(
-    xa: np.ndarray,
-    ya: np.ndarray,
-    d0: float,
-    lnorm: int,
-    params: Optional[TMAlignParams] = None,
-    counter=None,
-) -> Optional[Alignment]:
-    """Reference one-placement-at-a-time fragment threading."""
-    params = params or TMAlignParams()
-    la, lb = xa.shape[0], ya.shape[0]
-    geom = _fragment_geometry(la, lb, params)
-    if geom is None:
-        return None
-    swap, ls, ll, flen, step = geom
-    short, long_ = (ya, xa) if swap else (xa, ya)
-    best: tuple[float, int, int] | None = None
-    work = np.empty((flen, 3))
-    dist = np.empty(flen)
-    sbuf = np.empty(flen)
-    for fstart in range(0, ls - flen + 1, step):
-        frag = short[fstart : fstart + flen]
-        for shift in range(0, ll - flen + 1, max(1, params.threading_stride)):
-            seg = long_[shift : shift + flen]
-            xf = kabsch(frag, seg, counter=counter)
-            tm = _moved_tm_score(
-                frag, seg, xf, d0, lnorm, work, dist, sbuf, counter=counter
-            )
-            if best is None or tm > best[0]:
-                best = (tm, fstart, shift)
-    if best is None:
-        return None
-    _, fstart, shift = best
-    idx_short = np.arange(fstart, fstart + flen, dtype=np.intp)
-    idx_long = np.arange(shift, shift + flen, dtype=np.intp)
-    if swap:
-        return Alignment(idx_long, idx_short, dp_score=best[0])
-    return Alignment(idx_short, idx_long, dp_score=best[0])

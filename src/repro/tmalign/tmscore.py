@@ -6,18 +6,19 @@ Following the original, the search seeds Kabsch superpositions from
 contiguous fragments of the correspondence (full length, L/2, L/4, ...),
 then iteratively re-superposes on the subset of pairs closer than a
 distance cutoff until the subset is stable, keeping the best-scoring
-transform seen anywhere.
+transform seen anywhere (the first strictly best, in seed order).
 
-``superposition_search`` runs the search *in lockstep across seeds*: all
-fragment seeds of a given length are superposed with one
-:func:`~repro.geometry.kabsch.kabsch_batch` call over strided windows,
-every candidate transform is scored with one ``(k, n, 3)`` batched
-matmul per iteration, and the pair-reselection proceeds for all
-still-active seeds at once, retiring each seed when its selection
-stabilises.  Per-seed selection sequences, op counts, and the best-score
-update order are exactly those of the reference serial loop
-(:func:`superposition_search_serial`), so both paths return repr-exact
-identical scores.
+When the compiled kernel loads, ``superposition_search`` runs the whole
+search as one C call (``tm_search`` in :mod:`repro.tmalign._dpnative`).
+The NumPy path below is its reference and fallback.  It runs the search
+*in lockstep across seeds*: all fragment seeds of a given length are
+superposed with one batched Kabsch over strided windows, every candidate
+transform is scored with one ``(k, n, 3)`` batched matmul per iteration,
+and the pair reselection proceeds for all still-active seeds at once,
+retiring each seed when its selection stabilises.  Per-seed selection
+sequences, op counts and the best-score update order are exactly those
+of a one-seed-at-a-time loop, so both paths return repr-exact identical
+scores and transforms.
 """
 
 from __future__ import annotations
@@ -26,15 +27,16 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.geometry.kabsch import _kabsch_batch_core, _kabsch_ragged_core, kabsch
+from repro.geometry.kabsch import _kabsch_batch_core
 from repro.geometry.transforms import RigidTransform
+from repro.tmalign._dpnative import load_tm_kernels
 from repro.tmalign.params import TMAlignParams
 
-__all__ = [
-    "tm_score_from_distances",
-    "superposition_search",
-    "superposition_search_serial",
-]
+__all__ = ["tm_score_from_distances", "superposition_search"]
+
+# Compiled search (bit-identical to the lockstep NumPy path below); None
+# when the kernel is unavailable or failed its load-time self-check.
+_NATIVE_SEARCH = getattr(load_tm_kernels(), "search", None)
 
 
 def tm_score_from_distances(
@@ -51,45 +53,6 @@ def tm_score_from_distances(
     return float((1.0 / (1.0 + (d / d0) ** 2)).sum() / lnorm)
 
 
-def _pair_distances(moved: np.ndarray, target: np.ndarray) -> np.ndarray:
-    diff = moved - target
-    return np.sqrt((diff * diff).sum(axis=1))
-
-
-def _moved_tm_score(
-    pa: np.ndarray,
-    pb: np.ndarray,
-    xf: RigidTransform,
-    d0: float,
-    lnorm: int,
-    work: np.ndarray,
-    dist: np.ndarray,
-    sbuf: np.ndarray,
-    counter=None,
-) -> float:
-    """TM-score of ``xf.apply(pa)`` against ``pb`` using caller buffers.
-
-    Computes exactly ``tm_score_from_distances(_pair_distances(
-    xf.apply(pa), pb), d0, lnorm)`` — same operations in the same order —
-    but every intermediate lands in ``work``/``dist``/``sbuf`` instead of
-    a fresh allocation.  ``dist`` is left holding the pair distances for
-    callers that reselect pairs on them.
-    """
-    np.matmul(pa, xf.rotation.T, out=work)
-    work += xf.translation
-    np.subtract(work, pb, out=work)
-    np.multiply(work, work, out=work)
-    np.add.reduce(work, axis=1, out=dist)
-    np.sqrt(dist, out=dist)
-    if counter is not None:
-        counter.add("score_pair", dist.size)
-    np.divide(dist, d0, out=sbuf)
-    np.multiply(sbuf, sbuf, out=sbuf)
-    np.add(sbuf, 1.0, out=sbuf)
-    np.divide(1.0, sbuf, out=sbuf)
-    return float(sbuf.sum() / lnorm)
-
-
 def _moved_tm_scores_batch(
     pa_stack: np.ndarray,
     pb_stack: np.ndarray,
@@ -102,14 +65,16 @@ def _moved_tm_scores_batch(
     sbuf: np.ndarray,
     counter=None,
 ) -> np.ndarray:
-    """Lockstep ``_moved_tm_score`` for ``k`` transforms at once.
+    """TM-scores of ``k`` transforms of ``pa_stack`` against ``pb_stack``.
 
     ``pa_stack``/``pb_stack`` broadcast against the ``(k, 3, 3)``
     rotation stack (pass ``pa[None]`` to score one coordinate set under
-    every transform).  Each slice of the result is bit-identical to the
-    serial call: the stacked matmul runs the same per-slice BLAS kernel,
-    and all remaining stages are elementwise or reduce over the same
-    axes.  ``dist`` is left holding the per-slice pair distances.
+    every transform).  Every intermediate lands in the caller's
+    ``work``/``dist``/``sbuf`` buffers.  Each slice is bit-identical to
+    scoring that transform alone: the stacked matmul runs the same
+    per-slice BLAS kernel, and all remaining stages are elementwise or
+    reduce over the same axes.  ``dist`` is left holding the per-slice
+    pair distances.
     """
     np.matmul(pa_stack, rots.transpose(0, 2, 1), out=work)
     work += tras[:, None, :]
@@ -132,9 +97,8 @@ def _seed_schedule(
 ) -> list[tuple[int, int]]:
     """Ordered, deduplicated ``(start, flen)`` fragment seeds.
 
-    Enumeration order matches the serial loop (fractions outer, window
-    starts inner, first occurrence wins), which fixes the best-score
-    update order of the search.
+    Enumeration order (fractions outer, window starts inner, first
+    occurrence wins) fixes the best-score update order of the search.
     """
     seeds: list[tuple[int, int]] = []
     seen: set[tuple[int, int]] = set()
@@ -186,27 +150,42 @@ def superposition_search(
     seeding schedule (the refinement loop uses a cheaper schedule than
     the final scoring pass).
 
-    All seeds run their iterative pair reselection in lockstep; the
-    result (score, transform, charged op counts) is identical to
-    :func:`superposition_search_serial`.
+    The compiled search and the NumPy lockstep path return identical
+    results (score, transform, charged op counts).
     """
     params = params or TMAlignParams()
     pa, pb, n, d0_search = _check_search_args(pa, pb, d0, d0_search)
     fractions = tuple(seed_fractions or params.n_seed_fractions)
     seeds = _seed_schedule(n, fractions, params)
-    if len(seeds) == 1:
-        # single-seed searches (the quick candidate evaluation) gain
-        # nothing from the batch plumbing
-        return superposition_search_serial(
-            pa, pb, d0, lnorm, params=params, d0_search=d0_search,
-            seed_fractions=fractions, counter=counter,
-        )
+    search = _NATIVE_SEARCH or _search_lockstep
+    tm, rot, tra = search(
+        pa, pb, seeds, d0, lnorm, d0_search, params.max_score_iters, counter=counter
+    )
+    return tm, RigidTransform.from_trusted(rot, tra)
+
+
+def _search_lockstep(
+    pa: np.ndarray,
+    pb: np.ndarray,
+    seeds: list[tuple[int, int]],
+    d0: float,
+    lnorm: int,
+    d0_search: float,
+    max_iters: int,
+    counter=None,
+) -> tuple[float, np.ndarray, np.ndarray]:
+    """NumPy reference of the compiled ``tm_search``, same signature.
+
+    Returns ``(best_tm, rotation, translation)`` over the ``(start,
+    length)`` seeds, all of them iterating in lockstep.
+    """
     k = len(seeds)
+    n = pa.shape[0]
 
     # --- phase 1: one batched Kabsch per fragment length -------------------
     # Windows of equal length stack into a contiguous (g, flen, 3) gather;
-    # each slice has the same memory layout as the serial window view, so
-    # kabsch_batch reproduces the serial seeds bit-for-bit.
+    # each slice has the memory layout of a plain window view, so the
+    # batched Kabsch reproduces one-window Kabsch bit-for-bit.
     rots = np.empty((k, 3, 3))
     tras = np.empty((k, 3))
     by_flen: dict[int, list[int]] = {}
@@ -221,7 +200,7 @@ def superposition_search(
 
     # --- phase 2: lockstep score / reselect iterations ----------------------
     # Per-iteration records keep every (tm, transform) candidate so phase 3
-    # can replay the serial best-update order; arrays are fresh per
+    # can replay the seed-by-seed best-update order; arrays are fresh per
     # iteration, so rows are stored as views, never copied.
     work = np.empty((k, n, 3))
     dist = np.empty((k, n))
@@ -232,7 +211,7 @@ def superposition_search(
     has_prev = False
     records: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
     seed_rows: list[list[tuple[int, int]]] = [[] for _ in range(k)]
-    for _ in range(params.max_score_iters):
+    for _ in range(max_iters):
         ka = len(ids)
         tms = _moved_tm_scores_batch(
             pa_b, pb, rots, tras, d0, lnorm,
@@ -242,7 +221,7 @@ def superposition_search(
         records.append((tms, rots, tras))
         for row, oid in enumerate(ids):
             seed_rows[oid].append((rec, row))
-        # pair selection with the serial cutoff escalation: every seed
+        # pair selection with cutoff escalation: every seed
         # restarts from d0_search and widens by 0.5 until >= 3 pairs or 8 Å
         sel = dist[:ka] < d0_search
         counts = np.add.reduce(sel, axis=1)
@@ -268,67 +247,22 @@ def superposition_search(
             ids = [oid for oid, k_ in zip(ids, keep.tolist()) if k_]
             sel = sel[keep]
             counts = counts[keep]
-        # reselection Kabsch, batched across all still-active seeds: equal
-        # selection sizes stack directly, mixed sizes go through one padded
-        # ragged batch (bit-identical per slice either way)
-        kn = len(ids)
-        if kn == 1:
-            rots, tras = _kabsch_batch_core(
-                pa[sel[0]][None], pb[sel[0]][None], counter=counter
+        # reselection Kabsch, batched per selection size across all
+        # still-active seeds (equal-length stacks are bit-identical per slice)
+        groups: dict[int, list[int]] = {}
+        for row, m in enumerate(counts.tolist()):
+            groups.setdefault(m, []).append(row)
+        rots = np.empty((len(ids), 3, 3))
+        tras = np.empty((len(ids), 3))
+        for m, rows in groups.items():
+            cols = np.nonzero(sel[rows])[1].reshape(len(rows), m)
+            rots[rows], tras[rows] = _kabsch_batch_core(
+                pa[cols], pb[cols], counter=counter
             )
-        else:
-            counts_l = counts.tolist()
-            groups: dict[int, list[int]] = {}
-            for row, m in enumerate(counts_l):
-                groups.setdefault(m, []).append(row)
-            if len(groups) == 1:
-                m = counts_l[0]
-                cols = np.nonzero(sel)[1].reshape(kn, m)
-                rots, tras = _kabsch_batch_core(pa[cols], pb[cols], counter=counter)
-            else:
-                if counter is not None:
-                    counter.add("kabsch", kn)
-                    counter.add("kabsch_point", sum(counts_l))
-                # pack rows grouped by selection size; remember the original
-                # row of each packed slot to scatter the transforms back
-                order: list[int] = []
-                bounds: list[tuple[int, int, int]] = []
-                lens: list[float] = []
-                lo = 0
-                for m, rows in groups.items():
-                    hi = lo + len(rows)
-                    order.extend(rows)
-                    bounds.append((lo, hi, m))
-                    lens.extend([float(m)] * len(rows))
-                    lo = hi
-                mmax = max(groups)
-                # selected column indices, row-major over the packed order;
-                # each packed group reshapes to (rows, m) because its rows
-                # all select exactly m pairs
-                cols_flat = np.nonzero(sel[order])[1]
-                colbuf = np.zeros((kn, mmax), dtype=np.intp)
-                cpos = 0
-                for lo, hi, m in bounds:
-                    cnt = (hi - lo) * m
-                    colbuf[lo:hi, :m] = cols_flat[cpos : cpos + cnt].reshape(
-                        hi - lo, m
-                    )
-                    cpos += cnt
-                r_pack, t_pack = _kabsch_ragged_core(
-                    pa[colbuf],
-                    pb[colbuf],
-                    bounds,
-                    np.asarray(lens)[:, None],
-                    np.arange(mmax, dtype=np.intp),
-                )
-                rots = np.empty((kn, 3, 3))
-                tras = np.empty((kn, 3))
-                rots[order] = r_pack
-                tras[order] = t_pack
         prev_sel = sel
         has_prev = True
 
-    # --- phase 3: replay the serial best-update order -----------------------
+    # --- phase 3: replay the seed-by-seed best-update order ---------------
     best_tm = -1.0
     best_pos: Optional[tuple[int, int]] = None
     for oid in range(k):
@@ -338,59 +272,7 @@ def superposition_search(
                 best_tm = tm
                 best_pos = (rec, row)
     if best_pos is None:
-        return -1.0, RigidTransform.identity()
+        ident = RigidTransform.identity()
+        return -1.0, ident.rotation, ident.translation
     rec, row = best_pos
-    return best_tm, RigidTransform.from_trusted(
-        records[rec][1][row], records[rec][2][row]
-    )
-
-
-def superposition_search_serial(
-    pa: np.ndarray,
-    pb: np.ndarray,
-    d0: float,
-    lnorm: int,
-    params: Optional[TMAlignParams] = None,
-    d0_search: Optional[float] = None,
-    seed_fractions: Optional[Sequence[int]] = None,
-    counter=None,
-) -> tuple[float, RigidTransform]:
-    """Reference one-seed-at-a-time search (the pre-batch implementation).
-
-    Kept as the ground truth the lockstep path is property-tested
-    against; also the fast path for single-seed schedules.
-    """
-    params = params or TMAlignParams()
-    pa, pb, n, d0_search = _check_search_args(pa, pb, d0, d0_search)
-    fractions = tuple(seed_fractions or params.n_seed_fractions)
-
-    best_tm = -1.0
-    best_xf = RigidTransform.identity()
-    # scratch reused across every seed/iteration of this search
-    work = np.empty((n, 3))
-    dist = np.empty(n)
-    sbuf = np.empty(n)
-    for start, flen in _seed_schedule(n, fractions, params):
-        xf = kabsch(pa[start : start + flen], pb[start : start + flen], counter=counter)
-        prev_sel: Optional[np.ndarray] = None
-        for _ in range(params.max_score_iters):
-            tm = _moved_tm_score(
-                pa, pb, xf, d0, lnorm, work, dist, sbuf, counter=counter
-            )
-            if tm > best_tm:
-                best_tm = tm
-                best_xf = xf
-            d_cut = d0_search
-            sel = dist < d_cut
-            n_sel = int(sel.sum())
-            while n_sel < 3 and d_cut < 8.0:
-                d_cut += 0.5
-                sel = dist < d_cut
-                n_sel = int(sel.sum())
-            if n_sel < 3:
-                break  # hopeless seed: nothing is close
-            if prev_sel is not None and np.array_equal(sel, prev_sel):
-                break  # selection stable -> converged
-            prev_sel = sel
-            xf = kabsch(pa[sel], pb[sel], counter=counter)
-    return best_tm, best_xf
+    return best_tm, records[rec][1][row], records[rec][2][row]

@@ -1,12 +1,14 @@
-"""Batched-vs-serial equivalence for the vectorized TM-align kernel.
+"""Batched-vs-serial equivalence for the TM-align kernel, on both paths.
 
-The batch paths (stacked Kabsch, lockstep superposition search, padded
-gapless/fragment threading, compiled DP row sweep) all promise *bitwise*
-agreement with their retained serial references.  These tests hold them
-to it: repr-exact scores, byte-identical transforms and identical op
-counts on seeded random chains, including the degenerate geometries
-(collinear points, <3-pair selections, all-far seeds) where the
-determinant correction and cutoff escalation branch.
+The compiled kernel and the NumPy batch paths (stacked Kabsch, lockstep
+superposition search, padded gapless/fragment threading, compiled DP row
+sweep) all promise *bitwise* agreement with the serial oracles in
+``tests/tmalign_oracles.py``.  The search and threading tests run three
+ways — the default path (compiled when it loads), the NumPy path, and
+the oracle — and demand repr-exact scores, byte-identical transforms and
+identical op counts on seeded random chains, including the degenerate
+geometries (collinear points, <3-pair selections, all-far seeds) where
+the determinant correction and cutoff escalation branch.
 """
 
 from __future__ import annotations
@@ -17,17 +19,24 @@ import pytest
 from repro.cost.counters import CostCounter
 from repro.geometry.kabsch import kabsch, kabsch_batch
 from repro.tmalign.dp import _NATIVE_FORWARD, nw_align
-from repro.tmalign.initial import (
-    fragment_threading,
-    fragment_threading_serial,
-    gapless_threading,
-    gapless_threading_serial,
-)
+from repro.tmalign.initial import fragment_threading, gapless_threading
 from repro.tmalign.result import Alignment
-from repro.tmalign.tmscore import (
-    superposition_search,
+from repro.tmalign.tmscore import superposition_search
+from tests.tmalign_oracles import (
+    fragment_threading_serial,
+    gapless_threading_serial,
+    numpy_path,
     superposition_search_serial,
 )
+
+
+def _both_paths(call):
+    """``call(counter)`` on the default path and on the NumPy path."""
+    c_default, c_numpy = CostCounter(), CostCounter()
+    got = call(c_default)
+    with numpy_path():
+        ref = call(c_numpy)
+    return (got, c_default), (ref, c_numpy)
 
 
 def _chain_coords(rng, n, mode):
@@ -53,6 +62,12 @@ def _paired_sets(rng, n, mode):
         pb[n // 2 :] += 40.0
     elif mode == "far":
         pb = _chain_coords(rng, n, "walk") + 150.0
+    elif mode == "random":
+        pb = _chain_coords(rng, n, "walk")
+    elif mode == "near":  # rotated, translated copy under small noise
+        q, r = np.linalg.qr(rng.normal(size=(3, 3)))
+        pb = pa @ (q * np.sign(np.diag(r))) + rng.normal(size=3) * 10.0
+        pb += rng.normal(scale=0.05, size=(n, 3))
     else:  # reflected: forces the determinant correction
         pb = pa * np.array([1.0, 1.0, -1.0]) + rng.normal(scale=0.1, size=(n, 3))
     return pa, pb
@@ -114,72 +129,87 @@ class TestKabschBatch:
 
 
 class TestLockstepSearch:
-    @pytest.mark.parametrize("mode", ["close", "half", "far", "reflected"])
-    @pytest.mark.parametrize("fractions", [(1, 2), (1, 2, 4)])
+    @pytest.mark.parametrize(
+        "mode", ["close", "half", "far", "reflected", "random", "near"]
+    )
+    @pytest.mark.parametrize("fractions", [(1, 2), (1, 2, 4), (1,)])
     def test_matches_serial_exactly(self, rng, mode, fractions):
-        for n in (3, 17, 64, 121):
+        # 300 pairs puts the covariance K past common GEMM K-block sizes
+        for n in (3, 17, 64, 121, 300):
             pa, pb = _paired_sets(rng, n, mode)
             lnorm = n + 11
             d0 = 3.7
-            cl, cs = CostCounter(), CostCounter()
-            tm_l, xf_l = superposition_search(
-                pa, pb, d0, lnorm, seed_fractions=fractions, counter=cl
-            )
+            cs = CostCounter()
             tm_s, xf_s = superposition_search_serial(
                 pa, pb, d0, lnorm, seed_fractions=fractions, counter=cs
             )
-            assert repr(tm_l) == repr(tm_s)
-            assert xf_l.rotation.tobytes() == xf_s.rotation.tobytes()
-            assert xf_l.translation.tobytes() == xf_s.translation.tobytes()
-            assert cl.counts == cs.counts
+            for (tm, xf), ctr in _both_paths(
+                lambda c: superposition_search(
+                    pa, pb, d0, lnorm, seed_fractions=fractions, counter=c
+                )
+            ):
+                assert repr(tm) == repr(tm_s)
+                assert xf.rotation.tobytes() == xf_s.rotation.tobytes()
+                assert xf.translation.tobytes() == xf_s.translation.tobytes()
+                assert ctr.counts == cs.counts
 
     def test_all_far_seeds(self, rng):
-        # nothing within 8 A: every seed is hopeless, both paths agree
+        # nothing within 8 A: every seed is hopeless, all paths agree
         pa = _chain_coords(rng, 20, "walk")
         pb = _chain_coords(rng, 20, "walk") + 500.0
-        cl, cs = CostCounter(), CostCounter()
-        tm_l, _ = superposition_search(pa, pb, 2.0, 20, counter=cl)
+        cs = CostCounter()
         tm_s, _ = superposition_search_serial(pa, pb, 2.0, 20, counter=cs)
-        assert repr(tm_l) == repr(tm_s)
-        assert cl.counts == cs.counts
+        for (tm, _), ctr in _both_paths(
+            lambda c: superposition_search(pa, pb, 2.0, 20, counter=c)
+        ):
+            assert repr(tm) == repr(tm_s)
+            assert ctr.counts == cs.counts
+
+
+def _same_alignments(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert np.array_equal(g.ai, w.ai) and np.array_equal(g.aj, w.aj)
+        assert repr(g.dp_score) == repr(w.dp_score)
 
 
 class TestThreadingBatch:
-    @pytest.mark.parametrize("sizes", [(5, 5), (8, 31), (60, 44), (97, 120)])
+    @pytest.mark.parametrize(
+        "sizes", [(5, 5), (8, 31), (60, 44), (97, 120), (280, 300)]
+    )
     def test_gapless_matches_serial(self, rng, sizes):
         la, lb = sizes
         xa = _chain_coords(rng, la, "walk")
         ya = _chain_coords(rng, lb, "helix")
-        cb, cs = CostCounter(), CostCounter()
-        got = gapless_threading(xa, ya, 3.1, max(la, lb), counter=cb)
+        cs = CostCounter()
         want = gapless_threading_serial(xa, ya, 3.1, max(la, lb), counter=cs)
-        assert len(got) == len(want)
-        for g, w in zip(got, want):
-            assert np.array_equal(g.ai, w.ai) and np.array_equal(g.aj, w.aj)
-            assert repr(g.dp_score) == repr(w.dp_score)
-        assert cb.counts == cs.counts
+        for got, ctr in _both_paths(
+            lambda c: gapless_threading(xa, ya, 3.1, max(la, lb), counter=c)
+        ):
+            _same_alignments(got, want)
+            assert ctr.counts == cs.counts
 
     def test_gapless_below_min_overlap(self, rng):
         xa = _chain_coords(rng, 3, "walk")
         ya = _chain_coords(rng, 3, "walk")
-        got = gapless_threading(xa, ya, 2.0, 3)
         want = gapless_threading_serial(xa, ya, 2.0, 3)
-        assert [g.key() for g in got] == [w.key() for w in want]
+        for got, _ in _both_paths(lambda c: gapless_threading(xa, ya, 2.0, 3)):
+            assert [g.key() for g in got] == [w.key() for w in want]
 
     @pytest.mark.parametrize("sizes", [(40, 55), (80, 33), (64, 64)])
     def test_fragment_matches_serial(self, rng, sizes):
         la, lb = sizes
         xa = _chain_coords(rng, la, "walk")
         ya = _chain_coords(rng, lb, "helix")
-        cb, cs = CostCounter(), CostCounter()
-        got = fragment_threading(xa, ya, 2.9, max(la, lb), counter=cb)
+        cs = CostCounter()
         want = fragment_threading_serial(xa, ya, 2.9, max(la, lb), counter=cs)
-        assert (got is None) == (want is None)
-        if got is not None:
-            assert np.array_equal(got.ai, want.ai)
-            assert np.array_equal(got.aj, want.aj)
-            assert repr(got.dp_score) == repr(want.dp_score)
-        assert cb.counts == cs.counts
+        for got, ctr in _both_paths(
+            lambda c: fragment_threading(xa, ya, 2.9, max(la, lb), counter=c)
+        ):
+            assert (got is None) == (want is None)
+            if got is not None:
+                _same_alignments([got], [want])
+            assert ctr.counts == cs.counts
 
     def test_fragment_none_for_tiny(self, rng):
         xa = _chain_coords(rng, 4, "walk")
