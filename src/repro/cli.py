@@ -145,15 +145,26 @@ def _cmd_align(args) -> str:
     return format_tmalign_report(result, chain_a, chain_b)
 
 
-def _retry_from_args(args):
-    from repro.parallel import RetryPolicy
+def _farm_config(args):
+    """The :class:`~repro.parallel.ParallelConfig` of a command's farm
+    flags.  ``--retries`` or ``--chunk-timeout`` arm a retry policy (a
+    stall timeout alone allows one re-dispatch); ``serve`` has no
+    ``--chunk-timeout``."""
+    from repro.parallel import ParallelConfig, RetryPolicy
 
-    if args.retries <= 0 and args.chunk_timeout <= 0:
-        return None
-    return RetryPolicy(
-        max_retries=max(args.retries, 1 if args.chunk_timeout > 0 else 0),
-        backoff_seconds=args.backoff,
-        chunk_timeout_seconds=args.chunk_timeout,
+    timeout = getattr(args, "chunk_timeout", 0.0)
+    retry = None
+    if args.retries > 0 or timeout > 0:
+        retry = RetryPolicy(
+            max_retries=max(args.retries, 1 if timeout > 0 else 0),
+            backoff_seconds=args.backoff,
+            chunk_timeout_seconds=timeout,
+        )
+    return ParallelConfig(
+        workers=args.workers,
+        chunk=args.chunk,
+        retry=retry,
+        shm=not args.no_shm,
     )
 
 
@@ -207,10 +218,7 @@ def _cmd_search(args) -> str:
             query,
             dataset,
             method=get_method(args.method),
-            workers=args.workers,
-            chunk=args.chunk,
-            retry=_retry_from_args(args),
-            shm=not args.no_shm,
+            config=_farm_config(args),
             prefilter=prefilter_cfg,
         )
     except BaseException:
@@ -242,18 +250,13 @@ def _cmd_matrix(args) -> str:
     streamed to CSV (atomic finalize; resumable after interruption)."""
     from repro.datasets import load_dataset
     from repro.faults import InjectedFault
-    from repro.parallel import ParallelConfig, WorkerCrash
+    from repro.parallel import WorkerCrash
     from repro.psc import get_method
     from repro.runs import JournalCorrupt, matrix_run
 
     dataset = load_dataset(args.dataset)
     method = get_method(args.method)
-    config = ParallelConfig(
-        workers=args.workers,
-        chunk=args.chunk,
-        retry=_retry_from_args(args),
-        shm=not args.no_shm,
-    )
+    config = _farm_config(args)
     store = _run_store(args)
     try:
         result = matrix_run(
@@ -673,11 +676,7 @@ def _cmd_serve(args) -> str:
         max_batch=args.max_batch,
         batch_window=args.batch_window,
         max_batch_cost=args.max_batch_cost,
-        workers=args.workers,
-        chunk=args.chunk,
-        retries=args.retries,
-        backoff=args.backoff,
-        shm=not args.no_shm,
+        farm=_farm_config(args),
         cache_capacity=args.cache_capacity,
         runs_dir=args.runs_dir,
         eval_delay=args.eval_delay,
@@ -995,16 +994,6 @@ def _cmd_matstore(args) -> str:
             ds = ds.subset(args.limit)
         return ds
 
-    def farm_config():
-        from repro.parallel import ParallelConfig
-
-        return ParallelConfig(
-            workers=args.workers,
-            chunk=args.chunk,
-            retry=_retry_from_args(args),
-            shm=not args.no_shm,
-        )
-
     def describe(result, verb: str) -> str:
         store = result.store
         lines = [
@@ -1021,12 +1010,12 @@ def _cmd_matstore(args) -> str:
     try:
         if args.action == "build":
             result = build_store(
-                load_limited(), args.store, config=farm_config()
+                load_limited(), args.store, config=_farm_config(args)
             )
             return describe(result, "built")
         if args.action == "extend":
             result = ensure_coverage(
-                args.store, load_limited(), config=farm_config()
+                args.store, load_limited(), config=_farm_config(args)
             )
             return describe(result, "extended")
         store = MatrixStore.open(args.store)

@@ -663,12 +663,15 @@ def run_parallel_bench(
     """
     import os
 
-    from repro.parallel import FarmStats, ParallelConfig, parallel_all_vs_all
+    from repro.datasets.pairs import all_vs_all_pairs
+    from repro.parallel import FarmStats, ParallelConfig, iter_pair_results
     from repro.psc.methods import TMAlignMethod
     from repro.psc.search import all_vs_all
 
     ds = load_dataset(dataset)
     method = TMAlignMethod()
+    pairs = list(all_vs_all_pairs(len(ds)))
+
     report: dict = {
         "schema": "repro-bench-parallel/4",
         "generated_unix": time.time(),
@@ -690,36 +693,32 @@ def run_parallel_bench(
         "wall_seconds": serial_wall,
         "pairs_per_second": n_pairs / serial_wall if serial_wall else 0.0,
     }
-    for w in workers_grid:
+
+    def farm_point(workers: int, point_shm: bool) -> dict:
         stats = FarmStats()
         t0 = time.perf_counter()
-        table = parallel_all_vs_all(
-            ds, method,
-            config=ParallelConfig(workers=w, chunk=chunk, shm=shm),
-            stats=stats,
-        )
-        wall = time.perf_counter() - t0
-        report["points"].append(
-            _point_from_stats(
-                stats, wall, n_pairs, serial_wall, table == serial_table, w
+        table = {
+            (ds[i].name, ds[j].name): scores
+            for i, j, scores, _counts in iter_pair_results(
+                ds, pairs, method,
+                config=ParallelConfig(
+                    workers=workers, chunk=chunk, shm=point_shm
+                ),
+                stats=stats,
             )
+        }
+        wall = time.perf_counter() - t0
+        return _point_from_stats(
+            stats, wall, n_pairs, serial_wall, table == serial_table, workers
         )
+
+    for w in workers_grid:
+        report["points"].append(farm_point(w, shm))
     parallel_grid = [w for w in workers_grid if w > 1]
     if shm and parallel_grid:
         # the same sweep's widest point with the plane forced off, so
         # the artefact tracks speedup with *and* without the plane
-        wref = max(parallel_grid)
-        stats = FarmStats()
-        t0 = time.perf_counter()
-        table = parallel_all_vs_all(
-            ds, method,
-            config=ParallelConfig(workers=wref, chunk=chunk, shm=False),
-            stats=stats,
-        )
-        wall = time.perf_counter() - t0
-        report["no_plane_reference"] = _point_from_stats(
-            stats, wall, n_pairs, serial_wall, table == serial_table, wref
-        )
+        report["no_plane_reference"] = farm_point(max(parallel_grid), False)
     best = max(
         (p["speedup_vs_serial"] for p in report["points"]), default=0.0
     )

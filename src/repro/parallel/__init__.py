@@ -23,10 +23,7 @@ from repro.parallel.farm import (
     WorkerCrash,
     auto_chunk,
     effective_workers,
-    evaluate_pairs,
     iter_pair_results,
-    parallel_all_vs_all,
-    parallel_one_vs_all,
     reset_worker_clamp_warnings,
 )
 from repro.parallel.shmplane import (
@@ -52,11 +49,8 @@ __all__ = [
     "active_planes",
     "auto_chunk",
     "effective_workers",
-    "evaluate_pairs",
     "iter_pair_results",
     "pack_chunks",
-    "parallel_all_vs_all",
-    "parallel_one_vs_all",
     "plane_for",
     "predict_pair_seconds",
     "reset_worker_clamp_warnings",

@@ -55,15 +55,13 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence
 
-from repro.cost.counters import CostCounter
-from repro.datasets.pairs import all_vs_all_pairs
 from repro.datasets.registry import Dataset
 from repro.faults.farm import FarmFaultPlan, InjectedFault
 from repro.parallel import worker as _worker
 from repro.parallel.costsched import pack_chunks, predict_pair_seconds
 from repro.parallel.retry import RetryPolicy
 from repro.psc.base import PSCMethod
-from repro.psc.evaluator import EvalMode
+from repro.psc.evaluator import EvalMode, evaluate_pair
 from repro.structure.model import Chain
 
 __all__ = [
@@ -75,10 +73,7 @@ __all__ = [
     "WorkerCrash",
     "auto_chunk",
     "effective_workers",
-    "evaluate_pairs",
     "iter_pair_results",
-    "parallel_all_vs_all",
-    "parallel_one_vs_all",
     "reset_worker_clamp_warnings",
 ]
 
@@ -265,13 +260,16 @@ class FarmStats:
         """Measured wall over the perfectly-balanced ideal (>= ~1.0).
 
         Ideal is total worker-side execution time spread evenly over the
-        effective workers; the ratio bundles tail straggling *and*
-        oversubscription stalls — both are scheduling waste.  None when
-        no per-chunk walls were recorded (serial path).
+        lanes that ran chunks — the effective workers, or the master
+        alone when the one-CPU rule ran every chunk in-process; the
+        ratio bundles tail straggling *and* oversubscription stalls —
+        both are scheduling waste.  None when no per-chunk walls were
+        recorded (serial path).
         """
         if not self.chunk_walls or self.wall_seconds <= 0:
             return None
-        lanes = max(1, min(self.workers, len(self.chunk_walls)))
+        workers = 1 if self.serial_fallback else self.workers
+        lanes = max(1, min(workers, len(self.chunk_walls)))
         ideal = sum(self.chunk_walls) / lanes
         return self.wall_seconds / ideal if ideal > 0 else None
 
@@ -385,17 +383,9 @@ def _serial_results(
                 if faults is not None:
                     _fire_serial_fault(faults, i, j, attempt)
                 chain_a = query if i == _worker.QUERY_INDEX else dataset[i]
-                chain_b = dataset[j]
-                counter = CostCounter()
-                if mode is EvalMode.MODEL:
-                    est = method.estimate_counts(
-                        len(chain_a), len(chain_b), f"{chain_a.name}|{chain_b.name}"
-                    )
-                    for op, v in est.items():
-                        counter.add(op, v)
-                    scores: Dict[str, float] = {"estimated": 1.0}
-                else:
-                    scores = method.compare(chain_a, chain_b, counter)
+                scores, counter = evaluate_pair(
+                    method, mode, chain_a, dataset[j]
+                )
                 break
             except Exception:
                 if retry is None or attempt >= retry.max_retries:
@@ -404,7 +394,7 @@ def _serial_results(
                 attempt += 1
                 if stats is not None:
                     stats.retries += 1
-        yield (i, j, dict(scores), counter.as_dict())
+        yield (i, j, scores, counter.as_dict())
 
 
 def _inprocess_chunk(
@@ -696,6 +686,12 @@ def iter_pair_results(
 ) -> Iterator[PairResult]:
     """Evaluate ``pairs`` over the farm, yielding results in job order.
 
+    This is the one path a pair list takes to the kernel;
+    ``config.workers <= 1`` makes it the plain in-process loop, whose
+    failures raise the original exception, not :class:`WorkerCrash`.
+    Pairs ``(i, j)`` index ``dataset``; ``i == QUERY_INDEX`` stands for
+    ``query``.
+
     The generator streams: the master holds at most the in-flight chunks,
     never the whole result table, so callers can write rows to disk as
     they arrive.  ``stats``, when given, is filled in place (wall time
@@ -774,106 +770,3 @@ def iter_pair_results(
     finally:
         if stats is not None:
             stats.wall_seconds = time.perf_counter() - t0
-
-
-def evaluate_pairs(
-    dataset: Dataset,
-    pairs: Sequence[tuple[int, int]],
-    method: PSCMethod,
-    mode: EvalMode | str = EvalMode.MEASURED,
-    config: Optional[ParallelConfig] = None,
-    query: Optional[Chain] = None,
-    stats: Optional[FarmStats] = None,
-    faults: Optional[FarmFaultPlan] = None,
-) -> list[PairResult]:
-    """Evaluate an explicit pair list and return the results as a list.
-
-    The list-returning sibling of :func:`iter_pair_results` for callers
-    that dispatch bounded batches rather than streaming a whole sweep —
-    the query service's micro-batcher hands each coalesced batch of
-    pair jobs here, so batches inherit the farm's cost-aware chunking,
-    scheduling rule and retry/backoff machinery unchanged.
-    """
-    return list(
-        iter_pair_results(
-            dataset,
-            pairs,
-            method,
-            mode=mode,
-            config=config,
-            query=query,
-            stats=stats,
-            faults=faults,
-        )
-    )
-
-
-def _merge_counts(counter: Optional[CostCounter], counts: Dict[str, float]) -> None:
-    if counter is not None:
-        for op, v in counts.items():
-            if v:
-                counter.add(op, v)
-
-
-def parallel_all_vs_all(
-    dataset: Dataset,
-    method: PSCMethod,
-    counter: Optional[CostCounter] = None,
-    mode: EvalMode | str = EvalMode.MEASURED,
-    config: Optional[ParallelConfig] = None,
-    stats: Optional[FarmStats] = None,
-    faults: Optional[FarmFaultPlan] = None,
-    pairs: Optional[Sequence[tuple[int, int]]] = None,
-) -> Dict[tuple[str, str], Dict[str, float]]:
-    """All unordered pairs (i < j) of the dataset, farmed over workers.
-
-    Returns the same score table as :func:`repro.psc.search.all_vs_all`
-    (bit-identical in any configuration); ``counter`` accumulates op
-    counts merged in job order.  An explicit ``pairs`` list restricts
-    the sweep (the hierarchical search hands over only prefilter-kept
-    pairs); the default covers every unordered pair.
-    """
-    if pairs is None:
-        pairs = list(all_vs_all_pairs(len(dataset)))
-    out: Dict[tuple[str, str], Dict[str, float]] = {}
-    for i, j, scores, counts in iter_pair_results(
-        dataset, pairs, method, mode=mode, config=config, stats=stats,
-        faults=faults,
-    ):
-        _merge_counts(counter, counts)
-        out[(dataset[i].name, dataset[j].name)] = scores
-    return out
-
-
-def parallel_one_vs_all(
-    query: Chain,
-    dataset: Dataset,
-    method: PSCMethod,
-    counter: Optional[CostCounter] = None,
-    exclude_self: bool = True,
-    config: Optional[ParallelConfig] = None,
-    stats: Optional[FarmStats] = None,
-    faults: Optional[FarmFaultPlan] = None,
-    include: Optional[set[int]] = None,
-) -> list[tuple[str, Dict[str, float]]]:
-    """Compare ``query`` against every dataset chain over the farm.
-
-    Returns ``(chain_name, scores)`` in dataset order; ranking is the
-    caller's concern (see :func:`repro.psc.search.one_vs_all`).  With
-    ``include`` set, only those dataset indices are compared (the
-    hierarchical search passes the prefilter's promoted set).
-    """
-    pairs = [
-        (_worker.QUERY_INDEX, j)
-        for j in range(len(dataset))
-        if not (exclude_self and dataset[j].name == query.name)
-        and (include is None or j in include)
-    ]
-    out: list[tuple[str, Dict[str, float]]] = []
-    for _, j, scores, counts in iter_pair_results(
-        dataset, pairs, method, mode=EvalMode.MEASURED, config=config,
-        query=query, stats=stats, faults=faults,
-    ):
-        _merge_counts(counter, counts)
-        out.append((dataset[j].name, scores))
-    return out

@@ -26,10 +26,9 @@ import time
 import traceback
 from typing import Optional, Sequence
 
-from repro.cost.counters import CostCounter
 from repro.faults.farm import FarmFaultPlan, InjectedFault
 from repro.psc.base import PSCMethod
-from repro.psc.evaluator import EvalMode
+from repro.psc.evaluator import EvalMode, evaluate_pair
 from repro.structure.model import Chain
 
 __all__ = ["init_worker", "eval_chunk", "dataset_spec", "ping", "QUERY_INDEX"]
@@ -149,22 +148,6 @@ def maybe_inject_fault(i: int, j: int, attempt: int) -> None:
     time.sleep(fault.stall_seconds)  # 'stall'
 
 
-def _evaluate(i: int, j: int) -> tuple[dict, dict]:
-    chain_a = _QUERY if i == QUERY_INDEX else _DATASET[i]
-    chain_b = _DATASET[j]
-    counter = CostCounter()
-    if _MODE is EvalMode.MODEL:
-        est = _METHOD.estimate_counts(
-            len(chain_a), len(chain_b), f"{chain_a.name}|{chain_b.name}"
-        )
-        for op, v in est.items():
-            counter.add(op, v)
-        scores: dict = {"estimated": 1.0}
-    else:
-        scores = _METHOD.compare(chain_a, chain_b, counter)
-    return dict(scores), counter.as_dict()
-
-
 def eval_chunk(
     pairs: Sequence[tuple[int, int]], attempt: int = 0
 ) -> tuple[str, list, Optional[str], float]:
@@ -192,8 +175,11 @@ def eval_chunk(
     for i, j in pairs:
         try:
             maybe_inject_fault(i, j, attempt)
-            scores, counts = _evaluate(i, j)
+            chain_a = _QUERY if i == QUERY_INDEX else _DATASET[i]
+            scores, counter = evaluate_pair(
+                _METHOD, _MODE, chain_a, _DATASET[j]
+            )
         except Exception:
             return ("error", [i, j], traceback.format_exc(), time.perf_counter() - t0)
-        out.append((i, j, scores, counts))
+        out.append((i, j, scores, counter.as_dict()))
     return ("ok", out, None, time.perf_counter() - t0)

@@ -9,6 +9,10 @@ meaningful, so they all evaluate pairs through one :class:`JobEvaluator`:
 * ``measured`` mode: the real method runs and its measured op counts
   are used.
 
+The rule itself is :func:`evaluate_pair`, which the process farm's
+workers and in-process chunks call too, so a pair costs the same
+whichever path evaluated it.
+
 Both modes memoize per pair, so a core-count sweep that replays the
 same job list at every point pays the Python cost (analytic estimate or
 real alignment) exactly once per pair; callers receive fresh copies of
@@ -19,19 +23,43 @@ outside.
 from __future__ import annotations
 
 import enum
-from typing import Dict, Iterable, Mapping, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, Optional, Tuple
 
 from repro.cost.counters import CostCounter
 from repro.datasets.registry import Dataset
 from repro.psc.base import PSCMethod
 from repro.psc.methods import TMAlignMethod
+from repro.structure.model import Chain
 
-__all__ = ["EvalMode", "JobEvaluator"]
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.parallel import ParallelConfig
+
+__all__ = ["EvalMode", "JobEvaluator", "evaluate_pair"]
 
 
 class EvalMode(str, enum.Enum):
     MODEL = "model"
     MEASURED = "measured"
+
+
+def evaluate_pair(
+    method: PSCMethod, mode: EvalMode, chain_a: Chain, chain_b: Chain
+) -> tuple[Dict[str, float], CostCounter]:
+    """Score ``chain_a`` against ``chain_b`` and count the ops charged.
+
+    MODEL mode charges the method's analytic estimate and aligns nothing
+    (the scores are a ``{"estimated": 1.0}`` placeholder); MEASURED mode
+    runs the method and charges its measured counts.
+    """
+    counter = CostCounter()
+    if mode is EvalMode.MODEL:
+        est = method.estimate_counts(
+            len(chain_a), len(chain_b), f"{chain_a.name}|{chain_b.name}"
+        )
+        for op, v in est.items():
+            counter.add(op, v)
+        return {"estimated": 1.0}, counter
+    return dict(method.compare(chain_a, chain_b, counter)), counter
 
 
 class JobEvaluator:
@@ -48,25 +76,14 @@ class JobEvaluator:
         self.mode = EvalMode(mode)
         self._cache: Dict[Tuple[int, int], Tuple[Dict[str, float], CostCounter]] = {}
 
-    def pair_key(self, i: int, j: int) -> str:
-        return f"{self.dataset[i].name}|{self.dataset[j].name}"
-
     def evaluate(self, i: int, j: int) -> tuple[Dict[str, float], CostCounter]:
         """Return ``(scores, op_counts)`` for comparing chains i and j."""
         key = (i, j)
         cached = self._cache.get(key)
         if cached is None:
-            counter = CostCounter()
-            if self.mode is EvalMode.MODEL:
-                est = self.method.estimate_counts(
-                    len(self.dataset[i]), len(self.dataset[j]), self.pair_key(i, j)
-                )
-                for op, v in est.items():
-                    counter.add(op, v)
-                scores: Dict[str, float] = {"estimated": 1.0}
-            else:
-                scores = self.method.compare(self.dataset[i], self.dataset[j], counter)
-            cached = (scores, counter)
+            cached = evaluate_pair(
+                self.method, self.mode, self.dataset[i], self.dataset[j]
+            )
             self._cache[key] = cached
         scores, counter = cached
         return dict(scores), counter.copy()
@@ -78,15 +95,13 @@ class JobEvaluator:
     def prewarm(
         self,
         pairs: Optional[Iterable[Tuple[int, int]]] = None,
-        workers: int = 0,
-        chunk: int = 0,
-        shm: bool = True,
+        config: Optional["ParallelConfig"] = None,
     ) -> int:
         """Fill the per-pair memo cache up front, optionally in parallel.
 
-        With ``workers > 1`` the uncached pairs are farmed over a process
-        pool (the real win in MEASURED mode, where every pair is a full
-        aligner run); the cached entries are bit-identical to what
+        With ``config.workers > 1`` the uncached pairs are farmed over a
+        process pool (the real win in MEASURED mode, where every pair is a
+        full aligner run); the cached entries are bit-identical to what
         :meth:`evaluate` would have produced serially, so a simulation
         replaying the warmed cache is unaffected.  Returns the number of
         pairs actually computed.
@@ -99,14 +114,10 @@ class JobEvaluator:
         todo = [key for key in wanted if key not in self._cache]
         if not todo:
             return 0
-        from repro.parallel import ParallelConfig, iter_pair_results
+        from repro.parallel import iter_pair_results
 
         for i, j, scores, counts in iter_pair_results(
-            self.dataset,
-            todo,
-            self.method,
-            mode=self.mode,
-            config=ParallelConfig(workers=workers, chunk=chunk, shm=shm),
+            self.dataset, todo, self.method, mode=self.mode, config=config
         ):
             self._cache[(i, j)] = (scores, CostCounter(counts))
         return len(todo)

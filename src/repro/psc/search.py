@@ -1,36 +1,37 @@
-"""Serial and parallel PSC task APIs: one-vs-all search, all-vs-all matrix.
+"""PSC task APIs: ranked one-vs-all search and the all-vs-all table.
 
 These are the *algorithmic* (non-simulated) entry points a
 bioinformatician would call directly; the paper's motivating task is the
 ranked one-vs-all search ("retrieve a ranked list of proteins, where
 structurally similar proteins are ranked higher").
 
-Both tasks accept ``workers``/``chunk``: with ``workers > 1`` the pairs
-are farmed over a process pool (see :mod:`repro.parallel`) with
-bit-identical results; the default is the plain serial loop.  A
-``retry`` policy (see :class:`repro.parallel.RetryPolicy`) makes the
-farm absorb worker failures instead of aborting.  With ``chunk`` left at
-0 the farm packs chunks by predicted pair cost (see
-:mod:`repro.parallel.costsched`) and keeps one chunk in flight per
-worker.  ``shm`` (default on) publishes the dataset once as a
-shared-memory plane workers attach to zero-copy (see
-:mod:`repro.parallel.shmplane`); ``shm=False`` forces the historical
-pickle-per-worker path — scores are bit-identical either way.
+Each task decides *which* pairs need the exact kernel and hands that
+pair list to :func:`repro.parallel.iter_pair_results`, the one path to
+the kernel.  ``config`` (a :class:`repro.parallel.ParallelConfig`)
+carries every farm setting: the default runs the pairs in-process, and
+``workers > 1`` farms them over a process pool with bit-identical
+scores and merged op counts (see :mod:`repro.parallel.farm` for chunk
+packing, retries and the shared-memory dataset plane).
 
-Both tasks also accept ``prefilter`` — the cheap first tier of the
-hierarchical search (:mod:`repro.seqalign.prefilter`).  Pass a
-:class:`~repro.seqalign.prefilter.PrefilterConfig` (or a prebuilt
-:class:`~repro.seqalign.prefilter.SequencePrefilter` over the same
-corpus, e.g. the query service's cached instance) and only the
-candidates its promotion policy keeps reach the exact kernel.  The
-default ``prefilter=None`` runs the exact path, byte-identical to the
-output before the prefilter existed.
+Two optional tiers shrink the pair list before it reaches the kernel:
+
+* ``prefilter`` — the cheap first tier of the hierarchical search
+  (:mod:`repro.seqalign.prefilter`).  Pass a
+  :class:`~repro.seqalign.prefilter.PrefilterConfig` (or a prebuilt
+  :class:`~repro.seqalign.prefilter.SequencePrefilter` over the same
+  corpus, e.g. the query service's cached instance) and only the
+  candidates its promotion policy keeps are compared.
+* ``store`` (all-vs-all only) — a precomputed
+  :class:`repro.matstore.MatrixStore` serves the pairs it holds.
+
+With both left at ``None`` the exact path runs, byte-identical to the
+output before either tier existed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Optional
+from typing import TYPE_CHECKING, Dict, Iterator, Optional, Sequence
 
 from repro.cost.counters import CostCounter
 from repro.datasets.registry import Dataset
@@ -40,7 +41,7 @@ from repro.seqalign.prefilter import PrefilterConfig, SequencePrefilter
 from repro.structure.model import Chain
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.parallel import RetryPolicy
+    from repro.parallel import ParallelConfig
 
 __all__ = [
     "RankedHit",
@@ -111,16 +112,33 @@ def rank_hits(
     return hits
 
 
+def _evaluate(
+    dataset: Dataset,
+    pairs: Sequence[tuple[int, int]],
+    method: PSCMethod,
+    config: Optional["ParallelConfig"],
+    counter: Optional[CostCounter],
+    query: Optional[Chain] = None,
+) -> Iterator[tuple[int, int, Dict[str, float]]]:
+    """``(i, j, scores)`` for ``pairs`` in job order, op counts merged
+    into ``counter``."""
+    from repro.parallel import iter_pair_results
+
+    for i, j, scores, counts in iter_pair_results(
+        dataset, pairs, method, config=config, query=query
+    ):
+        if counter is not None:
+            counter.merge(CostCounter(counts))
+        yield i, j, scores
+
+
 def one_vs_all(
     query: Chain,
     dataset: Dataset,
     method: Optional[PSCMethod] = None,
     counter: Optional[CostCounter] = None,
     exclude_self: bool = True,
-    workers: int = 0,
-    chunk: int = 0,
-    retry: Optional["RetryPolicy"] = None,
-    shm: bool = True,
+    config: Optional["ParallelConfig"] = None,
     prefilter: Prefilter = None,
 ) -> list[RankedHit]:
     """Compare ``query`` against every dataset chain; rank by similarity.
@@ -130,43 +148,26 @@ def one_vs_all(
     :meth:`~repro.seqalign.prefilter.PrefilterConfig.n_promoted`) pay
     the exact kernel; the returned ranking covers only those.
     """
+    from repro.parallel.worker import QUERY_INDEX
+
     method = method or TMAlignMethod()
     pf = resolve_prefilter(prefilter, dataset)
-    include: Optional[set[int]] = None
+    excluded = {
+        k
+        for k, chain in enumerate(dataset)
+        if exclude_self and chain.name == query.name
+    }
+    candidates = [k for k in range(len(dataset)) if k not in excluded]
     if pf is not None:
-        excluded = {
-            k
-            for k, chain in enumerate(dataset)
-            if exclude_self and chain.name == query.name
-        }
         include = set(pf.promote_chain(query, exclude=excluded))
-    rows: list[tuple[str, Dict[str, float]]]
-    if workers > 1:
-        from repro.parallel import ParallelConfig, parallel_one_vs_all
-
-        rows = parallel_one_vs_all(
-            query,
-            dataset,
-            method,
-            counter=counter,
-            exclude_self=exclude_self,
-            config=ParallelConfig(
-                workers=workers, chunk=chunk, retry=retry, shm=shm
-            ),
-            include=include,
+        candidates = [k for k in candidates if k in include]
+    pairs = [(QUERY_INDEX, k) for k in candidates]
+    rows = [
+        (dataset[j].name, scores)
+        for _i, j, scores in _evaluate(
+            dataset, pairs, method, config, counter, query=query
         )
-    else:
-        rows = []
-        for k, chain in enumerate(dataset):
-            if exclude_self and chain.name == query.name:
-                continue
-            if include is not None and k not in include:
-                continue
-            ctr = CostCounter()
-            scores = method.compare(query, chain, ctr)
-            if counter is not None:
-                counter.merge(ctr)
-            rows.append((chain.name, scores))
+    ]
     return rank_hits(rows, method)
 
 
@@ -212,18 +213,15 @@ def all_vs_all(
     dataset: Dataset,
     method: Optional[PSCMethod] = None,
     counter: Optional[CostCounter] = None,
-    workers: int = 0,
-    chunk: int = 0,
-    retry: Optional["RetryPolicy"] = None,
-    shm: bool = True,
+    config: Optional["ParallelConfig"] = None,
     prefilter: Prefilter = None,
     store=None,
     populate: bool = False,
 ) -> Dict[tuple[str, str], Dict[str, float]]:
     """All unordered pairs (i<j) of the dataset; returns a score table.
 
-    ``workers > 1`` farms the pairs over a process pool; scores and the
-    merged ``counter`` are bit-identical to the serial loop.
+    Scores and the merged ``counter`` are bit-identical for any
+    ``config``.
 
     With ``prefilter`` set, pair ``(i, j)`` is computed iff ``j`` is
     promoted for query ``i`` **or** ``i`` is promoted for query ``j``
@@ -236,6 +234,8 @@ def all_vs_all(
     only the misses reach the kernel.  ``populate=True`` additionally
     builds or prefix-extends the store to cover the dataset before
     consulting, so the sweep both fills and benefits from the matrix.
+    Served pairs come first in the table, then the computed ones, each
+    in row-major order.
     """
     method = method or TMAlignMethod()
     served: Dict[tuple[int, int], Dict[str, float]] = {}
@@ -245,15 +245,11 @@ def all_vs_all(
         def _populate(root):
             # the build step honours the caller's farm settings and
             # prefilter economy, not the defaults
-            from repro.parallel import ParallelConfig
-
             return ensure_coverage(
                 root,
                 dataset,
                 params=getattr(method, "params", None),
-                config=ParallelConfig(
-                    workers=workers, chunk=chunk, retry=retry, shm=shm
-                ),
+                config=config,
                 prefilter=prefilter,
             ).store
 
@@ -270,66 +266,24 @@ def all_vs_all(
     n = len(dataset)
     keep: Optional[list[set[int]]] = None
     if pf is not None:
-        promoted = [
+        keep = [
             set(pf.promote_chain(dataset[i], exclude={i})) for i in range(n)
         ]
-        keep = promoted
-    if served:
-        out = {
-            (dataset[i].name, dataset[j].name): scores
-            for (i, j), scores in served.items()
-            if keep is None or j in keep[i] or i in keep[j]
-        }
-        pairs = [
-            (i, j)
-            for i in range(n)
-            for j in range(i + 1, n)
-            if (i, j) not in served
-            and (keep is None or j in keep[i] or i in keep[j])
-        ]
-        if pairs:
-            from repro.parallel import ParallelConfig, parallel_all_vs_all
 
-            out.update(
-                parallel_all_vs_all(
-                    dataset,
-                    method,
-                    counter=counter,
-                    config=ParallelConfig(
-                        workers=workers, chunk=chunk, retry=retry, shm=shm
-                    ),
-                    pairs=pairs,
-                )
-            )
-        return out
-    if workers > 1:
-        from repro.parallel import ParallelConfig, parallel_all_vs_all
+    def kept(i: int, j: int) -> bool:
+        return keep is None or j in keep[i] or i in keep[j]
 
-        pairs = None
-        if keep is not None:
-            pairs = [
-                (i, j)
-                for i in range(n)
-                for j in range(i + 1, n)
-                if j in keep[i] or i in keep[j]
-            ]
-        return parallel_all_vs_all(
-            dataset,
-            method,
-            counter=counter,
-            config=ParallelConfig(
-                workers=workers, chunk=chunk, retry=retry, shm=shm
-            ),
-            pairs=pairs,
-        )
-    out: Dict[tuple[str, str], Dict[str, float]] = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            if keep is not None and not (j in keep[i] or i in keep[j]):
-                continue
-            ctr = CostCounter()
-            scores = method.compare(dataset[i], dataset[j], ctr)
-            if counter is not None:
-                counter.merge(ctr)
-            out[(dataset[i].name, dataset[j].name)] = dict(scores)
+    out = {
+        (dataset[i].name, dataset[j].name): scores
+        for (i, j), scores in served.items()
+        if kept(i, j)
+    }
+    pairs = [
+        (i, j)
+        for i in range(n)
+        for j in range(i + 1, n)
+        if (i, j) not in served and kept(i, j)
+    ]
+    for i, j, scores in _evaluate(dataset, pairs, method, config, counter):
+        out[(dataset[i].name, dataset[j].name)] = scores
     return out

@@ -3,12 +3,12 @@
 Concurrent ``align``/``search`` requests decompose into pair jobs that
 land on one shared queue.  The batcher drains the queue in batches of up
 to ``max_batch`` jobs — waiting up to ``batch_window`` seconds for
-stragglers to coalesce when the queue is short — and dispatches each
-batch to the :mod:`repro.parallel` farm, where the batch-vectorized
-TM-align kernel does the work.  The farm's rule is fixed before the
-batch starts: serial in-process below 2 workers or on a one-CPU
-machine, otherwise a process pool holding one chunk per worker, with
-the farm's retry/backoff machinery.
+stragglers to coalesce when the queue is short — and hands each batch
+to :func:`repro.parallel.iter_pair_results`, the farm's one pair path,
+where the batch-vectorized TM-align kernel does the work.  The farm's
+rule is fixed before the batch starts: serial in-process below 2
+workers or on a one-CPU machine, otherwise a process pool holding one
+chunk per worker, with the farm's retry/backoff machinery.
 
 Batches are cut by *predicted cost*, not just job count: every admitted
 job is priced by the farm's pair cost model
@@ -18,8 +18,8 @@ A count-cut batch of long chains can otherwise hold the event loop's
 worker thread for arbitrarily long; the cost cut bounds per-batch
 latency the same way the farm's cost-packed chunks bound per-chunk
 work.  The farm call below the batch then reuses the same model to pack
-its own chunks, so all three dispatch paths (search API, matrix CLI,
-service) share one cost-aware chunker.
+its own chunks: the service, the search API and the matrix CLI reach
+the kernel through the same call and the same cost-aware chunker.
 
 Two protections keep overload graceful instead of fatal:
 
@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Deque, Dict, List, Optional, Sequence
 
 from repro.datasets.registry import Dataset
-from repro.parallel import ParallelConfig, evaluate_pairs, predict_pair_seconds
+from repro.parallel import ParallelConfig, iter_pair_results, predict_pair_seconds
 from repro.psc.base import PSCMethod
 from repro.service.cache import CacheKey
 from repro.service.metrics import ServiceMetrics
@@ -124,7 +124,7 @@ class MicroBatcher:
     each batch in a worker thread so the event loop keeps serving while
     the kernel computes.  ``evaluate`` is injectable for deterministic
     overload tests; the default groups jobs by method+params and
-    dispatches each group through :func:`repro.parallel.evaluate_pairs`.
+    dispatches each group through :func:`repro.parallel.iter_pair_results`.
     """
 
     def __init__(
@@ -319,7 +319,7 @@ class MicroBatcher:
 
         Jobs are grouped by (method, params) — each group becomes one
         ad-hoc hash-indexed dataset plus an (i, j) pair list handed to
-        :func:`repro.parallel.evaluate_pairs`, so a mixed batch still
+        :func:`repro.parallel.iter_pair_results`, so a mixed batch still
         dispatches one farm call per distinct parameterisation.
         ``eval_delay`` is a test/CI knob that holds the worker thread to
         make overload scenarios deterministic.
@@ -362,8 +362,10 @@ class MicroBatcher:
                 dataset = Dataset(
                     "service-batch", tuple(chains), "ad-hoc micro-batch corpus"
                 )
-            results = evaluate_pairs(
-                dataset, pairs, group[0].method, config=self.farm_config
+            results = list(
+                iter_pair_results(
+                    dataset, pairs, group[0].method, config=self.farm_config
+                )
             )
             for job, (_i, _j, scores, _counts) in zip(group, results):
                 bodies[job.key] = result_body(job, scores)

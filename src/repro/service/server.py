@@ -37,7 +37,7 @@ import time
 from dataclasses import dataclass
 from typing import Any, Dict, Optional, Tuple
 
-from repro.parallel import ParallelConfig, RetryPolicy
+from repro.parallel import ParallelConfig
 from repro.service.batcher import MicroBatcher
 from repro.service.cache import ResultCache, pair_key
 from repro.service.metrics import ServiceMetrics
@@ -71,28 +71,11 @@ class ServiceConfig:
     max_batch: int = 16  # jobs per dispatched kernel batch
     batch_window: float = 0.002  # seconds to wait for a batch to fill
     max_batch_cost: float = 0.0  # predicted-seconds batch budget (0 = off)
-    workers: int = 0  # farm processes per batch (<=1 = in-process)
-    chunk: int = 0  # farm chunk size (0 = auto)
-    retries: int = 0  # farm retry policy (0 = fail fast)
-    backoff: float = 0.05
-    shm: bool = True  # shared-memory dataset plane for farm batches
+    farm: ParallelConfig = ParallelConfig()  # batches, store builds, runs
     cache_capacity: int = 1024  # LRU result-cache entries
     runs_dir: str = "runs"  # durable store for submit-matrix
     matstore_dir: str = ""  # precomputed matrix store root ("" = none)
     eval_delay: float = 0.0  # test/CI knob: sleep per batch dispatch
-
-    def farm_config(self) -> ParallelConfig:
-        retry = (
-            RetryPolicy(max_retries=self.retries, backoff_seconds=self.backoff)
-            if self.retries > 0
-            else None
-        )
-        return ParallelConfig(
-            workers=self.workers,
-            chunk=self.chunk,
-            retry=retry,
-            shm=self.shm,
-        )
 
 
 def _require_str(payload: Dict[str, Any], field: str) -> str:
@@ -268,7 +251,7 @@ class PSCService(LineProtocolServer):
             max_batch=self.config.max_batch,
             batch_window=self.config.batch_window,
             max_batch_cost=self.config.max_batch_cost,
-            farm_config=self.config.farm_config(),
+            farm_config=self.config.farm,
             metrics=self.metrics,
             evaluate=evaluate,
             eval_delay=self.config.eval_delay,
@@ -582,7 +565,7 @@ class PSCService(LineProtocolServer):
         self._corpus_plane = None
         dataset = None
         hashes: tuple = ()
-        if self.config.workers > 1 and self.config.shm:
+        if self.config.farm.workers > 1 and self.config.farm.shm:
             try:
                 dataset, hashes = self.corpus_dataset()
             except Exception:
@@ -673,7 +656,7 @@ class PSCService(LineProtocolServer):
                     corpus = [self.registry.resolve(h)[1] for h in store.hashes]
                     _h, chain = self.registry.resolve(chain_hash)
                     extend_store(
-                        store, corpus, chain, config=self.config.farm_config()
+                        store, corpus, chain, config=self.config.farm
                     )
                     # reopen-and-swap inside the lock: with concurrent
                     # extends, an open outside could capture a pre-commit
@@ -704,14 +687,13 @@ class PSCService(LineProtocolServer):
         dataset, _hashes = self.corpus_dataset()
         n = len(dataset)
         outcome: Dict[str, Any] = {"error": None, "result": None}
-        farm_config = self.config.farm_config()
 
         def work() -> None:
             from repro.matstore import MatrixStore, ensure_coverage
 
             try:
                 with self._matstore_lock:
-                    r = ensure_coverage(root, dataset, config=farm_config)
+                    r = ensure_coverage(root, dataset, config=self.config.farm)
                     # swap under the lock, same reasoning as extend
                     self.matstore = MatrixStore.open(root)
                 outcome["result"] = {
@@ -805,13 +787,12 @@ class PSCService(LineProtocolServer):
         run_id = store.new_run_id("service-matrix")
         output = os.path.join(store.run_dir(run_id), "matrix.csv")
         outcome: Dict[str, Any] = {"error": None}
-        farm_config = self.config.farm_config()
 
         def work() -> None:
             try:
                 matrix_run(
                     dataset, method, output, store,
-                    run_id=run_id, config=farm_config,
+                    run_id=run_id, config=self.config.farm,
                 )
             except BaseException as exc:
                 outcome["error"] = f"{type(exc).__name__}: {exc}"

@@ -17,6 +17,7 @@ from concurrent.futures import ProcessPoolExecutor
 import pytest
 
 from repro.cost.counters import CostCounter
+from repro.datasets.pairs import all_vs_all_pairs
 from repro.faults import FarmFaultPlan, InjectedFault, WorkerFault
 from repro.parallel import (
     DEFAULT_CHUNK,
@@ -28,8 +29,6 @@ from repro.parallel import (
     auto_chunk,
     effective_workers,
     iter_pair_results,
-    parallel_all_vs_all,
-    parallel_one_vs_all,
     reset_worker_clamp_warnings,
 )
 from repro.parallel import shmplane
@@ -92,6 +91,36 @@ GOLDEN_MINI = {
 }
 
 
+def farm_table(dataset, method, counter=None, **farm):
+    """The all-vs-all score table read straight off
+    :func:`iter_pair_results`, for tests that pass ``stats`` or
+    ``faults`` (which :func:`all_vs_all` does not take)."""
+    out = {}
+    for i, j, scores, counts in iter_pair_results(
+        dataset, list(all_vs_all_pairs(len(dataset))), method, **farm
+    ):
+        if counter is not None:
+            counter.merge(CostCounter(counts))
+        out[(dataset[i].name, dataset[j].name)] = scores
+    return out
+
+
+def query_rows(query, dataset, method, **farm):
+    """``(chain_name, scores)`` of ``query`` against every other dataset
+    chain, in dataset order, as one-vs-all jobs on the farm."""
+    pairs = [
+        (QUERY_INDEX, j)
+        for j in range(len(dataset))
+        if dataset[j].name != query.name
+    ]
+    return [
+        (dataset[j].name, scores)
+        for _i, j, scores, _counts in iter_pair_results(
+            dataset, pairs, method, query=query, **farm
+        )
+    ]
+
+
 class ExplodingMethod(SSECompositionMethod):
     """Raises on one specific pair — exercises worker-failure surfacing.
 
@@ -123,6 +152,21 @@ class PairPoisonMethod(SSECompositionMethod):
     def compare(self, chain_a, chain_b, counter):
         if (chain_a.name, chain_b.name) == (self.poison_a, self.poison_b):
             raise RuntimeError(f"boom on {chain_a.name}|{chain_b.name}")
+        return super().compare(chain_a, chain_b, counter)
+
+
+class CountingPoisonMethod(PairPoisonMethod):
+    """:class:`PairPoisonMethod` that counts the attempts on its pair."""
+
+    name = "counting_poison"
+
+    def __init__(self, poison_a: str, poison_b: str) -> None:
+        super().__init__(poison_a, poison_b)
+        self.attempts = 0
+
+    def compare(self, chain_a, chain_b, counter):
+        if (chain_a.name, chain_b.name) == (self.poison_a, self.poison_b):
+            self.attempts += 1
         return super().compare(chain_a, chain_b, counter)
 
 
@@ -160,7 +204,7 @@ class TestDeterminism:
         counter = CostCounter()
         table = all_vs_all(
             ck34_mini, get_method("tmalign"), counter=counter,
-            workers=workers, chunk=chunk,
+            config=ParallelConfig(workers=workers, chunk=chunk),
         )
         assert table == want_table  # dict equality on floats = bit equality
         assert counter.as_dict() == want_counter.as_dict()
@@ -178,7 +222,7 @@ class TestDeterminism:
         want_table, want_counter = serial_table
         counter = CostCounter()
         stats = FarmStats()
-        table = parallel_all_vs_all(
+        table = farm_table(
             ck34_mini, get_method("tmalign"), counter=counter,
             config=ParallelConfig(
                 workers=2, chunk=7, start_method=start_method, shm=shm
@@ -204,7 +248,8 @@ class TestDeterminism:
         want = all_vs_all(ck34_mini, method)
         counter = CostCounter()
         got = all_vs_all(
-            ck34_mini, method, counter=counter, workers=workers, chunk=chunk
+            ck34_mini, method, counter=counter,
+            config=ParallelConfig(workers=workers, chunk=chunk),
         )
         assert got == want
         assert counter["sec_res"] > 0
@@ -215,14 +260,15 @@ class TestDeterminism:
         want_ctr, got_ctr = CostCounter(), CostCounter()
         want = one_vs_all(query, ck34_mini, method, counter=want_ctr)
         got = one_vs_all(
-            query, ck34_mini, method, counter=got_ctr, workers=2, chunk=3
+            query, ck34_mini, method, counter=got_ctr,
+            config=ParallelConfig(workers=2, chunk=3),
         )
         assert got == want
         assert got_ctr.as_dict() == want_ctr.as_dict()
         assert all(h.chain_name != query.name for h in got)
 
     def test_query_pairs_use_sentinel(self, ck34_mini):
-        rows = parallel_one_vs_all(
+        rows = query_rows(
             ck34_mini[0], ck34_mini, get_method("sse_composition"),
             config=ParallelConfig(workers=0),
         )
@@ -234,7 +280,7 @@ class TestFailureSurfacing:
     def test_worker_exception_raises_workercrash(self, ck34_mini):
         method = ExplodingMethod(poison_b=ck34_mini[3].name)
         with pytest.raises(WorkerCrash) as err:
-            parallel_all_vs_all(
+            all_vs_all(
                 ck34_mini, method, config=ParallelConfig(workers=2, chunk=2)
             )
         assert err.value.pair == (0, 3)
@@ -243,12 +289,31 @@ class TestFailureSurfacing:
 
     def test_serial_path_raises_the_original_error(self, ck34_mini):
         method = ExplodingMethod(poison_b=ck34_mini[3].name)
-        with pytest.raises(RuntimeError, match="boom on"):
-            parallel_all_vs_all(ck34_mini, method, config=ParallelConfig(workers=1))
+        with pytest.raises(RuntimeError, match="boom on") as err:
+            all_vs_all(ck34_mini, method, config=ParallelConfig(workers=1))
+        assert not isinstance(err.value, WorkerCrash)
+
+    @pytest.mark.parametrize("search", ["one_vs_all", "all_vs_all"])
+    def test_serial_path_applies_the_retry_policy(self, ck34_mini, search):
+        """At ``workers <= 1`` search retries a failing pair under
+        ``config.retry`` exactly as ``matrix`` does, then raises the
+        original error."""
+        query = ck34_mini[0]
+        method = CountingPoisonMethod(query.name, ck34_mini[3].name)
+        config = ParallelConfig(
+            workers=0, retry=RetryPolicy(max_retries=2, backoff_seconds=0.0)
+        )
+        with pytest.raises(RuntimeError, match="boom on") as err:
+            if search == "one_vs_all":
+                one_vs_all(query, ck34_mini, method, config=config)
+            else:
+                all_vs_all(ck34_mini, method, config=config)
+        assert not isinstance(err.value, WorkerCrash)
+        assert method.attempts == 3
 
     def test_dead_worker_process_detected(self, ck34_mini):
         with pytest.raises(WorkerCrash, match="died abruptly"):
-            parallel_all_vs_all(
+            all_vs_all(
                 ck34_mini, SuicidalMethod(),
                 config=ParallelConfig(workers=2, chunk=4),
             )
@@ -415,7 +480,7 @@ class TestCostAwareScheduling:
         want_ctr, got_ctr = CostCounter(), CostCounter()
         want = all_vs_all(ck34_mini, method, counter=want_ctr)
         stats = FarmStats()
-        got = parallel_all_vs_all(
+        got = farm_table(
             ck34_mini, method, counter=got_ctr,
             config=ParallelConfig(workers=2, chunk=0),
             stats=stats,
@@ -441,7 +506,7 @@ class TestCostAwareScheduling:
         monkeypatch.setattr(ProcessPoolExecutor, "submit", tracked)
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         stats = FarmStats()
-        parallel_all_vs_all(
+        farm_table(
             ck34_mini, get_method("sse_composition"),
             config=ParallelConfig(workers=2, chunk=chunk), stats=stats,
         )
@@ -465,7 +530,7 @@ class TestCostAwareScheduling:
         want_ctr, got_ctr = CostCounter(), CostCounter()
         want = all_vs_all(ck34_mini, method, counter=want_ctr)
         stats = FarmStats()
-        got = parallel_all_vs_all(
+        got = farm_table(
             ck34_mini, method, counter=got_ctr,
             config=ParallelConfig(workers=2), stats=stats,
         )
@@ -474,8 +539,12 @@ class TestCostAwareScheduling:
         assert not pools
         assert stats.serial_fallback and stats.backoffs == 0
         assert stats.final_window == 0
+        # every chunk ran on the master: one lane, so wall ~= the sum
+        # of the chunk walls, not half of it
+        imb = stats.tail_imbalance()
+        assert 1.0 <= imb < 1.5
         stats = FarmStats()
-        parallel_all_vs_all(
+        farm_table(
             ck34_mini, get_method("sse_composition"),
             config=ParallelConfig(
                 workers=2, chunk=2, retry=TestRetryPath.RETRY
@@ -527,7 +596,7 @@ class TestRetryPath:
         method = get_method("sse_composition")
         want = all_vs_all(ck34_mini, method)
         stats = FarmStats()
-        got = parallel_all_vs_all(
+        got = farm_table(
             ck34_mini, method,
             config=ParallelConfig(workers=2, chunk=2, retry=self.RETRY),
             stats=stats,
@@ -541,7 +610,7 @@ class TestRetryPath:
         method = get_method("sse_composition")
         want = all_vs_all(ck34_mini, method)
         stats = FarmStats()
-        got = parallel_all_vs_all(
+        got = farm_table(
             ck34_mini, method,
             config=ParallelConfig(workers=2, chunk=2, retry=self.RETRY),
             stats=stats,
@@ -560,7 +629,7 @@ class TestRetryPath:
         method = get_method("sse_composition")
         want = all_vs_all(ck34_mini, method)
         stats = FarmStats()
-        got = parallel_all_vs_all(
+        got = farm_table(
             ck34_mini, method,
             config=ParallelConfig(
                 workers=2, chunk=2, retry=self.RETRY,
@@ -590,7 +659,7 @@ class TestRetryPath:
             max_retries=2, backoff_seconds=0.01, chunk_timeout_seconds=0.4
         )
         stats = FarmStats()
-        got = parallel_all_vs_all(
+        got = farm_table(
             ck34_mini, method,
             config=ParallelConfig(workers=2, chunk=4, retry=retry),
             stats=stats,
@@ -605,7 +674,7 @@ class TestRetryPath:
         method = PairPoisonMethod(ck34_mini[0].name, ck34_mini[3].name)
         stats = FarmStats()
         with pytest.raises(WorkerCrash) as err:
-            parallel_all_vs_all(
+            farm_table(
                 ck34_mini, method,
                 config=ParallelConfig(workers=2, chunk=2, retry=self.RETRY),
                 stats=stats,
@@ -616,7 +685,7 @@ class TestRetryPath:
 
     def test_fault_without_retry_names_pair(self, ck34_mini):
         with pytest.raises(WorkerCrash) as err:
-            parallel_all_vs_all(
+            farm_table(
                 ck34_mini, get_method("sse_composition"),
                 config=ParallelConfig(workers=2, chunk=2),
                 faults=FarmFaultPlan.single(
@@ -630,7 +699,7 @@ class TestRetryPath:
         method = get_method("sse_composition")
         want = all_vs_all(ck34_mini, method)
         stats = FarmStats()
-        got = parallel_all_vs_all(
+        got = farm_table(
             ck34_mini, method,
             config=ParallelConfig(workers=0, retry=self.RETRY),
             stats=stats,
@@ -641,7 +710,7 @@ class TestRetryPath:
 
     def test_serial_path_without_retry_raises_injected(self, ck34_mini):
         with pytest.raises(InjectedFault):
-            parallel_all_vs_all(
+            farm_table(
                 ck34_mini, get_method("sse_composition"),
                 config=ParallelConfig(workers=0),
                 faults=FarmFaultPlan.single("raise", (0, 3)),
@@ -650,10 +719,10 @@ class TestRetryPath:
     def test_one_vs_all_retry_parity(self, ck34_mini):
         method = get_method("sse_composition")
         query = ck34_mini[2]
-        want = parallel_one_vs_all(
+        want = query_rows(
             query, ck34_mini, method, config=ParallelConfig(workers=0)
         )
-        got = parallel_one_vs_all(
+        got = query_rows(
             query, ck34_mini, method,
             config=ParallelConfig(workers=2, chunk=3, retry=self.RETRY),
             faults=FarmFaultPlan.single("raise", (QUERY_INDEX, 4)),
@@ -662,11 +731,18 @@ class TestRetryPath:
 
 
 class TestEvaluatorPrewarm:
-    def test_prewarm_matches_serial_evaluate(self, ck34_mini):
-        serial = JobEvaluator(ck34_mini, mode=EvalMode.MEASURED)
-        warmed = JobEvaluator(ck34_mini, mode=EvalMode.MEASURED)
+    @pytest.mark.parametrize(
+        "mode", [EvalMode.MEASURED, EvalMode.MODEL], ids=["measured", "model"]
+    )
+    def test_prewarm_matches_serial_evaluate(self, ck34_mini, mode):
+        """The farm and the simulator's JobEvaluator charge identical
+        per-pair scores and counts in either mode: both go through
+        ``evaluate_pair``."""
+        serial = JobEvaluator(ck34_mini, mode=mode)
+        warmed = JobEvaluator(ck34_mini, mode=mode)
         pairs = [(0, 1), (0, 2), (1, 3), (2, 3)]
-        assert warmed.prewarm(pairs, workers=2, chunk=1) == len(pairs)
+        config = ParallelConfig(workers=2, chunk=1)
+        assert warmed.prewarm(pairs, config=config) == len(pairs)
         assert warmed.cache_len() == len(pairs)
         for i, j in pairs:
             s_scores, s_ctr = serial.evaluate(i, j)
@@ -677,5 +753,6 @@ class TestEvaluatorPrewarm:
     def test_prewarm_is_idempotent(self, ck34_mini):
         ev = JobEvaluator(ck34_mini, mode=EvalMode.MODEL)
         n = len(ck34_mini) * (len(ck34_mini) - 1) // 2
-        assert ev.prewarm(workers=2) == n
-        assert ev.prewarm(workers=2) == 0
+        config = ParallelConfig(workers=2)
+        assert ev.prewarm(config=config) == n
+        assert ev.prewarm(config=config) == 0

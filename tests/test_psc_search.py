@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cost.counters import CostCounter
+from repro.parallel import ParallelConfig
 from repro.psc.methods import SSECompositionMethod, TMAlignMethod
 from repro.psc.search import all_vs_all, one_vs_all
 
@@ -117,7 +118,8 @@ class TestPrefilteredSearch:
         pf = self._pf(ck34_mini)
         serial = one_vs_all(ck34_mini[1], ck34_mini, method=method, prefilter=pf)
         par = one_vs_all(
-            ck34_mini[1], ck34_mini, method=method, prefilter=pf, workers=2
+            ck34_mini[1], ck34_mini, method=method, prefilter=pf,
+            config=ParallelConfig(workers=2),
         )
         assert serial == par
 
@@ -144,7 +146,10 @@ class TestPrefilteredSearch:
         method = SSECompositionMethod()
         pf = self._pf(ck34_mini)
         serial = all_vs_all(ck34_mini, method=method, prefilter=pf)
-        par = all_vs_all(ck34_mini, method=method, prefilter=pf, workers=2)
+        par = all_vs_all(
+            ck34_mini, method=method, prefilter=pf,
+            config=ParallelConfig(workers=2),
+        )
         assert serial == par
 
     def test_resolve_prefilter_rejects_wrong_corpus(self, ck34_mini):

@@ -7,6 +7,7 @@ process would talk to it.
 """
 
 import asyncio
+import dataclasses
 import json
 import socket
 import threading
@@ -144,6 +145,28 @@ class TestSearch:
         assert [h["chain"] for h in result["hits"]] == [
             h.chain_name for h in expected
         ]
+
+
+class TestFarmPath:
+    def test_farm_service_answers_byte_identically(self):
+        """Two farm workers behind the batcher: the corpus fast path
+        attaches the pinned corpus plane and answers exactly as the
+        in-process service does."""
+        from repro.parallel import ParallelConfig, shmplane
+
+        def client(port):
+            with ServiceClient(port=port) as c:
+                search = c.search("ck_globin_00", top=7)
+                align = c.align("ck_globin_01", "ck_globin_02")
+                return search, align["result"], shmplane.active_planes()
+
+        _svc, (want_search, want_align, _planes) = with_service(client)
+        farm = dataclasses.replace(CONFIG, farm=ParallelConfig(workers=2))
+        _svc, (search, align, planes) = with_service(client, config=farm)
+        assert search["from_cache"] == 0
+        assert canonical_json(search) == canonical_json(want_search)
+        assert canonical_json(align) == canonical_json(want_align)
+        assert any(p["pinned"] and p["n_chains"] == 8 for p in planes)
 
 
 class TestRegisterAndRuns:
