@@ -329,10 +329,16 @@ class SkeletonRuntime:
         yield self._env.timeout(round_trip)
         return None
 
-    def _wait_signal(self) -> Generator:
+    def _wait_signal(self, box: Optional[Store] = None) -> Generator:
+        """Sleep until a slave posts; ``box`` narrows the lost-wakeup
+        re-check to the one outbox the caller awaits."""
         self._signal = self._env.event()
         # re-check after arming to avoid a lost wakeup
-        if any(len(box) for box in self._outbox.values()) or len(self._ready):
+        if box is not None:
+            posted = len(box) > 0
+        else:
+            posted = any(len(b) for b in self._outbox.values()) or len(self._ready)
+        if posted:
             self._signal.succeed()
         yield self._signal
         self._signal = None
@@ -414,15 +420,20 @@ class SkeletonRuntime:
         return results
 
     def _await_slave(self, master: Core, slave: int) -> Generator:
-        """Wait (polling this one slave) until it posts a result."""
-        while True:
-            ok, item = self._outbox[slave].try_get()
-            yield self._env.timeout(self._poll_visit_seconds(master, slave))
-            self.poll_visits += 1
-            if ok:
-                yield from self._pull_result(master, slave, item)
-                return item
-            yield from self._wait_signal()
+        """Wait (polling this one slave) until it posts a result.
+
+        Sleeps until that slave's outbox fills and charges the wait as
+        one lumped poll visit, the one that finds the flag; ready
+        announcements and other slaves' posts only wake the re-check.
+        """
+        box = self._outbox[slave]
+        while not len(box):
+            yield from self._wait_signal(box)
+        _, item = box.try_get()
+        self.poll_visits += 1
+        yield self._env.timeout(self._poll_visit_seconds(master, slave))
+        yield from self._pull_result(master, slave, item)
+        return item
 
     def farm(
         self,

@@ -260,6 +260,7 @@ def _bench_kernel_stages(dataset) -> Dict[str, dict]:
     from repro.cost.counters import CostCounter
     from repro.geometry.kabsch import kabsch_batch
     from repro.tmalign import tm_align
+    from repro.tmalign.align import _refine
     from repro.tmalign.dp import nw_align
     from repro.tmalign.initial import (
         combined_alignment,
@@ -268,6 +269,7 @@ def _bench_kernel_stages(dataset) -> Dict[str, dict]:
         ss_alignment,
     )
     from repro.tmalign.params import TMAlignParams, d0_from_length
+    from repro.tmalign.result import Alignment
     from repro.tmalign.tmscore import superposition_search
 
     a, b = dataset[0], dataset[1]
@@ -286,6 +288,9 @@ def _bench_kernel_stages(dataset) -> Dict[str, dict]:
     flen = max(lmin // 2, 3)
     starts = np.arange(0, pa.shape[0] - flen + 1, max(flen // 2, 1), dtype=np.intp)
     windows = starts[:, None] + np.arange(flen, dtype=np.intp)
+    # the refinement loop from the gapless diagonal of the two chains
+    diag = np.arange(lmin, dtype=np.intp)
+    start = Alignment.from_trusted(diag, diag.copy())
 
     stage_fns = {
         "gapless_threading": lambda c: gapless_threading(
@@ -307,6 +312,9 @@ def _bench_kernel_stages(dataset) -> Dict[str, dict]:
             pa, pb, d0, lmin, params=params, counter=c
         ),
         "nw_align": lambda c: nw_align(score, params.gap_open, counter=c),
+        "refine": lambda c: _refine(
+            xa, ya, start, d0, lmin, params, c if c is not None else CostCounter()
+        ),
         "kabsch_batch": lambda c: kabsch_batch(pa[windows], pb[windows], counter=c),
     }
     stages: Dict[str, dict] = {}
@@ -391,6 +399,7 @@ def run_kernel_bench(
     """
     from repro.cost.counters import CostCounter
     from repro.tmalign import tm_align
+    from repro.tmalign.align import _NATIVE_REFINE
     from repro.tmalign.dp import _NATIVE_FORWARD
     from repro.tmalign.tmscore import _NATIVE_SEARCH
 
@@ -423,6 +432,7 @@ def run_kernel_bench(
         "wall_seconds": best["wall_seconds"],
         "native_dp": _NATIVE_FORWARD is not None,
         "native_tm": _NATIVE_SEARCH is not None,
+        "native_refine": _NATIVE_REFINE is not None,
         "op_counts_grid": counter.as_dict(),
         "seed_pairs_per_second": SEED_KERNEL_PAIRS_PER_SECOND,
         "speedup_vs_seed": rate / SEED_KERNEL_PAIRS_PER_SECOND,
@@ -452,7 +462,8 @@ def format_kernel_bench_report(report: dict) -> str:
         f"throughput: {report['pairs_per_second']:.2f} pairs/s "
         f"({report['speedup_vs_seed']:.2f}x vs seed kernel, "
         f"native DP {'on' if report['native_dp'] else 'off'}, "
-        f"native search/threading {'on' if report.get('native_tm') else 'off'})",
+        f"native search/threading {'on' if report.get('native_tm') else 'off'}, "
+        f"native refine {'on' if report.get('native_refine') else 'off'})",
         f"regression: {reg['ratio']:.2f}x of baseline "
         f"{reg['baseline_pairs_per_second']:.2f} pairs/s "
         f"({reg['baseline_source']}, min {reg['min_ratio']:.2f}) -> "

@@ -1,16 +1,19 @@
-"""Compiled TM-align kernel: DP sweep, traceback, superposition search, threading.
+"""Compiled TM-align kernel: DP sweep, traceback, superposition search,
+threading and the refinement loop.
 
 TM-align's NumPy hot paths are dispatch-bound: the DP forward fill runs
 ~8 whole-row ufunc calls per row, the superposition search ~100 small
-array ops per Kabsch/score/reselect iteration, and the threading scans
-one Kabsch and one scoring pass per window.  This module compiles the
-same dataflow as C loops.  The NumPy code stays the single reference:
-every entry point here reproduces it bit for bit, and the modules that
-use them fall back to it whenever a handle is None.
+array ops per Kabsch/score/reselect iteration, the threading scans one
+Kabsch and one scoring pass per window, and each refinement step
+materialises a distance matrix through five ufuncs.  This module
+compiles the same dataflow as C loops.  The NumPy code stays the single
+reference: every entry point here reproduces it bit for bit, and the
+modules that use them fall back to it whenever a handle is None.
 
 * ``nw_forward`` — the Gotoh row sweep of :mod:`repro.tmalign.dp`.  Pure
-  additions and binary max selections, so exactness needs only
-  ``a >= b ? a : b`` for ``np.maximum`` over the DP's non-NaN values.
+  additions and binary max selections, so exactness needs only a max
+  that equals ``np.maximum`` over the DP's non-NaN values; it is written
+  ``b > a ? b : a`` so it compiles to ``maxsd`` rather than a branch.
 * ``nw_traceback`` — the corner-to-origin walk of ``nw_align``, with the
   same exact-equality predecessor tests and M > Ix > Iy tie order.
 * ``tm_search`` — ``superposition_search``: per seed, Kabsch on the seed
@@ -18,6 +21,11 @@ use them fall back to it whenever a handle is None.
   check, keeping the first strictly best score in serial seed order.
 * ``tm_windows`` — one Kabsch plus one GL score per window, for
   ``gapless_threading`` and ``fragment_threading``.
+* ``tm_refine`` — ``align._refine`` for one candidate alignment: per
+  step the gather of the matched coordinates, the search with the
+  ``(1, 2)`` seed schedule, the TM-score matrix of the moved chain, the
+  DP sweep and traceback, and the seen-alignment, patience and step-cap
+  exits, all in one call.
 
 How the Kabsch and scoring loops match NumPy's floats:
 
@@ -25,19 +33,26 @@ How the Kabsch and scoring loops match NumPy's floats:
   from a workspace query) in NumPy's own bundled OpenBLAS, exactly as
   ``numpy.linalg`` does, and ``R @ mu`` calls its ``cblas_dgemv`` with
   the arguments ``np.matmul`` passes;
-* every GEMM NumPy runs on these shapes (covariance, 3x3 products, the
-  ``(n, 3) @ (3, 3)`` scoring product) accumulates each output as one
-  sequential fused multiply-add chain over K, which ``fma()`` reproduces;
+* every GEMM NumPy runs with K = 3 and three output columns (covariance,
+  3x3 products, the ``(n, 3) @ (3, 3)`` transform) accumulates each
+  output as one sequential fused multiply-add chain over K, which
+  ``fma()`` reproduces;
+* the ``(la, 3) @ (3, lb)`` cross product inside ``cross_distances`` is
+  different: OpenBLAS switches kernels at its column tile edges, and a
+  hand-written fma chain was measured to differ from NumPy in columns
+  208-211 of every matrix with ``lb >= 212``.  ``tm_refine`` therefore
+  calls the bound ``cblas_dgemm`` with the arguments ``np.matmul``
+  passes, and only the elementwise tail of the score is C;
 * window means are sequential sums, score sums use NumPy's pairwise
   order, and the rest is elementwise IEEE arithmetic compiled with
   ``-ffp-contract=off``.
 
 The GEMM order depends on the OpenBLAS kernel the CPU selects, so
-:func:`self_check` runs the search, window and traceback entry points on
-a fixed probe against the NumPy path when the package loads and switches
-them off on any bit difference; ``nw_forward`` does not depend on BLAS
-and stays on.  The library is built on first use by :mod:`repro._native`;
-set ``REPRO_NO_NATIVE_DP=1`` to disable all of it.
+:func:`self_check` runs the search, window, traceback and refinement
+entry points on a fixed probe against the NumPy path when the package
+loads and switches them off on any bit difference; ``nw_forward`` does
+not depend on BLAS and stays on.  The library is built on first use by
+:mod:`repro._native`; set ``REPRO_NO_NATIVE_DP=1`` to disable all of it.
 """
 
 from __future__ import annotations
@@ -79,7 +94,11 @@ _SOURCE = r"""
 #endif
 #define INLINE static inline __attribute__((always_inline))
 
-static double mx(double a, double b) { return a >= b ? a : b; }
+/* np.maximum over the DP's non-NaN values.  Written with the strict
+ * compare first it is the same function as `a >= b ? a : b` (on equal
+ * inputs both return a) but compiles to one maxsd instead of a branch,
+ * which mispredicts on DP data. */
+static double mx(double a, double b) { return b > a ? b : a; }
 
 /* Row sweep of the three-state Gotoh fill with free gap extension.
  *
@@ -92,28 +111,61 @@ static double mx(double a, double b) { return a >= b ? a : b; }
  *   M[i,j]  = score[i-1,j-1] + max(max(M[i-1,j-1], Iy[i-1,j-1]), Ix[i-1,j-1])
  *   Ix[i,j] = max(max(M[i-1,j], Iy[i-1,j]) + gap, Ix[i-1,j])
  *   Iy[i,j] = running max over j' <= j-1 of (max(M[i,j'], Ix[i,j']) + gap)
+ * M and Ix read only the previous row, so each row fills them in one
+ * branch-free vectorisable pass.  The running max is then a prefix scan
+ * of the openers, four lanes at a time.  mx keeps its left operand on
+ * ties, so a fold with it returns the leftmost maximal opener however
+ * the fold is grouped (an associative selection): the lane-parallel scan
+ * below is bit-identical to the serial one, signed zeros included.
  */
-void nw_forward(double *M, double *Ix, double *Iy, const double *score,
-                ptrdiff_t la, ptrdiff_t lb, ptrdiff_t stride,
-                ptrdiff_t sstride, double gap)
+typedef double v4d __attribute__((vector_size(32)));
+typedef int64_t v4i __attribute__((vector_size(32)));
+
+/* lane-wise mx(a, b): a bit select of b where b > a, else a */
+INLINE v4d vmx(v4d a, v4d b)
 {
+    v4i take = b > a;
+    return (v4d)(((v4i)b & take) | ((v4i)a & ~take));
+}
+
+HOT void nw_forward(double *M, double *Ix, double *Iy, const double *score,
+                    ptrdiff_t la, ptrdiff_t lb, ptrdiff_t stride,
+                    ptrdiff_t sstride, double gap)
+{
+    const v4d lowest = {-INFINITY, -INFINITY, -INFINITY, -INFINITY};
+    const v4i up1 = {4, 0, 1, 2}, up2 = {4, 5, 0, 1};
     ptrdiff_t i, j;
     for (i = 1; i <= la; ++i) {
-        const double *m_prev = M + (i - 1) * stride;
-        const double *ix_prev = Ix + (i - 1) * stride;
-        const double *iy_prev = Iy + (i - 1) * stride;
-        double *m_cur = M + i * stride;
-        double *ix_cur = Ix + i * stride;
-        double *iy_cur = Iy + i * stride;
-        const double *sc = score + (i - 1) * sstride;
-        double run = 0.0; /* overwritten at j == 1 */
+        const double *restrict m_prev = M + (i - 1) * stride;
+        const double *restrict ix_prev = Ix + (i - 1) * stride;
+        const double *restrict iy_prev = Iy + (i - 1) * stride;
+        double *restrict m_cur = M + i * stride;
+        double *restrict ix_cur = Ix + i * stride;
+        double *restrict iy_cur = Iy + i * stride;
+        const double *restrict sc = score + (i - 1) * sstride;
+        double run = -INFINITY; /* mx(-inf, x) == x for every finite x */
         for (j = 1; j <= lb; ++j) {
             double mi_diag = mx(m_prev[j - 1], iy_prev[j - 1]);
             double mi_up = mx(m_prev[j], iy_prev[j]);
-            double opener = mx(m_cur[j - 1], ix_cur[j - 1]) + gap;
             m_cur[j] = sc[j - 1] + mx(mi_diag, ix_prev[j - 1]);
             ix_cur[j] = mx(mi_up + gap, ix_prev[j]);
-            run = (j == 1) ? opener : mx(run, opener);
+        }
+        for (j = 1; j <= lb; ++j) /* openers */
+            iy_cur[j] = mx(m_cur[j - 1], ix_cur[j - 1]) + gap;
+        for (j = 1; j + 3 <= lb; j += 4) {
+            v4d v;
+            double last;
+            memcpy(&v, iy_cur + j, sizeof v);
+            v = vmx(__builtin_shuffle(v, lowest, up1), v);
+            v = vmx(__builtin_shuffle(v, lowest, up2), v);
+            /* only this scalar max carries from block to block */
+            last = v[3];
+            v = vmx((v4d){run, run, run, run}, v);
+            memcpy(iy_cur + j, &v, sizeof v);
+            run = mx(run, last);
+        }
+        for (; j <= lb; ++j) {
+            run = mx(run, iy_cur[j]);
             iy_cur[j] = run;
         }
     }
@@ -193,21 +245,26 @@ typedef void (*gesdd_fn)(const char *, const int64_t *, const int64_t *,
 typedef void (*gemv_fn)(int, int, int64_t, int64_t, double, const double *,
                         int64_t, const double *, int64_t, double, double *,
                         int64_t);
+typedef void (*gemm_fn)(int, int, int, int64_t, int64_t, int64_t, double,
+                        const double *, int64_t, const double *, int64_t,
+                        double, double *, int64_t);
 
 #define SVD_WORK_MAX 512
 static gesdd_fn blas_gesdd;
 static gemv_fn blas_gemv;
+static gemm_fn blas_gemm;
 static int64_t svd_lwork;
 
-/* Bind NumPy's ILP64 dgesdd and cblas_dgemv; sizes the SVD workspace by
- * the same query numpy.linalg makes.  Returns 0 on success. */
-int tm_bind(void *gesdd, void *gemv)
+/* Bind NumPy's ILP64 dgesdd, cblas_dgemv and cblas_dgemm; sizes the SVD
+ * workspace by the same query numpy.linalg makes.  Returns 0 on success. */
+int tm_bind(void *gesdd, void *gemv, void *gemm)
 {
     char jobz = 'A';
     int64_t three = 3, query = -1, info = 0, iwork[24];
     double a[9] = {0}, s[3], u[9], vt[9], wq = 0.0;
     blas_gesdd = (gesdd_fn)gesdd;
     blas_gemv = (gemv_fn)gemv;
+    blas_gemm = (gemm_fn)gemm;
     blas_gesdd(&jobz, &three, &three, a, &three, s, u, &three, vt, &three,
                &wq, &query, iwork, &info, 1);
     svd_lwork = (int64_t)wq;
@@ -376,28 +433,20 @@ HOT int tm_windows(const double *xa, const double *ya, const int64_t *a0,
 }
 
 /* superposition_search over n matched pairs.  seeds holds (start, len)
- * per seed in schedule order.  Writes the first strictly best score and
- * its transform (identity and -1 if none beats -1); ops[0..2] receive
- * the kabsch, kabsch_point and score_pair counts.  Returns 0, or -1
- * when scratch allocation fails. */
-HOT int tm_search(const double *pa, const double *pb, ptrdiff_t n,
-                  const int64_t *seeds, ptrdiff_t nseeds, double d0,
-                  double lnorm, double d0_search, ptrdiff_t max_iters,
-                  double *best_tm, double *best_rot, double *best_tra,
-                  int64_t *ops)
+ * per seed in schedule order; dist (2n doubles) and sel (2n bytes) are
+ * scratch.  Writes the first strictly best score and its transform
+ * (identity and -1 if none beats -1) and adds the kabsch, kabsch_point
+ * and score_pair counts to ops[0..2]. */
+INLINE void search(const double *pa, const double *pb, ptrdiff_t n,
+                   const int64_t *seeds, ptrdiff_t nseeds, double d0,
+                   double lnorm, double d0_search, ptrdiff_t max_iters,
+                   double *dist, unsigned char *sel, double *best_tm,
+                   double *best_rot, double *best_tra, int64_t *ops)
 {
-    double *dist = malloc(sizeof(double) * 2 * n);
-    unsigned char *sel = malloc(2 * n);
     ptrdiff_t s, it, i;
-    if (!dist || !sel) {
-        free(dist);
-        free(sel);
-        return -1;
-    }
     *best_tm = -1.0;
     for (i = 0; i < 9; ++i) best_rot[i] = (i % 4 == 0) ? 1.0 : 0.0;
     for (i = 0; i < 3; ++i) best_tra[i] = 0.0;
-    ops[0] = ops[1] = ops[2] = 0;
     for (s = 0; s < nseeds; ++s) {
         double rot[9], tra[3];
         unsigned char *cur = sel, *prev = sel + n, *tmp;
@@ -434,7 +483,249 @@ HOT int tm_search(const double *pa, const double *pb, ptrdiff_t n,
             cur = tmp;
         }
     }
+}
+
+/* search() as an entry point; ops[0..2] are overwritten.  Returns 0, or
+ * -1 when scratch allocation fails. */
+HOT int tm_search(const double *pa, const double *pb, ptrdiff_t n,
+                  const int64_t *seeds, ptrdiff_t nseeds, double d0,
+                  double lnorm, double d0_search, ptrdiff_t max_iters,
+                  double *best_tm, double *best_rot, double *best_tra,
+                  int64_t *ops)
+{
+    double *dist = malloc(sizeof(double) * 2 * n);
+    unsigned char *sel = malloc(2 * n);
+    if (!dist || !sel) {
+        free(dist);
+        free(sel);
+        return -1;
+    }
+    ops[0] = ops[1] = ops[2] = 0;
+    search(pa, pb, n, seeds, nseeds, d0, lnorm, d0_search, max_iters, dist,
+           sel, best_tm, best_rot, best_tra, ops);
     free(dist);
+    free(sel);
+    return 0;
+}
+
+/* ---- the refinement loop of align._refine ---- */
+
+/* _seed_schedule: (start, len) seeds in fraction order.  A fraction whose
+ * window length repeats an earlier one's adds nothing, because the starts
+ * depend on the length alone.  seeds needs 2 * nfracs * (n + 1) entries. */
+static ptrdiff_t seed_schedule(ptrdiff_t n, const int64_t *fracs,
+                               ptrdiff_t nfracs, ptrdiff_t min_len,
+                               int64_t *seeds)
+{
+    ptrdiff_t f, g, start, k = 0;
+    for (f = 0; f < nfracs; ++f) {
+        ptrdiff_t flen = n / fracs[f], step;
+        int dup = 0;
+        if (flen < min_len) flen = min_len;
+        if (flen > n) flen = n;
+        for (g = 0; g < f; ++g) {
+            ptrdiff_t glen = n / fracs[g];
+            if (glen < min_len) glen = min_len;
+            if (glen > n) glen = n;
+            dup |= glen == flen;
+        }
+        if (dup) continue;
+        step = flen / 2 > 1 ? flen / 2 : 1;
+        for (start = 0; start <= n - flen; start += step) {
+            seeds[2 * k] = start;
+            seeds[2 * k + 1] = flen;
+            ++k;
+        }
+    }
+    return k;
+}
+
+/* TM-score terms of every residue pair under (rot, tra), as
+ * tmscore.tm_score_matrix builds them: cross_distances(xf.apply(xa), ya)
+ * then the in-place 1 / (1 + (d / d0)^2).  The transform is score()'s
+ * fma form.  The cross product a @ b.T calls the bound dgemm with the
+ * arguments np.matmul passes: OpenBLAS switches kernels at its column
+ * tile edges (columns 208-211 at lb = 215, 216-219 at lb = 220 on one
+ * build), where a hand-written fma chain differs in the last bit.  The
+ * rest is elementwise in NumPy's op order and vectorises without
+ * changing a bit.  mv (3 la), asq (la) and bsq (lb) are scratch; S gets
+ * la rows of leading stride lb. */
+INLINE void score_matrix(const double *restrict xa, ptrdiff_t la,
+                         const double *restrict ya, ptrdiff_t lb,
+                         const double *rot, const double *tra, double d0,
+                         double *restrict mv, double *restrict asq,
+                         double *restrict bsq, double *restrict S)
+{
+    ptrdiff_t i, j;
+    int k;
+    for (i = 0; i < la; ++i) {
+        for (k = 0; k < 3; ++k) {
+            double acc = 0.0;
+            acc = fma(xa[3 * i + 0], rot[3 * k + 0], acc);
+            acc = fma(xa[3 * i + 1], rot[3 * k + 1], acc);
+            acc = fma(xa[3 * i + 2], rot[3 * k + 2], acc);
+            mv[3 * i + k] = acc + tra[k];
+        }
+        asq[i] = (mv[3 * i] * mv[3 * i] + mv[3 * i + 1] * mv[3 * i + 1])
+                 + mv[3 * i + 2] * mv[3 * i + 2];
+    }
+    for (j = 0; j < lb; ++j)
+        bsq[j] = (ya[3 * j] * ya[3 * j] + ya[3 * j + 1] * ya[3 * j + 1])
+                 + ya[3 * j + 2] * ya[3 * j + 2];
+    blas_gemm(101 /* RowMajor */, 111 /* NoTrans */, 112 /* Trans */, la, lb,
+              3, 1.0, mv, 3, ya, 3, 0.0, S, lb);
+    for (i = 0; i < la; ++i) {
+        double *restrict row = S + i * lb;
+        const double a = asq[i];
+        for (j = 0; j < lb; ++j) {
+            double d = (a + bsq[j]) - 2.0 * row[j];
+            d = 0.0 > d ? 0.0 : d; /* np.maximum(d, 0.0), NaN kept */
+            d = __builtin_sqrt(d) / d0;
+            row[j] = 1.0 / (d * d + 1.0);
+        }
+    }
+}
+
+/* score_matrix() as an entry point.  Returns 0, or -1 when scratch
+ * allocation fails. */
+HOT int tm_scores(const double *xa, ptrdiff_t la, const double *ya,
+                  ptrdiff_t lb, const double *rot, const double *tra,
+                  double d0, double *S)
+{
+    double *buf = malloc(sizeof(double) * (4 * la + lb + 1));
+    if (!buf) return -1;
+    score_matrix(xa, la, ya, lb, rot, tra, d0, buf, buf + 3 * la,
+                 buf + 4 * la, S);
+    free(buf);
+    return 0;
+}
+
+/* _refine for one starting alignment (ai0, aj0, n0): alternate the
+ * seeded superposition search and the DP on the TM-score matrix until
+ * the alignment repeats one seen in this call, the score has not
+ * improved for `patience` steps, or after `max_iters` steps.
+ *
+ * iargs: min_seed_len, max_score_iters, max_iters, patience.
+ * dargs: d0, lnorm, d0_search, gap.
+ * On return best_tm/rot/tra hold the best search result (-1 and the
+ * identity if none), best_n[0] is -1 when the starting alignment stayed
+ * best, else the length of the DP alignment written to best_ai/best_aj
+ * (capacity min(la, lb)) with its corner score in best_dp.  ops[0..3]
+ * receive the kabsch, kabsch_point, score_pair and dp_cell counts.
+ * Returns 0, or -1 when scratch allocation fails. */
+HOT int tm_refine(const double *xa, ptrdiff_t la, const double *ya,
+                  ptrdiff_t lb, const int64_t *ai0, const int64_t *aj0,
+                  ptrdiff_t n0, const int64_t *fracs, ptrdiff_t nfracs,
+                  const int64_t *iargs, const double *dargs, double *best_tm,
+                  double *best_rot, double *best_tra, int64_t *best_ai,
+                  int64_t *best_aj, int64_t *best_n, double *best_dp,
+                  int64_t *ops)
+{
+    const ptrdiff_t min_seed_len = iargs[0], max_score_iters = iargs[1];
+    const ptrdiff_t max_iters = iargs[2], patience = iargs[3];
+    const double d0 = dargs[0], lnorm = dargs[1], d0_search = dargs[2];
+    const double gap = dargs[3];
+    const ptrdiff_t cap = la < lb ? la : lb, stride = lb + 1;
+    const ptrdiff_t cells = (la + 1) * stride;
+    ptrdiff_t *hai, *haj, *hn, it, k, nh = 1, cur = 0, best = 0, stale = 0;
+    double *fbuf, *pa, *pb, *dist, *mv, *asq, *bsq, *S, *M, *Ix, *Iy, *hdp;
+    int64_t *seeds;
+    unsigned char *sel;
+
+    fbuf = malloc(sizeof(double) * (8 * cap + 4 * la + lb + la * lb
+                                    + 3 * cells + max_iters + 1));
+    hai = malloc(sizeof(ptrdiff_t) * (2 * (max_iters + 1) * cap + max_iters + 1));
+    seeds = malloc(sizeof(int64_t) * 2 * nfracs * (cap + 1));
+    sel = malloc(2 * cap + 1);
+    if (!fbuf || !hai || !seeds || !sel) {
+        free(fbuf);
+        free(hai);
+        free(seeds);
+        free(sel);
+        return -1;
+    }
+    pa = fbuf;
+    pb = pa + 3 * cap;
+    dist = pb + 3 * cap;
+    mv = dist + 2 * cap;
+    asq = mv + 3 * la;
+    bsq = asq + la;
+    S = bsq + lb;
+    M = S + la * lb;
+    Ix = M + cells;
+    Iy = Ix + cells;
+    hdp = Iy + cells;
+    haj = hai + (max_iters + 1) * cap;
+    hn = haj + (max_iters + 1) * cap;
+
+    /* boundaries, as dp._forward initialises them */
+    for (k = 0; k < stride; ++k) {
+        M[k] = Ix[k] = -1e18;
+        Iy[k] = 0.0;
+    }
+    M[0] = Ix[0] = 0.0;
+    for (k = 1; k <= la; ++k) {
+        M[k * stride] = Iy[k * stride] = -1e18;
+        Ix[k * stride] = 0.0;
+    }
+
+    for (k = 0; k < n0; ++k) {
+        hai[k] = ai0[k];
+        haj[k] = aj0[k];
+    }
+    hn[0] = n0;
+    *best_tm = -1.0;
+    for (k = 0; k < 9; ++k) best_rot[k] = (k % 4 == 0) ? 1.0 : 0.0;
+    for (k = 0; k < 3; ++k) best_tra[k] = 0.0;
+    ops[0] = ops[1] = ops[2] = ops[3] = 0;
+
+    for (it = 0; it < max_iters; ++it) {
+        const ptrdiff_t n = hn[cur];
+        const ptrdiff_t *ci = hai + cur * cap, *cj = haj + cur * cap;
+        ptrdiff_t *ni = hai + nh * cap, *nj = haj + nh * cap, nseeds, h;
+        double tm, rot[9], tra[3];
+        int seen = 0;
+        if (n < 3) break;
+        for (k = 0; k < n; ++k) {
+            memcpy(pa + 3 * k, xa + 3 * ci[k], sizeof(double) * 3);
+            memcpy(pb + 3 * k, ya + 3 * cj[k], sizeof(double) * 3);
+        }
+        nseeds = seed_schedule(n, fracs, nfracs, min_seed_len, seeds);
+        search(pa, pb, n, seeds, nseeds, d0, lnorm, d0_search,
+               max_score_iters, dist, sel, &tm, rot, tra, ops);
+        if (tm > *best_tm) {
+            *best_tm = tm;
+            memcpy(best_rot, rot, sizeof rot);
+            memcpy(best_tra, tra, sizeof tra);
+            best = cur;
+            stale = 0;
+        } else if (++stale >= patience) {
+            break;
+        }
+        score_matrix(xa, la, ya, lb, rot, tra, d0, mv, asq, bsq, S);
+        ops[2] += la * lb;
+        nw_forward(M, Ix, Iy, S, la, lb, stride, lb, gap);
+        ops[3] += la * lb;
+        hn[nh] = nw_traceback(M, Ix, Iy, S, la, lb, stride, lb, gap, ni, nj,
+                              hdp + nh);
+        for (h = 0; h < nh && !seen; ++h)
+            seen = hn[h] == hn[nh]
+                   && memcmp(hai + h * cap, ni, sizeof(ptrdiff_t) * hn[nh]) == 0
+                   && memcmp(haj + h * cap, nj, sizeof(ptrdiff_t) * hn[nh]) == 0;
+        if (seen) break;
+        cur = nh++;
+    }
+    if (best == 0) {
+        *best_n = -1;
+    } else {
+        *best_n = hn[best];
+        *best_dp = hdp[best];
+        memcpy(best_ai, hai + best * cap, sizeof(ptrdiff_t) * hn[best]);
+        memcpy(best_aj, haj + best * cap, sizeof(ptrdiff_t) * hn[best]);
+    }
+    free(fbuf);
+    free(hai);
+    free(seeds);
     free(sel);
     return 0;
 }
@@ -461,8 +752,8 @@ def load_forward_kernel() -> Optional[ctypes._CFuncPtr]:
     return fn
 
 
-def _bundled_blas() -> Optional[tuple[int, int]]:
-    """Addresses of ``dgesdd`` and ``cblas_dgemv`` in NumPy's own OpenBLAS.
+def _bundled_blas() -> Optional[tuple[int, int, int]]:
+    """Addresses of ``dgesdd``, ``cblas_dgemv``, ``cblas_dgemm`` in NumPy's OpenBLAS.
 
     NumPy wheels bundle one ``libscipy_openblas64_`` next to the package;
     any other layout returns None (the NumPy path then stays in use).
@@ -479,6 +770,7 @@ def _bundled_blas() -> Optional[tuple[int, int]]:
         return (
             ctypes.cast(blas.scipy_dgesdd_64_, _P).value,
             ctypes.cast(blas.scipy_cblas_dgemv64_, _P).value,
+            ctypes.cast(blas.scipy_cblas_dgemm64_, _P).value,
         )
     except (OSError, AttributeError):
         return None
@@ -500,7 +792,7 @@ def _charge(counter, kabsch: int, kabsch_points: int, score_pairs: int) -> None:
 
 
 class TMKernels:
-    """Python front-ends of ``tm_search``, ``tm_windows`` and ``nw_traceback``.
+    """Front-ends of the search, window, traceback, score and refine entry points.
 
     Each method validates dtype and contiguity before a pointer reaches
     C, and charges ``counter`` the totals the NumPy path charges.
@@ -520,6 +812,15 @@ class TMKernels:
         self._traceback.restype = ctypes.c_ssize_t
         # M, Ix, Iy, score, la, lb, stride, sstride, gap, ai, aj, dp_score
         self._traceback.argtypes = [_P, _P, _P, _P, _N, _N, _N, _N, _D, _P, _P, _P]
+        self._scores = lib.tm_scores
+        self._scores.restype = ctypes.c_int
+        # xa, la, ya, lb, rot, tra, d0, S
+        self._scores.argtypes = [_P, _N, _P, _N, _P, _P, _D, _P]
+        self._refine = lib.tm_refine
+        self._refine.restype = ctypes.c_int
+        # xa, la, ya, lb, ai0, aj0, n0, fracs, nfracs, iargs, dargs,
+        # best_tm, best_rot, best_tra, best_ai, best_aj, best_n, best_dp, ops
+        self._refine.argtypes = [_P, _N, _P, _N, _P, _P, _N, _P, _N, _P, _P] + [_P] * 8
 
     def search(
         self,
@@ -624,21 +925,109 @@ class TMKernels:
         )
         return ai[:n].copy(), aj[:n].copy(), float(dp_score[0])
 
+    def scores(
+        self, xa: np.ndarray, ya: np.ndarray, rotation, translation, d0: float
+    ) -> np.ndarray:
+        """``1 / (1 + (d / d0)^2)`` of every pair of ``xa @ R.T + t`` and ``ya``."""
+        xa, ya = _f64(xa), _f64(ya)
+        rot, tra = _f64(rotation), _f64(translation)
+        la, lb = xa.shape[0], ya.shape[0]
+        if xa.shape != (la, 3) or ya.shape != (lb, 3):
+            raise ValueError(f"(n, 3) coordinates required: {xa.shape}/{ya.shape}")
+        if rot.shape != (3, 3) or tra.shape != (3,):
+            raise ValueError("a 3x3 rotation and a length-3 translation required")
+        out = np.empty((la, lb))
+        rc = self._scores(
+            xa.ctypes.data, la, ya.ctypes.data, lb, rot.ctypes.data,
+            tra.ctypes.data, d0, out.ctypes.data,
+        )
+        if rc != 0:
+            raise MemoryError("tm_scores scratch allocation failed")
+        return out
+
+    def refine(
+        self,
+        xa: np.ndarray,
+        ya: np.ndarray,
+        ai: np.ndarray,
+        aj: np.ndarray,
+        d0: float,
+        lnorm: int,
+        d0_search: float,
+        seed_fractions,
+        params,
+        counter=None,
+    ) -> tuple[float, Optional[tuple], np.ndarray, np.ndarray]:
+        """The refinement loop of ``align._refine`` from the alignment ``(ai, aj)``.
+
+        Returns ``(best_tm, best, rotation, translation)`` where ``best``
+        is None when the starting alignment stayed best, else the
+        ``(ai, aj, dp_score)`` of the DP alignment that scored best.
+        ``params`` supplies the gap penalty, the loop caps, the patience
+        and the seed length floor.
+        """
+        xa, ya = _f64(xa), _f64(ya)
+        ai, aj = _i64(ai), _i64(aj)
+        la, lb = xa.shape[0], ya.shape[0]
+        cap = min(la, lb)
+        if xa.shape != (la, 3) or ya.shape != (lb, 3):
+            raise ValueError(f"(n, 3) coordinates required: {xa.shape}/{ya.shape}")
+        if ai.ndim != 1 or ai.shape != aj.shape or ai.shape[0] > cap:
+            raise ValueError("the starting alignment must be equal 1-D index arrays")
+        if ai.shape[0] and (
+            min(ai.min(), aj.min()) < 0 or ai.max() >= la or aj.max() >= lb
+        ):
+            raise ValueError("the starting alignment indexes outside the chains")
+        fracs = _i64(seed_fractions)
+        if fracs.ndim != 1 or not len(fracs) or fracs.min() < 1:
+            raise ValueError("seed fractions must be >= 1")
+        iargs = _i64([
+            params.min_seed_len, params.max_score_iters,
+            params.max_refine_iters, params.refine_patience,
+        ])
+        dargs = np.array([d0, float(lnorm), d0_search, params.gap_open])
+        best = np.empty(2)  # best_tm, dp_score
+        rot = np.empty((3, 3))
+        tra = np.empty(3)
+        best_ai = np.empty(cap, dtype=np.intp)
+        best_aj = np.empty(cap, dtype=np.intp)
+        best_n = np.empty(1, dtype=np.int64)
+        ops = np.empty(4, dtype=np.int64)
+        rc = self._refine(
+            xa.ctypes.data, la, ya.ctypes.data, lb, ai.ctypes.data,
+            aj.ctypes.data, ai.shape[0], fracs.ctypes.data, len(fracs),
+            iargs.ctypes.data, dargs.ctypes.data, best.ctypes.data,
+            rot.ctypes.data, tra.ctypes.data, best_ai.ctypes.data,
+            best_aj.ctypes.data, best_n.ctypes.data, best[1:].ctypes.data,
+            ops.ctypes.data,
+        )
+        if rc != 0:
+            raise MemoryError("tm_refine scratch allocation failed")
+        kabsch, kabsch_points, score_pairs, dp_cells = ops.tolist()
+        _charge(counter, kabsch, kabsch_points, score_pairs)
+        if counter is not None:
+            counter.add("dp_cell", dp_cells)
+        n = int(best_n[0])
+        found = None
+        if n >= 0:
+            found = (best_ai[:n].copy(), best_aj[:n].copy(), float(best[1]))
+        return float(best[0]), found, rot, tra
+
 
 def load_tm_kernels() -> Optional[TMKernels]:
-    """The search, window and traceback entry points, or None when unavailable.
+    """The search, window, traceback, score and refine entry points, or None.
 
     None when the library does not build, ``REPRO_NO_NATIVE_DP`` is set,
-    or NumPy does not bundle the OpenBLAS whose SVD and GEMV the kernels
-    must call to match it.  The caller runs :func:`self_check` before
-    trusting them.
+    or NumPy does not bundle the OpenBLAS whose SVD, GEMV and GEMM the
+    kernels must call to match it.  The caller runs :func:`self_check`
+    before trusting them.
     """
     lib = _library()
     blas = _bundled_blas()
     if lib is None or blas is None:
         return None
     lib.tm_bind.restype = ctypes.c_int
-    lib.tm_bind.argtypes = [_P, _P]
+    lib.tm_bind.argtypes = [_P, _P, _P]
     if lib.tm_bind(*blas) != 0:
         return None
     return TMKernels(lib)
@@ -649,13 +1038,18 @@ def _probe() -> list:
 
     Covers seeded searches (proper and reflected fits, and one 300-pair
     covariance, past the K-blocking size of common GEMM kernels), short
-    and long gapless windows, fragment windows, and a tie-heavy DP
-    traceback.  Everything is returned as exact reprs and bytes.
+    and long gapless windows, fragment windows, a tie-heavy DP
+    traceback, two score matrices whose last columns fall in GEMM edge
+    tiles (where a plain fma chain differs from OpenBLAS), and one
+    refinement loop.  Everything is returned as exact reprs and bytes.
     """
     from repro.cost.counters import CostCounter
+    from repro.tmalign.align import _refine
     from repro.tmalign.dp import nw_align
     from repro.tmalign.initial import fragment_threading, gapless_threading
-    from repro.tmalign.tmscore import superposition_search
+    from repro.tmalign.params import TMAlignParams
+    from repro.tmalign.result import Alignment
+    from repro.tmalign.tmscore import superposition_search, tm_score_matrix
 
     rng = np.random.default_rng(2013)
     xa = np.cumsum(rng.normal(scale=2.0, size=(300, 3)), axis=0)
@@ -673,30 +1067,43 @@ def _probe() -> list:
             pa, pb, d0, pa.shape[0] + 7, seed_fractions=fractions, counter=ctr
         )
         out.append((repr(tm), xf.rotation.tobytes(), xf.translation.tobytes()))
+    # rows that land near the edge columns, where cancellation exposes
+    # a last-bit difference of the cross product in the score
+    out.append(tm_score_matrix(xa[196:220], ya[:220], xf, 3.0).tobytes())
+    out.append(tm_score_matrix(xa[192:216], ya[:215], xf, 4.5).tobytes())
     alis = gapless_threading(xa[:24], ya[6:26], 2.0, 20, counter=ctr)
     alis += gapless_threading(xa, ya[:290], 4.0, 290, min_overlap=286, counter=ctr)
     alis.append(fragment_threading(xa[:40], mirror[:30], 2.0, 30, counter=ctr))
     ties = rng.integers(-2, 3, size=(24, 31)).astype(np.float64)
     alis.append(nw_align(ties, -1.0, counter=ctr))
     out.extend((a.key(), repr(a.dp_score)) for a in alis)
+    diag = np.arange(24, dtype=np.intp)
+    tm, ali, xf = _refine(
+        xa[196:220], ya[:220], Alignment(diag, diag + 193), 2.0, 24,
+        TMAlignParams(), ctr,
+    )
+    out.append((repr(tm), ali.key(), repr(ali.dp_score), xf.rotation.tobytes(),
+                xf.translation.tobytes()))
     out.append(sorted(ctr.as_dict().items()))
     return out
 
 
 def self_check() -> bool:
-    """Keep the native search, window and traceback paths only if they match.
+    """Keep the native BLAS-bound entry points only if they match NumPy.
 
     Runs :func:`_probe` with the module handles as loaded and again on
     the NumPy path; on any difference the handles stay None, so every
     later call takes the NumPy path (``nw_forward`` is not affected).
     Returns whether the native entry points are on.
     """
-    from repro.tmalign import dp, initial, tmscore
+    from repro.tmalign import align, dp, initial, tmscore
 
     handles = (
         (dp, "_NATIVE_TRACEBACK"),
         (tmscore, "_NATIVE_SEARCH"),
         (initial, "_NATIVE_WINDOWS"),
+        (tmscore, "_NATIVE_SCORES"),
+        (align, "_NATIVE_REFINE"),
     )
     loaded = [getattr(mod, name) for mod, name in handles]
     if all(h is None for h in loaded):

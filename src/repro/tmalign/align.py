@@ -1,4 +1,13 @@
-"""The TM-align orchestrator: initial alignments + iterative refinement."""
+"""The TM-align orchestrator: initial alignments + iterative refinement.
+
+Each candidate alignment is refined by alternating the superposition
+search with a DP over the TM-score matrix of the current superposition
+until the alignment repeats, stops improving, or hits the step cap.
+When the compiled kernel loads, that whole loop is one C call per
+candidate (``tm_refine`` in :mod:`repro.tmalign._dpnative`); the NumPy
+``_refine`` below is its reference and fallback, and both return the
+same score, alignment and transform bytes and charge the same op counts.
+"""
 
 from __future__ import annotations
 
@@ -7,10 +16,10 @@ from typing import Optional
 import numpy as np
 
 from repro.cost.counters import CostCounter
-from repro.geometry.distances import cross_distances
 from repro.geometry.transforms import RigidTransform
 from repro.structure.model import Chain
 from repro.structure.secstruct import assign_secondary
+from repro.tmalign._dpnative import load_tm_kernels
 from repro.tmalign.dp import nw_align
 from repro.tmalign.initial import (
     combined_alignment,
@@ -18,9 +27,9 @@ from repro.tmalign.initial import (
     gapless_threading,
     ss_alignment,
 )
-from repro.tmalign.params import TMAlignParams, d0_from_length
+from repro.tmalign.params import TMAlignParams, d0_from_length, d0_search_bounds
 from repro.tmalign.result import Alignment, TMAlignResult
-from repro.tmalign.tmscore import superposition_search
+from repro.tmalign.tmscore import superposition_search, tm_score_matrix
 
 __all__ = ["tm_align"]
 
@@ -28,6 +37,10 @@ __all__ = ["tm_align"]
 # schedule from params is reserved for candidate evaluation and final
 # scoring (mirrors TM-align's cheap in-loop TM-score search).
 _REFINE_SEEDS = (1, 2)
+
+# Compiled refinement loop (bit-identical to _refine's NumPy path); None
+# when the kernel is unavailable or failed its load-time self-check.
+_NATIVE_REFINE = getattr(load_tm_kernels(), "refine", None)
 
 
 def _refine(
@@ -40,6 +53,14 @@ def _refine(
     counter: CostCounter,
 ) -> tuple[float, Alignment, RigidTransform]:
     """Alternate superposition search and DP until the alignment repeats."""
+    if _NATIVE_REFINE is not None:
+        # superposition_search's default cutoff: d0 clipped into [4.5, 8]
+        best_tm, found, rot, tra = _NATIVE_REFINE(
+            xa, ya, ali.ai, ali.aj, d0, lnorm, d0_search_bounds(d0)[1],
+            _REFINE_SEEDS, params, counter=counter,
+        )
+        best = ali if found is None else Alignment.from_trusted(*found)
+        return best_tm, best, RigidTransform.from_trusted(rot, tra)
     best_tm = -1.0
     best_ali = ali
     best_xf = RigidTransform.identity()
@@ -65,14 +86,9 @@ def _refine(
             stale += 1
             if stale >= params.refine_patience:
                 break
-        d = cross_distances(xf.apply(xa), ya)
-        counter.add("score_pair", d.size)
-        # score = 1 / (1 + (d/d0)^2), computed in place over d
-        np.divide(d, d0, out=d)
-        np.multiply(d, d, out=d)
-        np.add(d, 1.0, out=d)
-        np.divide(1.0, d, out=d)
-        nxt = nw_align(d, params.gap_open, counter=counter)
+        score = tm_score_matrix(xa, ya, xf, d0)
+        counter.add("score_pair", score.size)
+        nxt = nw_align(score, params.gap_open, counter=counter)
         if nxt.key() in seen:
             break
         seen.add(nxt.key())

@@ -21,13 +21,12 @@ from typing import Optional
 
 import numpy as np
 
-from repro.geometry.distances import cross_distances
 from repro.geometry.kabsch import _kabsch_batch_core
 from repro.tmalign._dpnative import load_tm_kernels
 from repro.tmalign.dp import nw_align
 from repro.tmalign.params import TMAlignParams
 from repro.tmalign.result import Alignment
-from repro.tmalign.tmscore import _moved_tm_scores_batch
+from repro.tmalign.tmscore import _moved_tm_scores_batch, tm_score_matrix
 
 __all__ = [
     "gapless_threading",
@@ -122,11 +121,11 @@ def gapless_threading(
     lens = np.minimum(la, lb + shifts) - starts
     windows = _NATIVE_WINDOWS or _windows_numpy
     tms = windows(xa, ya, starts, starts - shifts, lens, d0, lnorm, counter=counter)
-    scored = sorted(zip(tms.tolist(), shifts.tolist()), key=lambda t: (-t[0], t[1]))
+    # shifts ascend, so a stable sort on -score ranks ties by shift
     out = []
-    for tm, shift in scored[:n_best]:
-        ai, aj = _gapless_alignment(shift, la, lb)
-        out.append(Alignment.from_trusted(ai, aj, dp_score=tm))
+    for k in np.argsort(-tms, kind="stable")[:n_best].tolist():
+        ai, aj = _gapless_alignment(int(shifts[k]), la, lb)
+        out.append(Alignment.from_trusted(ai, aj, dp_score=float(tms[k])))
     return out
 
 
@@ -170,16 +169,12 @@ def combined_alignment(
     take pre-encoded SS codes as in :func:`ss_alignment`.
     """
     params = params or TMAlignParams()
-    d = cross_distances(transform.apply(xa), ya)
+    d = tm_score_matrix(xa, ya, transform, d0)
     if counter is not None:
         counter.add("score_pair", d.size)
     # in-place chains: same float expressions as
     #   mix * ss + (1 - mix) * (1 / (1 + (d/d0)^2))
     # without the intermediate allocations
-    np.divide(d, d0, out=d)
-    np.multiply(d, d, out=d)
-    np.add(d, 1.0, out=d)
-    np.divide(1.0, d, out=d)
     np.multiply(d, 1.0 - params.ss_mix, out=d)
     ca = codes_a if codes_a is not None else _ss_codes(ss_a)
     cb = codes_b if codes_b is not None else _ss_codes(ss_b)

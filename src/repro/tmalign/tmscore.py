@@ -27,16 +27,20 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from repro.geometry.distances import cross_distances
 from repro.geometry.kabsch import _kabsch_batch_core
 from repro.geometry.transforms import RigidTransform
 from repro.tmalign._dpnative import load_tm_kernels
 from repro.tmalign.params import TMAlignParams
 
-__all__ = ["tm_score_from_distances", "superposition_search"]
+__all__ = ["tm_score_from_distances", "tm_score_matrix", "superposition_search"]
 
-# Compiled search (bit-identical to the lockstep NumPy path below); None
-# when the kernel is unavailable or failed its load-time self-check.
-_NATIVE_SEARCH = getattr(load_tm_kernels(), "search", None)
+# Compiled search and score matrix (bit-identical to the NumPy code
+# below); None when the kernel is unavailable or failed its load-time
+# self-check.
+_KERNELS = load_tm_kernels()
+_NATIVE_SEARCH = getattr(_KERNELS, "search", None)
+_NATIVE_SCORES = getattr(_KERNELS, "scores", None)
 
 
 def tm_score_from_distances(
@@ -51,6 +55,26 @@ def tm_score_from_distances(
     if counter is not None:
         counter.add("score_pair", d.size)
     return float((1.0 / (1.0 + (d / d0) ** 2)).sum() / lnorm)
+
+
+def tm_score_matrix(
+    xa: np.ndarray, ya: np.ndarray, xf: RigidTransform, d0: float
+) -> np.ndarray:
+    """``(la, lb)`` TM-score terms ``1 / (1 + (d / d0)^2)`` of every pair.
+
+    ``d`` is the distance between residue i of ``xa`` moved by ``xf``
+    and residue j of ``ya`` — the score matrix of the refinement DP and
+    the distance term of the combined initial alignment.
+    """
+    if _NATIVE_SCORES is not None:
+        return _NATIVE_SCORES(xa, ya, xf.rotation, xf.translation, d0)
+    d = cross_distances(xf.apply(xa), ya)
+    # in place over d: the float expression 1 / (1 + (d/d0)^2)
+    np.divide(d, d0, out=d)
+    np.multiply(d, d, out=d)
+    np.add(d, 1.0, out=d)
+    np.divide(1.0, d, out=d)
+    return d
 
 
 def _moved_tm_scores_batch(

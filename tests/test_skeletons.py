@@ -125,6 +125,24 @@ class TestSeqParCollect:
         m.run()
         assert done_order == list(range(5))
 
+    def test_seq_waits_without_spinning(self):
+        """Unconsumed ready announcements must not keep the master
+        polling: a 2-job SEQ costs one poll visit per awaited result."""
+        m, rt = make_runtime(3)
+        work = slow_handler_factory(lambda _: 4_000_000)  # 5 ms at 800 MHz
+
+        def master(core):
+            yield from rt.seq(core, jobs(2))
+            yield from rt.shutdown(core)
+
+        m.spawn(0, master)
+        for s in rt.slave_ids:
+            m.spawn(s, rt.slave_loop, work)
+        m.run()
+        assert rt.results_collected == 2
+        assert rt.poll_visits <= 4
+        assert m.now >= 2 * 0.005
+
     def test_par_then_collect(self):
         m, rt = make_runtime(3)
         box = {}

@@ -18,10 +18,13 @@ import numpy as np
 import pytest
 
 from repro.cost.counters import CostCounter
+from repro.geometry.transforms import RigidTransform
 from repro.structure.synthetic import perturb_chain
-from repro.tmalign import _dpnative, dp, initial, tm_align, tmscore
+from repro.tmalign import _dpnative, align, dp, initial, tm_align, tmscore
 from repro.tmalign.dp import nw_align
 from repro.tmalign.initial import fragment_threading
+from repro.tmalign.params import TMAlignParams, d0_from_length
+from repro.tmalign.result import Alignment
 from repro.tmalign.tmscore import superposition_search
 from tests.test_tmalign_golden import GOLDEN
 from tests.test_tmalign_golden import test_kernel_bit_identical_to_seed as check_golden
@@ -107,6 +110,177 @@ class TestTracebackDifferential:
         self._both(score, -0.6)
 
 
+class TestForwardDifferential:
+    """The branch-free ``nw_forward`` fills M/Ix/Iy byte-identically to NumPy."""
+
+    def _both(self, score, gap, monkeypatch):
+        native = [m.copy() for m in dp._forward(score, gap)]
+        with monkeypatch.context() as m:
+            m.setattr(dp, "_NATIVE_FORWARD", None)
+            reference = dp._forward(score, gap)
+        for got, want in zip(native, reference):
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.skipif(dp._NATIVE_FORWARD is None, reason="no compiled DP sweep")
+    def test_tie_heavy_and_flat_scores(self, rng, monkeypatch):
+        for la, lb in ((1, 1), (7, 40), (61, 13), (147, 147), (220, 200)):
+            ties = rng.integers(-2, 3, size=(la, lb)).astype(np.float64)
+            for gap in (-0.6, -1.0, 0.0):
+                self._both(ties, gap, monkeypatch)
+                self._both(np.zeros((la, lb)), gap, monkeypatch)
+                self._both(np.ones((la, lb)), gap, monkeypatch)
+
+
+@requires_native
+def test_score_matrix_across_gemm_edge_tiles(rng):
+    # OpenBLAS changes kernels at its column tile edges (columns 208-211
+    # at lb = 215, 216-219 at lb = 220 on one build): the native matrix
+    # must match NumPy's there too, not just the alignment built on it
+    base = _walk(rng, 320)
+    for la in (24, 150, 301):
+        for lb in range(205, 233):
+            xf = RigidTransform.from_trusted(_rotation(rng), rng.normal(size=3))
+            ya = base[:lb] + rng.normal(scale=2.0, size=(lb, 3))
+            got = tmscore.tm_score_matrix(base[:la], ya, xf, 3.1)
+            with numpy_path():
+                want = tmscore.tm_score_matrix(base[:la], ya, xf, 3.1)
+            assert got.tobytes() == want.tobytes(), (la, lb)
+
+
+@requires_native
+class TestRefineDifferential:
+    """``_refine`` as one ``tm_refine`` call vs its NumPy loop.
+
+    Each case also checks, on a trace of the NumPy run, that the loop
+    left the way the case is named for, so every exit of the compiled
+    loop is compared at least once.
+    """
+
+    def _both(self, xa, ya, start, d0, lnorm, params, monkeypatch):
+        ctr = CostCounter()
+        native = align._refine(xa, ya, start, d0, lnorm, params, ctr)
+        trace = {"tm": [], "dp": []}
+        search, dp_align = align.superposition_search, align.nw_align
+
+        def traced_search(*args, **kwargs):
+            tm, xf = search(*args, **kwargs)
+            trace["tm"].append(tm)
+            return tm, xf
+
+        def traced_dp(*args, **kwargs):
+            ali = dp_align(*args, **kwargs)
+            trace["dp"].append(ali)
+            return ali
+
+        ref_ctr = CostCounter()
+        with monkeypatch.context() as m, numpy_path():
+            m.setattr(align, "superposition_search", traced_search)
+            m.setattr(align, "nw_align", traced_dp)
+            reference = align._refine(xa, ya, start, d0, lnorm, params, ref_ctr)
+        assert isinstance(native[1], Alignment)
+        assert repr(native[0]) == repr(reference[0])
+        assert native[1].key() == reference[1].key()
+        assert native[1].ai.dtype == reference[1].ai.dtype == np.intp
+        assert repr(native[1].dp_score) == repr(reference[1].dp_score)
+        assert (native[1] is start) == (reference[1] is start)
+        assert native[2].rotation.tobytes() == reference[2].rotation.tobytes()
+        assert native[2].translation.tobytes() == reference[2].translation.tobytes()
+        assert ctr.counts == ref_ctr.counts
+        return reference, trace
+
+    @staticmethod
+    def _copy_pair(rng, la, lb, offset):
+        """A random walk and a rotated noisy copy of ``[offset:offset+lb]``."""
+        xa = _walk(rng, la)
+        ya = xa[offset : offset + lb] @ _rotation(rng)
+        return xa, ya + rng.normal(scale=1.5, size=ya.shape)
+
+    def test_long_chains_past_gemm_tiling(self, rng, monkeypatch):
+        # score matrices of >= 300 columns cross OpenBLAS's column tiles
+        for la, lb, off in ((320, 305, 9), (305, 320, 0)):
+            xa, ya = self._copy_pair(rng, max(la, lb) + off, lb, off)
+            xa = xa[:la]
+            start = Alignment(np.arange(4, 40), np.arange(7, 43))
+            d0 = d0_from_length(min(la, lb))
+            _, trace = self._both(
+                xa, ya, start, d0, min(la, lb), TMAlignParams(), monkeypatch
+            )
+            assert len(trace["dp"]) >= 2
+
+    def test_exit_by_seen_alignment(self, ck34, monkeypatch):
+        a, b = ck34[0], ck34[1]
+        start = Alignment(np.arange(0, 80), np.arange(3, 83))
+        params = TMAlignParams()
+        lmin = min(len(a), len(b))
+        _, trace = self._both(
+            a.coords, b.coords, start, d0_from_length(lmin), lmin, params,
+            monkeypatch,
+        )
+        keys = [start.key()] + [ali.key() for ali in trace["dp"]]
+        assert len(trace["dp"]) < params.max_refine_iters
+        assert keys[-1] in keys[:-1]
+
+    def test_exit_by_patience(self, ck34, monkeypatch):
+        a, b = ck34[3], ck34[25]
+        start = Alignment(np.arange(0, 60), np.arange(20, 80))
+        params = TMAlignParams(refine_patience=1)
+        lmin = min(len(a), len(b))
+        _, trace = self._both(
+            a.coords, b.coords, start, d0_from_length(lmin), lmin, params,
+            monkeypatch,
+        )
+        # the last search did not improve and stopped the loop before a DP
+        assert len(trace["tm"]) == len(trace["dp"]) + 1
+        assert trace["tm"][-1] <= max(trace["tm"][:-1])
+
+    def test_exit_by_iteration_cap(self, ck34, monkeypatch):
+        a, b = ck34[5], ck34[20]
+        start = Alignment(np.arange(0, 50), np.arange(30, 80))
+        params = TMAlignParams(max_refine_iters=2, refine_patience=5)
+        lmin = min(len(a), len(b))
+        _, trace = self._both(
+            a.coords, b.coords, start, d0_from_length(lmin), lmin, params,
+            monkeypatch,
+        )
+        keys = [start.key()] + [ali.key() for ali in trace["dp"]]
+        assert len(trace["tm"]) == len(trace["dp"]) == 2
+        assert len(set(keys)) == 3
+
+    def test_exit_below_three_pairs(self, monkeypatch):
+        # free gaps let the DP keep two well-placed pairs of a 3-residue chain
+        rng = np.random.default_rng(93)
+        lb = int(rng.integers(3, 5))
+        xa = rng.uniform(-6, 6, size=(3, 3))
+        ya = rng.uniform(-6, 6, size=(lb, 3))
+        start = Alignment(np.arange(3), np.sort(rng.choice(lb, size=3, replace=False)))
+        d0 = float(rng.uniform(0.5, 3))
+        _, trace = self._both(
+            xa, ya, start, d0, 3, TMAlignParams(gap_open=0.0), monkeypatch
+        )
+        assert len(trace["dp"][-1]) < 3
+        assert len(trace["tm"]) == len(trace["dp"])
+
+    def test_starting_candidate_stays_best(self, ck34, monkeypatch):
+        a, b = ck34[0], ck34[1]
+        lmin = min(len(a), len(b))
+        res = tm_align(a, b)
+        start = Alignment(res.alignment.ai, res.alignment.aj, dp_score=7.25)
+        (_, best, _), _ = self._both(
+            a.coords, b.coords, start, d0_from_length(lmin), lmin,
+            TMAlignParams(), monkeypatch,
+        )
+        assert best is start and best.dp_score == 7.25
+
+    def test_start_below_three_pairs_returns_identity(self, monkeypatch):
+        xa = _walk(np.random.default_rng(3), 12)
+        start = Alignment(np.arange(2), np.arange(2), dp_score=1.5)
+        (tm, best, xf), trace = self._both(
+            xa, xa, start, 1.0, 12, TMAlignParams(), monkeypatch
+        )
+        assert tm == -1.0 and best is start and not trace["tm"]
+        assert xf.rotation.tobytes() == np.eye(3).tobytes()
+
+
 def _perturbed_pairs(ck34, n_pairs, seed):
     rng = np.random.default_rng(seed)
     chains = [
@@ -168,6 +342,8 @@ class TestSelfCheck:
         assert dp._NATIVE_TRACEBACK is None
         assert tmscore._NATIVE_SEARCH is None
         assert initial._NATIVE_WINDOWS is None
+        assert tmscore._NATIVE_SCORES is None
+        assert align._NATIVE_REFINE is None
         assert dp._NATIVE_FORWARD is forward  # BLAS-free sweep stays on
         for pair in sorted(GOLDEN):
             check_golden(ck34, pair)

@@ -3,8 +3,9 @@
 One seed, one window, one placement at a time, written with the plain
 per-call :func:`repro.geometry.kabsch.kabsch` — the pre-batch kernel the
 NumPy lockstep paths and the compiled kernel must both reproduce bit for
-bit.  Also :func:`numpy_path`, which switches the compiled search, window
-and traceback entry points off for the duration of a block.
+bit.  Also :func:`numpy_path`, which switches the compiled search, window,
+traceback, score-matrix and refinement entry points off for the duration
+of a block.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import numpy as np
 
 from repro.geometry.kabsch import kabsch
 from repro.geometry.transforms import RigidTransform
-from repro.tmalign import dp, initial, tmscore
+from repro.tmalign import align, dp, initial, tmscore
 from repro.tmalign.initial import _fragment_geometry, _gapless_alignment
 from repro.tmalign.params import TMAlignParams
 from repro.tmalign.result import Alignment
@@ -27,6 +28,8 @@ NATIVE_HANDLES = (
     (dp, "_NATIVE_TRACEBACK"),
     (tmscore, "_NATIVE_SEARCH"),
     (initial, "_NATIVE_WINDOWS"),
+    (tmscore, "_NATIVE_SCORES"),
+    (align, "_NATIVE_REFINE"),
 )
 
 
