@@ -442,6 +442,7 @@ def _cmd_bench_kernel(args) -> str:
         BaselineError,
         format_kernel_bench_report,
         run_kernel_bench,
+        steal_note,
     )
 
     output = _bench_output(args)
@@ -469,6 +470,7 @@ def _cmd_bench_kernel(args) -> str:
             f"kernel perf regression: {report['pairs_per_second']:.2f} pairs/s "
             f"< {args.min_ratio:.2f} x baseline "
             f"{report['regression']['baseline_pairs_per_second']:.2f}"
+            f"{steal_note(report)}"
         )
     return text
 

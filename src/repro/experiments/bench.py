@@ -377,6 +377,17 @@ def resolve_kernel_baseline(
     return KERNEL_BASELINE_PAIRS_PER_SECOND, "fallback-constant"
 
 
+def _cpu_ticks() -> Optional[tuple[int, int]]:
+    """``(steal, total)`` jiffies of all CPUs from ``/proc/stat``; None
+    where the file is missing (non-Linux)."""
+    try:
+        with open("/proc/stat", encoding="ascii") as fh:
+            fields = [int(x) for x in fh.readline().split()[1:9]]
+    except (OSError, ValueError):
+        return None
+    return fields[7], sum(fields)
+
+
 def run_kernel_bench(
     dataset: str = "ck34",
     output: Optional[str] = DEFAULT_KERNEL_BENCH_OUTPUT,
@@ -395,7 +406,11 @@ def run_kernel_bench(
     resolution (and the strict ``--check`` behaviour) is documented on
     :func:`resolve_kernel_baseline`.  The report's ``regression`` block
     records ``passed = rate >= min_ratio * baseline``; callers (the CLI,
-    CI) decide whether to fail on it.
+    CI) decide whether to fail on it.  ``host_steal_share`` is the share
+    of the host's CPU time the hypervisor gave to other guests during
+    the timed passes (``/proc/stat``; None elsewhere): the baseline was
+    taken on another day, so a failed ratio on a stolen host names the
+    host, not the kernel.
     """
     from repro.cost.counters import CostCounter
     from repro.tmalign import tm_align
@@ -408,7 +423,12 @@ def run_kernel_bench(
     )
 
     ds = load_dataset(dataset)
+    ticks0 = _cpu_ticks()
     runs = [_bench_kernel_micro(ds) for _ in range(max(1, repeats))]
+    ticks1 = _cpu_ticks()
+    steal = None
+    if ticks0 and ticks1 and ticks1[1] > ticks0[1]:
+        steal = (ticks1[0] - ticks0[0]) / (ticks1[1] - ticks0[1])
     best = max(runs, key=lambda r: r["pairs_per_second"])
     rate = best["pairs_per_second"]
 
@@ -430,6 +450,7 @@ def run_kernel_bench(
         "runs_pairs_per_second": [r["pairs_per_second"] for r in runs],
         "pairs_per_second": rate,
         "wall_seconds": best["wall_seconds"],
+        "host_steal_share": steal,
         "native_dp": _NATIVE_FORWARD is not None,
         "native_tm": _NATIVE_SEARCH is not None,
         "native_refine": _NATIVE_REFINE is not None,
@@ -453,6 +474,11 @@ def run_kernel_bench(
     return report
 
 
+def steal_note(report: dict) -> str:
+    steal = report.get("host_steal_share")
+    return "" if steal is None else f" (host CPU steal {steal:.0%})"
+
+
 def format_kernel_bench_report(report: dict) -> str:
     """Human-readable summary of a ``run_kernel_bench`` report."""
     reg = report["regression"]
@@ -467,7 +493,7 @@ def format_kernel_bench_report(report: dict) -> str:
         f"regression: {reg['ratio']:.2f}x of baseline "
         f"{reg['baseline_pairs_per_second']:.2f} pairs/s "
         f"({reg['baseline_source']}, min {reg['min_ratio']:.2f}) -> "
-        f"{'PASS' if reg['passed'] else 'FAIL'}",
+        f"{'PASS' if reg['passed'] else 'FAIL'}{steal_note(report)}",
     ]
     stages = report.get("stages")
     if stages:
@@ -619,14 +645,16 @@ def _bench_plane(n_chains: int = 384, length: int = 300,
             ("pool_roundtrip_pickle_s", ("pickle", ds)),
             ("pool_roundtrip_plane_s", plane.worker_spec()),
         ):
+            context = _worker.drain_context(spec, method, EvalMode.MEASURED)
             t0 = _time.perf_counter()
             with concurrent.futures.ProcessPoolExecutor(
-                max_workers=2,
-                mp_context=ctx,
-                initializer=_worker.init_worker,
-                initargs=(spec, method, EvalMode.MEASURED, None, None),
+                max_workers=2, mp_context=ctx
             ) as pool:
-                futs = [pool.submit(_worker.ping) for _ in range(2)]
+                # an empty chunk materialises the context and returns
+                futs = [
+                    pool.submit(_worker.eval_chunk, [], 0, context)
+                    for _ in range(2)
+                ]
                 for f in futs:
                     f.result()
             out[key] = _time.perf_counter() - t0

@@ -6,6 +6,8 @@ the prefilter-promoted union, leaving NaN holes — journaling each pair
 as it drains, then commits the float32 blocks and header in one step.
 ``extend_store`` is the incremental database update: one new chain costs
 exactly ``n`` new pairs appended at the block tails, never a rebuild.
+Each takes the farm's ``config``, or a long-lived ``backend`` whose pool
+its drains share (a service shard passes its own).
 
 Both are resumable: rows already journaled (by a crashed or interrupted
 run) are never recomputed, the same contract ``matrix --resume`` gives —
@@ -133,6 +135,7 @@ def _compute_rows(
     keep: Optional[List[set]],
     method: TMAlignFullMethod,
     config,
+    backend,
     digest: str,
     notes: List[str],
 ) -> Tuple[Dict[Tuple[int, int], Dict[str, float]], int, int, int]:
@@ -179,7 +182,7 @@ def _compute_rows(
                 continue
             todo.append((i, j))
         for i, j, scores, _counts in iter_pair_results(
-            dataset, todo, method, config=config
+            dataset, todo, method, config=config, backend=backend
         ):
             journal.append(i, j, scores)
             rows[(i, j)] = dict(scores)
@@ -205,6 +208,7 @@ def build_store(
     params: Optional[TMAlignParams] = None,
     config=None,
     prefilter: Prefilter = None,
+    backend=None,
 ) -> BuildResult:
     """Build (or resume building) the all-vs-all store for ``dataset``.
 
@@ -243,7 +247,7 @@ def build_store(
     keep = _keep_sets(dataset, prefilter)
     notes: List[str] = []
     rows, n_computed, n_journaled, n_holes = _compute_rows(
-        dataset, store, pairs, keep, method, config,
+        dataset, store, pairs, keep, method, config, backend,
         _context_digest(hashes), notes,
     )
     store.commit_rows(names, hashes, _tail_blocks(rows, pairs))
@@ -265,6 +269,7 @@ def extend_store(
     params: Optional[TMAlignParams] = None,
     config=None,
     prefilter: Prefilter = None,
+    backend=None,
 ) -> BuildResult:
     """Register one new chain: compute, journal and append exactly ``n``
     new pairs (``n`` = chains already stored), never touching the rest.
@@ -304,7 +309,7 @@ def extend_store(
     keep = _keep_sets(extended, prefilter)
     notes: List[str] = []
     rows, n_computed, n_journaled, n_holes = _compute_rows(
-        extended, store, pairs, keep, method, config,
+        extended, store, pairs, keep, method, config, backend,
         _context_digest([*have, new_hash]), notes,
     )
     store.commit_rows([new_chain.name], [new_hash], _tail_blocks(rows, pairs))
@@ -325,6 +330,7 @@ def ensure_coverage(
     params: Optional[TMAlignParams] = None,
     config=None,
     prefilter: Prefilter = None,
+    backend=None,
 ) -> BuildResult:
     """Make the store at ``root`` cover every pair of ``dataset``.
 
@@ -342,7 +348,7 @@ def ensure_coverage(
         store = None
     if store is None or store.n_chains == 0 or store.hashes == hashes:
         return build_store(dataset, root, params=params, config=config,
-                           prefilter=prefilter)
+                           prefilter=prefilter, backend=backend)
     k = store.n_chains
     if k > len(dataset) or store.hashes != hashes[:k]:
         raise MatStoreError(
@@ -354,6 +360,7 @@ def ensure_coverage(
         r = extend_store(
             store, dataset.chains[:idx], dataset[idx],
             params=params, config=config, prefilter=prefilter,
+            backend=backend,
         )
         total.n_pairs += r.n_pairs
         total.n_computed += r.n_computed

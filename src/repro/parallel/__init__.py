@@ -2,9 +2,10 @@
 
 The simulator packages (`repro.core`, `repro.scc`) model the paper's
 rckAlign farm on a *simulated* SCC; this package runs the same
-master–slaves design on the actual machine: a process pool whose workers
-are initialised once with the dataset, fed dynamically with chunks of
-(i, j) comparison jobs, and drained in deterministic job order.
+master–slaves design on the actual machine: a long-lived process pool
+whose workers boot once, fed dynamically with chunks of (i, j)
+comparison jobs from any number of overlapping drains, each drained in
+deterministic job order.
 
 See :mod:`repro.parallel.farm` for the public API.
 """
@@ -17,6 +18,7 @@ from repro.parallel.costsched import (
 from repro.parallel.farm import (
     DEFAULT_CHUNK,
     SERIAL_RETRY_CHUNK_CAP,
+    FarmBackend,
     FarmStats,
     ParallelConfig,
     RetryPolicy,
@@ -40,6 +42,7 @@ __all__ = [
     "SERIAL_RETRY_CHUNK_CAP",
     "ChunkPlan",
     "DatasetPlane",
+    "FarmBackend",
     "FarmStats",
     "ParallelConfig",
     "PlaneUnavailable",

@@ -3,10 +3,16 @@
 This is the paper's rckAlign master–slaves design mapped onto a real
 machine instead of the simulated SCC:
 
-* **pickle-once workers** — each pool process is initialised exactly once
-  with the dataset (registry rebuild, or a single unpickle; copy-on-write
-  pages under ``fork``), so jobs are bare ``(i, j)`` index tuples, not
-  shipped structures;
+* **long-lived workers** — a :class:`FarmBackend` owns one process pool
+  for its owner's lifetime (a service shard holds one from start to
+  close); the slaves boot once and serve every drain sent to them.  A
+  caller without a backend gets a temporary one that lives for one
+  drain;
+* **per-drain context, not per-pool dataset** — every chunk carries its
+  drain's small context (the plane or registry spec, the method, the
+  mode, the query and the fault plan), which each worker materialises
+  once and caches by fingerprint, so jobs stay bare ``(i, j)`` index
+  tuples and one pool serves any dataset;
 * **cost-aware dynamic scheduling** — the job list is cut into contiguous
   chunks of roughly equal *predicted* work (the per-pair polynomial cost
   model of :mod:`repro.parallel.costsched`, not a flat pair count);
@@ -14,11 +20,11 @@ machine instead of the simulated SCC:
   dynamic farm, with the predicted-cost budget as the granularity dial);
 * **one chunk in flight per worker** — requested workers are clamped
   against ``os.cpu_count()`` (with a warning, so oversubscribed runs are
-  visible) and the master keeps at most ``workers`` chunks submitted and
-  not yet finished, handing a worker its next chunk when it returns the
-  last one.  On a single-CPU machine (and no fault plan) no pool is
-  built at all: the planned chunks are evaluated in-process in index
-  order, since pool workers could only add IPC to the master's work;
+  visible) and a backend keeps at most ``workers`` chunks submitted and
+  not yet finished, shared by every drain running on it.  On a
+  single-CPU machine (and no fault plan) no pool is built at all: the
+  planned chunks are evaluated in-process in index order, since pool
+  workers could only add IPC to the master's work;
 * **ordered collection** — results are consumed in job order regardless
   of worker arrival order, so score tables, merged cost counters and
   streamed CSV rows are byte-identical to the serial path;
@@ -27,10 +33,11 @@ machine instead of the simulated SCC:
   and the remote traceback, instead of hanging the pool;
 * **failure absorption** — with a :class:`~repro.parallel.retry.
   RetryPolicy` attached, failed chunks are re-dispatched with exponential
-  backoff, an abruptly dead worker triggers a pool rebuild plus pair-level
-  re-dispatch of every in-flight chunk, and chunks stalled past the
-  timeout get a duplicate dispatch (first result wins) — so a transient
-  fault costs wall-clock time, never correctness or completed work.
+  backoff, an abruptly dead worker triggers one pool rebuild plus
+  pair-level re-dispatch of every in-flight chunk of every drain on the
+  pool, and chunks stalled past the timeout get a duplicate dispatch
+  (first result wins) — so a transient fault costs wall-clock time,
+  never correctness or completed work.
 
 Scores are bit-identical across any worker/chunk/retry configuration:
 each pair is an independent computation with no accumulation across
@@ -42,15 +49,16 @@ scheduling rule only moves *where and when* a chunk is evaluated, never
 
 from __future__ import annotations
 
+import functools
 import math
 import multiprocessing
 import os
+import threading
 import time
 import traceback
 import warnings
 from collections import deque
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor
-from concurrent.futures import wait as _futures_wait
+from concurrent.futures import CancelledError, ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence
@@ -67,6 +75,7 @@ from repro.structure.model import Chain
 __all__ = [
     "DEFAULT_CHUNK",
     "SERIAL_RETRY_CHUNK_CAP",
+    "FarmBackend",
     "FarmStats",
     "ParallelConfig",
     "RetryPolicy",
@@ -84,6 +93,12 @@ DEFAULT_CHUNK = 8
 #: serial-path chunk bound once a retry policy is armed: bounds how much
 #: completed work a single re-dispatch could ever replay
 SERIAL_RETRY_CHUNK_CAP = 32
+
+#: a drain context up to this many bytes rides with every chunk; a bigger
+#: one (a pickled dataset) goes only to a worker that reports a cache
+#: miss, since shipping a few KiB costs less than the round trip a miss
+#: takes
+INLINE_CONTEXT_BYTES = 16 * 1024
 
 #: (i, j, scores, op_counts) for one evaluated pair
 PairResult = tuple[int, int, Dict[str, float], Dict[str, float]]
@@ -212,9 +227,9 @@ class FarmStats:
     final_window: int = 0  # in-flight chunk cap (0 = in-process, no pool)
     serial_fallback: bool = False  # one-CPU rule ran the chunks in-process
     shm_plane: bool = False  # workers attached a shared-memory plane
-    pool_startup_s: float = 0.0  # first pool warm-up (spawn + initializer)
+    pool_startup_s: float = 0.0  # warm-up of a pool this drain built; 0 if warm
     rebuild_s: float = 0.0  # cumulative warm-up of fault-triggered rebuilds
-    bytes_to_workers: int = 0  # pickled initializer payload x pool width
+    bytes_to_workers: int = 0  # drain-context bytes shipped with the chunks
     chunk_sizes: List[int] = field(default_factory=list)
     chunk_predicted: List[float] = field(default_factory=list)
     chunk_walls: List[float] = field(default_factory=list)
@@ -457,53 +472,207 @@ def _inprocess_drain(
         yield from payload
 
 
+class FarmBackend:
+    """One long-lived process pool shared by every drain of its owner.
+
+    The paper's rckAlign slaves boot once and then serve the whole job
+    list; a backend does the same for a service shard, a store build or
+    a matrix run.  It builds its ``ProcessPoolExecutor`` lazily on the
+    first drain, replaces it when a worker dies (the first drain to see
+    the broken pool rebuilds it, the others adopt the replacement; with
+    no retry policy the drain that hit it fails and the next drain gets
+    a fresh pool), and shuts it down in :meth:`close`.  Workers carry no dataset of their
+    own: each chunk names its drain's context (see
+    :func:`repro.parallel.worker.drain_context`), which a worker
+    materialises once and caches.
+
+    Drains from several threads may overlap on one backend.  They share
+    a single cap of ``workers`` chunks submitted and not yet finished —
+    the paper's one-job-per-slave rule — so a submitted chunk starts
+    executing at once and its stall deadline times the chunk, not a
+    wait in the pool's queue.
+
+    ``pools_built`` counts pool constructions, rebuilds included.  On
+    close, the shared-memory planes this backend's drains used are
+    dropped from the process's plane cache.
+    """
+
+    def __init__(self, config: Optional[ParallelConfig] = None) -> None:
+        self.config = config or ParallelConfig()
+        requested = self.config.workers
+        self.workers = effective_workers(requested) if requested > 1 else requested
+        self.pools_built = 0
+        self._cv = threading.Condition()
+        self._free = self.workers  # in-flight slots left under the cap
+        self._outstanding = 0  # submitted futures not yet done, any drain
+        self._pool: Optional[ProcessPoolExecutor] = None
+        self._generation = 0
+        self._closed = False
+        self._planes: Dict[str, object] = {}
+
+    def __enter__(self) -> "FarmBackend":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+    @property
+    def closed(self) -> bool:
+        return self._closed
+
+    def close(self) -> None:
+        """Shut the pool down and drop this backend's planes (idempotent).
+
+        The workers are joined before this returns, so no process
+        outlives its owner.  Chunks still outstanding (a drain that
+        failed, or one still running on a closing service) are
+        cancelled, and workers busy with one are terminated.
+        """
+        with self._cv:
+            if self._closed:
+                return
+            self._closed = True
+            pool, self._pool = self._pool, None
+            busy = self._outstanding > 0
+            planes, self._planes = list(self._planes.values()), {}
+            self._cv.notify_all()
+        if pool is not None:
+            procs = list((getattr(pool, "_processes", None) or {}).values())
+            pool.shutdown(wait=not busy, cancel_futures=True)
+            for proc in procs if busy else ():
+                proc.terminate()
+                proc.join()
+        if planes:
+            from repro.parallel import shmplane
+
+            for plane in planes:
+                shmplane.discard(plane)
+
+    # -- drain-side primitives ---------------------------------------------
+    def _use_plane(self, plane) -> None:
+        if plane is None:
+            return
+        with self._cv:
+            self._planes = {
+                fp: p for fp, p in self._planes.items() if p.live
+            }
+            self._planes[plane.fingerprint] = plane
+
+    def _current_pool(self, broken: int = -1) -> tuple[ProcessPoolExecutor, int, bool]:
+        """``(pool, generation, built_now)`` of the live pool.
+
+        ``broken`` is the generation a drain found broken: while it is
+        still the live one it is replaced; when another drain has
+        already replaced it the replacement is returned as is.  A pool
+        that broke while no drain was using it (a worker killed between
+        drains) is replaced too.
+        """
+        old = None
+        with self._cv:
+            if self._closed:
+                raise RuntimeError("farm backend is closed")
+            built = (
+                self._pool is None
+                or self._generation == broken
+                or bool(getattr(self._pool, "_broken", False))
+            )
+            if built:
+                old = self._pool
+                self._pool = ProcessPoolExecutor(
+                    max_workers=self.workers,
+                    mp_context=multiprocessing.get_context(
+                        self.config.resolved_start_method()
+                    ),
+                    initializer=_worker.boot,
+                )
+                self._generation += 1
+                self.pools_built += 1
+            pool, generation = self._pool, self._generation
+        if old is not None:
+            old.shutdown(wait=False, cancel_futures=True)
+        return pool, generation, built
+
+    def _retire(self, generation: int) -> None:
+        """Drop the broken pool of ``generation`` if it is still the live
+        one, so the next drain builds a fresh pool instead of inheriting
+        it; its workers are joined before this returns."""
+        with self._cv:
+            if self._pool is None or self._generation != generation:
+                return
+            old, self._pool = self._pool, None
+        old.shutdown(wait=True, cancel_futures=True)
+
+    def _take_slots(self, wanted: int) -> int:
+        with self._cv:
+            k = max(0, min(wanted, self._free))
+            self._free -= k
+            return k
+
+    def _release_slots(self, k: int) -> None:
+        with self._cv:
+            self._free += k
+            self._cv.notify_all()
+
+    def _submit(self, pool, args: tuple, arrived: list, slot: bool):
+        """Submit one chunk; ``None`` (slot returned) when ``pool`` no
+        longer takes work — broken, or shut down by a rebuild."""
+        try:
+            fut = pool.submit(_worker.eval_chunk, *args)
+        except (BrokenProcessPool, RuntimeError):
+            if slot:
+                self._release_slots(1)
+            return None
+        with self._cv:
+            self._outstanding += 1
+        fut.add_done_callback(functools.partial(self._chunk_done, arrived, slot))
+        return fut
+
+    def _chunk_done(self, arrived: list, slot: bool, fut) -> None:
+        with self._cv:
+            arrived.append(fut)
+            self._outstanding -= 1
+            if slot:
+                self._free += 1
+            self._cv.notify_all()
+
+    def _wait(self, arrived: list, want_slot: bool, timeout: Optional[float]) -> list:
+        """Block until one of this drain's futures is done, a slot frees
+        up (when ``want_slot``), or ``timeout``; returns the done futures."""
+        with self._cv:
+            self._cv.wait_for(
+                lambda: arrived
+                or (want_slot and self._free > 0)
+                or self._closed,
+                timeout,
+            )
+            done = list(arrived)
+            arrived.clear()
+            return done
+
+
 def _farm_drain(
-    dataset: Dataset,
+    backend: FarmBackend,
+    context: tuple[str, bytes],
     chunks: list[list[tuple[int, int]]],
     predicted: Optional[list[float]],
-    method: PSCMethod,
-    mode: EvalMode,
-    query: Optional[Chain],
-    config: ParallelConfig,
-    workers: int,
-    faults: Optional[FarmFaultPlan],
     stats: Optional[FarmStats],
-    plane=None,
 ) -> Iterator[PairResult]:
-    """Submit-based farm drain: retry, restart and stall handling in one
-    loop.
+    """Submit-based farm drain on ``backend``: retry, restart and stall
+    handling in one loop.
 
-    At most ``workers`` chunks are submitted and not yet finished — one
-    per worker, the paper's master–slaves rule — so a submitted chunk
-    starts executing at once and its stall deadline times the chunk,
-    not a wait in the pool's queue.  The only excess is a stall
-    duplicate, dispatched beside the chunk it shadows.  Results are
-    buffered per chunk index and yielded strictly in job order.
-
-    With a live ``plane`` (see :mod:`repro.parallel.shmplane`), worker
-    initializers carry a segment name instead of the pickled dataset, so
-    pool construction — and every fault-triggered **rebuild** — ships a
-    few hundred bytes and attaches zero-copy, instead of re-pickling the
-    whole corpus into each fresh worker.
+    Chunks take the backend's in-flight slots as they free up; the only
+    excess is a stall duplicate, dispatched beside the chunk it shadows.
+    Every chunk names ``context``, the drain's ``(key, blob)`` from
+    :func:`repro.parallel.worker.drain_context`.  A blob of at most
+    :data:`INLINE_CONTEXT_BYTES` travels with every chunk; a bigger one
+    is left off, and a worker that has not cached the key bounces the
+    chunk, which goes back into the queue with the blob attached.
+    Results are buffered per chunk index and yielded strictly in job
+    order.
     """
-    retry = config.retry
+    retry = backend.config.retry
     max_retries = retry.max_retries if retry is not None else 0
     timeout_s = retry.chunk_timeout_seconds if retry is not None else 0.0
-    ctx = multiprocessing.get_context(config.resolved_start_method())
-    if plane is not None:
-        spec = plane.worker_spec()
-    else:
-        spec = _worker.dataset_spec(dataset)
-    initargs = (spec, method, mode, query, faults)
-    if stats is not None:
-        stats.shm_plane = plane is not None
-        try:
-            import pickle
-
-            stats.bytes_to_workers = len(pickle.dumps(initargs)) * workers
-        except Exception:
-            stats.bytes_to_workers = 0
-
     n = len(chunks)
     attempts = [0] * n  # latest attempt number dispatched per chunk
     done: Dict[int, list] = {}
@@ -514,35 +683,35 @@ def _farm_drain(
     failed: Dict[int, WorkerCrash] = {}
     next_yield = 0
     pending: deque[int] = deque(range(n))
-    inflight: Dict = {}  # Future -> (chunk_idx, attempt)
+    inflight: Dict = {}  # Future -> (chunk_idx, attempt, holds a slot)
     deadlines: Dict = {}  # Future -> monotonic stall deadline
+    arrived: list = []  # done futures, appended by the backend's callback
+    key, blob = context
+    with_blob = len(blob) <= INLINE_CONTEXT_BYTES
+    bounced: set[int] = set()  # chunks a worker returned for the blob
     restarts = 0
     t_drain0 = time.perf_counter()
-    # Warm-up accounting: [pool creation timestamp, measurement pending].
-    # The first ok completion of each pool generation prices its warm-up
-    # (process spawn + initializer, i.e. dataset delivery) as round-trip
-    # wall minus worker-side execution wall — the component the plane is
-    # supposed to make dataset-size-independent.
-    pool_born: list = [0.0, True]
+    pool, generation, built = backend._current_pool()
+    # Warm-up accounting: the first ok completion after this drain built
+    # (or rebuilt) the pool prices its warm-up — process start plus
+    # context materialisation — as round-trip wall minus worker-side
+    # execution wall.  A drain on a warm pool records none.
+    born = time.perf_counter() if built else None
 
-    def make_pool() -> ProcessPoolExecutor:
-        pool_born[0] = time.perf_counter()
-        pool_born[1] = True
-        return ProcessPoolExecutor(
-            max_workers=workers,
-            mp_context=ctx,
-            initializer=_worker.init_worker,
-            initargs=initargs,
+    def submit(idx: int, slot: bool) -> bool:
+        sent = blob if with_blob or idx in bounced else None
+        fut = backend._submit(
+            pool, (chunks[idx], attempts[idx], (key, sent)), arrived, slot
         )
-
-    pool = make_pool()
-
-    def submit(idx: int) -> None:
-        fut = pool.submit(_worker.eval_chunk, chunks[idx], attempts[idx])
-        inflight[fut] = (idx, attempts[idx])
+        if fut is None:
+            return False
+        inflight[fut] = (idx, attempts[idx], slot)
         deadlines[fut] = (
             time.monotonic() + timeout_s if timeout_s > 0 else math.inf
         )
+        if stats is not None and sent is not None:
+            stats.bytes_to_workers += len(sent)
+        return True
 
     def mark_done(idx: int, payload: list, exec_wall: float) -> None:
         done[idx] = payload
@@ -555,15 +724,23 @@ def _farm_drain(
             # Work past the first failure in job order is never yielded,
             # so don't start it; chunks before it must still run (a pool
             # rebuild may have re-pended them) for the drain to reach
-            # the failure point.  pending stays ascending: appendleft
-            # re-pends in reverse, stall duplicates bypass the queue.
+            # the failure point.  pending stays ascending: re-pends are
+            # merged in order, stall duplicates bypass the queue.
             fatal_floor = min(failed) if failed else n
-            while (
-                pending
-                and pending[0] < fatal_floor
-                and len(inflight) < workers
-            ):
-                submit(pending.popleft())
+            wanted = (
+                sum(1 for idx in pending if idx < fatal_floor)
+                if failed else len(pending)
+            )
+            pool_broken = False
+            slots = backend._take_slots(wanted)
+            while slots:
+                slots -= 1
+                idx = pending.popleft()
+                if not submit(idx, slot=True):
+                    pending.appendleft(idx)
+                    backend._release_slots(slots)
+                    pool_broken = True
+                    break
             while next_yield in done:
                 yield from done.pop(next_yield)
                 next_yield += 1
@@ -571,21 +748,25 @@ def _farm_drain(
                 raise failed[next_yield]
             if next_yield >= n:
                 break
-            wait_timeout = None
-            if timeout_s > 0:
-                wait_timeout = max(
-                    0.0, min(deadlines.values()) - time.monotonic()
-                )
-            ready, _ = _futures_wait(
-                list(inflight), timeout=wait_timeout, return_when=FIRST_COMPLETED
-            )
-            if not ready:
+
+            ready: list = []
+            if not pool_broken:
+                wait_timeout = None
+                if timeout_s > 0 and deadlines:
+                    wait_timeout = max(
+                        0.0, min(deadlines.values()) - time.monotonic()
+                    )
+                want_slot = bool(pending) and pending[0] < fatal_floor
+                ready = backend._wait(arrived, want_slot, wait_timeout)
+                if backend.closed:
+                    raise RuntimeError("farm backend is closed")
+            if not ready and not pool_broken:
                 # Stall deadline expired: dispatch one duplicate per
                 # overdue chunk (at most once per dispatched future);
                 # whichever attempt finishes first supplies the result.
                 now = time.monotonic()
                 for fut in [f for f, dl in deadlines.items() if dl <= now]:
-                    idx, _att = inflight[fut]
+                    idx, _att, _slot = inflight[fut]
                     deadlines[fut] = math.inf
                     if idx in done:
                         continue
@@ -598,29 +779,31 @@ def _farm_drain(
                     attempts[idx] += 1
                     if stats is not None:
                         stats.chunk_timeouts += 1
-                    submit(idx)
-                continue
+                    if not submit(idx, slot=False):
+                        pool_broken = True
+                if not pool_broken:
+                    continue
 
             broken_idx: list[int] = []
-            pool_broken = False
+            retried: list[int] = []
             for fut in ready:
-                idx, att = inflight.pop(fut)
+                entry = inflight.pop(fut, None)
+                if entry is None:
+                    continue  # lost to an earlier pool rebuild, re-pended
+                idx, att, _slot = entry
                 deadlines.pop(fut, None)
                 try:
                     status, payload, remote_tb, exec_wall = fut.result()
-                except BrokenProcessPool:
+                except (BrokenProcessPool, CancelledError):
                     pool_broken = True
                     broken_idx.append(idx)
                     continue
                 if idx in done or idx in failed or idx < next_yield:
                     continue  # duplicate result of a timed-out chunk
                 if status == "ok":
-                    if pool_born[1]:
-                        pool_born[1] = False
-                        warm = max(
-                            0.0,
-                            (time.perf_counter() - pool_born[0]) - exec_wall,
-                        )
+                    if born is not None:
+                        warm = max(0.0, (time.perf_counter() - born) - exec_wall)
+                        born = None
                         if stats is not None:
                             if restarts:
                                 stats.rebuild_s += warm
@@ -631,6 +814,12 @@ def _farm_drain(
                 pair = tuple(payload)
                 if att < attempts[idx]:
                     continue  # a newer attempt is already in flight
+                if status == "context":
+                    # the worker lacks this drain's context: send the
+                    # chunk again, blob attached; not a failed attempt
+                    bounced.add(idx)
+                    retried.append(idx)
+                    continue
                 if attempts[idx] >= max_retries:
                     failed[idx] = WorkerCrash(pair, remote_tb or "")
                     continue
@@ -638,14 +827,20 @@ def _farm_drain(
                 attempts[idx] += 1
                 if stats is not None:
                     stats.retries += 1
-                submit(idx)
+                retried.append(idx)
+            # a retried chunk goes back into the queue, in order, and
+            # waits for a slot like any other
+            if retried:
+                pending = deque(sorted({*pending, *retried}))
 
             if pool_broken:
-                # The executor is permanently broken: every in-flight
-                # chunk is lost.  Rebuild the pool and re-dispatch all of
+                # The pool is permanently broken: every chunk this drain
+                # had in flight is lost.  Rebuild it (or adopt the
+                # rebuild another drain already made) and re-dispatch
                 # them (pair-level re-dispatch — completed chunks stay
                 # completed, nothing is ever recomputed).
                 if retry is None or restarts >= max_retries:
+                    backend._retire(generation)
                     raise WorkerCrash(
                         (-2, -2),
                         "a worker process died abruptly; jobs in flight "
@@ -657,21 +852,25 @@ def _farm_drain(
                     stats.pool_restarts += 1
                 redo = sorted(
                     set(broken_idx)
-                    | {idx for idx, _att in inflight.values()}
+                    | {idx for idx, _att, _slot in inflight.values()}
                 )
+                for fut in inflight:
+                    fut.cancel()
                 inflight.clear()
                 deadlines.clear()
-                pool.shutdown(wait=False, cancel_futures=True)
                 time.sleep(retry.backoff(restarts - 1))
-                pool = make_pool()
-                for idx in reversed(redo):
-                    if idx not in done and idx >= next_yield:
-                        attempts[idx] += 1
-                        pending.appendleft(idx)
+                pool, generation, built = backend._current_pool(generation)
+                if built:
+                    born = time.perf_counter()
+                redo = [i for i in redo if i not in done and i >= next_yield]
+                for idx in redo:
+                    attempts[idx] += 1
+                pending = deque(sorted({*pending, *redo}))
     finally:
         if stats is not None:
-            stats.final_window = workers
-        pool.shutdown(wait=False, cancel_futures=True)
+            stats.final_window = backend.workers
+        for fut in inflight:
+            fut.cancel()
 
 
 def iter_pair_results(
@@ -683,6 +882,7 @@ def iter_pair_results(
     query: Optional[Chain] = None,
     stats: Optional[FarmStats] = None,
     faults: Optional[FarmFaultPlan] = None,
+    backend: Optional[FarmBackend] = None,
 ) -> Iterator[PairResult]:
     """Evaluate ``pairs`` over the farm, yielding results in job order.
 
@@ -691,6 +891,12 @@ def iter_pair_results(
     failures raise the original exception, not :class:`WorkerCrash`.
     Pairs ``(i, j)`` index ``dataset``; ``i == QUERY_INDEX`` stands for
     ``query``.
+
+    One call is one drain.  With a ``backend`` the drain runs on that
+    backend's long-lived pool, beside any other drain in flight on it,
+    and its settings are the backend's config; without one the call
+    opens a temporary :class:`FarmBackend` and closes it when the
+    generator ends, so its pool lives exactly as long as the drain.
 
     The generator streams: the master holds at most the in-flight chunks,
     never the whole result table, so callers can write rows to disk as
@@ -703,10 +909,14 @@ def iter_pair_results(
     Scheduling is cost-aware by default: with ``config.chunk == 0`` the
     job list is packed into contiguous chunks of roughly equal predicted
     cost.  The requested worker count is clamped against the machine and
-    each worker holds one chunk at a time.  With fewer than 2 CPUs and
-    no fault plan the chunks run in-process instead, in index order.
-    None of it changes a single result bit.
+    the backend holds at most one chunk per worker.  With fewer than 2
+    CPUs and no fault plan the chunks run in-process instead, in index
+    order.  None of it changes a single result bit.
     """
+    if backend is not None:
+        if config is not None and config != backend.config:
+            raise ValueError("config differs from the backend's config")
+        config = backend.config
     config = config or ParallelConfig()
     mode = EvalMode(mode)
     pairs = list(pairs)
@@ -749,24 +959,29 @@ def iter_pair_results(
                 config.retry, stats,
             )
             return
-        plane = None
-        if config.shm:
-            from repro.parallel import shmplane
+        from repro.parallel import shmplane
 
-            # None on any shared-memory failure -> pickle fallback;
-            # the pin is dropped when this generator is exhausted or
-            # closed (the finally below runs either way)
-            plane = shmplane.plane_for(dataset)
+        # None on any shared-memory failure -> pickle fallback; the pin
+        # is dropped when this generator is exhausted or closed
+        plane = shmplane.plane_for(dataset) if config.shm else None
+        owner = backend or FarmBackend(config)
         try:
-            yield from _farm_drain(
-                dataset, chunks, predicted, method, mode, query, config,
-                workers, faults, stats, plane=plane,
+            if backend is not None:
+                # a long-lived owner drops its planes when it closes; a
+                # temporary one leaves them cached for the next call
+                backend._use_plane(plane)
+            spec = (
+                plane.worker_spec() if plane is not None
+                else _worker.dataset_spec(dataset)
             )
+            context = _worker.drain_context(spec, method, mode, query, faults)
+            if stats is not None:
+                stats.shm_plane = plane is not None
+            yield from _farm_drain(owner, context, chunks, predicted, stats)
         finally:
-            if plane is not None:
-                from repro.parallel import shmplane
-
-                shmplane.release(plane)
+            shmplane.release(plane)
+            if backend is None:
+                owner.close()
     finally:
         if stats is not None:
             stats.wall_seconds = time.perf_counter() - t0

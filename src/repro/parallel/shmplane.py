@@ -45,7 +45,11 @@ Lifecycle rules (the part that must be airtight):
 * every failure to create or attach degrades to :class:`PlaneUnavailable`
   so callers fall back to the pickling path (``/dev/shm`` unavailable,
   segment namespace exhausted, dataset too large for the int32 offset
-  table) — results are bit-identical either way.
+  table) — results are bit-identical either way;
+* an owner killed by SIGKILL runs none of the above, so the first
+  :func:`plane_for` in every process sweeps ``/dev/shm`` for
+  ``psc<pid>-<pid namespace>-…`` segments of its own PID namespace
+  whose owner pid is no longer alive (:func:`sweep_orphans`).
 """
 
 from __future__ import annotations
@@ -54,7 +58,9 @@ import atexit
 import itertools
 import json
 import os
+import re
 import struct
+import threading
 import weakref
 from collections import OrderedDict
 from typing import Dict, Iterator, List, Optional
@@ -69,10 +75,12 @@ __all__ = [
     "PlaneUnavailable",
     "ShmDataset",
     "active_planes",
+    "discard",
     "plane_fingerprint",
     "plane_for",
     "release",
     "shutdown_planes",
+    "sweep_orphans",
 ]
 
 _MAGIC = b"PSCPLAN1"
@@ -227,10 +235,11 @@ class DatasetPlane:
         shm = None
         try:
             # name must stay under the portable (macOS) ~30-char limit;
-            # pid + counter keep concurrent owners collision-free
+            # pid + counter keep concurrent owners collision-free, and
+            # the PID namespace tells the janitor whose pid it is
             for _ in range(8):
                 segname = (
-                    f"psc{os.getpid():x}-{fp[:10]}-"
+                    f"psc{os.getpid():x}-{_pid_namespace():x}-{fp[:6]}-"
                     f"{next(_SEGMENT_COUNTER):x}"
                 )
                 try:
@@ -497,6 +506,67 @@ class ShmDataset:
 # ---------------------------------------------------------------- plane cache
 #: fingerprint -> live DatasetPlane, LRU order (oldest first)
 _PLANES: "OrderedDict[str, DatasetPlane]" = OrderedDict()
+#: guards the cache and the pin counts: a service's overlapping batches
+#: pin and release planes from several threads at once
+_LOCK = threading.RLock()
+
+
+#: segment names this module creates:
+#: ``psc<owner pid, hex>-<owner's PID namespace inode, hex>-…``
+_SEGMENT_NAME = re.compile(r"psc([0-9a-f]+)-([0-9a-f]+)-")
+_SWEPT = False
+
+
+def _pid_namespace() -> int:
+    """Inode of this process's PID namespace; 0 where none can be read."""
+    try:
+        return os.stat("/proc/self/ns/pid").st_ino
+    except OSError:
+        return 0
+
+
+def _pid_alive(pid: int) -> bool:
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    except OSError:  # EPERM: alive, owned by someone else
+        return True
+    return True
+
+
+def sweep_orphans() -> List[str]:
+    """Unlink plane segments whose owner process is dead; returns their names.
+
+    An owner that is SIGKILLed never runs its unlink hooks, so its
+    segments would otherwise stay in ``/dev/shm`` for the life of the
+    machine.  The owner pid and its PID namespace are read from the
+    segment name.  A pid can only be checked from inside its own
+    namespace: containers that share ``/dev/shm`` (an IPC namespace)
+    but not their PIDs see each other's owners as dead, so segments
+    tagged with another namespace — or with none — are left alone, and
+    so is a segment whose pid is alive, even if the pid was reused by
+    another process.
+    """
+    ns = _pid_namespace()
+    try:
+        names = os.listdir("/dev/shm")
+    except OSError:  # no POSIX shm directory (macOS): nothing to sweep
+        return []
+    removed = []
+    for name in names:
+        m = _SEGMENT_NAME.match(name)
+        if m is None or ns == 0 or int(m.group(2), 16) != ns:
+            continue
+        pid = int(m.group(1), 16)
+        if pid <= 0 or pid == os.getpid() or _pid_alive(pid):
+            continue
+        try:
+            os.unlink(os.path.join("/dev/shm", name))
+        except OSError:
+            continue
+        removed.append(name)
+    return removed
 
 
 def plane_for(dataset) -> Optional[DatasetPlane]:
@@ -507,42 +577,67 @@ def plane_for(dataset) -> Optional[DatasetPlane]:
     batches.  Returns ``None`` when shared memory cannot serve the
     dataset — the caller falls back to the pickling spec.  Callers own
     one pin and must :func:`release` it when their drain finishes.
+    The first call in a process runs :func:`sweep_orphans` first.
     """
+    global _SWEPT
     try:
         fp = plane_fingerprint(dataset)
     except Exception:
         return None
-    plane = _PLANES.get(fp)
-    if plane is not None and plane.live:
-        _PLANES.move_to_end(fp)
-        return plane.acquire()
-    try:
-        plane = DatasetPlane.create(dataset, fingerprint=fp)
-    except PlaneUnavailable:
-        return None
-    _PLANES[fp] = plane
-    plane.acquire()
-    while len(_PLANES) > PLANE_CACHE_CAPACITY:
-        evicted = False
-        for key, cand in _PLANES.items():
-            if not cand.pinned:
-                _PLANES.pop(key)
-                cand.evict()
-                evicted = True
+    with _LOCK:
+        if not _SWEPT:
+            _SWEPT = True
+            sweep_orphans()
+        plane = _PLANES.get(fp)
+        if plane is not None and plane.live:
+            _PLANES.move_to_end(fp)
+            return plane.acquire()
+        try:
+            plane = DatasetPlane.create(dataset, fingerprint=fp)
+        except PlaneUnavailable:
+            return None
+        _PLANES[fp] = plane
+        plane.acquire()
+        while len(_PLANES) > PLANE_CACHE_CAPACITY:
+            evicted = False
+            for key, cand in _PLANES.items():
+                if not cand.pinned:
+                    _PLANES.pop(key)
+                    cand.evict()
+                    evicted = True
+                    break
+            if not evicted:  # everything pinned: allow temporary overflow
                 break
-        if not evicted:  # everything pinned: allow temporary overflow
-            break
-    return plane
+        return plane
 
 
 def release(plane: Optional[DatasetPlane]) -> None:
     """Drop one pin taken by :func:`plane_for` (``None``-safe)."""
     if plane is not None:
-        plane.release()
+        with _LOCK:
+            plane.release()
+
+
+def discard(plane: Optional[DatasetPlane]) -> None:
+    """Drop ``plane`` from the cache; it is unlinked once unpinned.
+
+    For owners that end before the process does (a service shard's
+    close, a superseded corpus generation): the plane stops being
+    reusable at once and its segment goes with the last pin.
+    ``None``-safe.
+    """
+    if plane is None:
+        return
+    with _LOCK:
+        if _PLANES.get(plane.fingerprint) is plane:
+            del _PLANES[plane.fingerprint]
+        plane.evict()
 
 
 def active_planes() -> List[Dict[str, object]]:
     """Introspection for status/metrics surfaces: the live cache."""
+    with _LOCK:
+        planes = list(_PLANES.values())
     return [
         {
             "fingerprint": p.fingerprint,
@@ -551,7 +646,7 @@ def active_planes() -> List[Dict[str, object]]:
             "bytes": p.nbytes,
             "pinned": p.pinned,
         }
-        for p in _PLANES.values()
+        for p in planes
         if p.live
     ]
 
@@ -563,9 +658,10 @@ def shutdown_planes() -> None:
     (normal exit, SystemExit from SIGTERM, KeyboardInterrupt unwound to
     the CLI), at which point no pool can attach again.
     """
-    while _PLANES:
-        _, plane = _PLANES.popitem(last=False)
-        plane.unlink()
+    with _LOCK:
+        while _PLANES:
+            _, plane = _PLANES.popitem(last=False)
+            plane.unlink()
 
 
 # Owner-side backstop: whatever the CLI/service teardown misses (or an

@@ -16,7 +16,7 @@ from typing import Optional, Sequence, Tuple
 
 from repro.datasets.pairs import all_vs_all_pairs
 from repro.datasets.registry import Dataset
-from repro.parallel import FarmStats, ParallelConfig, iter_pair_results
+from repro.parallel import FarmBackend, FarmStats, ParallelConfig, iter_pair_results
 from repro.psc.base import PSCMethod
 from repro.psc.evaluator import EvalMode
 from repro.runs.manifest import RunManifest
@@ -50,6 +50,7 @@ def matrix_run(
     config: Optional[ParallelConfig] = None,
     faults=None,
     mode: EvalMode | str = EvalMode.MEASURED,
+    backend: Optional[FarmBackend] = None,
 ) -> MatrixRunResult:
     """Evaluate (and journal) the all-vs-all matrix of ``dataset``.
 
@@ -57,10 +58,16 @@ def matrix_run(
     and ``resume`` (continue an interrupted run) may be given.  On a
     worker crash that exhausts the retry policy the journal keeps every
     completed pair and the run is marked ``interrupted`` before the
-    exception propagates.
+    exception propagates.  ``backend`` runs the drain on a long-lived
+    farm; its config stands for ``config``, which, if given too, must
+    equal it.
     """
     if resume and run_id:
         raise ValueError("pass either run_id or resume, not both")
+    if backend is not None:
+        if config is not None and config != backend.config:
+            raise ValueError("config differs from the backend's config")
+        config = backend.config
     config = config or ParallelConfig()
     pairs = list(all_vs_all_pairs(len(dataset)))
 
@@ -103,6 +110,7 @@ def matrix_run(
                     config=config,
                     faults=faults,
                     stats=stats,
+                    backend=backend,
                 ):
                     journal.append(i, j, scores)
                     n_computed += 1

@@ -5,21 +5,30 @@ land on one shared queue.  The batcher drains the queue in batches of up
 to ``max_batch`` jobs — waiting up to ``batch_window`` seconds for
 stragglers to coalesce when the queue is short — and hands each batch
 to :func:`repro.parallel.iter_pair_results`, the farm's one pair path,
-where the batch-vectorized TM-align kernel does the work.  The farm's
-rule is fixed before the batch starts: serial in-process below 2
-workers or on a one-CPU machine, otherwise a process pool holding one
-chunk per worker, with the farm's retry/backoff machinery.
+where the batch-vectorized TM-align kernel does the work.  With a
+:class:`~repro.parallel.FarmBackend` (a service shard holds one), every
+batch drains on the backend's long-lived process pool; without one the
+batches run serially in-process.  The farm's rule is fixed before the
+batch starts: serial in-process below 2 workers or on a one-CPU
+machine, otherwise the pool, with the farm's retry/backoff machinery.
+
+Batches overlap: the run loop keeps up to ``workers`` batches in flight
+(one when the farm is serial), each in its own executor thread, and
+resolves a batch's waiters as soon as that batch finishes.  Their chunks
+share the backend's single cap of one chunk per worker, so a batch that
+is finishing its tail leaves the idle workers to the next batch instead
+of holding a barrier.
 
 Batches are cut by *predicted cost*, not just job count: every admitted
 job is priced by the farm's pair cost model
 (:func:`repro.parallel.predict_pair_seconds`) and a batch closes early
 when its accumulated predicted cost reaches ``max_batch_cost`` seconds.
-A count-cut batch of long chains can otherwise hold the event loop's
-worker thread for arbitrarily long; the cost cut bounds per-batch
-latency the same way the farm's cost-packed chunks bound per-chunk
-work.  The farm call below the batch then reuses the same model to pack
-its own chunks: the service, the search API and the matrix CLI reach
-the kernel through the same call and the same cost-aware chunker.
+A count-cut batch of long chains can otherwise hold an executor thread
+for arbitrarily long; the cost cut bounds per-batch latency the same
+way the farm's cost-packed chunks bound per-chunk work.  The farm call
+below the batch then reuses the same model to pack its own chunks: the
+service, the search API and the matrix CLI reach the kernel through the
+same call and the same cost-aware chunker.
 
 Two protections keep overload graceful instead of fatal:
 
@@ -42,7 +51,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Deque, Dict, List, Optional, Sequence
 
 from repro.datasets.registry import Dataset
-from repro.parallel import ParallelConfig, iter_pair_results, predict_pair_seconds
+from repro.parallel import FarmBackend, iter_pair_results, predict_pair_seconds
 from repro.psc.base import PSCMethod
 from repro.service.cache import CacheKey
 from repro.service.metrics import ServiceMetrics
@@ -121,10 +130,13 @@ class MicroBatcher:
 
     ``submit`` is awaited from request handlers; the ``run`` loop (one
     asyncio task, started via :meth:`start`) drains the queue and runs
-    each batch in a worker thread so the event loop keeps serving while
-    the kernel computes.  ``evaluate`` is injectable for deterministic
-    overload tests; the default groups jobs by method+params and
-    dispatches each group through :func:`repro.parallel.iter_pair_results`.
+    each batch in an executor thread so the event loop keeps serving
+    while the kernel computes, with up to :attr:`max_inflight` batches
+    at once.  ``backend`` is the farm the batches drain on (``None``:
+    serial in-process evaluation).  ``evaluate`` is injectable for
+    deterministic overload tests; the default groups jobs by
+    method+params and dispatches each group through
+    :func:`repro.parallel.iter_pair_results`.
     """
 
     def __init__(
@@ -133,10 +145,10 @@ class MicroBatcher:
         max_batch: int = 16,
         batch_window: float = 0.002,
         max_batch_cost: float = 0.0,
-        farm_config: Optional[ParallelConfig] = None,
         metrics: Optional[ServiceMetrics] = None,
         evaluate: Optional[Callable[[Sequence[PairJob]], List[str]]] = None,
         eval_delay: float = 0.0,
+        backend: Optional[FarmBackend] = None,
     ) -> None:
         if queue_limit < 1:
             raise ValueError("queue_limit must be >= 1")
@@ -149,7 +161,9 @@ class MicroBatcher:
         self.batch_window = batch_window
         self.max_batch_cost = max_batch_cost
         self.eval_delay = eval_delay
-        self.farm_config = farm_config or ParallelConfig()
+        self.backend = backend
+        #: batches evaluated at once: one per farm worker, one when serial
+        self.max_inflight = max(1, backend.workers if backend is not None else 1)
         self.metrics = metrics or ServiceMetrics()
         self._evaluate = evaluate or self._evaluate_batch
         self._pending: Deque[PairJob] = deque()
@@ -157,6 +171,7 @@ class MicroBatcher:
         self._wakeup = asyncio.Event()
         self._stopping = False
         self._task: Optional[asyncio.Task] = None
+        self._inflight_jobs = 0
         # (corpus dataset, content-hash -> index) installed by the
         # service; one tuple so the executor thread reads a consistent
         # generation even while a registration swaps it
@@ -173,7 +188,8 @@ class MicroBatcher:
             self._task = asyncio.get_running_loop().create_task(self.run())
 
     async def stop(self) -> None:
-        """Drain what was admitted, then stop the run loop."""
+        """Drain what was admitted, await every batch in flight, then
+        stop the run loop."""
         self._stopping = True
         self._wakeup.set()
         if self._task is not None:
@@ -240,11 +256,16 @@ class MicroBatcher:
 
     # -- batch loop --------------------------------------------------------
     async def run(self) -> None:
-        loop = asyncio.get_running_loop()
+        inflight: set = set()
         while True:
             await self._wakeup.wait()
             self._wakeup.clear()
             while self._pending:
+                if len(inflight) >= self.max_inflight:
+                    _done, inflight = await asyncio.wait(
+                        inflight, return_when=asyncio.FIRST_COMPLETED
+                    )
+                    continue
                 if (
                     len(self._pending) < self.max_batch
                     and self.batch_window > 0
@@ -253,31 +274,38 @@ class MicroBatcher:
                     await asyncio.sleep(self.batch_window)
                 batch = self._cut_batch()
                 self.metrics.set_gauge("queue_depth", len(self._pending))
-                self.metrics.set_gauge("inflight_jobs", len(batch))
                 self.metrics.inc("batches_dispatched")
                 self.metrics.inc("jobs_dispatched", len(batch))
-                t0 = time.perf_counter()
-                try:
-                    bodies = await loop.run_in_executor(
-                        None, self._evaluate, batch
-                    )
-                except Exception as exc:
-                    self.metrics.inc("batches_failed")
-                    failure = ServiceError(
-                        f"batch evaluation failed: {type(exc).__name__}: {exc}"
-                    )
-                    for job in batch:
-                        self._resolve(job.key, error=failure)
-                else:
-                    self.metrics.observe(
-                        "batch_dispatch", time.perf_counter() - t0
-                    )
-                    for job, body in zip(batch, bodies):
-                        self._resolve(job.key, body=body)
-                finally:
-                    self.metrics.set_gauge("inflight_jobs", 0)
+                inflight.add(asyncio.ensure_future(self._dispatch(batch)))
+                self._inflight_jobs += len(batch)
+                self.metrics.set_gauge("inflight_jobs", self._inflight_jobs)
             if self._stopping:
                 break
+        if inflight:
+            await asyncio.wait(inflight)
+
+    async def _dispatch(self, batch: List[PairJob]) -> None:
+        """Evaluate one batch in an executor thread and resolve its
+        waiters; never raises (a failure resolves them with an error)."""
+        t0 = time.perf_counter()
+        try:
+            bodies = await asyncio.get_running_loop().run_in_executor(
+                None, self._evaluate, batch
+            )
+        except Exception as exc:
+            self.metrics.inc("batches_failed")
+            failure = ServiceError(
+                f"batch evaluation failed: {type(exc).__name__}: {exc}"
+            )
+            for job in batch:
+                self._resolve(job.key, error=failure)
+        else:
+            self.metrics.observe("batch_dispatch", time.perf_counter() - t0)
+            for job, body in zip(batch, bodies):
+                self._resolve(job.key, body=body)
+        finally:
+            self._inflight_jobs -= len(batch)
+            self.metrics.set_gauge("inflight_jobs", self._inflight_jobs)
 
     def _cut_batch(self) -> List[PairJob]:
         """Pop the next batch: at most ``max_batch`` jobs, closed early
@@ -364,7 +392,7 @@ class MicroBatcher:
                 )
             results = list(
                 iter_pair_results(
-                    dataset, pairs, group[0].method, config=self.farm_config
+                    dataset, pairs, group[0].method, backend=self.backend,
                 )
             )
             for job, (_i, _j, scores, _counts) in zip(group, results):

@@ -1,10 +1,12 @@
 """The always-on PSC query service: an asyncio TCP line-protocol server.
 
 One :class:`PSCService` owns the structure registry (corpus loaded once
-at startup), the LRU result cache, the dynamic micro-batcher in front of
-the :mod:`repro.parallel` farm, and the durable-run bridge into
-:mod:`repro.runs`.  Requests and responses are newline-delimited
-canonical JSON (see :mod:`repro.service.protocol`).
+at startup), the LRU result cache, the dynamic micro-batcher, one
+long-lived :class:`~repro.parallel.FarmBackend` whose process pool
+serves every batch, matrix run and store build of the shard from start
+to close, and the durable-run bridge into :mod:`repro.runs`.  Requests
+and responses are newline-delimited canonical JSON (see
+:mod:`repro.service.protocol`).
 
 Supported ops::
 
@@ -37,7 +39,7 @@ import time
 from dataclasses import dataclass
 from typing import Any, Dict, Optional, Tuple
 
-from repro.parallel import ParallelConfig
+from repro.parallel import FarmBackend, ParallelConfig
 from repro.service.batcher import MicroBatcher
 from repro.service.cache import ResultCache, pair_key
 from repro.service.metrics import ServiceMetrics
@@ -246,15 +248,17 @@ class PSCService(LineProtocolServer):
             from repro.datasets.registry import load_dataset
 
             self.registry.load_dataset(load_dataset(self.config.dataset))
+        # one pool per shard, built on the first drain, closed in aclose
+        self.farm = FarmBackend(self.config.farm)
         self.batcher = MicroBatcher(
             queue_limit=self.config.queue_limit,
             max_batch=self.config.max_batch,
             batch_window=self.config.batch_window,
             max_batch_cost=self.config.max_batch_cost,
-            farm_config=self.config.farm,
             metrics=self.metrics,
             evaluate=evaluate,
             eval_delay=self.config.eval_delay,
+            backend=self.farm,
         )
         # run_id -> (thread, {"error": ...}) for submit-matrix background runs
         self._matrix_jobs: Dict[str, Tuple[threading.Thread, Dict[str, Any]]] = {}
@@ -296,12 +300,13 @@ class PSCService(LineProtocolServer):
         self.batcher.start()
 
     async def _aclose_extra(self) -> None:
-        await self.batcher.stop()
-        if self._corpus_plane is not None:
-            from repro.parallel import shmplane
+        from repro.parallel import shmplane
 
-            shmplane.release(self._corpus_plane)
-            self._corpus_plane = None
+        await self.batcher.stop()
+        await asyncio.get_running_loop().run_in_executor(None, self.farm.close)
+        shmplane.release(self._corpus_plane)
+        shmplane.discard(self._corpus_plane)
+        self._corpus_plane = None
 
     # -- pair evaluation with cache ----------------------------------------
     def _store_scores(
@@ -558,8 +563,8 @@ class PSCService(LineProtocolServer):
         fast path resolves batch jobs against this dataset, so every
         micro-batch attaches to the same live segment instead of
         serializing an ad-hoc corpus per batch.  The previous
-        generation's pin is released (the LRU or the atexit backstop
-        unlinks it); any failure just leaves the pickle path in charge.
+        generation is discarded: unlinked as soon as no drain still
+        pins it.  Any failure just leaves the pickle path in charge.
         """
         old = self._corpus_plane
         self._corpus_plane = None
@@ -582,6 +587,8 @@ class PSCService(LineProtocolServer):
             from repro.parallel import shmplane
 
             shmplane.release(old)
+            if old is not self._corpus_plane:
+                shmplane.discard(old)
 
     async def _op_register(self, payload: Dict[str, Any]):
         name = _require_str(payload, "name")
@@ -655,9 +662,7 @@ class PSCService(LineProtocolServer):
                         return
                     corpus = [self.registry.resolve(h)[1] for h in store.hashes]
                     _h, chain = self.registry.resolve(chain_hash)
-                    extend_store(
-                        store, corpus, chain, config=self.config.farm
-                    )
+                    extend_store(store, corpus, chain, backend=self.farm)
                     # reopen-and-swap inside the lock: with concurrent
                     # extends, an open outside could capture a pre-commit
                     # header and publish a stale reader after a newer one
@@ -693,7 +698,7 @@ class PSCService(LineProtocolServer):
 
             try:
                 with self._matstore_lock:
-                    r = ensure_coverage(root, dataset, config=self.config.farm)
+                    r = ensure_coverage(root, dataset, backend=self.farm)
                     # swap under the lock, same reasoning as extend
                     self.matstore = MatrixStore.open(root)
                 outcome["result"] = {
@@ -792,7 +797,7 @@ class PSCService(LineProtocolServer):
             try:
                 matrix_run(
                     dataset, method, output, store,
-                    run_id=run_id, config=self.config.farm,
+                    run_id=run_id, backend=self.farm,
                 )
             except BaseException as exc:
                 outcome["error"] = f"{type(exc).__name__}: {exc}"
@@ -886,6 +891,7 @@ class PSCService(LineProtocolServer):
 
     async def _op_metrics(self, payload: Dict[str, Any]):
         snap = self.metrics.snapshot()
+        snap["counters"]["farm_pools_built"] = self.farm.pools_built
         snap["cache"] = self.cache.stats()
         snap["registry"] = self.registry.stats()
         snap["queue"] = {

@@ -25,7 +25,10 @@ modules that use them fall back to it whenever a handle is None.
   step the gather of the matched coordinates, the search with the
   ``(1, 2)`` seed schedule, the TM-score matrix of the moved chain, the
   DP sweep and traceback, and the seen-alignment, patience and step-cap
-  exits, all in one call.
+  exits, all in one call.  Its scratch (the score matrix, three DP
+  matrices and the alignment history) is carved from :func:`scratch`,
+  the calling thread's grow-only buffer, which the NumPy-side DP
+  workspace shares.
 
 How the Kabsch and scoring loops match NumPy's floats:
 
@@ -60,6 +63,7 @@ from __future__ import annotations
 import ctypes
 import glob
 import os
+import threading
 from typing import Optional
 
 import numpy as np
@@ -612,14 +616,36 @@ HOT int tm_scores(const double *xa, ptrdiff_t la, const double *ya,
  * best, else the length of the DP alignment written to best_ai/best_aj
  * (capacity min(la, lb)) with its corner score in best_dp.  ops[0..3]
  * receive the kabsch, kabsch_point, score_pair and dp_cell counts.
- * Returns 0, or -1 when scratch allocation fails. */
+ * All scratch is carved from the caller's 8-byte aligned workspace ws
+ * of ws_bytes bytes (see tm_refine_bytes).  Returns 0, or -1 when ws is
+ * too small. */
+static void refine_sizes(ptrdiff_t la, ptrdiff_t lb, ptrdiff_t nfracs,
+                         ptrdiff_t max_iters, ptrdiff_t *nf, ptrdiff_t *nh,
+                         ptrdiff_t *ns, ptrdiff_t *nsel)
+{
+    const ptrdiff_t cap = la < lb ? la : lb, cells = (la + 1) * (lb + 1);
+    *nf = 8 * cap + 4 * la + lb + la * lb + 3 * cells + max_iters + 1;
+    *nh = 2 * (max_iters + 1) * cap + max_iters + 1;
+    *ns = 2 * nfracs * (cap + 1);
+    *nsel = 2 * cap + 1;
+}
+
+ptrdiff_t tm_refine_bytes(ptrdiff_t la, ptrdiff_t lb, ptrdiff_t nfracs,
+                          ptrdiff_t max_iters)
+{
+    ptrdiff_t nf, nh, ns, nsel;
+    refine_sizes(la, lb, nfracs, max_iters, &nf, &nh, &ns, &nsel);
+    return sizeof(double) * nf + sizeof(ptrdiff_t) * nh
+           + sizeof(int64_t) * ns + nsel;
+}
+
 HOT int tm_refine(const double *xa, ptrdiff_t la, const double *ya,
                   ptrdiff_t lb, const int64_t *ai0, const int64_t *aj0,
                   ptrdiff_t n0, const int64_t *fracs, ptrdiff_t nfracs,
                   const int64_t *iargs, const double *dargs, double *best_tm,
                   double *best_rot, double *best_tra, int64_t *best_ai,
                   int64_t *best_aj, int64_t *best_n, double *best_dp,
-                  int64_t *ops)
+                  int64_t *ops, unsigned char *ws, ptrdiff_t ws_bytes)
 {
     const ptrdiff_t min_seed_len = iargs[0], max_score_iters = iargs[1];
     const ptrdiff_t max_iters = iargs[2], patience = iargs[3];
@@ -628,22 +654,18 @@ HOT int tm_refine(const double *xa, ptrdiff_t la, const double *ya,
     const ptrdiff_t cap = la < lb ? la : lb, stride = lb + 1;
     const ptrdiff_t cells = (la + 1) * stride;
     ptrdiff_t *hai, *haj, *hn, it, k, nh = 1, cur = 0, best = 0, stale = 0;
+    ptrdiff_t n_f, n_h, n_s, n_sel;
     double *fbuf, *pa, *pb, *dist, *mv, *asq, *bsq, *S, *M, *Ix, *Iy, *hdp;
     int64_t *seeds;
     unsigned char *sel;
 
-    fbuf = malloc(sizeof(double) * (8 * cap + 4 * la + lb + la * lb
-                                    + 3 * cells + max_iters + 1));
-    hai = malloc(sizeof(ptrdiff_t) * (2 * (max_iters + 1) * cap + max_iters + 1));
-    seeds = malloc(sizeof(int64_t) * 2 * nfracs * (cap + 1));
-    sel = malloc(2 * cap + 1);
-    if (!fbuf || !hai || !seeds || !sel) {
-        free(fbuf);
-        free(hai);
-        free(seeds);
-        free(sel);
+    refine_sizes(la, lb, nfracs, max_iters, &n_f, &n_h, &n_s, &n_sel);
+    if (ws == NULL || ws_bytes < tm_refine_bytes(la, lb, nfracs, max_iters))
         return -1;
-    }
+    fbuf = (double *)ws;
+    hai = (ptrdiff_t *)(fbuf + n_f);
+    seeds = (int64_t *)(hai + n_h);
+    sel = (unsigned char *)(seeds + n_s);
     pa = fbuf;
     pb = pa + 3 * cap;
     dist = pb + 3 * cap;
@@ -723,10 +745,6 @@ HOT int tm_refine(const double *xa, ptrdiff_t la, const double *ya,
         memcpy(best_ai, hai + best * cap, sizeof(ptrdiff_t) * hn[best]);
         memcpy(best_aj, haj + best * cap, sizeof(ptrdiff_t) * hn[best]);
     }
-    free(fbuf);
-    free(hai);
-    free(seeds);
-    free(sel);
     return 0;
 }
 """
@@ -776,6 +794,25 @@ def _bundled_blas() -> Optional[tuple[int, int, int]]:
         return None
 
 
+_SCRATCH = threading.local()
+
+
+def scratch(nbytes: int) -> np.ndarray:
+    """This thread's grow-only byte buffer, at least ``nbytes`` long.
+
+    One buffer serves ``tm_refine`` and the DP workspace of
+    :mod:`repro.tmalign.dp`: neither's contents outlive its own call,
+    and neither call runs inside the other.  It is per thread because
+    ctypes releases the GIL inside the kernels and a service evaluates
+    batches in several threads.  Sized by the largest pair the thread
+    has seen; it never shrinks.
+    """
+    buf = getattr(_SCRATCH, "buf", None)
+    if buf is None or buf.nbytes < nbytes:
+        buf = _SCRATCH.buf = np.empty(nbytes, dtype=np.uint8)
+    return buf
+
+
 def _f64(a: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(a, dtype=np.float64)
 
@@ -819,8 +856,15 @@ class TMKernels:
         self._refine = lib.tm_refine
         self._refine.restype = ctypes.c_int
         # xa, la, ya, lb, ai0, aj0, n0, fracs, nfracs, iargs, dargs,
-        # best_tm, best_rot, best_tra, best_ai, best_aj, best_n, best_dp, ops
-        self._refine.argtypes = [_P, _N, _P, _N, _P, _P, _N, _P, _N, _P, _P] + [_P] * 8
+        # best_tm, best_rot, best_tra, best_ai, best_aj, best_n, best_dp,
+        # ops, ws, ws_bytes
+        self._refine.argtypes = (
+            [_P, _N, _P, _N, _P, _P, _N, _P, _N, _P, _P] + [_P] * 9 + [_N]
+        )
+        self._refine_bytes = lib.tm_refine_bytes
+        self._refine_bytes.restype = ctypes.c_ssize_t
+        # la, lb, nfracs, max_iters
+        self._refine_bytes.argtypes = [_N, _N, _N, _N]
 
     def search(
         self,
@@ -993,16 +1037,19 @@ class TMKernels:
         best_aj = np.empty(cap, dtype=np.intp)
         best_n = np.empty(1, dtype=np.int64)
         ops = np.empty(4, dtype=np.int64)
+        ws = scratch(
+            self._refine_bytes(la, lb, len(fracs), params.max_refine_iters)
+        )
         rc = self._refine(
             xa.ctypes.data, la, ya.ctypes.data, lb, ai.ctypes.data,
             aj.ctypes.data, ai.shape[0], fracs.ctypes.data, len(fracs),
             iargs.ctypes.data, dargs.ctypes.data, best.ctypes.data,
             rot.ctypes.data, tra.ctypes.data, best_ai.ctypes.data,
             best_aj.ctypes.data, best_n.ctypes.data, best[1:].ctypes.data,
-            ops.ctypes.data,
+            ops.ctypes.data, ws.ctypes.data, ws.nbytes,
         )
         if rc != 0:
-            raise MemoryError("tm_refine scratch allocation failed")
+            raise MemoryError("tm_refine workspace too small")
         kabsch, kabsch_points, score_pairs, dp_cells = ops.tolist()
         _charge(counter, kabsch, kabsch_points, score_pairs)
         if counter is not None:

@@ -28,7 +28,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.tmalign._dpnative import load_forward_kernel, load_tm_kernels
+from repro.tmalign._dpnative import load_forward_kernel, load_tm_kernels, scratch
 from repro.tmalign.result import Alignment
 
 __all__ = ["nw_align", "nw_score_only"]
@@ -42,32 +42,24 @@ NEG = -1e18  # effectively -inf, but arithmetic-safe
 _NATIVE_FORWARD = load_forward_kernel()
 _NATIVE_TRACEBACK = getattr(load_tm_kernels(), "traceback", None)
 
-# Reusable DP workspace.  The three state matrices (plus two scratch rows)
-# are grown to the largest (la+1, lb+1) seen by this process and sliced per
-# call, so the refinement loop stops paying one large allocation triple per
-# nw_align invocation.  The buffers are only valid until the next _forward
-# call, which is fine: nw_align/nw_score_only never nest.
-_WS_BUFS: list = [np.empty((0, 0))] * 3 + [np.empty(0)] * 3
-
-
 def _workspace(la: int, lb: int):
+    """The three state matrices and three scratch rows of one fill,
+    carved from the thread's grow-only scratch buffer
+    (:func:`repro.tmalign._dpnative.scratch`), so the refinement loop
+    pays no allocation per ``nw_align``.  Valid until the thread's next
+    kernel call, which is fine: ``nw_align``/``nw_score_only`` never
+    nest."""
     ra, rb = la + 1, lb + 1
-    ca, cb = _WS_BUFS[0].shape
-    if ra > ca or rb > cb:
-        ca, cb = max(ra, ca), max(rb, cb)
-        _WS_BUFS[0] = np.empty((ca, cb))
-        _WS_BUFS[1] = np.empty((ca, cb))
-        _WS_BUFS[2] = np.empty((ca, cb))
-        _WS_BUFS[3] = np.empty(cb)
-        _WS_BUFS[4] = np.empty(cb)
-        _WS_BUFS[5] = np.empty(cb)
+    cells = ra * rb
+    nbytes = 8 * (3 * cells + 3 * rb)
+    f = scratch(nbytes)[:nbytes].view(np.float64)
     return (
-        _WS_BUFS[0][:ra, :rb],
-        _WS_BUFS[1][:ra, :rb],
-        _WS_BUFS[2][:ra, :rb],
-        _WS_BUFS[3][: rb - 1],
-        _WS_BUFS[4][: rb - 1],
-        _WS_BUFS[5][:rb],
+        f[:cells].reshape(ra, rb),
+        f[cells : 2 * cells].reshape(ra, rb),
+        f[2 * cells : 3 * cells].reshape(ra, rb),
+        f[3 * cells : 3 * cells + rb - 1],
+        f[3 * cells + rb : 3 * cells + 2 * rb - 1],
+        f[3 * cells + 2 * rb : 3 * cells + 3 * rb],
     )
 
 
@@ -76,8 +68,8 @@ def _forward(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Fill the three DP matrices; returns (M, Ix, Iy) of shape (la+1, lb+1).
 
-    The returned matrices are views into a shared workspace; they are
-    consumed (traceback / corner read) before the next call.  Only the
+    The returned matrices are views into the thread's scratch buffer;
+    they are consumed (traceback / corner read) before the next call.  Only the
     boundary cells need initialisation — every interior cell is written
     by the row sweep below.
     """

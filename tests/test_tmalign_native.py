@@ -320,6 +320,33 @@ def test_tm_align_perturbed_ck34_both_paths(ck34):
     assert not mismatched
 
 
+def test_threads_keep_their_own_scratch(ck34):
+    """ctypes releases the GIL inside the kernel, so two threads aligning
+    at once must not share a DP/refine scratch buffer: each thread's
+    results equal the serial ones, and the buffers are distinct."""
+    import threading
+
+    pairs = _perturbed_pairs(ck34, 12, seed=23)
+    want = [_result_key(tm_align(a, b)) for a, b in pairs]
+    got, bufs = {}, {}
+
+    def run(name, order):
+        bufs[name] = _dpnative.scratch(8)
+        got[name] = {k: _result_key(tm_align(*pairs[k])) for k in order}
+
+    threads = [
+        threading.Thread(target=run, args=("up", range(len(pairs)))),
+        threading.Thread(target=run, args=("down", range(len(pairs))[::-1])),
+    ]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    assert bufs["up"] is not bufs["down"]
+    for name in ("up", "down"):
+        assert [got[name][k] for k in range(len(pairs))] == want
+
+
 class TestSelfCheck:
     @requires_native
     def test_passes_on_this_build(self):
