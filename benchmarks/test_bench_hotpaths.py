@@ -10,13 +10,14 @@ from repro.experiments.bench import (
     PRE_OVERHAUL_SWEEP_WALL_S,
     format_bench_report,
     run_bench,
+    write_report,
 )
 
 
 def test_bench_hotpaths_quick_sweep(benchmark):
     report = benchmark.pedantic(
         run_bench,
-        kwargs={"slave_counts": (1, 3, 11), "output": None, "micro": False},
+        kwargs={"slave_counts": (1, 3, 11), "micro": False},
         rounds=3,
         iterations=1,
     )
@@ -40,7 +41,7 @@ def test_bench_hotpaths_quick_sweep(benchmark):
 def test_bench_hotpaths_micro(benchmark):
     report = benchmark.pedantic(
         run_bench,
-        kwargs={"slave_counts": (1,), "output": None, "micro": True},
+        kwargs={"slave_counts": (1,), "micro": True},
         rounds=1,
         iterations=1,
     )
@@ -53,11 +54,14 @@ def test_bench_hotpaths_micro(benchmark):
 
 def test_bench_hotpaths_json_artifact(benchmark, tmp_path):
     out = tmp_path / "BENCH_hotpaths.json"
-    benchmark.pedantic(
-        run_bench,
-        kwargs={"slave_counts": (1, 3), "output": str(out), "micro": False},
-        rounds=1,
-        iterations=1,
+    write_report(
+        benchmark.pedantic(
+            run_bench,
+            kwargs={"slave_counts": (1, 3), "micro": False},
+            rounds=1,
+            iterations=1,
+        ),
+        str(out),
     )
     import json
 

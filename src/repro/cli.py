@@ -376,221 +376,117 @@ def _cmd_trace(args) -> str:
     return "\n".join(lines)
 
 
-#: once-per-invocation deprecation notes already emitted (cleared in main())
-_WARNED: set[str] = set()
+def _bench_output(args, default: Optional[str] = None) -> Optional[str]:
+    """The artefact path: None under --no-output, else --output or ``default``."""
+    return None if args.no_output else (args.output or default)
 
 
-def _warn_once(key: str, message: str) -> None:
-    if key not in _WARNED:
-        _WARNED.add(key)
-        print(message, file=sys.stderr)
-
-
-def _bench_output(args) -> Optional[str]:
-    """Resolve the bench artefact path from --output/--no-output.
-
-    ``--output ""`` is a deprecated spelling of --no-output: it folds
-    onto the same code path after a once-per-invocation stderr note, so
-    there is exactly one way the artefact gets skipped.
-    """
-    if args.output == "":
-        _warn_once(
-            "bench-output-empty",
-            'note: `--output ""` is deprecated; use --no-output to skip '
-            "the JSON artefact",
+def _artefact_path(text: str) -> str:
+    """argparse type for --output: a non-empty path."""
+    if not text:
+        raise argparse.ArgumentTypeError(
+            "needs a path; use --no-output to skip the JSON artefact"
         )
-        args.no_output = True
-    return None if args.no_output else args.output
+    return text
 
 
-def _cmd_bench(args) -> str:
-    if sum((args.kernel, args.prefilter, args.matstore, args.service)) > 1:
-        raise SystemExit(
-            "bench: --kernel, --prefilter, --matstore and --service are "
-            "exclusive"
-        )
-    if args.kernel:
-        return _cmd_bench_kernel(args)
-    if args.prefilter:
-        return _cmd_bench_prefilter(args)
-    if args.matstore:
-        return _cmd_bench_matstore(args)
-    if args.service:
-        return _cmd_bench_service(args)
-    from repro.experiments.bench import format_bench_report, run_bench
-
-    output = _bench_output(args)
-    datasets = (args.dataset,) if args.dataset != "both" else ("ck34", "rs119")
-    report = run_bench(
-        datasets=datasets,
+#: per-suite keyword arguments of the run function, from the CLI flags
+#: (thresholds come from the suite's ``gates``; ``output`` is the
+#: resolved artefact path, which the kernel bench reads its baseline from)
+_BENCH_KWARGS: dict[str, Callable] = {
+    "hotpaths": lambda args, output: dict(
+        datasets=(
+            (args.dataset,) if args.dataset != "both" else ("ck34", "rs119")
+        ),
         slave_counts=_grid(args),
         mode=args.mode,
-        output=output,
         micro=not args.no_micro,
-    )
-    text = format_bench_report(report)
-    if output:
-        text += f"\nwrote {output}"
-    return text
-
-
-def _cmd_bench_kernel(args) -> str:
-    """``bench --kernel``: TM-align kernel micro-benchmark + perf gate."""
-    from repro.experiments.bench import (
-        DEFAULT_BENCH_OUTPUT,
-        DEFAULT_KERNEL_BENCH_OUTPUT,
-        BaselineError,
-        format_kernel_bench_report,
-        run_kernel_bench,
-        steal_note,
-    )
-
-    output = _bench_output(args)
-    if output == DEFAULT_BENCH_OUTPUT:
-        # the hot-path artefact default doesn't apply to the kernel bench
-        output = DEFAULT_KERNEL_BENCH_OUTPUT
-    try:
-        report = run_kernel_bench(
-            dataset=args.dataset if args.dataset != "both" else "ck34",
-            output=output,
-            baseline=args.baseline if args.baseline > 0 else None,
-            min_ratio=args.min_ratio,
-            repeats=1 if args.quick else args.repeats,
-            stages=not args.no_micro,
-            strict_baseline=args.check,
-        )
-    except BaselineError as exc:
-        raise SystemExit(f"bench --check: {exc}") from None
-    text = format_kernel_bench_report(report)
-    if output:
-        text += f"\nwrote {output}"
-    if args.check and not report["regression"]["passed"]:
-        print(text, file=sys.stderr)
-        raise SystemExit(
-            f"kernel perf regression: {report['pairs_per_second']:.2f} pairs/s "
-            f"< {args.min_ratio:.2f} x baseline "
-            f"{report['regression']['baseline_pairs_per_second']:.2f}"
-            f"{steal_note(report)}"
-        )
-    return text
-
-
-def _cmd_bench_prefilter(args) -> str:
-    """``bench --prefilter``: hierarchical-search bench + recall gate."""
-    from repro.experiments.bench import (
-        DEFAULT_BENCH_OUTPUT,
-        DEFAULT_PREFILTER_BENCH_OUTPUT,
-        format_prefilter_bench_report,
-        run_prefilter_bench,
-    )
-
-    output = _bench_output(args)
-    if output == DEFAULT_BENCH_OUTPUT:
-        # the hot-path artefact default doesn't apply to the prefilter bench
-        output = DEFAULT_PREFILTER_BENCH_OUTPUT
-    report = run_prefilter_bench(
+    ),
+    "kernel": lambda args, output: dict(
         dataset=args.dataset if args.dataset != "both" else "ck34",
-        output=output,
+        baseline_path=output,
+        baseline=args.baseline if args.baseline > 0 else None,
+        repeats=1 if args.quick else args.repeats,
+        stages=not args.no_micro,
+        strict_baseline=args.check,
+    ),
+    "prefilter": lambda args, output: dict(
+        dataset=args.dataset if args.dataset != "both" else "ck34",
         keep=args.prefilter_keep,
         queries=args.queries,
-        min_recall=args.min_recall,
-        min_speedup=args.min_speedup if args.min_speedup is not None else 2.0,
-    )
-    text = format_prefilter_bench_report(report)
-    if output:
-        text += f"\nwrote {output}"
-    if args.check and not report["regression"]["passed"]:
-        print(text, file=sys.stderr)
-        reg = report["regression"]
-        raise SystemExit(
-            f"prefilter gate failed: recall@10 {reg['recall_at_10']:.4f} "
-            f"(min {reg['min_recall_at_10']:.2f}), speedup "
-            f"{reg['speedup']:.2f}x (min {reg['min_speedup']:.2f})"
-        )
-    return text
-
-
-def _cmd_bench_matstore(args) -> str:
-    """``bench --matstore``: store build/extend/lookup bench + gate."""
-    from repro.experiments.bench import (
-        DEFAULT_BENCH_OUTPUT,
-        DEFAULT_MATSTORE_BENCH_OUTPUT,
-        format_matstore_bench_report,
-        run_matstore_bench,
-    )
-
-    output = _bench_output(args)
-    if output == DEFAULT_BENCH_OUTPUT:
-        # the hot-path artefact default doesn't apply to the matstore bench
-        output = DEFAULT_MATSTORE_BENCH_OUTPUT
-    report = run_matstore_bench(
+    ),
+    "matstore": lambda args, output: dict(
         dataset=args.dataset if args.dataset != "both" else "ck34",
-        output=output,
         limit=8 if args.quick else None,
-        min_speedup=(
-            args.min_speedup if args.min_speedup is not None else 100.0
-        ),
-    )
-    text = format_matstore_bench_report(report)
-    if output:
-        text += f"\nwrote {output}"
-    if args.check and not report["regression"]["passed"]:
-        print(text, file=sys.stderr)
-        reg = report["regression"]
-        raise SystemExit(
-            f"matstore gate failed: lookup speedup {reg['speedup']:,.0f}x "
-            f"(min {reg['min_speedup']:.0f}), one-row extend exact: "
-            f"{reg['extend_exact']}"
-        )
-    return text
-
-
-def _cmd_bench_service(args) -> str:
-    """``bench --service``: 1-shard vs N-shard open-loop load test + gate."""
-    from repro.experiments.bench import (
-        DEFAULT_BENCH_OUTPUT,
-        DEFAULT_SERVICE_BENCH_OUTPUT,
-        format_service_bench_report,
-        run_service_bench,
-    )
-
-    output = _bench_output(args)
-    if output == DEFAULT_BENCH_OUTPUT:
-        # the hot-path artefact default doesn't apply to the service bench
-        output = DEFAULT_SERVICE_BENCH_OUTPUT
-    report = run_service_bench(
+    ),
+    "service": lambda args, output: dict(
         dataset=args.dataset if args.dataset != "both" else "ck34",
-        output=output,
         shards=args.shards,
-        min_speedup=(
-            args.min_speedup if args.min_speedup is not None else 1.5
-        ),
         quick=args.quick,
-    )
-    text = format_service_bench_report(report)
+    ),
+    "parallel": lambda args, output: dict(
+        dataset=args.dataset,
+        workers_grid=tuple(int(w) for w in args.workers_grid.split(",")),
+        chunk=args.chunk,
+        shm=not args.no_shm,
+    ),
+}
+
+
+def _cmd_bench(args, suite: Optional[str] = None, record=None) -> str:
+    """Run one row of the bench table: run, write, format, then gate.
+
+    ``suite`` defaults to the row ``bench``'s flags pick; ``record``, if
+    given, is called with the report before the gate and returns a line
+    to append (``bench-parallel``'s run-store entry).
+    """
+    from repro.experiments.bench import SUITES, BaselineError, write_report
+
+    if suite is None:
+        picked = [
+            name for name in ("kernel", "prefilter", "matstore", "service")
+            if getattr(args, name)
+        ]
+        if len(picked) > 1:
+            raise SystemExit(
+                "bench: --kernel, --prefilter, --matstore and --service are "
+                "exclusive"
+            )
+        suite = picked[0] if picked else "hotpaths"
+    row = SUITES[suite]
+    if args.check and row.failure is None:
+        raise SystemExit(
+            f"bench --check: the {suite} suite has no gate (use --kernel, "
+            "--prefilter, --matstore or --service)"
+        )
+    output = _bench_output(args, row.output)
+    kwargs = _BENCH_KWARGS[suite](args, output)
+    for name, default in row.gates.items():
+        value = getattr(args, name, None)
+        kwargs[name] = default if value is None else value
+    try:
+        report = row.run(**kwargs)
+    except BaselineError as exc:
+        raise SystemExit(f"bench --check: {exc}") from None
+    if output:
+        write_report(report, output)
+    text = row.format(report)
     if output:
         text += f"\nwrote {output}"
-    if args.check and not report["regression"]["passed"]:
+    if record is not None:
+        text += record(report)
+    failure = row.failure(report) if args.check else None
+    if failure:
         print(text, file=sys.stderr)
-        reg = report["regression"]
-        raise SystemExit(
-            f"service gate failed: N-shard throughput {reg['speedup']:.2f}x "
-            f"single-shard at saturation (min {reg['min_speedup']:.2f}x)"
-        )
+        raise SystemExit(failure)
     return text
 
 
 def _cmd_bench_parallel(args) -> str:
     from repro.datasets import load_dataset
-    from repro.experiments.bench import (
-        format_parallel_bench_report,
-        run_parallel_bench,
-    )
     from repro.runs import RunManifest
     from repro.runs.manifest import atomic_write_text
 
-    output = _bench_output(args)
-    workers = tuple(int(w) for w in args.workers_grid.split(","))
     dataset = load_dataset(args.dataset)
     store = _run_store(args)
     run = store.create(
@@ -600,64 +496,29 @@ def _cmd_bench_parallel(args) -> str:
             dataset=dataset,
             method_name="tmalign",
             n_pairs=len(dataset) * (len(dataset) - 1) // 2,
-            params={"workers_grid": list(workers), "chunk": args.chunk},
+            params={
+                "workers_grid": [int(w) for w in args.workers_grid.split(",")],
+                "chunk": args.chunk,
+            },
         )
     )
-    try:
-        report = run_parallel_bench(
-            dataset=args.dataset,
-            workers_grid=workers,
-            chunk=args.chunk,
-            output=output,
-            shm=not args.no_shm,
-        )
-    except BaseException:
-        run.mark("interrupted")
-        raise
-    text = format_parallel_bench_report(report)
-    import json as _json
 
-    atomic_write_text(
-        run.artifact_path("result.json"), _json.dumps(report, indent=1, default=str)
-    )
-    run.mark("complete")
-    if output:
-        text += f"\nwrote {output}"
-    text += f"\n[run {run.run_id} recorded in {args.runs_dir}]"
-    if args.check:
-        best = report["regression"]["best_speedup_vs_serial"]
-        if best < args.min_speedup:
-            raise SystemExit(
-                f"{text}\nparallel regression: best speedup "
-                f"{best:.2f}x < {args.min_speedup:.2f}x serial"
-            )
-        not_identical = [
-            p["workers"]
-            for p in report["points"]
-            if not p["bit_identical_to_serial"]
-        ]
-        ref = report.get("no_plane_reference")
-        if ref and not ref["bit_identical_to_serial"]:
-            not_identical.append(f"{ref['workers']} (no-plane ref)")
-        if not_identical:
-            raise SystemExit(
-                f"{text}\nparallel regression: workers={not_identical} "
-                f"diverged from the serial score table"
-            )
-        plane = report.get("plane") or {}
-        if (
-            args.min_startup_speedup > 0
-            and plane
-            and not plane.get("unavailable")
-        ):
-            speedup = plane.get("rebuild_delivery_speedup", 0.0)
-            if speedup < args.min_startup_speedup:
-                raise SystemExit(
-                    f"{text}\nplane regression: dataset-delivery speedup "
-                    f"{speedup:.1f}x < {args.min_startup_speedup:.1f}x "
-                    f"(pool rebuilds are no longer near-free)"
-                )
-    return text
+    def record(report: dict) -> str:
+        import json
+
+        atomic_write_text(
+            run.artifact_path("result.json"),
+            json.dumps(report, indent=1, default=str),
+        )
+        run.mark("complete")
+        return f"\n[run {run.run_id} recorded in {args.runs_dir}]"
+
+    try:
+        return _cmd_bench(args, "parallel", record)
+    except BaseException:
+        if run.manifest.status != "complete":
+            run.mark("interrupted")
+        raise
 
 
 #: default TCP port of the query service (repro.service.client.DEFAULT_PORT)
@@ -1300,10 +1161,10 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.add_argument(
         "--output",
-        default="BENCH_hotpaths.json",
-        help="JSON artefact path (BENCH_kernel.json with --kernel, "
-        "BENCH_prefilter.json with --prefilter, BENCH_matstore.json "
-        "with --matstore)",
+        type=_artefact_path,
+        default=None,
+        help="JSON artefact path (default: BENCH_hotpaths.json, or "
+        "BENCH_<suite>.json with --kernel/--prefilter/--matstore/--service)",
     )
     p.add_argument(
         "--no-output",
@@ -1367,16 +1228,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--min-recall",
         type=_fraction,
-        default=0.95,
+        default=None,
         metavar="FRACTION",
-        help="with --prefilter --check: mean recall@10 floor",
+        help="with --prefilter --check: mean recall@10 floor (default: "
+        "the suite's threshold, recorded in the artefact's regression block)",
     )
     p.add_argument(
         "--min-speedup",
         type=float,
         default=None,
-        help="--check speedup floor (default: 2.0 with --prefilter, "
-        "100.0 with --matstore, 1.5 with --service)",
+        help="--check speedup floor of --prefilter/--matstore/--service "
+        "(default: the suite's threshold, recorded in the artefact's "
+        "regression block)",
     )
     p.add_argument(
         "--baseline",
@@ -1388,8 +1251,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--min-ratio",
         type=float,
-        default=0.8,
-        help="regression gate: fraction of baseline pairs/s that must be met",
+        default=None,
+        help="regression gate: fraction of baseline pairs/s that must be "
+        "met (default: the suite's threshold)",
     )
     p.add_argument(
         "--repeats",
@@ -1423,8 +1287,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--output",
-        default="BENCH_parallel.json",
-        help="JSON artefact path",
+        type=_artefact_path,
+        default=None,
+        help="JSON artefact path (default: BENCH_parallel.json)",
     )
     p.add_argument(
         "--no-output",
@@ -1441,9 +1306,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--min-speedup",
         type=float,
-        default=1.0,
+        default=None,
         help="regression gate for --check: required best-point "
-        "speedup_vs_serial",
+        "speedup_vs_serial (default: the suite's threshold)",
     )
     p.add_argument(
         "--no-shm",
@@ -1454,10 +1319,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--min-startup-speedup",
         type=float,
-        default=5.0,
+        default=None,
         help="regression gate for --check: required dataset-delivery "
         "speedup of plane attach vs pickling on the large synthetic "
-        "registry (0 disables the gate)",
+        "registry (default: the suite's threshold; 0 disables the gate)",
     )
     add_runs_dir(p)
     p.set_defaults(fn=_cmd_bench_parallel)
@@ -1818,7 +1683,6 @@ def _arm_sigterm_cleanup() -> None:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    _WARNED.clear()  # deprecation notes fire once per invocation
     from repro.parallel import reset_worker_clamp_warnings
 
     reset_worker_clamp_warnings()  # worker-clamp warning fires once per run

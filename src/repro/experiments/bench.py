@@ -1,19 +1,32 @@
-"""Hot-path benchmark harness: wall-clock of the simulation itself.
+"""Wall-clock benchmark suites, one driver table, one gate per report.
 
-Every other harness in this package reports *simulated* seconds; this
-one reports how long the simulator takes in *wall-clock* to produce
-them, so hot-path regressions (per-pair cost evaluation, poll-ring
-walks, mesh routing, DES kernel overhead) show up as numbers in a
-tracked artefact instead of as slow CI.
+Every other harness in this package reports *simulated* seconds; the
+suites here time the code itself, so a slower simulator, kernel, farm,
+prefilter, store or service shows up as a number in a tracked artefact
+instead of as slow CI.  Each suite is one row of :data:`SUITES`:
 
-``run_bench`` replays the Experiment II core-count sweep and records,
-per sweep point: wall seconds, processed DES events, events/second and
-simulated seconds.  Three micro-benchmarks isolate the costs the sweep
-aggregates — memoized pair evaluation, NoC transfers over cached XY
-routes, and RCCE rendezvous messaging.  The result is written to
-``BENCH_hotpaths.json`` (committed at the repo root; regenerate with
-``python -m repro.cli bench``) so the perf trajectory is tracked PR
-over PR.
+* ``hotpaths`` (``bench``) — the Experiment II core-count sweep's
+  wall-clock plus three simulator micro-benchmarks; no gate;
+* ``kernel`` (``bench --kernel``) — single-pair TM-align throughput
+  against the committed ``BENCH_kernel.json``;
+* ``prefilter`` (``bench --prefilter``) — recall@10 and end-to-end
+  speedup of the SW-prefiltered search;
+* ``matstore`` (``bench --matstore``) — mmap lookup vs recompute and an
+  exact one-row extend;
+* ``service`` (``bench --service``) — N-shard vs 1-shard throughput at
+  saturation, a queueing microbench;
+* ``parallel`` (``bench-parallel``) — farm speedup over serial with
+  bit-identity, and shared-memory plane delivery vs pickling.
+
+A row holds the suite's run function, its format function, its default
+artefact path and its gate thresholds.  The thresholds' defaults are
+written only in the row's ``gates``; the CLI's flags override them by
+name.  A run function is handed every threshold, decides each gate once
+and records threshold, measured value and ``passed`` in the report's
+``regression`` block (and ``plane`` for ``parallel``).  It returns the
+report and writes nothing: every report starts from :func:`host_record`
+and is written by :func:`write_report`.  ``--check`` then only reads
+``passed`` and exits with the row's one-line failure message.
 """
 
 from __future__ import annotations
@@ -22,7 +35,8 @@ import json
 import platform
 import sys
 import time
-from typing import Dict, Optional, Sequence
+from dataclasses import dataclass, field
+from typing import Callable, Dict, Mapping, Optional, Sequence
 
 from repro.core.rckalign import RckAlignConfig, run_rckalign
 from repro.datasets.registry import load_dataset
@@ -31,7 +45,11 @@ from repro.psc.evaluator import EvalMode, JobEvaluator
 from repro.scc.machine import SccMachine
 
 __all__ = [
+    "SUITES",
+    "Suite",
     "BaselineError",
+    "host_record",
+    "write_report",
     "resolve_kernel_baseline",
     "run_bench",
     "run_parallel_bench",
@@ -39,28 +57,16 @@ __all__ = [
     "run_prefilter_bench",
     "run_matstore_bench",
     "run_service_bench",
+    "format_bench_report",
     "format_parallel_bench_report",
     "format_kernel_bench_report",
     "format_prefilter_bench_report",
     "format_matstore_bench_report",
     "format_service_bench_report",
-    "DEFAULT_BENCH_OUTPUT",
-    "DEFAULT_PARALLEL_BENCH_OUTPUT",
-    "DEFAULT_KERNEL_BENCH_OUTPUT",
-    "DEFAULT_PREFILTER_BENCH_OUTPUT",
-    "DEFAULT_MATSTORE_BENCH_OUTPUT",
-    "DEFAULT_SERVICE_BENCH_OUTPUT",
     "PRE_OVERHAUL_SWEEP_WALL_S",
     "SEED_KERNEL_PAIRS_PER_SECOND",
     "KERNEL_BASELINE_PAIRS_PER_SECOND",
 ]
-
-DEFAULT_BENCH_OUTPUT = "BENCH_hotpaths.json"
-DEFAULT_PARALLEL_BENCH_OUTPUT = "BENCH_parallel.json"
-DEFAULT_KERNEL_BENCH_OUTPUT = "BENCH_kernel.json"
-DEFAULT_PREFILTER_BENCH_OUTPUT = "BENCH_prefilter.json"
-DEFAULT_MATSTORE_BENCH_OUTPUT = "BENCH_matstore.json"
-DEFAULT_SERVICE_BENCH_OUTPUT = "BENCH_service.json"
 
 # Full-grid exp2 sweep wall-clock measured on the reference container just
 # before the hot-path overhaul landed.  Kept so the artefact records the
@@ -77,6 +83,23 @@ SEED_KERNEL_PAIRS_PER_SECOND = 10.15
 # batch-vectorisation PR — the fallback regression baseline when no
 # committed BENCH_kernel.json is available to compare against.
 KERNEL_BASELINE_PAIRS_PER_SECOND = 14.96
+
+
+def host_record(schema: str) -> dict:
+    """The header every report starts with: schema, time, interpreter, host."""
+    return {
+        "schema": schema,
+        "generated_unix": time.time(),
+        "python": sys.version.split()[0],
+        "platform": platform.platform(),
+    }
+
+
+def write_report(report: dict, path: str) -> None:
+    """Write a report as the sorted, indented JSON artefact."""
+    with open(path, "w", encoding="ascii") as fh:
+        json.dump(report, fh, indent=1, sort_keys=True)
+        fh.write("\n")
 
 
 def _bench_evaluator(evaluator: JobEvaluator, n_chains: int, calls: int = 20_000) -> Dict[str, float]:
@@ -149,19 +172,12 @@ def run_bench(
     datasets: Sequence[str] = ("ck34",),
     slave_counts: Optional[Sequence[int]] = None,
     mode: EvalMode | str = EvalMode.MODEL,
-    output: Optional[str] = DEFAULT_BENCH_OUTPUT,
     micro: bool = True,
 ) -> dict:
-    """Benchmark the exp2 sweep's wall-clock and write the JSON artefact.
-
-    Returns the report dict; ``output=None`` skips writing the file.
-    """
+    """Benchmark the exp2 sweep's wall-clock; returns the report dict."""
     counts = tuple(slave_counts or SLAVE_GRID_FULL)
     report: dict = {
-        "schema": "repro-bench-hotpaths/1",
-        "generated_unix": time.time(),
-        "python": sys.version.split()[0],
-        "platform": platform.platform(),
+        **host_record("repro-bench-hotpaths/1"),
         "mode": EvalMode(mode).value,
         "slave_counts": list(counts),
         "sweeps": {},
@@ -213,10 +229,6 @@ def run_bench(
             "noc_transfer": _bench_transfer(),
             "rcce_rendezvous": _bench_rcce(),
         }
-    if output:
-        with open(output, "w", encoding="ascii") as fh:
-            json.dump(report, fh, indent=1, sort_keys=True)
-            fh.write("\n")
     return report
 
 
@@ -340,14 +352,14 @@ class BaselineError(ValueError):
 
 
 def resolve_kernel_baseline(
-    output: Optional[str],
+    path: Optional[str],
     baseline: Optional[float] = None,
     strict: bool = False,
 ) -> tuple[float, str]:
     """Resolve the kernel pairs/s baseline to regress against.
 
     Precedence: an explicit ``baseline`` argument, then the committed
-    artefact at ``output``, then the recorded pre-PR fallback constant.
+    artefact at ``path``, then the recorded pre-PR fallback constant.
     ``strict`` (the ``bench --check`` path) refuses the silent fallback:
     a missing or unparsable committed artefact raises
     :class:`BaselineError` with a one-line diagnosis instead of gating
@@ -355,16 +367,16 @@ def resolve_kernel_baseline(
     """
     if baseline is not None:
         return baseline, "argument"
-    if output:
+    if path:
         try:
-            with open(output, "r", encoding="ascii") as fh:
+            with open(path, "r", encoding="ascii") as fh:
                 value = float(json.load(fh)["pairs_per_second"])
             return value, "committed-artifact"
         except OSError as exc:
-            reason = f"cannot read baseline artefact {output!r}: {exc}"
+            reason = f"cannot read baseline artefact {path!r}: {exc}"
         except (KeyError, TypeError, ValueError) as exc:
             reason = (
-                f"baseline artefact {output!r} has no usable "
+                f"baseline artefact {path!r} has no usable "
                 f"pairs_per_second ({type(exc).__name__}: {exc})"
             )
         if strict:
@@ -390,27 +402,29 @@ def _cpu_ticks() -> Optional[tuple[int, int]]:
 
 def run_kernel_bench(
     dataset: str = "ck34",
-    output: Optional[str] = DEFAULT_KERNEL_BENCH_OUTPUT,
+    baseline_path: Optional[str] = None,
     baseline: Optional[float] = None,
-    min_ratio: float = 0.8,
     repeats: int = 3,
     stages: bool = True,
     strict_baseline: bool = False,
+    *,
+    min_ratio: float,
 ) -> dict:
-    """Benchmark the TM-align kernel and write ``BENCH_kernel.json``.
+    """Benchmark the TM-align kernel (the ``BENCH_kernel.json`` report).
 
     The headline number is single-pair throughput over the quick grid
     (all pairs of the first 10 chains), best of ``repeats`` passes so the
     single-core container's scheduling noise does not understate the
-    kernel.  ``baseline`` is the committed pairs/s to regress against:
-    resolution (and the strict ``--check`` behaviour) is documented on
+    kernel.  ``baseline`` is the committed pairs/s to regress against,
+    else the artefact at ``baseline_path`` is read: resolution (and the
+    strict ``--check`` behaviour) is documented on
     :func:`resolve_kernel_baseline`.  The report's ``regression`` block
-    records ``passed = rate >= min_ratio * baseline``; callers (the CLI,
-    CI) decide whether to fail on it.  ``host_steal_share`` is the share
-    of the host's CPU time the hypervisor gave to other guests during
-    the timed passes (``/proc/stat``; None elsewhere): the baseline was
-    taken on another day, so a failed ratio on a stolen host names the
-    host, not the kernel.
+    records ``passed = rate >= min_ratio * baseline``.
+    ``host_steal_share`` is the share of the host's CPU time the
+    hypervisor gave to other guests during the timed passes
+    (``/proc/stat``; None elsewhere): the baseline was taken on another
+    day, so a failed ratio on a stolen host names the host, not the
+    kernel.
     """
     from repro.cost.counters import CostCounter
     from repro.tmalign import tm_align
@@ -419,7 +433,7 @@ def run_kernel_bench(
     from repro.tmalign.tmscore import _NATIVE_SEARCH
 
     baseline, baseline_source = resolve_kernel_baseline(
-        output, baseline, strict=strict_baseline
+        baseline_path, baseline, strict=strict_baseline
     )
 
     ds = load_dataset(dataset)
@@ -440,10 +454,7 @@ def run_kernel_bench(
             tm_align(ds[i], ds[j], counter=counter)
 
     report: dict = {
-        "schema": "repro-bench-kernel/1",
-        "generated_unix": time.time(),
-        "python": sys.version.split()[0],
-        "platform": platform.platform(),
+        **host_record("repro-bench-kernel/1"),
         "dataset": ds.name,
         "pairs": best["pairs"],
         "repeats": len(runs),
@@ -467,10 +478,6 @@ def run_kernel_bench(
     }
     if stages:
         report["stages"] = _bench_kernel_stages(ds)
-    if output:
-        with open(output, "w", encoding="ascii") as fh:
-            json.dump(report, fh, indent=1, sort_keys=True)
-            fh.write("\n")
     return report
 
 
@@ -563,8 +570,8 @@ def _plane_bench_dataset(n_chains: int, length: int):
     )
 
 
-def _bench_plane(n_chains: int = 384, length: int = 300,
-                 min_rebuild_speedup: float = 5.0) -> dict:
+def _bench_plane(min_rebuild_speedup: float, n_chains: int = 384,
+                 length: int = 300) -> dict:
     """Price dataset delivery to a worker: plane attach vs pickling.
 
     ``rebuild_delivery_speedup`` is the gated number: the dataset-bound
@@ -671,8 +678,10 @@ def run_parallel_bench(
     dataset: str = "ck34",
     workers_grid: Sequence[int] = (1, 2, 4, 8),
     chunk: int = 0,
-    output: Optional[str] = DEFAULT_PARALLEL_BENCH_OUTPUT,
     shm: bool = True,
+    *,
+    min_speedup: float,
+    min_startup_speedup: float,
 ) -> dict:
     """Measured-mode all-vs-all wall-clock across worker counts.
 
@@ -689,14 +698,17 @@ def run_parallel_bench(
     (measured wall over the perfectly-balanced ideal), and
     ``serial_fallback`` (the one-CPU rule ran the chunks in-process).
     The ``regression`` block gates the best point's
-    ``speedup_vs_serial``: the farm must never lose to serial.
+    ``speedup_vs_serial`` against ``min_speedup`` (the farm must never
+    lose to serial) and passes only if every point, the no-plane
+    reference included, is bit-identical to serial.
 
     Schema v3 adds per-point pool economics — ``pool_startup_s``,
     ``rebuild_s``, ``bytes_to_workers``, ``shm_plane`` — plus a
     ``no_plane_reference`` run at the widest grid point and a ``plane``
     section gating the dataset-delivery speedup of shared-memory attach
-    over pickling on a large synthetic registry.  The v2 ``regression``
-    block is unchanged, so older ``--check`` consumers keep working.
+    over pickling on a large synthetic registry against
+    ``min_startup_speedup`` (0 turns that gate off).  The v2
+    ``regression`` keys are unchanged, so older consumers keep working.
     Schema v4 drops the per-point ``adaptive_backoffs`` and
     ``final_window`` keys.
     """
@@ -712,10 +724,7 @@ def run_parallel_bench(
     pairs = list(all_vs_all_pairs(len(ds)))
 
     report: dict = {
-        "schema": "repro-bench-parallel/4",
-        "generated_unix": time.time(),
-        "python": sys.version.split()[0],
-        "platform": platform.platform(),
+        **host_record("repro-bench-parallel/4"),
         "cpu_count": os.cpu_count(),
         "dataset": ds.name,
         "n_chains": len(ds),
@@ -763,16 +772,24 @@ def run_parallel_bench(
     )
     report["regression"] = {
         "best_speedup_vs_serial": best,
-        "min_speedup": 1.0,
-        "passed": best >= 1.0,
+        "min_speedup": min_speedup,
+        "passed": best >= min_speedup and not _diverged(report),
     }
-    report["plane"] = _bench_plane()
+    report["plane"] = _bench_plane(min_startup_speedup)
     report["kernel_micro"] = _bench_kernel_micro(ds)
-    if output:
-        with open(output, "w", encoding="ascii") as fh:
-            json.dump(report, fh, indent=1, sort_keys=True)
-            fh.write("\n")
     return report
+
+
+def _diverged(report: dict) -> list:
+    """Worker counts of a parallel report whose table differs from serial."""
+    out: list = [
+        p["workers"] for p in report["points"]
+        if not p["bit_identical_to_serial"]
+    ]
+    ref = report.get("no_plane_reference")
+    if ref and not ref["bit_identical_to_serial"]:
+        out.append(f"{ref['workers']} (no-plane ref)")
+    return out
 
 
 def format_parallel_bench_report(report: dict) -> str:
@@ -931,13 +948,13 @@ def format_bench_report(report: dict) -> str:
 
 def run_prefilter_bench(
     dataset: str = "ck34",
-    output: Optional[str] = DEFAULT_PREFILTER_BENCH_OUTPUT,
     keep: Optional[float] = None,
     queries: Optional[int] = None,
-    min_recall: float = 0.95,
-    min_speedup: float = 2.0,
+    *,
+    min_recall: float,
+    min_speedup: float,
 ) -> dict:
-    """Benchmark the hierarchical search and write ``BENCH_prefilter.json``.
+    """Benchmark the hierarchical search (the ``BENCH_prefilter.json`` report).
 
     Three numbers characterise the sequence prefilter tier:
 
@@ -953,8 +970,7 @@ def run_prefilter_bench(
     ``queries`` subsamples the query set (evenly spaced, deterministic)
     so CI can gate on a few queries while the committed artefact covers
     all of them.  The ``regression`` block records
-    ``passed = mean recall@10 >= min_recall and speedup >= min_speedup``;
-    callers decide whether to fail on it.
+    ``passed = mean recall@10 >= min_recall and speedup >= min_speedup``.
     """
     from repro.psc.methods import TMAlignMethod
     from repro.seqalign.prefilter import (
@@ -1021,10 +1037,7 @@ def run_prefilter_bench(
     }
     recall10 = recall_summary["10"]["mean"]
     report: dict = {
-        "schema": "repro-bench-prefilter/1",
-        "generated_unix": time.time(),
-        "python": sys.version.split()[0],
-        "platform": platform.platform(),
+        **host_record("repro-bench-prefilter/1"),
         "dataset": ds.name,
         "chains": n,
         "queries": len(q_idx),
@@ -1049,23 +1062,19 @@ def run_prefilter_bench(
             "passed": bool(recall10 >= min_recall and speedup >= min_speedup),
         },
     }
-    if output:
-        with open(output, "w", encoding="ascii") as fh:
-            json.dump(report, fh, indent=1, sort_keys=True)
-            fh.write("\n")
     return report
 
 
 def run_matstore_bench(
     dataset: str = "ck34",
-    output: Optional[str] = DEFAULT_MATSTORE_BENCH_OUTPUT,
     limit: Optional[int] = None,
     lookups: int = 200,
     recompute_pairs: int = 5,
-    min_speedup: float = 100.0,
     root: Optional[str] = None,
+    *,
+    min_speedup: float,
 ) -> dict:
-    """Benchmark the matrix store and write ``BENCH_matstore.json``.
+    """Benchmark the matrix store (the ``BENCH_matstore.json`` report).
 
     Exercises the whole incremental-update story end to end on a
     throwaway root:
@@ -1080,7 +1089,7 @@ def run_matstore_bench(
 
     The ``regression`` block records ``passed = lookups are at least
     min_speedup x faster than recompute AND the extend computed exactly
-    n - 1 pairs``; callers decide whether to fail on it.
+    n - 1 pairs``.
     """
     import shutil
     import statistics
@@ -1146,10 +1155,7 @@ def run_matstore_bench(
             shutil.rmtree(tmp, ignore_errors=True)
 
     report: dict = {
-        "schema": "repro-bench-matstore/1",
-        "generated_unix": time.time(),
-        "python": sys.version.split()[0],
-        "platform": platform.platform(),
+        **host_record("repro-bench-matstore/1"),
         "dataset": ds.name,
         "chains": n,
         "n_pairs": stats["n_pairs"],
@@ -1191,10 +1197,6 @@ def run_matstore_bench(
             "passed": bool(extend_exact and speedup >= min_speedup),
         },
     }
-    if output:
-        with open(output, "w", encoding="ascii") as fh:
-            json.dump(report, fh, indent=1, sort_keys=True)
-            fh.write("\n")
     return report
 
 
@@ -1318,7 +1320,6 @@ async def _drive_service_load(shard_addrs, rate, names, *, duration, clients,
 
 def run_service_bench(
     dataset: str = "ck34",
-    output: Optional[str] = DEFAULT_SERVICE_BENCH_OUTPUT,
     shards: int = 2,
     rates: Sequence[float] = (20.0, 60.0),
     duration: float = 3.0,
@@ -1326,10 +1327,11 @@ def run_service_bench(
     eval_delay: float = 0.04,
     method: str = "sse_composition",
     seed: int = 1234,
-    min_speedup: float = 1.5,
     quick: bool = False,
+    *,
+    min_speedup: float,
 ) -> dict:
-    """Load-test 1-shard vs N-shard topologies; write ``BENCH_service.json``.
+    """Load-test 1-shard vs N-shard topologies (the ``BENCH_service.json`` report).
 
     Both topologies run behind a :class:`ShardCoordinator` (so
     coordinator overhead is paid identically) with real ``serve``
@@ -1339,14 +1341,13 @@ def run_service_bench(
     the regression gate asserts the N-shard topology completes at least
     ``min_speedup`` x the single-shard throughput there.
 
-    **Profile note:** the container this artefact is generated on has a
-    single CPU core, so real-kernel shard processes cannot scale.  The
-    bench therefore measures the *service-time* profile: every align
-    costs one fixed ``--eval-delay`` slice in the shard's batcher
-    worker (``--max-batch 1``), with the cheap ``sse_composition``
-    method making compute negligible.  Capacity then scales with shard
-    processes exactly as it would with real kernels on real cores,
-    while staying reproducible on one core.
+    **Profile: a queueing microbench, not a kernel benchmark.**  Every
+    align costs one synthetic ``--eval-delay`` slice (a sleep) in the
+    shard's batcher worker (``--max-batch 1``), and the cheap
+    ``sse_composition`` method makes compute negligible.  So the gate
+    measures how the coordinator spreads queued requests over shard
+    processes, independent of how many CPU cores the host has; it says
+    nothing about how real TM-align work scales across shards.
     """
     if shards < 2:
         raise ValueError(f"service bench needs >= 2 shards, got {shards}")
@@ -1405,10 +1406,7 @@ def run_service_bench(
     speedup = multi / single if single > 0 else float("inf")
 
     report: dict = {
-        "schema": "repro-bench-service/1",
-        "generated_unix": time.time(),
-        "python": sys.version.split()[0],
-        "platform": platform.platform(),
+        **host_record("repro-bench-service/1"),
         "dataset": ds.name,
         "chains": len(ds),
         "profile": "service-time",
@@ -1436,10 +1434,6 @@ def run_service_bench(
             "passed": bool(speedup >= min_speedup),
         },
     }
-    if output:
-        with open(output, "w", encoding="ascii") as fh:
-            json.dump(report, fh, indent=1, sort_keys=True)
-            fh.write("\n")
     return report
 
 
@@ -1503,3 +1497,113 @@ def format_prefilter_bench_report(report: dict) -> str:
         f"{'PASS' if reg['passed'] else 'FAIL'}",
     ]
     return "\n".join(parts)
+
+
+def _kernel_failure(report: dict) -> Optional[str]:
+    reg = report["regression"]
+    if reg["passed"]:
+        return None
+    return (
+        f"kernel perf regression: {report['pairs_per_second']:.2f} pairs/s "
+        f"< {reg['min_ratio']:.2f} x baseline "
+        f"{reg['baseline_pairs_per_second']:.2f}{steal_note(report)}"
+    )
+
+
+def _prefilter_failure(report: dict) -> Optional[str]:
+    reg = report["regression"]
+    if reg["passed"]:
+        return None
+    return (
+        f"prefilter gate failed: recall@10 {reg['recall_at_10']:.4f} "
+        f"(min {reg['min_recall_at_10']:.2f}), speedup "
+        f"{reg['speedup']:.2f}x (min {reg['min_speedup']:.2f})"
+    )
+
+
+def _matstore_failure(report: dict) -> Optional[str]:
+    reg = report["regression"]
+    if reg["passed"]:
+        return None
+    return (
+        f"matstore gate failed: lookup speedup {reg['speedup']:,.0f}x "
+        f"(min {reg['min_speedup']:.0f}), one-row extend exact: "
+        f"{reg['extend_exact']}"
+    )
+
+
+def _service_failure(report: dict) -> Optional[str]:
+    reg = report["regression"]
+    if reg["passed"]:
+        return None
+    return (
+        f"service gate failed: N-shard throughput {reg['speedup']:.2f}x "
+        f"single-shard at saturation (min {reg['min_speedup']:.2f}x)"
+    )
+
+
+def _parallel_failure(report: dict) -> Optional[str]:
+    reg, plane = report["regression"], report["plane"]
+    failures = []
+    if not reg["passed"]:
+        line = (
+            f"parallel regression: best speedup "
+            f"{reg['best_speedup_vs_serial']:.2f}x "
+            f"(min {reg['min_speedup']:.2f}x serial)"
+        )
+        diverged = _diverged(report)
+        if diverged:
+            line += f", workers={diverged} diverged from the serial score table"
+        failures.append(line)
+    if not plane["passed"]:
+        failures.append(
+            f"plane regression: dataset-delivery speedup "
+            f"{plane['rebuild_delivery_speedup']:.1f}x < "
+            f"{plane['min_rebuild_speedup']:.1f}x "
+            "(pool rebuilds are no longer near-free)"
+        )
+    return "; ".join(failures) or None
+
+
+@dataclass(frozen=True)
+class Suite:
+    """One row of the bench table.
+
+    ``gates`` maps each threshold keyword of ``run`` to its default (the
+    only place that default is written); ``failure`` turns a report whose
+    gate failed into a one-line message and returns None for a report
+    that passed.  A suite without ``failure`` has no gate.
+    """
+
+    run: Callable[..., dict]
+    format: Callable[[dict], str]
+    output: str
+    gates: Mapping[str, float] = field(default_factory=dict)
+    failure: Optional[Callable[[dict], Optional[str]]] = None
+
+
+SUITES: Dict[str, Suite] = {
+    "hotpaths": Suite(run_bench, format_bench_report, "BENCH_hotpaths.json"),
+    "kernel": Suite(
+        run_kernel_bench, format_kernel_bench_report, "BENCH_kernel.json",
+        {"min_ratio": 0.8}, _kernel_failure,
+    ),
+    "prefilter": Suite(
+        run_prefilter_bench, format_prefilter_bench_report,
+        "BENCH_prefilter.json",
+        {"min_recall": 0.95, "min_speedup": 2.0}, _prefilter_failure,
+    ),
+    "matstore": Suite(
+        run_matstore_bench, format_matstore_bench_report,
+        "BENCH_matstore.json", {"min_speedup": 100.0}, _matstore_failure,
+    ),
+    "service": Suite(
+        run_service_bench, format_service_bench_report, "BENCH_service.json",
+        {"min_speedup": 1.5}, _service_failure,
+    ),
+    "parallel": Suite(
+        run_parallel_bench, format_parallel_bench_report,
+        "BENCH_parallel.json",
+        {"min_speedup": 1.0, "min_startup_speedup": 5.0}, _parallel_failure,
+    ),
+}

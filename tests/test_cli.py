@@ -1,11 +1,13 @@
 """CLI entry point."""
 
 import argparse
+import dataclasses
 import json
 
 import pytest
 
-from repro.cli import _WARNED, _bench_output, build_parser, main
+from repro.cli import _bench_output, build_parser, main
+from repro.experiments import bench as bench_mod
 
 
 class TestParser:
@@ -77,29 +79,40 @@ class TestBenchOutputFlag:
     def test_no_output_flag(self):
         assert _bench_output(self.args(no_output=True)) is None
 
-    def test_empty_output_routes_through_no_output(self, capsys):
-        _WARNED.clear()
-        ns = self.args(output="")
-        assert _bench_output(ns) is None
-        assert ns.no_output  # deprecated spelling folds onto --no-output
-        err = capsys.readouterr().err
-        assert "deprecated" in err and "--no-output" in err
+    def test_empty_output_is_a_usage_error(self, capsys):
+        for command in ("bench", "bench-parallel"):
+            with pytest.raises(SystemExit) as err:
+                build_parser().parse_args([command, "--output", ""])
+            assert err.value.code == 2
+            errors = [
+                line for line in capsys.readouterr().err.splitlines()
+                if "error:" in line
+            ]
+            assert len(errors) == 1 and "--no-output" in errors[0]
 
-    def test_deprecation_note_fires_once_per_invocation(self, capsys):
-        _WARNED.clear()
-        _bench_output(self.args(output=""))
-        _bench_output(self.args(output=""))
-        assert capsys.readouterr().err.count("deprecated") == 1
+    def test_empty_output_runs_nothing(self, tmp_path, monkeypatch):
+        calls = []
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setitem(
+            bench_mod.SUITES, "kernel",
+            dataclasses.replace(
+                bench_mod.SUITES["kernel"], run=lambda **kw: calls.append(kw)
+            ),
+        )
+        with pytest.raises(SystemExit) as err:
+            main(["bench", "--kernel", "--output", ""])
+        assert err.value.code == 2
+        assert calls == [] and list(tmp_path.iterdir()) == []
 
     def test_both_commands_expose_no_output(self):
         parser = build_parser()
         assert parser.parse_args(["bench", "--no-output"]).no_output
         assert parser.parse_args(["bench-parallel", "--no-output"]).no_output
-        # the legacy escape hatch keeps parsing
-        args = parser.parse_args(
-            ["bench-parallel", "--workers-grid", "1,2", "--output", ""]
-        )
-        assert args.workers_grid == "1,2" and args.output == ""
+        # the removed spelling of --no-output is a usage error
+        with pytest.raises(SystemExit):
+            parser.parse_args(
+                ["bench-parallel", "--workers-grid", "1,2", "--output", ""]
+            )
 
 
 class TestMain:
@@ -242,10 +255,12 @@ class TestMatrixCommand:
         assert args.workers == 4 and args.chunk == 16
         args = parser.parse_args(["search", "q", "--workers", "2"])
         assert args.workers == 2 and args.chunk == 0
-        args = parser.parse_args(
-            ["bench-parallel", "--workers-grid", "1,2", "--output", ""]
-        )
-        assert args.workers_grid == "1,2"
+        args = parser.parse_args(["bench-parallel", "--workers-grid", "1,2"])
+        assert args.workers_grid == "1,2" and args.output is None
+        with pytest.raises(SystemExit):
+            parser.parse_args(
+                ["bench-parallel", "--workers-grid", "1,2", "--output", ""]
+            )
 
 
 class TestKernelBaselineCheck:
@@ -296,6 +311,133 @@ class TestKernelBaselineCheck:
             resolve_kernel_baseline(str(tmp_path / "no.json"), strict=True)
         with pytest.raises(BaselineError):
             resolve_kernel_baseline(None, strict=True)
+
+
+class TestBenchDriver:
+    """One driver runs every row of the bench table; the stub rows keep
+    real paths, thresholds and messages but run no benchmark."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch, tmp_path):
+        monkeypatch.chdir(tmp_path)
+        calls = []
+
+        def stub(name):
+            def run(**kwargs):
+                calls.append((name, kwargs))
+                return {"suite": name}
+
+            return run
+
+        for name, row in list(bench_mod.SUITES.items()):
+            monkeypatch.setitem(
+                bench_mod.SUITES, name,
+                dataclasses.replace(row, run=stub(name), format=repr),
+            )
+        return calls
+
+    @pytest.mark.parametrize(
+        "argv, suite, path",
+        [
+            (["bench"], "hotpaths", "BENCH_hotpaths.json"),
+            (["bench", "--kernel"], "kernel", "BENCH_kernel.json"),
+            (["bench", "--prefilter"], "prefilter", "BENCH_prefilter.json"),
+            (["bench", "--matstore"], "matstore", "BENCH_matstore.json"),
+            (["bench", "--service"], "service", "BENCH_service.json"),
+            (["bench-parallel", "--dataset", "ck34-mini"], "parallel",
+             "BENCH_parallel.json"),
+        ],
+        ids=["hotpaths", "kernel", "prefilter", "matstore", "service",
+             "parallel"],
+    )
+    def test_default_artefact_path(self, calls, tmp_path, capsys, argv,
+                                   suite, path):
+        assert main(argv) == 0
+        assert json.loads((tmp_path / path).read_text()) == {"suite": suite}
+        assert f"wrote {path}" in capsys.readouterr().out
+        [(ran, kwargs)] = calls
+        assert ran == suite
+        # every threshold reaches the run, at the row's default
+        assert {k: kwargs[k] for k in bench_mod.SUITES[suite].gates} == dict(
+            bench_mod.SUITES[suite].gates
+        )
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["bench", "--kernel", "--no-output"],
+         ["bench-parallel", "--dataset", "ck34-mini", "--no-output"]],
+        ids=["bench", "bench-parallel"],
+    )
+    def test_no_output_writes_nothing(self, calls, tmp_path, argv):
+        assert main(argv) == 0
+        assert len(calls) == 1
+        assert not list(tmp_path.glob("*.json"))
+
+    def test_failing_gate_exits_with_the_rows_one_line(
+        self, calls, monkeypatch, capsys
+    ):
+        def failure(report):
+            return f"stub gate failed: {report['floor']}"
+
+        monkeypatch.setitem(
+            bench_mod.SUITES, "matstore",
+            dataclasses.replace(
+                bench_mod.SUITES["matstore"],
+                run=lambda min_speedup, **kw: {"floor": min_speedup},
+                failure=failure,
+            ),
+        )
+        with pytest.raises(SystemExit) as err:
+            main(["bench", "--matstore", "--check", "--no-output",
+                  "--min-speedup", "7"])
+        assert str(err.value) == "stub gate failed: 7.0"
+        # the report text goes to stderr, not into the exit message
+        assert "{'floor': 7.0}" not in str(err.value)
+
+    def test_check_on_the_gateless_suite_fails_at_once(self, calls):
+        with pytest.raises(SystemExit, match="no gate"):
+            main(["bench", "--check", "--no-output"])
+        assert calls == []
+
+    def test_parallel_check_records_the_flags_thresholds(self, tmp_path):
+        """The artefact's gates follow --min-speedup/--min-startup-speedup
+        and ``passed`` is the decision the exit code reflects."""
+        out = tmp_path / "bp.json"
+        with pytest.raises(SystemExit) as err:
+            main(["bench-parallel", "--dataset", "ck34-mini",
+                  "--workers-grid", "1,2", "--check", "--min-speedup", "5",
+                  "--min-startup-speedup", "0", "--output", str(out),
+                  "--runs-dir", str(tmp_path / "runs")])
+        assert err.value.code not in (0, None)
+        assert "\n" not in str(err.value)
+        assert str(err.value).startswith("parallel regression:")
+        report = json.loads(out.read_text())
+        assert report["regression"]["min_speedup"] == 5.0
+        assert report["regression"]["passed"] is False
+        assert report["plane"]["min_rebuild_speedup"] == 0
+        assert report["plane"]["passed"] is True
+
+    def test_parallel_passed_requires_bit_identity(self, tmp_path,
+                                                   monkeypatch):
+        import repro.parallel as parallel
+
+        real = parallel.iter_pair_results
+
+        def corrupted(*args, config=None, **kwargs):
+            results = real(*args, config=config, **kwargs)
+            for k, (i, j, scores, counts) in enumerate(results):
+                if k == 0 and config is not None and config.workers > 1:
+                    scores = {name: v + 1.0 for name, v in scores.items()}
+                yield i, j, scores, counts
+
+        monkeypatch.setattr(parallel, "iter_pair_results", corrupted)
+        out = tmp_path / "bp.json"
+        with pytest.raises(SystemExit, match="diverged from the serial"):
+            main(["bench-parallel", "--dataset", "ck34-mini",
+                  "--workers-grid", "1,2", "--check", "--min-speedup", "0",
+                  "--min-startup-speedup", "0", "--output", str(out),
+                  "--runs-dir", str(tmp_path / "runs")])
+        assert json.loads(out.read_text())["regression"]["passed"] is False
 
 
 class TestServiceCommandsParse:
