@@ -24,49 +24,41 @@ import sys
 import time
 from typing import Callable, Optional, Sequence
 
-from repro.experiments import (
-    SLAVE_GRID_FULL,
-    SLAVE_GRID_QUICK,
-    run_ablation_balancing,
-    run_ablation_hierarchy,
-    run_ablation_mcpsc,
-    run_exp1,
-    run_exp2,
-    run_exp_resilience,
-    run_table1,
-    run_table3,
-    run_table5,
-)
-from repro.experiments.ablations import (
-    run_ablation_energy,
-    run_ablation_frequency,
-    run_ablation_inits,
-    run_ablation_memory,
-)
-
 __all__ = ["main", "build_parser"]
 
 
 def _grid(args) -> tuple[int, ...]:
+    from repro.experiments import SLAVE_GRID_FULL, SLAVE_GRID_QUICK
+
     return SLAVE_GRID_QUICK if args.quick else SLAVE_GRID_FULL
 
 
 # ---------------------------------------------------------------- experiments
+# Each harness is imported by its own command, so tool commands (``serve``
+# above all) never load the experiment modules.
 def _cmd_table1(args) -> str:
+    from repro.experiments import run_table1
+
     return run_table1().to_text()
 
 
 def _cmd_table3(args) -> str:
+    from repro.experiments import run_table3
+
     return run_table3(mode=args.mode).to_text()
 
 
 def _cmd_exp1(args) -> str:
+    from repro.experiments import run_exp1
+
     return run_exp1(
         dataset=args.dataset, slave_counts=_grid(args), mode=args.mode
     ).to_text()
 
 
 def _cmd_exp2(args) -> str:
+    from repro.experiments import run_exp2
+
     datasets = (args.dataset,) if args.dataset != "both" else ("ck34", "rs119")
     return run_exp2(
         datasets=datasets, slave_counts=_grid(args), mode=args.mode
@@ -74,10 +66,22 @@ def _cmd_exp2(args) -> str:
 
 
 def _cmd_table5(args) -> str:
+    from repro.experiments import run_table5
+
     return run_table5(mode=args.mode).to_text()
 
 
 def _cmd_ablations(args) -> str:
+    from repro.experiments.ablations import (
+        run_ablation_balancing,
+        run_ablation_energy,
+        run_ablation_frequency,
+        run_ablation_hierarchy,
+        run_ablation_inits,
+        run_ablation_mcpsc,
+        run_ablation_memory,
+    )
+
     parts = [
         run_ablation_balancing(mode=args.mode).to_text(),
         run_ablation_hierarchy(mode=args.mode).to_text(),
@@ -91,6 +95,8 @@ def _cmd_ablations(args) -> str:
 
 
 def _cmd_exp_resilience(args) -> str:
+    from repro.experiments import run_exp_resilience
+
     dataset = args.dataset if args.dataset != "both" else "ck34"
     return run_exp_resilience(
         dataset=dataset,
@@ -585,7 +591,6 @@ def _cmd_serve_shard(args) -> str:
         port=args.port,
         timeout=args.timeout,
         connect_timeout=args.connect_timeout,
-        hedge_after=args.hedge_after,
         down_after=args.down_after,
         probe_cooldown=args.probe_cooldown,
     )
@@ -602,8 +607,7 @@ def _cmd_serve_shard(args) -> str:
             return (
                 f"coordinator stopped after {counters['connections']} "
                 f"connections; {counters['partial_results']} partial "
-                f"results, {counters['hedged_requests']} hedged, "
-                f"{counters['failover_retries']} failovers"
+                f"results, {counters['failover_retries']} failovers"
             )
 
     return asyncio.run(_serve())
@@ -772,7 +776,6 @@ def _cmd_query(args) -> str:
                         )
                 lines.append(
                     f"partial results: {info['partial_results']}, "
-                    f"hedged: {info['hedged_requests']}, "
                     f"failovers: {info['failover_retries']}"
                 )
                 return "\n".join(lines)
@@ -1430,13 +1433,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=2.0,
         help="per shard-connect budget in seconds",
-    )
-    p.add_argument(
-        "--hedge-after",
-        type=float,
-        default=0.0,
-        help="seconds before a slow shard request is hedged to the next "
-        "shard in preference order (0 = off)",
     )
     p.add_argument(
         "--down-after",

@@ -618,15 +618,16 @@ def _bench_plane(min_rebuild_speedup: float, n_chains: int = 384,
 
     # -- plane path: owner builds once; a worker attaches + materializes
     t0 = _time.perf_counter()
-    plane = shmplane.plane_for(ds)
-    out["plane_build_s"] = _time.perf_counter() - t0
-    if plane is None:
+    try:
+        plane = shmplane.DatasetPlane.create(ds)
+    except shmplane.PlaneUnavailable:
         # /dev/shm unavailable or exhausted: the farm falls back to
         # pickling by design, so the gate records "not applicable"
         out["unavailable"] = True
         out["passed"] = True
         return out
-    try:
+    out["plane_build_s"] = _time.perf_counter() - t0
+    with plane:
         out["plane_bytes"] = plane.nbytes
         delivery_plane = float("inf")
         for _ in range(REPEATS):
@@ -669,8 +670,6 @@ def _bench_plane(min_rebuild_speedup: float, n_chains: int = 384,
             out["pool_roundtrip_speedup"] = (
                 out["pool_roundtrip_pickle_s"] / out["pool_roundtrip_plane_s"]
             )
-    finally:
-        shmplane.release(plane)
     return out
 
 

@@ -32,7 +32,6 @@ from repro.parallel.shmplane import (
     DatasetPlane,
     PlaneUnavailable,
     ShmDataset,
-    active_planes,
     plane_for,
     shutdown_planes,
 )
@@ -49,7 +48,6 @@ __all__ = [
     "RetryPolicy",
     "ShmDataset",
     "WorkerCrash",
-    "active_planes",
     "auto_chunk",
     "effective_workers",
     "iter_pair_results",

@@ -12,7 +12,9 @@ machine instead of the simulated SCC:
   drain's small context (the plane or registry spec, the method, the
   mode, the query and the fault plan), which each worker materialises
   once and caches by fingerprint, so jobs stay bare ``(i, j)`` index
-  tuples and one pool serves any dataset;
+  tuples and one pool serves any dataset.  Like the paper's master
+  loading the structures once per job list, each drain publishes its
+  dataset once as a shared-memory plane and unlinks it when it ends;
 * **cost-aware dynamic scheduling** — the job list is cut into contiguous
   chunks of roughly equal *predicted* work (the per-pair polynomial cost
   model of :mod:`repro.parallel.costsched`, not a flat pair count);
@@ -492,9 +494,9 @@ class FarmBackend:
     executing at once and its stall deadline times the chunk, not a
     wait in the pool's queue.
 
-    ``pools_built`` counts pool constructions, rebuilds included.  On
-    close, the shared-memory planes this backend's drains used are
-    dropped from the process's plane cache.
+    ``pools_built`` counts pool constructions, rebuilds included.  The
+    backend owns no dataset: each drain publishes and unlinks its own
+    shared-memory plane.
     """
 
     def __init__(self, config: Optional[ParallelConfig] = None) -> None:
@@ -508,7 +510,6 @@ class FarmBackend:
         self._pool: Optional[ProcessPoolExecutor] = None
         self._generation = 0
         self._closed = False
-        self._planes: Dict[str, object] = {}
 
     def __enter__(self) -> "FarmBackend":
         return self
@@ -521,7 +522,7 @@ class FarmBackend:
         return self._closed
 
     def close(self) -> None:
-        """Shut the pool down and drop this backend's planes (idempotent).
+        """Shut the pool down (idempotent).
 
         The workers are joined before this returns, so no process
         outlives its owner.  Chunks still outstanding (a drain that
@@ -534,7 +535,6 @@ class FarmBackend:
             self._closed = True
             pool, self._pool = self._pool, None
             busy = self._outstanding > 0
-            planes, self._planes = list(self._planes.values()), {}
             self._cv.notify_all()
         if pool is not None:
             procs = list((getattr(pool, "_processes", None) or {}).values())
@@ -542,22 +542,8 @@ class FarmBackend:
             for proc in procs if busy else ():
                 proc.terminate()
                 proc.join()
-        if planes:
-            from repro.parallel import shmplane
-
-            for plane in planes:
-                shmplane.discard(plane)
 
     # -- drain-side primitives ---------------------------------------------
-    def _use_plane(self, plane) -> None:
-        if plane is None:
-            return
-        with self._cv:
-            self._planes = {
-                fp: p for fp, p in self._planes.items() if p.live
-            }
-            self._planes[plane.fingerprint] = plane
-
     def _current_pool(self, broken: int = -1) -> tuple[ProcessPoolExecutor, int, bool]:
         """``(pool, generation, built_now)`` of the live pool.
 
@@ -897,6 +883,9 @@ def iter_pair_results(
     and its settings are the backend's config; without one the call
     opens a temporary :class:`FarmBackend` and closes it when the
     generator ends, so its pool lives exactly as long as the drain.
+    With ``config.shm`` the drain publishes ``dataset`` as its own
+    shared-memory plane and unlinks it when the generator ends —
+    exhausted, failed or closed early.
 
     The generator streams: the master holds at most the in-flight chunks,
     never the whole result table, so callers can write rows to disk as
@@ -961,15 +950,11 @@ def iter_pair_results(
             return
         from repro.parallel import shmplane
 
-        # None on any shared-memory failure -> pickle fallback; the pin
-        # is dropped when this generator is exhausted or closed
-        plane = shmplane.plane_for(dataset) if config.shm else None
         owner = backend or FarmBackend(config)
+        # None on any shared-memory failure -> pickle fallback; the plane
+        # is this drain's alone, unlinked however the generator ends
+        plane = shmplane.plane_for(dataset) if config.shm else None
         try:
-            if backend is not None:
-                # a long-lived owner drops its planes when it closes; a
-                # temporary one leaves them cached for the next call
-                backend._use_plane(plane)
             spec = (
                 plane.worker_spec() if plane is not None
                 else _worker.dataset_spec(dataset)
@@ -979,7 +964,8 @@ def iter_pair_results(
                 stats.shm_plane = plane is not None
             yield from _farm_drain(owner, context, chunks, predicted, stats)
         finally:
-            shmplane.release(plane)
+            if plane is not None:
+                plane.unlink()
             if backend is None:
                 owner.close()
     finally:

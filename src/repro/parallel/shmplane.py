@@ -26,7 +26,7 @@ Segment layout (one POSIX shared-memory segment per plane)::
     ss_off     uint8[total]          secondary-structure codes (ASCII)
     meta_off   ASCII JSON            fingerprint, names, families, offsets
 
-Planes are keyed by the registry content fingerprint
+Every plane is stamped with the registry content fingerprint
 (:func:`repro.runs.manifest.dataset_fingerprint`: dataset name, chain
 names, sequences and coordinate bytes), so a worker can verify at attach
 time that the segment it was pointed at is the generation the master
@@ -35,9 +35,15 @@ instead of silently serving wrong chains.
 
 Lifecycle rules (the part that must be airtight):
 
-* the **owner** (master process) unlinks every plane it created via
-  ``close()``/``unlink()``, a context manager, and a module ``atexit``
-  hook — exception paths included;
+* a plane lives exactly one farm drain: the drain creates it with
+  :func:`plane_for` and unlinks it in its ``finally`` — normal end,
+  :class:`~repro.parallel.farm.WorkerCrash`, early generator close and
+  backend close alike.  Nothing caches a plane across drains: publishing
+  one costs well under a millisecond even for all of ck34;
+* the **owner** (master process) keeps every plane it has not unlinked
+  yet in a locked process-level set, which :func:`shutdown_planes` and
+  a module ``atexit`` hook empty — so SIGTERM or an interrupt that
+  catches a drain mid-flight still removes its segment;
 * **workers** attach *untracked* (``track=False`` on 3.13+, an explicit
   ``resource_tracker.unregister`` before that): a worker that dies —
   including a SIGKILL fault injection — must neither unlink the live
@@ -45,7 +51,9 @@ Lifecycle rules (the part that must be airtight):
 * every failure to create or attach degrades to :class:`PlaneUnavailable`
   so callers fall back to the pickling path (``/dev/shm`` unavailable,
   segment namespace exhausted, dataset too large for the int32 offset
-  table) — results are bit-identical either way;
+  table) — results are bit-identical either way.  A stall duplicate
+  that starts after its drain ended finds the segment gone; the worker
+  answers with an error nobody reads, and stays usable;
 * an owner killed by SIGKILL runs none of the above, so the first
   :func:`plane_for` in every process sweeps ``/dev/shm`` for
   ``psc<pid>-<pid namespace>-…`` segments of its own PID namespace
@@ -62,7 +70,6 @@ import re
 import struct
 import threading
 import weakref
-from collections import OrderedDict
 from typing import Dict, Iterator, List, Optional
 
 import numpy as np
@@ -70,15 +77,11 @@ import numpy as np
 from repro.structure.model import Chain
 
 __all__ = [
-    "PLANE_CACHE_CAPACITY",
     "DatasetPlane",
     "PlaneUnavailable",
     "ShmDataset",
-    "active_planes",
-    "discard",
     "plane_fingerprint",
     "plane_for",
-    "release",
     "shutdown_planes",
     "sweep_orphans",
 ]
@@ -86,12 +89,15 @@ __all__ = [
 _MAGIC = b"PSCPLAN1"
 _HEADER = struct.Struct("<QQ")  # meta_offset, meta_length (after magic)
 
-#: planes kept warm per process; least-recently-used unpinned planes
-#: beyond this are unlinked (the service's long-lived corpus plane stays
-#: pinned, so registration churn cannot evict it mid-pool)
-PLANE_CACHE_CAPACITY = 4
-
 _SEGMENT_COUNTER = itertools.count()
+
+#: every plane this process created and has not unlinked yet, so that
+#: :func:`shutdown_planes` can reap one whose drain never reached its
+#: ``finally``; drains on several threads create and unlink at once, and
+#: the lock is re-entrant because a SIGTERM turned into ``SystemExit``
+#: can unwind into another unlink on the thread that holds it
+_LIVE: "set[DatasetPlane]" = set()
+_LOCK = threading.RLock()
 
 
 class PlaneUnavailable(RuntimeError):
@@ -109,15 +115,15 @@ _FINGERPRINTS: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 
 
 def plane_fingerprint(dataset) -> str:
-    """Content fingerprint keying a dataset's plane (cached per object).
+    """Content fingerprint stamped on a dataset's plane (cached per object).
 
     Reuses :func:`repro.runs.manifest.dataset_fingerprint` — dataset
-    name, chain names, sequences and coordinate bytes — so the plane key
-    is the same identity the durable run store already trusts for
-    ``--resume``.  Chain *names* are part of the key on purpose: MODEL
-    mode seeds its deterministic jitter from name strings, so two
+    name, chain names, sequences and coordinate bytes — so the plane's
+    generation is the same identity the durable run store already
+    trusts for ``--resume``.  Chain *names* are part of it on purpose:
+    MODEL mode seeds its deterministic jitter from name strings, so two
     datasets with identical coordinates but different names must not
-    share a plane.
+    pass for each other at attach.
     """
     try:
         return _FINGERPRINTS[dataset]
@@ -163,24 +169,16 @@ def _attach_segment(name: str):
 class DatasetPlane:
     """Owner-side handle of one shared-memory dataset layout.
 
-    Create with :meth:`create` (or the cache front-end
-    :func:`plane_for`), hand :meth:`worker_spec` to pool initializers,
-    and destroy with :meth:`unlink` — or let the context manager / the
-    module's ``atexit`` hook do it.  ``acquire``/``release`` pin the
-    plane against cache eviction while a farm drain (or the service's
-    corpus registration) is using it; a plane evicted while pinned is
-    only unlinked once the last pin drops.
+    Create with :meth:`create` (or :func:`plane_for`, which returns
+    ``None`` instead of raising), hand :meth:`worker_spec` to the
+    workers, and destroy with :meth:`unlink` — or let the context
+    manager / the module's ``atexit`` hook do it.
     """
 
-    def __init__(self, shm, fingerprint: str, n_chains: int,
-                 total_residues: int) -> None:
+    def __init__(self, shm, fingerprint: str) -> None:
         self._shm = shm
         self.fingerprint = fingerprint
-        self.n_chains = n_chains
-        self.total_residues = total_residues
         self.nbytes = shm.size
-        self._refs = 0
-        self._doomed = False
         self._dead = False
 
     # -- construction ------------------------------------------------------
@@ -280,7 +278,10 @@ class DatasetPlane:
             raise PlaneUnavailable(
                 f"shared memory unavailable for dataset plane: {exc}"
             ) from exc
-        return cls(shm, fp, n, total)
+        plane = cls(shm, fp)
+        with _LOCK:
+            _LIVE.add(plane)
+        return plane
 
     # -- farm integration --------------------------------------------------
     @property
@@ -299,34 +300,7 @@ class DatasetPlane:
         """Open a reader view of this plane (what workers do remotely)."""
         return ShmDataset.attach(self.name, fingerprint=self.fingerprint)
 
-    # -- pinning -----------------------------------------------------------
-    def acquire(self) -> "DatasetPlane":
-        self._refs += 1
-        return self
-
-    def release(self) -> None:
-        self._refs = max(0, self._refs - 1)
-        if self._refs == 0 and self._doomed:
-            self.unlink()
-
-    @property
-    def pinned(self) -> bool:
-        return self._refs > 0
-
-    def evict(self) -> None:
-        """Unlink now, or as soon as the last pin drops."""
-        self._doomed = True
-        if self._refs == 0:
-            self.unlink()
-
     # -- teardown ----------------------------------------------------------
-    def close(self) -> None:
-        if not self._dead:
-            try:
-                self._shm.close()
-            except (BufferError, OSError):
-                pass
-
     def unlink(self) -> None:
         """Owner-side destruction: close the map and remove the segment.
 
@@ -334,9 +308,11 @@ class DatasetPlane:
         SIGTERM handlers and atexit, where a secondary error would mask
         the real one).
         """
-        if self._dead:
-            return
-        self._dead = True
+        with _LOCK:
+            if self._dead:
+                return
+            self._dead = True
+            _LIVE.discard(self)
         _destroy_segment(self._shm)
 
     def __enter__(self) -> "DatasetPlane":
@@ -503,14 +479,6 @@ class ShmDataset:
             pass
 
 
-# ---------------------------------------------------------------- plane cache
-#: fingerprint -> live DatasetPlane, LRU order (oldest first)
-_PLANES: "OrderedDict[str, DatasetPlane]" = OrderedDict()
-#: guards the cache and the pin counts: a service's overlapping batches
-#: pin and release planes from several threads at once
-_LOCK = threading.RLock()
-
-
 #: segment names this module creates:
 #: ``psc<owner pid, hex>-<owner's PID namespace inode, hex>-…``
 _SEGMENT_NAME = re.compile(r"psc([0-9a-f]+)-([0-9a-f]+)-")
@@ -570,14 +538,11 @@ def sweep_orphans() -> List[str]:
 
 
 def plane_for(dataset) -> Optional[DatasetPlane]:
-    """Cached create-or-reuse front-end; returns a *pinned* plane.
+    """A fresh plane over ``dataset``, or ``None`` when shared memory
+    cannot serve it (the caller falls back to the pickling spec).
 
-    The same dataset content (by fingerprint) reuses one live plane
-    across farm calls, pool rebuilds, matstore extends and service
-    batches.  Returns ``None`` when shared memory cannot serve the
-    dataset — the caller falls back to the pickling spec.  Callers own
-    one pin and must :func:`release` it when their drain finishes.
-    The first call in a process runs :func:`sweep_orphans` first.
+    The caller owns the plane and unlinks it when its drain ends.  The
+    first call in a process runs :func:`sweep_orphans` first.
     """
     global _SWEPT
     try:
@@ -588,84 +553,24 @@ def plane_for(dataset) -> Optional[DatasetPlane]:
         if not _SWEPT:
             _SWEPT = True
             sweep_orphans()
-        plane = _PLANES.get(fp)
-        if plane is not None and plane.live:
-            _PLANES.move_to_end(fp)
-            return plane.acquire()
-        try:
-            plane = DatasetPlane.create(dataset, fingerprint=fp)
-        except PlaneUnavailable:
-            return None
-        _PLANES[fp] = plane
-        plane.acquire()
-        while len(_PLANES) > PLANE_CACHE_CAPACITY:
-            evicted = False
-            for key, cand in _PLANES.items():
-                if not cand.pinned:
-                    _PLANES.pop(key)
-                    cand.evict()
-                    evicted = True
-                    break
-            if not evicted:  # everything pinned: allow temporary overflow
-                break
-        return plane
-
-
-def release(plane: Optional[DatasetPlane]) -> None:
-    """Drop one pin taken by :func:`plane_for` (``None``-safe)."""
-    if plane is not None:
-        with _LOCK:
-            plane.release()
-
-
-def discard(plane: Optional[DatasetPlane]) -> None:
-    """Drop ``plane`` from the cache; it is unlinked once unpinned.
-
-    For owners that end before the process does (a service shard's
-    close, a superseded corpus generation): the plane stops being
-    reusable at once and its segment goes with the last pin.
-    ``None``-safe.
-    """
-    if plane is None:
-        return
-    with _LOCK:
-        if _PLANES.get(plane.fingerprint) is plane:
-            del _PLANES[plane.fingerprint]
-        plane.evict()
-
-
-def active_planes() -> List[Dict[str, object]]:
-    """Introspection for status/metrics surfaces: the live cache."""
-    with _LOCK:
-        planes = list(_PLANES.values())
-    return [
-        {
-            "fingerprint": p.fingerprint,
-            "segment": p.name,
-            "n_chains": p.n_chains,
-            "bytes": p.nbytes,
-            "pinned": p.pinned,
-        }
-        for p in planes
-        if p.live
-    ]
+    try:
+        return DatasetPlane.create(dataset, fingerprint=fp)
+    except PlaneUnavailable:
+        return None
 
 
 def shutdown_planes() -> None:
-    """Unlink every plane this process owns (atexit / CLI finally hook).
-
-    Force-unlinks pinned planes too: this runs when the process is done
-    (normal exit, SystemExit from SIGTERM, KeyboardInterrupt unwound to
-    the CLI), at which point no pool can attach again.
-    """
+    """Unlink every plane this process still owns (atexit / CLI finally
+    hook): a drain caught mid-flight by SIGTERM or KeyboardInterrupt
+    leaves its plane to this."""
     with _LOCK:
-        while _PLANES:
-            _, plane = _PLANES.popitem(last=False)
-            plane.unlink()
+        planes = list(_LIVE)
+    for plane in planes:
+        plane.unlink()
 
 
 # Owner-side backstop: whatever the CLI/service teardown misses (or an
 # exception path skips) is unlinked when the interpreter exits.  Forked
 # pool workers never run atexit handlers (multiprocessing children exit
-# via os._exit), so an inherited cache cannot double-unlink.
+# via os._exit), so an inherited live set cannot double-unlink.
 atexit.register(shutdown_planes)

@@ -67,7 +67,6 @@ class _Context(NamedTuple):
     query: Optional[Chain]
     faults: Optional[FarmFaultPlan]
     view: object  # the ShmDataset behind ``dataset`` for a plane spec, else None
-    spec: tuple
 
 
 # key -> materialised context, least recently used first
@@ -113,8 +112,7 @@ def drain_context(
 
 
 def _open_dataset(spec: tuple) -> tuple[object, object]:
-    """``(dataset, plane view or None)`` for a dataset spec; a plane
-    already attached by a cached context is shared, not re-attached."""
+    """``(dataset, plane view or None)`` for a dataset spec."""
     kind, payload = spec
     if kind == "registry":
         from repro.datasets.registry import load_dataset
@@ -123,9 +121,6 @@ def _open_dataset(spec: tuple) -> tuple[object, object]:
     if kind == "pickle":
         return payload, None
     if kind == "plane":
-        for ctx in _CONTEXTS.values():
-            if ctx.view is not None and ctx.spec == spec:
-                return ctx.view, ctx.view
         from repro.parallel.shmplane import ShmDataset
 
         segment, fingerprint = payload
@@ -138,8 +133,8 @@ def init_worker(context: tuple[str, Optional[bytes]]) -> Optional[_Context]:
     """The materialised drain context for ``context``, cached by key;
     ``None`` when the key is not cached and the blob was left off.
 
-    Evicting a context detaches its plane view unless a context still
-    in the cache shares it.
+    Evicting a context detaches its plane view: every drain publishes
+    its own plane, so no other context maps it.
     """
     global _EXIT_HOOK
     key, blob = context
@@ -151,13 +146,11 @@ def init_worker(context: tuple[str, Optional[bytes]]) -> Optional[_Context]:
         return None
     spec, method, mode, query, faults = pickle.loads(blob)
     dataset, view = _open_dataset(spec)
-    ctx = _Context(dataset, method, EvalMode(mode), query, faults, view, spec)
+    ctx = _Context(dataset, method, EvalMode(mode), query, faults, view)
     _CONTEXTS[key] = ctx
     while len(_CONTEXTS) > CONTEXT_CACHE:
         _key, old = _CONTEXTS.popitem(last=False)
-        if old.view is not None and all(
-            c.view is not old.view for c in _CONTEXTS.values()
-        ):
+        if old.view is not None:
             old.view.detach()
     if view is not None and not _EXIT_HOOK:
         _EXIT_HOOK = True
@@ -174,9 +167,9 @@ def _detach_planes() -> None:
     ``os._exit`` and this never runs (nor needs to).  Never unlinks —
     only the owner destroys the plane.
     """
-    views = {id(c.view): c.view for c in _CONTEXTS.values() if c.view is not None}
+    views = [c.view for c in _CONTEXTS.values() if c.view is not None]
     _CONTEXTS.clear()
-    for view in views.values():
+    for view in views:
         view.detach()
 
 

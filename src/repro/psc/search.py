@@ -13,19 +13,15 @@ carries every farm setting: the default runs the pairs in-process, and
 scores and merged op counts (see :mod:`repro.parallel.farm` for chunk
 packing, retries and the shared-memory dataset plane).
 
-Two optional tiers shrink the pair list before it reaches the kernel:
-
-* ``prefilter`` — the cheap first tier of the hierarchical search
-  (:mod:`repro.seqalign.prefilter`).  Pass a
-  :class:`~repro.seqalign.prefilter.PrefilterConfig` (or a prebuilt
-  :class:`~repro.seqalign.prefilter.SequencePrefilter` over the same
-  corpus, e.g. the query service's cached instance) and only the
-  candidates its promotion policy keeps are compared.
-* ``store`` (all-vs-all only) — a precomputed
-  :class:`repro.matstore.MatrixStore` serves the pairs it holds.
-
-With both left at ``None`` the exact path runs, byte-identical to the
-output before either tier existed.
+``prefilter`` — the cheap first tier of the hierarchical search
+(:mod:`repro.seqalign.prefilter`) — shrinks the pair list before it
+reaches the kernel.  Pass a
+:class:`~repro.seqalign.prefilter.PrefilterConfig` (or a prebuilt
+:class:`~repro.seqalign.prefilter.SequencePrefilter` over the same
+corpus, e.g. the query service's cached instance) and only the
+candidates its promotion policy keeps are compared.  Left at ``None``,
+the exact path runs, byte-identical to the output before the tier
+existed.
 """
 
 from __future__ import annotations
@@ -48,7 +44,6 @@ __all__ = [
     "rank_hits",
     "one_vs_all",
     "all_vs_all",
-    "consult_store",
     "resolve_prefilter",
 ]
 
@@ -171,52 +166,12 @@ def one_vs_all(
     return rank_hits(rows, method)
 
 
-def consult_store(
-    store, dataset: Dataset, method: PSCMethod
-) -> Dict[tuple[int, int], Dict[str, float]]:
-    """Pairs of ``dataset`` a matrix store can serve for ``method``.
-
-    Returns ``{(i, j): scores}`` for every unordered pair whose content
-    hashes the store holds *in the same orientation the caller would
-    compute* (TM-align is direction-dependent, so swapped hits are left
-    to the kernel); scores are projected onto the method's key set.
-    Raises ``ValueError`` when the store was built with a different
-    method or parameterisation — serving those would be silently wrong.
-    """
-    from repro.matstore.store import SERVABLE_KEYS
-    from repro.service.registry import chain_content_hash
-    from repro.tmalign.params import params_fingerprint
-
-    keys = SERVABLE_KEYS.get(method.name)
-    if keys is None or store.method not in SERVABLE_KEYS:
-        raise ValueError(
-            f"matrix store (method {store.method!r}) cannot serve "
-            f"method {method.name!r}"
-        )
-    fingerprint = params_fingerprint(method.params)
-    if fingerprint != store.params_hash:
-        raise ValueError(
-            f"matrix store was built with params {store.params_hash[:12]}..., "
-            f"request fingerprints to {fingerprint[:12]}..."
-        )
-    hashes = [chain_content_hash(c) for c in dataset]
-    served: Dict[tuple[int, int], Dict[str, float]] = {}
-    for i in range(len(dataset)):
-        for j in range(i + 1, len(dataset)):
-            hit = store.lookup(hashes[i], hashes[j])
-            if hit is not None and not hit.swapped:
-                served[(i, j)] = {k: hit.scores[k] for k in keys}
-    return served
-
-
 def all_vs_all(
     dataset: Dataset,
     method: Optional[PSCMethod] = None,
     counter: Optional[CostCounter] = None,
     config: Optional["ParallelConfig"] = None,
     prefilter: Prefilter = None,
-    store=None,
-    populate: bool = False,
 ) -> Dict[tuple[str, str], Dict[str, float]]:
     """All unordered pairs (i<j) of the dataset; returns a score table.
 
@@ -226,42 +181,9 @@ def all_vs_all(
     With ``prefilter`` set, pair ``(i, j)`` is computed iff ``j`` is
     promoted for query ``i`` **or** ``i`` is promoted for query ``j``
     (the union keeps the table symmetric in what it covers); the
-    returned table contains only the kept pairs.
-
-    ``store`` (a :class:`repro.matstore.MatrixStore` or a store root
-    path) consults the precomputed matrix first: pairs it holds are
-    served as O(1) mmap lookups (float32, the store's precision) and
-    only the misses reach the kernel.  ``populate=True`` additionally
-    builds or prefix-extends the store to cover the dataset before
-    consulting, so the sweep both fills and benefits from the matrix.
-    Served pairs come first in the table, then the computed ones, each
-    in row-major order.
+    returned table contains only the kept pairs, in row-major order.
     """
     method = method or TMAlignMethod()
-    served: Dict[tuple[int, int], Dict[str, float]] = {}
-    if store is not None:
-        from repro.matstore import MatrixStore, ensure_coverage
-
-        def _populate(root):
-            # the build step honours the caller's farm settings and
-            # prefilter economy, not the defaults
-            return ensure_coverage(
-                root,
-                dataset,
-                params=getattr(method, "params", None),
-                config=config,
-                prefilter=prefilter,
-            ).store
-
-        if isinstance(store, (str, bytes)) or hasattr(store, "__fspath__"):
-            root = store
-            if populate:
-                store = _populate(root)
-            else:
-                store = MatrixStore.open(root)
-        elif populate:
-            store = _populate(store.root)
-        served = consult_store(store, dataset, method)
     pf = resolve_prefilter(prefilter, dataset)
     n = len(dataset)
     keep: Optional[list[set[int]]] = None
@@ -273,17 +195,8 @@ def all_vs_all(
     def kept(i: int, j: int) -> bool:
         return keep is None or j in keep[i] or i in keep[j]
 
-    out = {
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n) if kept(i, j)]
+    return {
         (dataset[i].name, dataset[j].name): scores
-        for (i, j), scores in served.items()
-        if kept(i, j)
+        for i, j, scores in _evaluate(dataset, pairs, method, config, counter)
     }
-    pairs = [
-        (i, j)
-        for i in range(n)
-        for j in range(i + 1, n)
-        if (i, j) not in served and kept(i, j)
-    ]
-    for i, j, scores in _evaluate(dataset, pairs, method, config, counter):
-        out[(dataset[i].name, dataset[j].name)] = scores
-    return out

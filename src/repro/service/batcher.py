@@ -5,7 +5,10 @@ land on one shared queue.  The batcher drains the queue in batches of up
 to ``max_batch`` jobs — waiting up to ``batch_window`` seconds for
 stragglers to coalesce when the queue is short — and hands each batch
 to :func:`repro.parallel.iter_pair_results`, the farm's one pair path,
-where the batch-vectorized TM-align kernel does the work.  With a
+where the batch-vectorized TM-align kernel does the work.  Each
+(method, params) group of a batch is one drain over one small dataset
+of its chains, indexed by content hash; with the shared-memory plane on,
+that drain publishes the dataset and unlinks it when done.  With a
 :class:`~repro.parallel.FarmBackend` (a service shard holds one), every
 batch drains on the backend's long-lived process pool; without one the
 batches run serially in-process.  The farm's rule is fixed before the
@@ -172,10 +175,6 @@ class MicroBatcher:
         self._stopping = False
         self._task: Optional[asyncio.Task] = None
         self._inflight_jobs = 0
-        # (corpus dataset, content-hash -> index) installed by the
-        # service; one tuple so the executor thread reads a consistent
-        # generation even while a registration swaps it
-        self._corpus: tuple = (None, {})
 
     # -- public surface ----------------------------------------------------
     @property
@@ -195,24 +194,6 @@ class MicroBatcher:
         if self._task is not None:
             await self._task
             self._task = None
-
-    def set_corpus(
-        self, dataset: Optional[Dataset], hashes: Sequence[str] = ()
-    ) -> None:
-        """Install (or clear) the long-lived corpus dataset for batches.
-
-        When every job in a batch group references registered corpus
-        chains (by content hash), the group is evaluated against this
-        shared dataset instead of an ad-hoc per-batch one — with the
-        shared-memory plane enabled, every micro-batch then attaches to
-        the segment the service pinned at registration time instead of
-        paying a fresh dataset serialization per batch.  Scores are
-        identical: MEASURED-mode results depend only on chain content,
-        which the content hashes pin exactly.  A registration that
-        changes the corpus re-installs a new generation; batches racing
-        the swap fall back to the ad-hoc path for unknown hashes.
-        """
-        self._corpus = (dataset, {h: k for k, h in enumerate(hashes)})
 
     async def submit(
         self,
@@ -358,38 +339,23 @@ class MicroBatcher:
         for job in jobs:
             groups.setdefault((job.method_name, job.params_hash), []).append(job)
         bodies: Dict[CacheKey, str] = {}
-        corpus_ds, corpus_idx = self._corpus
         for group in groups.values():
-            if corpus_ds is not None and all(
-                job.key[0] in corpus_idx and job.key[1] in corpus_idx
+            index: Dict[str, int] = {}
+            chains: List[Chain] = []
+
+            def idx_of(content_hash: str, chain: Chain) -> int:
+                if content_hash not in index:
+                    index[content_hash] = len(chains)
+                    chains.append(_hash_named(chain, content_hash))
+                return index[content_hash]
+
+            pairs = [
+                (idx_of(job.key[0], job.chain_a), idx_of(job.key[1], job.chain_b))
                 for job in group
-            ):
-                # corpus fast path: all chains are registered, so reuse
-                # the service's stable dataset (and its pinned
-                # shared-memory plane) with orientation-preserving
-                # (i, j) pairs — chain_a stays the aligner's first arg
-                dataset = corpus_ds
-                pairs = [
-                    (corpus_idx[job.key[0]], corpus_idx[job.key[1]])
-                    for job in group
-                ]
-            else:
-                index: Dict[str, int] = {}
-                chains: List[Chain] = []
-
-                def idx_of(content_hash: str, chain: Chain) -> int:
-                    if content_hash not in index:
-                        index[content_hash] = len(chains)
-                        chains.append(_hash_named(chain, content_hash))
-                    return index[content_hash]
-
-                pairs = [
-                    (idx_of(job.key[0], job.chain_a), idx_of(job.key[1], job.chain_b))
-                    for job in group
-                ]
-                dataset = Dataset(
-                    "service-batch", tuple(chains), "ad-hoc micro-batch corpus"
-                )
+            ]
+            dataset = Dataset(
+                "service-batch", tuple(chains), "ad-hoc micro-batch corpus"
+            )
             results = list(
                 iter_pair_results(
                     dataset, pairs, group[0].method, backend=self.backend,

@@ -4,7 +4,9 @@ One :class:`PSCService` owns the structure registry (corpus loaded once
 at startup), the LRU result cache, the dynamic micro-batcher, one
 long-lived :class:`~repro.parallel.FarmBackend` whose process pool
 serves every batch, matrix run and store build of the shard from start
-to close, and the durable-run bridge into :mod:`repro.runs`.  Requests
+to close, and the durable-run bridge into :mod:`repro.runs`.  The shard
+keeps no shared-memory segment of its own: each drain on the pool
+publishes its dataset plane and unlinks it when it ends.  Requests
 and responses are newline-delimited canonical JSON (see
 :mod:`repro.service.protocol`).
 
@@ -277,10 +279,6 @@ class PSCService(LineProtocolServer):
                 self.matstore = MatrixStore.open(self.config.matstore_dir)
             except MatStoreError:
                 pass  # not built yet; matstore-build creates it
-        # long-lived shared-memory plane over the registered corpus: one
-        # pin per corpus generation, re-pinned on corpus registration
-        self._corpus_plane = None
-        self._refresh_corpus_plane()
         self._ops = {
             "align": self._op_align,
             "search": self._op_search,
@@ -300,13 +298,8 @@ class PSCService(LineProtocolServer):
         self.batcher.start()
 
     async def _aclose_extra(self) -> None:
-        from repro.parallel import shmplane
-
         await self.batcher.stop()
         await asyncio.get_running_loop().run_in_executor(None, self.farm.close)
-        shmplane.release(self._corpus_plane)
-        shmplane.discard(self._corpus_plane)
-        self._corpus_plane = None
 
     # -- pair evaluation with cache ----------------------------------------
     def _store_scores(
@@ -540,11 +533,9 @@ class PSCService(LineProtocolServer):
     def corpus_dataset(self):
         """The registry corpus as a ``(Dataset, content_hashes)`` pair.
 
-        One construction shared by matstore builds and the corpus plane,
-        so every surface agrees on dataset identity — and therefore on
-        the plane fingerprint.  Raises ``ValueError`` when the corpus is
-        empty or holds duplicate chain names (callers decide whether
-        that is an error or just "no plane").
+        One construction shared by every matstore build, so they agree
+        on dataset identity.  Raises ``ValueError`` when the corpus is
+        empty or holds duplicate chain names.
         """
         from repro.datasets.registry import Dataset
 
@@ -556,50 +547,12 @@ class PSCService(LineProtocolServer):
         )
         return dataset, tuple(h for h, _c in corpus)
 
-    def _refresh_corpus_plane(self) -> None:
-        """(Re-)pin the long-lived corpus plane after a corpus change.
-
-        One plane per registered-corpus generation: the batcher's corpus
-        fast path resolves batch jobs against this dataset, so every
-        micro-batch attaches to the same live segment instead of
-        serializing an ad-hoc corpus per batch.  The previous
-        generation is discarded: unlinked as soon as no drain still
-        pins it.  Any failure just leaves the pickle path in charge.
-        """
-        old = self._corpus_plane
-        self._corpus_plane = None
-        dataset = None
-        hashes: tuple = ()
-        if self.config.farm.workers > 1 and self.config.farm.shm:
-            try:
-                dataset, hashes = self.corpus_dataset()
-            except Exception:
-                dataset = None
-            if dataset is not None:
-                from repro.parallel import shmplane
-
-                self._corpus_plane = shmplane.plane_for(dataset)
-        if self._corpus_plane is not None:
-            self.batcher.set_corpus(dataset, hashes)
-        else:
-            self.batcher.set_corpus(None, ())
-        if old is not None:
-            from repro.parallel import shmplane
-
-            shmplane.release(old)
-            if old is not self._corpus_plane:
-                shmplane.discard(old)
-
     async def _op_register(self, payload: Dict[str, Any]):
         name = _require_str(payload, "name")
         text = _require_str(payload, "pdb")
         corpus = bool(payload.get("corpus", False))
         chain_hash = self.registry.register_pdb(text, name, corpus=corpus)
         _, chain = self.registry.resolve(chain_hash)
-        if corpus:
-            # the corpus generation changed: invalidate + re-pin the
-            # shared plane so the next batch attaches to fresh content
-            self._refresh_corpus_plane()
         self.metrics.inc("chains_registered")
         result = {
             "hash": chain_hash,

@@ -27,9 +27,8 @@ Op routing::
                      reports drift between corpus fingerprints)
 
 Degradation is graceful by construction: every shard request carries a
-timeout, a slow sub-request can be hedged to the next shard in the
-key's HRW preference order (``hedge_after``), a failed one fails over
-down that same order, and when a corpus slice cannot be served by any
+timeout, a failed one fails over down the key's HRW preference order,
+and when a corpus slice cannot be served by any
 reachable shard the search returns what it has plus a typed
 ``partial`` block — never a hang, never a silent gap.
 """
@@ -291,7 +290,6 @@ class CoordinatorConfig:
     connect_timeout: float = 2.0  # per shard TCP connect attempt
     connect_retries: int = 1  # reconnect budget per connect cycle
     connect_backoff: float = DEFAULT_CONNECT_BACKOFF
-    hedge_after: float = 0.0  # duplicate a slow sub-request after (0 = off)
     down_after: int = 2  # consecutive failures before a shard is down
     probe_cooldown: float = 2.0  # seconds a down shard sits out
 
@@ -433,50 +431,6 @@ class ShardCoordinator(LineProtocolServer):
             f"({len(order)} tried): {last}"
         )
 
-    async def _hedged_request(
-        self, order: Sequence[str], payload: Dict[str, Any]
-    ) -> Dict[str, Any]:
-        """Failover request with an optional hedge: when the preferred
-        shard has not answered within ``hedge_after`` seconds, the same
-        request races on the next shard in HRW order and the first
-        answer wins (the loser's waiter is simply dropped)."""
-        if self.config.hedge_after <= 0 or len(order) < 2:
-            return await self._request_with_failover(order, payload)
-        primary = asyncio.ensure_future(
-            self._request_with_failover(order[:1], payload)
-        )
-        try:
-            return await asyncio.wait_for(
-                asyncio.shield(primary), timeout=self.config.hedge_after
-            )
-        except asyncio.TimeoutError:
-            pass  # primary still in flight: hedge below
-        except ServiceUnavailable:
-            return await self._request_with_failover(order[1:], payload)
-        self.metrics.inc("hedged_requests")
-        secondary = asyncio.ensure_future(
-            self._request_with_failover(order[1:], payload)
-        )
-        pending = {primary, secondary}
-        last_exc: Optional[Exception] = None
-        while pending:
-            done, pending = await asyncio.wait(
-                pending, return_when=asyncio.FIRST_COMPLETED
-            )
-            for task in done:
-                exc = task.exception()
-                if exc is None:
-                    for p in pending:
-                        p.cancel()
-                    return task.result()
-                if isinstance(exc, ServiceUnavailable):
-                    last_exc = exc
-                    continue
-                for p in pending:
-                    p.cancel()
-                raise exc
-        raise last_exc or ServiceUnavailable("hedged request failed")
-
     # -- corpus view -------------------------------------------------------
     async def _get_corpus_view(self) -> Dict[str, Any]:
         """The cached corpus view (ordered hashes + names), read-one from
@@ -543,7 +497,7 @@ class ShardCoordinator(LineProtocolServer):
     async def _op_align(self, payload: Dict[str, Any]):
         view = await self._get_corpus_view()
         key = self._pair_route_key(view, payload)
-        response = await self._hedged_request(
+        response = await self._request_with_failover(
             self._route_order(key), self._forwardable(payload)
         )
         return response["result"], response.get("cached")
@@ -551,7 +505,7 @@ class ShardCoordinator(LineProtocolServer):
     async def _op_matstore_lookup(self, payload: Dict[str, Any]):
         view = await self._get_corpus_view()
         key = self._pair_route_key(view, payload)
-        response = await self._hedged_request(
+        response = await self._request_with_failover(
             self._route_order(key), self._forwardable(payload)
         )
         return response["result"], response.get("cached")
@@ -657,7 +611,7 @@ class ShardCoordinator(LineProtocolServer):
             # registrations are replicated, so a re-routed slice returns
             # the same scores (just without the owner's warm cache)
             order = [sid] + [s for s in candidates if s != sid]
-            return await self._hedged_request(order, sub)
+            return await self._request_with_failover(order, sub)
 
         outcomes = await asyncio.gather(
             *(run_part(sid, owned) for sid, owned in parts),
@@ -806,7 +760,6 @@ class ShardCoordinator(LineProtocolServer):
                 "drift": drift,
                 "shards": shards,
                 "partial_results": counters.get("partial_results", 0),
-                "hedged_requests": counters.get("hedged_requests", 0),
                 "failover_retries": counters.get("failover_retries", 0),
             },
             None,

@@ -477,6 +477,26 @@ class TestServiceCommandsParse:
         assert "usage: query align" in str(err.value)
 
 
+def test_cli_import_leaves_the_experiment_harnesses_unloaded():
+    """Tool commands, the ``serve`` shard above all, do not pay for
+    importing every experiment harness and the bench driver."""
+    import os
+    import subprocess
+    import sys
+
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+    probe = (
+        "import sys, repro.cli; "
+        "print(sorted(m for m in sys.modules if m.startswith('repro.experiments')))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True,
+        env=env, check=True,
+    )
+    assert out.stdout.strip() == "[]"
+
+
 class TestPrefilterFlags:
     """search/query/bench prefilter flags parse; bad values fail fast."""
 

@@ -4,9 +4,10 @@ A service shard builds one process pool on its first drain and keeps it
 until it closes; its micro-batches, matrix runs and store builds drain
 on that pool concurrently, under one cap of a chunk per worker.  These
 tests pin the ownership (one pool, rebuilt once after a killed worker,
-nothing left running or mapped after close), the shared in-flight cap,
-the worker's bounded context cache, the batcher's overlapping batches
-and the orphaned-segment janitor.
+nothing left running after close), the shared in-flight cap, the
+worker's bounded context cache, the batcher's overlapping batches, the
+orphaned-segment janitor, and that no shared-memory plane outlives the
+drain that published it.
 """
 
 from __future__ import annotations
@@ -76,6 +77,15 @@ def _serial(dataset, pairs, method):
     return list(iter_pair_results(dataset, pairs, method))
 
 
+def _own_planes():
+    """This process's plane segments in ``/dev/shm``, by name prefix
+    (none where there is no ``/dev/shm``)."""
+    if not os.path.isdir("/dev/shm"):
+        return []
+    prefix = f"psc{os.getpid():x}-{shmplane._pid_namespace():x}-"
+    return sorted(n for n in os.listdir("/dev/shm") if n.startswith(prefix))
+
+
 class TestShardPool:
     CONFIG = ServiceConfig(dataset="ck34-mini", port=0, batch_window=0.001)
 
@@ -112,9 +122,6 @@ class TestShardPool:
 
     @needs_two_cpus
     def test_one_pool_per_shard(self, pool_probe):
-        # planes cached by earlier tests in this process are not the
-        # shard's; start from an empty cache so the final check is exact
-        shmplane.shutdown_planes()
         children = set(multiprocessing.active_children())
         _svc, want = self._run(self.CONFIG)
         assert pool_probe["pools"] == 0
@@ -132,8 +139,7 @@ class TestShardPool:
         assert pool_probe["peak"] <= 2
         assert service.farm.closed
         assert set(multiprocessing.active_children()) <= children
-        assert shmplane.active_planes() == []
-
+        assert _own_planes() == []
 
     @needs_two_cpus
     def test_killed_worker_fails_one_batch_only(self, monkeypatch):
@@ -345,8 +351,7 @@ class TestWorkerContexts:
         finally:
             _worker._detach_planes()
             for plane in planes:
-                shmplane.release(plane)
-                shmplane.discard(plane)
+                plane.unlink()
 
     def test_large_context_is_sent_on_a_miss_only(self, ck34_mini):
         """A context without its blob is served from the cache, or
@@ -455,8 +460,7 @@ class TestJanitor:
                 fh.write(b"x")
         monkeypatch.setattr(shmplane, "_SWEPT", False)
         try:
-            plane = shmplane.plane_for(ck34_mini)
-            shmplane.release(plane)
+            shmplane.plane_for(ck34_mini).unlink()
             assert not os.path.exists(dead)
             assert os.path.exists(mine)  # a live owner keeps its segments
             assert os.path.exists(foreign)
@@ -465,3 +469,129 @@ class TestJanitor:
             for path in paths:
                 if os.path.exists(path):
                     os.unlink(path)
+
+
+@needs_two_cpus
+@pytest.mark.skipif(not os.path.isdir("/dev/shm"), reason="no /dev/shm")
+class TestPlaneLifetime:
+    """A plane lives exactly one drain: however the drain ends, its
+    segment is gone from ``/dev/shm`` when the generator is done."""
+
+    CONFIG = ParallelConfig(workers=2, chunk=2, shm=True)
+
+    @pytest.fixture(autouse=True)
+    def _no_planes_before(self):
+        shmplane.shutdown_planes()
+        assert _own_planes() == []
+
+    def test_completed_drain(self, ck34_mini):
+        method = get_method("sse_composition")
+        pairs = list(all_vs_all_pairs(len(ck34_mini)))
+        want = _serial(ck34_mini, pairs, method)
+        stats = FarmStats()
+        got = list(
+            iter_pair_results(
+                ck34_mini, pairs, method, config=self.CONFIG, stats=stats
+            )
+        )
+        assert got == want and stats.shm_plane
+        assert _own_planes() == []
+        # a long-lived backend keeps its pool between drains, not a plane
+        with FarmBackend(self.CONFIG) as backend:
+            assert list(
+                iter_pair_results(ck34_mini, pairs, method, backend=backend)
+            ) == want
+            assert _own_planes() == []
+
+    def test_drain_that_raises_workercrash(self, ck34_mini):
+        kill = FarmFaultPlan.single("kill", (1, 2))
+        with pytest.raises(WorkerCrash, match="died abruptly"):
+            list(
+                iter_pair_results(
+                    ck34_mini, list(all_vs_all_pairs(len(ck34_mini))),
+                    get_method("sse_composition"), config=self.CONFIG,
+                    faults=kill,
+                )
+            )
+        assert _own_planes() == []
+
+    def test_drain_closed_after_its_first_result(self, ck34_mini):
+        gen = iter_pair_results(
+            ck34_mini, list(all_vs_all_pairs(len(ck34_mini))),
+            get_method("sse_composition"), config=self.CONFIG,
+        )
+        next(gen)
+        assert len(_own_planes()) == 1  # published for this drain
+        gen.close()
+        assert _own_planes() == []
+
+    def test_pool_rebuilt_mid_drain(self, ck34_mini):
+        method = get_method("sse_composition")
+        pairs = list(all_vs_all_pairs(len(ck34_mini)))
+        stats = FarmStats()
+        config = dataclasses.replace(
+            self.CONFIG, retry=RetryPolicy(max_retries=2, backoff_seconds=0.01)
+        )
+        got = list(
+            iter_pair_results(
+                ck34_mini, pairs, method, config=config, stats=stats,
+                faults=FarmFaultPlan.single("kill", (1, 2)),
+            )
+        )
+        assert got == _serial(ck34_mini, pairs, method)
+        assert stats.shm_plane and stats.pool_restarts >= 1
+        assert _own_planes() == []
+
+    def test_stall_duplicate_outliving_its_drain(self, ck34_mini):
+        """A stalled chunk still running when its drain has ended and
+        unlinked the plane: the next drain on the backend is unharmed,
+        and a chunk that attaches to the gone plane gets an error
+        result, not a dead worker."""
+        method = get_method("sse_composition")
+        pairs = list(all_vs_all_pairs(len(ck34_mini)))
+        want = _serial(ck34_mini, pairs, method)
+        retry = RetryPolicy(
+            max_retries=1, backoff_seconds=0.01, chunk_timeout_seconds=0.2
+        )
+        config = dataclasses.replace(self.CONFIG, retry=retry)
+        stall = FarmFaultPlan.single("stall", (0, 1), stall_seconds=1.0)
+        with FarmBackend(config) as backend:
+            stats = FarmStats()
+            assert list(
+                iter_pair_results(
+                    ck34_mini, pairs, method, backend=backend, stats=stats,
+                    faults=stall,
+                )
+            ) == want
+            assert stats.chunk_timeouts >= 1
+            assert list(
+                iter_pair_results(ck34_mini, pairs, method, backend=backend)
+            ) == want
+        assert _own_planes() == []
+
+        plane = shmplane.plane_for(ck34_mini)
+        context = _worker.drain_context(plane.worker_spec(), method, "measured")
+        plane.unlink()
+        status, _pair, remote_tb, _wall = _worker.eval_chunk([(0, 1)], 0, context)
+        assert status == "error" and "PlaneUnavailable" in remote_tb
+
+    def test_service_keeps_no_plane(self):
+        """A two-worker shard holds no segment between requests, and
+        none after it closes."""
+
+        def requests(port):
+            with ServiceClient(port=port) as c:
+                search = c.search("ck_globin_00", top=3)
+                return search, _own_planes()
+
+        async def main():
+            config = dataclasses.replace(
+                TestShardPool.CONFIG, farm=ParallelConfig(workers=2)
+            )
+            async with PSCService(config) as service:
+                return await asyncio.to_thread(requests, service.port)
+
+        search, between = asyncio.run(main())
+        assert search["from_cache"] == 0
+        assert between == []
+        assert _own_planes() == []

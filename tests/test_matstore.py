@@ -345,59 +345,20 @@ class TestHoles:
 
 
 class TestSearchIntegration:
-    def test_all_vs_all_serves_from_store(self, built_store, mini4):
-        from repro.psc.methods import TMAlignFullMethod, TMAlignMethod
-        from repro.psc.search import all_vs_all, consult_store
-
-        method = TMAlignFullMethod()
-        served = consult_store(built_store.store, mini4, method)
-        assert len(served) == triangle_size(len(mini4))
-        table = all_vs_all(mini4, method=method, store=built_store.store.root)
-        assert len(table) == triangle_size(len(mini4))
-        direct = method.compare(mini4[0], mini4[1], CostCounter())
-        got = table[(mini4[0].name, mini4[1].name)]
-        for key in METRICS:
-            assert got[key] == float(np.float32(direct[key]))
-        # the plain tmalign method is served the projected key subset
-        narrow = all_vs_all(
-            mini4, method=TMAlignMethod(), store=built_store.store.root
-        )
-        assert set(narrow[(mini4[0].name, mini4[1].name)]) < set(METRICS)
-
-    def test_consult_store_refuses_mismatched_method(self, built_store, mini4):
-        from repro.psc import get_method
-        from repro.psc.search import consult_store
-
-        with pytest.raises(ValueError, match="cannot serve"):
-            consult_store(
-                built_store.store, mini4, get_method("sse_composition")
-            )
-
-    def test_populate_builds_then_serves(self, mini4, tmp_path):
-        from repro.psc.methods import TMAlignFullMethod
-        from repro.psc.search import all_vs_all
-
-        root = str(tmp_path / "populated")
-        table = all_vs_all(
-            mini4, method=TMAlignFullMethod(), store=root, populate=True
-        )
-        assert len(table) == triangle_size(len(mini4))
-        assert MatrixStore.open(root).n_pairs == triangle_size(len(mini4))
-
     def test_populate_forwards_prefilter_to_build(self, mini4, tmp_path):
         """The build step honours the caller's prefilter economy:
-        demoted pairs become journaled NaN holes, never kernel runs."""
+        demoted pairs become journaled NaN holes, never kernel runs, and
+        the store holds exactly the pairs the prefiltered sweep keeps."""
+        from repro.matstore import ensure_coverage
         from repro.psc.methods import TMAlignFullMethod
         from repro.psc.search import all_vs_all
         from repro.seqalign.prefilter import PrefilterConfig
 
+        prefilter = PrefilterConfig(keep=0.25, min_keep=1)
         root = str(tmp_path / "populated-pf")
+        ensure_coverage(root, mini4, prefilter=prefilter)
         table = all_vs_all(
-            mini4,
-            method=TMAlignFullMethod(),
-            store=root,
-            populate=True,
-            prefilter=PrefilterConfig(keep=0.25, min_keep=1),
+            mini4, method=TMAlignFullMethod(), prefilter=prefilter
         )
         stats = MatrixStore.open(root).stats()
         assert stats["holes"] > 0

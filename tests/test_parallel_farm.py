@@ -625,10 +625,12 @@ class TestRetryPath:
     ):
         """The acceptance case: a SIGKILLed worker forces a pool rebuild,
         the replacement pool re-attaches the *same* plane (no re-pickle,
-        no re-serialize), and the table still matches serial exactly."""
+        no re-serialize), and the table still matches serial exactly.
+        The plane goes with the drain."""
         method = get_method("sse_composition")
         want = all_vs_all(ck34_mini, method)
         stats = FarmStats()
+        live = set(shmplane._LIVE)
         got = farm_table(
             ck34_mini, method,
             config=ParallelConfig(
@@ -642,15 +644,7 @@ class TestRetryPath:
         assert stats.pool_restarts >= 1
         assert stats.shm_plane
         assert stats.rebuild_s >= 0.0
-        # the plane outlived the kill: still cached, attachable, live
-        plane = shmplane.plane_for(ck34_mini)
-        try:
-            assert plane is not None and plane.live
-            view = plane.attach()
-            assert len(view) == len(ck34_mini)
-            view.detach()
-        finally:
-            shmplane.release(plane)
+        assert shmplane._LIVE <= live  # the drain unlinked its plane
 
     def test_stalled_chunk_redispatched(self, ck34_mini):
         method = get_method("sse_composition")

@@ -9,6 +9,7 @@ process would talk to it.
 import asyncio
 import dataclasses
 import json
+import os
 import socket
 import threading
 
@@ -149,24 +150,25 @@ class TestSearch:
 
 class TestFarmPath:
     def test_farm_service_answers_byte_identically(self):
-        """Two farm workers behind the batcher: the corpus fast path
-        attaches the pinned corpus plane and answers exactly as the
+        """Two farm workers behind the batcher: every batch drains on the
+        shard's pool over its own plane and answers exactly as the
         in-process service does."""
-        from repro.parallel import ParallelConfig, shmplane
+        from repro.parallel import ParallelConfig
 
         def client(port):
             with ServiceClient(port=port) as c:
                 search = c.search("ck_globin_00", top=7)
                 align = c.align("ck_globin_01", "ck_globin_02")
-                return search, align["result"], shmplane.active_planes()
+                return search, align["result"]
 
-        _svc, (want_search, want_align, _planes) = with_service(client)
+        _svc, (want_search, want_align) = with_service(client)
         farm = dataclasses.replace(CONFIG, farm=ParallelConfig(workers=2))
-        _svc, (search, align, planes) = with_service(client, config=farm)
+        svc, (search, align) = with_service(client, config=farm)
         assert search["from_cache"] == 0
         assert canonical_json(search) == canonical_json(want_search)
         assert canonical_json(align) == canonical_json(want_align)
-        assert any(p["pinned"] and p["n_chains"] == 8 for p in planes)
+        if (os.cpu_count() or 1) >= 2:  # one CPU: chunks run in-process
+            assert svc.farm.pools_built == 1
 
 
 class TestRegisterAndRuns:

@@ -11,6 +11,7 @@ down shard degrades the answer, never hangs it.
 
 import asyncio
 import contextlib
+import os
 import socket
 import subprocess
 import sys
@@ -100,7 +101,7 @@ class TestRendezvousHashing:
         )
         out = subprocess.run(
             [sys.executable, "-c", script],
-            cwd="/root/repo",
+            cwd=os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
             capture_output=True,
             text=True,
             check=True,

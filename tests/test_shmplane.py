@@ -1,4 +1,4 @@
-"""The shared-memory dataset plane: layout, lifecycle, cache, fallback.
+"""The shared-memory dataset plane: layout, lifecycle, fallback.
 
 The plane's contract is airtight teardown and content fidelity: an
 attached view must reproduce every chain bit-for-bit, a stale or
@@ -23,11 +23,9 @@ import pytest
 from repro.datasets.registry import Dataset
 from repro.parallel import shmplane
 from repro.parallel.shmplane import (
-    PLANE_CACHE_CAPACITY,
     DatasetPlane,
     PlaneUnavailable,
     ShmDataset,
-    active_planes,
     plane_fingerprint,
     plane_for,
 )
@@ -183,57 +181,38 @@ class TestLifecycle:
 
 
 class TestPlaneCache:
+    """The module front end.  It caches nothing: every ``plane_for`` is a
+    fresh plane its caller unlinks, and ``shutdown_planes`` reaps the
+    ones still live."""
+
     @pytest.fixture(autouse=True)
     def _fresh_cache(self):
         shmplane.shutdown_planes()
         yield
         shmplane.shutdown_planes()
 
-    def test_plane_for_reuses_by_fingerprint(self):
+    def test_plane_for_publishes_a_fresh_plane_per_call(self):
         ds = _tiny_dataset("cache-a")
         first = plane_for(ds)
-        assert first is not None and first.pinned
         second = plane_for(ds)
-        assert second is first
-        shmplane.release(first)
-        shmplane.release(second)
-        assert not first.pinned
-        assert first.live  # released, but kept warm in the cache
-
-    def test_lru_eviction_spares_pinned_planes(self):
-        pinned = plane_for(_tiny_dataset("cache-pin"))
-        assert pinned is not None
-        extras = [plane_for(_tiny_dataset(f"cache-x{k}"))
-                  for k in range(PLANE_CACHE_CAPACITY + 1)]
-        assert all(p is not None for p in extras)
-        assert pinned.live  # oldest, but pinned: never evicted under us
-        for p in extras:
-            shmplane.release(p)
-        shmplane.release(pinned)
-
-    def test_evict_while_pinned_defers_unlink_to_release(self):
-        plane = plane_for(_tiny_dataset("cache-doom"))
-        assert plane is not None
-        plane.evict()
-        assert plane.live  # doomed, not dead: a drain still holds it
-        shmplane.release(plane)
-        assert not plane.live
-
-    def test_active_planes_reports_cache(self):
-        plane = plane_for(_tiny_dataset("cache-report"))
-        assert plane is not None
-        entries = {e["fingerprint"]: e for e in active_planes()}
-        entry = entries[plane.fingerprint]
-        assert entry["segment"] == plane.name
-        assert entry["pinned"] is True
-        shmplane.release(plane)
+        assert first is not None and second is not None
+        assert first.name != second.name
+        assert first.fingerprint == second.fingerprint
+        first.unlink()
+        view = second.attach()  # one caller's unlink leaves the other's
+        try:
+            assert len(view) == len(ds)
+        finally:
+            view.detach()
+            second.unlink()
 
     def test_shutdown_unlinks_everything(self):
         plane = plane_for(_tiny_dataset("cache-shutdown"))
         assert plane is not None
         shmplane.shutdown_planes()
         assert not plane.live
-        assert active_planes() == []
+        with pytest.raises(PlaneUnavailable):
+            ShmDataset.attach(plane.name)
 
     def test_unplanable_dataset_returns_none(self, monkeypatch):
         def refuse(cls, dataset, fingerprint=None):
@@ -279,7 +258,7 @@ class TestWorkerDeathSafety:
         script = tmp_path / "plane_exit_check.py"
         script.write_text(textwrap.dedent("""
             import multiprocessing, os, signal
-            from repro.parallel.shmplane import DatasetPlane, ShmDataset, plane_for, release
+            from repro.parallel.shmplane import DatasetPlane, ShmDataset, plane_for
             from tests.test_shmplane import _tiny_dataset
 
             def attach_and_die(name, fp):
@@ -300,7 +279,7 @@ class TestWorkerDeathSafety:
                 child.start()
                 child.join(60)
                 assert child.exitcode == -signal.SIGKILL
-                release(plane)
+                plane.unlink()
                 # second plane left for the atexit hook to reap
                 leak = plane_for(_tiny_dataset("tracker-check-2"))
                 assert leak is not None
