@@ -544,7 +544,6 @@ def _cmd_serve(args) -> str:
         queue_limit=args.queue_limit,
         max_batch=args.max_batch,
         batch_window=args.batch_window,
-        max_batch_cost=args.max_batch_cost,
         farm=_farm_config(args),
         cache_capacity=args.cache_capacity,
         runs_dir=args.runs_dir,
@@ -866,9 +865,8 @@ def _cmd_matstore(args) -> str:
             f"{verb} {args.store}: {store.n_chains} chains, "
             f"{store.n_pairs} pairs committed "
             f"({result.n_computed} computed now, "
-            f"{result.n_journaled} from the journal"
-            + (f", {result.n_holes} prefilter holes" if result.n_holes else "")
-            + f") in {result.wall_seconds:.1f}s"
+            f"{result.n_journaled} from the journal) "
+            f"in {result.wall_seconds:.1f}s"
         ]
         lines.extend(result.notes)
         return "\n".join(lines)
@@ -1360,13 +1358,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=0.002,
         help="seconds to wait for a short batch to fill before dispatching",
-    )
-    p.add_argument(
-        "--max-batch-cost",
-        type=float,
-        default=0.0,
-        help="predicted-seconds budget per kernel batch; a batch closes "
-        "early when its cost-model price reaches this (0 = count-only)",
     )
     p.add_argument(
         "--cache-capacity",

@@ -32,6 +32,7 @@ and is written by :func:`write_report`.  ``--check`` then only reads
 from __future__ import annotations
 
 import json
+import math
 import platform
 import sys
 import time
@@ -673,6 +674,12 @@ def _bench_plane(min_rebuild_speedup: float, n_chains: int = 384,
     return out
 
 
+#: timed passes per bench-parallel measurement (the serial pass and every
+#: grid point); each reports its fastest, so one descheduled pass on a
+#: shared host cannot decide the speedup gate
+PARALLEL_REPEATS = 3
+
+
 def run_parallel_bench(
     dataset: str = "ck34",
     workers_grid: Sequence[int] = (1, 2, 4, 8),
@@ -685,10 +692,13 @@ def run_parallel_bench(
     """Measured-mode all-vs-all wall-clock across worker counts.
 
     Runs the real TM-align workload (every pair is a full aligner run)
-    serially first, then once per worker count through the process-pool
+    serially first, then per worker count through the process-pool
     farm, verifying every configuration reproduces the serial score
-    table bit-for-bit.  The committed artefact tracks the speedup curve
-    PR over PR the way ``BENCH_hotpaths.json`` tracks the simulator.
+    table bit-for-bit.  Each measurement is the best of
+    :data:`PARALLEL_REPEATS` passes (``repeats`` in the report), and a
+    point is bit-identical only if every pass was.  The committed
+    artefact tracks the speedup curve PR over PR the way
+    ``BENCH_hotpaths.json`` tracks the simulator.
 
     Each point also records how the cost-aware scheduler behaved:
     realized chunk sizes (min/mean/max), ``predicted_cost_error`` (mean
@@ -729,11 +739,14 @@ def run_parallel_bench(
         "n_chains": len(ds),
         "mode": "measured",
         "shm": shm,
+        "repeats": PARALLEL_REPEATS,
         "points": [],
     }
-    t0 = time.perf_counter()
-    serial_table = all_vs_all(ds, method=method)
-    serial_wall = time.perf_counter() - t0
+    serial_wall = math.inf
+    for _ in range(PARALLEL_REPEATS):
+        t0 = time.perf_counter()
+        serial_table = all_vs_all(ds, method=method)
+        serial_wall = min(serial_wall, time.perf_counter() - t0)
     n_pairs = len(serial_table)
     report["n_pairs"] = n_pairs
     report["serial"] = {
@@ -742,21 +755,23 @@ def run_parallel_bench(
     }
 
     def farm_point(workers: int, point_shm: bool) -> dict:
-        stats = FarmStats()
-        t0 = time.perf_counter()
-        table = {
-            (ds[i].name, ds[j].name): scores
-            for i, j, scores, _counts in iter_pair_results(
-                ds, pairs, method,
-                config=ParallelConfig(
-                    workers=workers, chunk=chunk, shm=point_shm
-                ),
-                stats=stats,
-            )
-        }
-        wall = time.perf_counter() - t0
+        config = ParallelConfig(workers=workers, chunk=chunk, shm=point_shm)
+        best_wall, best_stats, identical = math.inf, None, True
+        for _ in range(PARALLEL_REPEATS):
+            stats = FarmStats()
+            t0 = time.perf_counter()
+            table = {
+                (ds[i].name, ds[j].name): scores
+                for i, j, scores, _counts in iter_pair_results(
+                    ds, pairs, method, config=config, stats=stats
+                )
+            }
+            wall = time.perf_counter() - t0
+            identical = identical and table == serial_table
+            if wall < best_wall:
+                best_wall, best_stats = wall, stats
         return _point_from_stats(
-            stats, wall, n_pairs, serial_wall, table == serial_table, workers
+            best_stats, best_wall, n_pairs, serial_wall, identical, workers
         )
 
     for w in workers_grid:
@@ -795,7 +810,8 @@ def format_parallel_bench_report(report: dict) -> str:
     """Human-readable summary of a ``run_parallel_bench`` report."""
     parts = [
         f"== bench: parallel all-vs-all, {report['dataset']} measured mode "
-        f"({report['n_pairs']} pairs, {report['cpu_count']} CPUs) ==",
+        f"({report['n_pairs']} pairs, {report['cpu_count']} CPUs, "
+        f"best of {report.get('repeats', 1)}) ==",
         f"serial: {report['serial']['wall_seconds']:.2f}s "
         f"({report['serial']['pairs_per_second']:.2f} pairs/s)",
         render_table(

@@ -1,9 +1,9 @@
 """Populate and incrementally extend a :class:`MatrixStore`.
 
 ``build_store`` computes every unordered pair of a dataset through the
-existing farm (cost-packed chunks, one per worker, retries) — or only
-the prefilter-promoted union, leaving NaN holes — journaling each pair
-as it drains, then commits the float32 blocks and header in one step.
+existing farm (cost-packed chunks, one per worker, retries), journaling
+each pair as it drains, then commits the float32 blocks and header in
+one step.
 ``extend_store`` is the incremental database update: one new chain costs
 exactly ``n`` new pairs appended at the block tails, never a rebuild.
 Each takes the farm's ``config``, or a long-lived ``backend`` whose pool
@@ -26,10 +26,9 @@ import numpy as np
 
 from repro.datasets.registry import Dataset
 from repro.psc.methods import TMAlignFullMethod
-from repro.psc.search import Prefilter, resolve_prefilter
 from repro.service.registry import chain_content_hash
 from repro.structure.model import Chain
-from repro.tmalign.params import TMAlignParams, params_fingerprint
+from repro.tmalign.params import params_fingerprint
 
 from repro.matstore.store import (
     METRICS,
@@ -46,9 +45,6 @@ __all__ = [
     "export_csv",
     "store_method",
 ]
-
-_NAN_ROW = {k: float("nan") for k in METRICS}
-
 
 def _context_digest(hashes: Sequence[str]) -> str:
     """Identity of the working chain set journal rows are computed for.
@@ -76,24 +72,22 @@ class BuildResult:
     n_pairs: int  # pairs this invocation was responsible for
     n_computed: int  # pairs actually run through the kernel now
     n_journaled: int  # pairs taken from a prior (interrupted) journal
-    n_holes: int  # pairs demoted by the prefilter (NaN slots)
     wall_seconds: float = 0.0
     notes: List[str] = field(default_factory=list)
 
 
 def store_method(
     store: Optional[MatrixStore] = None,
-    params: Optional[TMAlignParams] = None,
 ) -> Tuple[TMAlignFullMethod, str]:
     """The one method a matrix store is scored with, plus its fingerprint.
 
-    The store schema carries exactly the ``tmalign_full`` score keys, so
-    the method is fixed; ``params`` customises the TM-align knobs, and an
-    existing store refuses parameters that do not match its recorded
-    fingerprint (mixing parameterisations in one matrix would poison
-    every later lookup).
+    The store schema carries exactly the ``tmalign_full`` score keys and
+    default TM-align parameters, so the method is fixed; an existing
+    store whose recorded method or parameter fingerprint differs is
+    refused (mixing parameterisations in one matrix would poison every
+    later lookup).
     """
-    method = TMAlignFullMethod(params=params)
+    method = TMAlignFullMethod()
     fingerprint = params_fingerprint(method.params)
     if store is not None:
         if store.method != method.name:
@@ -104,7 +98,7 @@ def store_method(
         if store.params_hash != fingerprint:
             raise MatStoreError(
                 f"store was built with params {store.params_hash[:12]}..., "
-                f"the supplied params fingerprint {fingerprint[:12]}... differs"
+                f"the default params fingerprint {fingerprint[:12]}... differs"
             )
     return method, fingerprint
 
@@ -116,33 +110,19 @@ def _content_hashes(chains: Sequence[Chain]) -> List[str]:
     return hashes
 
 
-def _keep_sets(dataset: Dataset, prefilter: Prefilter) -> Optional[List[set]]:
-    """Per-query promotion sets, same union semantics as ``all_vs_all``."""
-    pf = resolve_prefilter(prefilter, dataset)
-    if pf is None:
-        return None
-    return [set(pf.promote_chain(dataset[i], exclude={i})) for i in range(len(dataset))]
-
-
-def _pair_kept(i: int, j: int, keep: Optional[List[set]]) -> bool:
-    return keep is None or j in keep[i] or i in keep[j]
-
-
 def _compute_rows(
     dataset: Dataset,
     store: MatrixStore,
     pairs: Sequence[Tuple[int, int]],
-    keep: Optional[List[set]],
     method: TMAlignFullMethod,
     config,
     backend,
     digest: str,
     notes: List[str],
-) -> Tuple[Dict[Tuple[int, int], Dict[str, float]], int, int, int]:
+) -> Tuple[Dict[Tuple[int, int], Dict[str, float]], int, int]:
     """Journal-first evaluation of ``pairs``: rows already journaled *for
-    the same chain content* are reused, demoted pairs are journaled as
-    NaN holes, the rest go through the farm.  Returns ``(rows,
-    n_computed, n_journaled, n_holes)``.
+    the same chain content* are reused, the rest go through the farm.
+    Returns ``(rows, n_computed, n_journaled)``.
 
     ``digest`` is the :func:`_context_digest` of the working dataset.  An
     uncommitted journal tail recorded under a different digest (an
@@ -165,28 +145,18 @@ def _compute_rows(
     store.write_journal_context(digest)
     rows: Dict[Tuple[int, int], Dict[str, float]] = {}
     todo: List[Tuple[int, int]] = []
-    n_holes = 0
-    n_journaled = 0
-    with store.journal() as journal:
-        for i, j in pairs:
-            if (i, j) in state.rows:
-                rows[(i, j)] = state.scores((i, j))
-                n_journaled += 1
-                if rows[(i, j)][METRICS[0]] != rows[(i, j)][METRICS[0]]:
-                    n_holes += 1
-                continue
-            if not _pair_kept(i, j, keep):
-                journal.append(i, j, _NAN_ROW)
-                rows[(i, j)] = dict(_NAN_ROW)
-                n_holes += 1
-                continue
+    for i, j in pairs:
+        if (i, j) in state.rows:
+            rows[(i, j)] = state.scores((i, j))
+        else:
             todo.append((i, j))
+    with store.journal() as journal:
         for i, j, scores, _counts in iter_pair_results(
             dataset, todo, method, config=config, backend=backend
         ):
             journal.append(i, j, scores)
             rows[(i, j)] = dict(scores)
-    return rows, len(todo), n_journaled, n_holes
+    return rows, len(todo), len(pairs) - len(todo)
 
 
 def _tail_blocks(
@@ -205,9 +175,7 @@ def _tail_blocks(
 def build_store(
     dataset: Dataset,
     root: str,
-    params: Optional[TMAlignParams] = None,
     config=None,
-    prefilter: Prefilter = None,
     backend=None,
 ) -> BuildResult:
     """Build (or resume building) the all-vs-all store for ``dataset``.
@@ -223,11 +191,11 @@ def build_store(
     try:
         store = MatrixStore.open(root)
     except MatStoreError:
-        method, fingerprint = store_method(params=params)
+        method, fingerprint = store_method()
         store = MatrixStore.create(
             root, method.name, fingerprint, dataset=dataset.name
         )
-    method, _ = store_method(store, params=params)
+    method, _ = store_method(store)
     if store.n_chains:
         if store.hashes == hashes:
             return BuildResult(
@@ -235,7 +203,6 @@ def build_store(
                 n_pairs=store.n_pairs,
                 n_computed=0,
                 n_journaled=store.n_pairs,
-                n_holes=int(store.stats()["holes"]),
                 wall_seconds=time.perf_counter() - t0,
                 notes=["store already covers this dataset"],
             )
@@ -244,10 +211,9 @@ def build_store(
             "content; extend it chain by chain or build into a fresh root"
         )
     pairs = list(condensed_pairs(len(dataset)))
-    keep = _keep_sets(dataset, prefilter)
     notes: List[str] = []
-    rows, n_computed, n_journaled, n_holes = _compute_rows(
-        dataset, store, pairs, keep, method, config, backend,
+    rows, n_computed, n_journaled = _compute_rows(
+        dataset, store, pairs, method, config, backend,
         _context_digest(hashes), notes,
     )
     store.commit_rows(names, hashes, _tail_blocks(rows, pairs))
@@ -256,7 +222,6 @@ def build_store(
         n_pairs=len(pairs),
         n_computed=n_computed,
         n_journaled=n_journaled,
-        n_holes=n_holes,
         wall_seconds=time.perf_counter() - t0,
         notes=notes,
     )
@@ -266,9 +231,7 @@ def extend_store(
     store: MatrixStore,
     corpus: Sequence[Chain],
     new_chain: Chain,
-    params: Optional[TMAlignParams] = None,
     config=None,
-    prefilter: Prefilter = None,
     backend=None,
 ) -> BuildResult:
     """Register one new chain: compute, journal and append exactly ``n``
@@ -281,7 +244,7 @@ def extend_store(
     journal.
     """
     t0 = time.perf_counter()
-    method, _ = store_method(store, params=params)
+    method, _ = store_method(store)
     have = _content_hashes(corpus)
     if have != store.hashes:
         raise MatStoreError(
@@ -295,7 +258,6 @@ def extend_store(
             n_pairs=0,
             n_computed=0,
             n_journaled=0,
-            n_holes=0,
             wall_seconds=time.perf_counter() - t0,
             notes=[f"chain content {new_hash[:12]}... already stored"],
         )
@@ -306,10 +268,9 @@ def extend_store(
         "matrix-store extend working set",
     )
     pairs = [(i, n) for i in range(n)]
-    keep = _keep_sets(extended, prefilter)
     notes: List[str] = []
-    rows, n_computed, n_journaled, n_holes = _compute_rows(
-        extended, store, pairs, keep, method, config, backend,
+    rows, n_computed, n_journaled = _compute_rows(
+        extended, store, pairs, method, config, backend,
         _context_digest([*have, new_hash]), notes,
     )
     store.commit_rows([new_chain.name], [new_hash], _tail_blocks(rows, pairs))
@@ -318,7 +279,6 @@ def extend_store(
         n_pairs=len(pairs),
         n_computed=n_computed,
         n_journaled=n_journaled,
-        n_holes=n_holes,
         wall_seconds=time.perf_counter() - t0,
         notes=notes,
     )
@@ -327,9 +287,7 @@ def extend_store(
 def ensure_coverage(
     root: str,
     dataset: Dataset,
-    params: Optional[TMAlignParams] = None,
     config=None,
-    prefilter: Prefilter = None,
     backend=None,
 ) -> BuildResult:
     """Make the store at ``root`` cover every pair of ``dataset``.
@@ -347,25 +305,22 @@ def ensure_coverage(
     except MatStoreError:
         store = None
     if store is None or store.n_chains == 0 or store.hashes == hashes:
-        return build_store(dataset, root, params=params, config=config,
-                           prefilter=prefilter, backend=backend)
+        return build_store(dataset, root, config=config, backend=backend)
     k = store.n_chains
     if k > len(dataset) or store.hashes != hashes[:k]:
         raise MatStoreError(
             f"store at {root} ({k} chains) is not a prefix of dataset "
             f"{dataset.name!r} ({len(dataset)} chains); build a fresh root"
         )
-    total = BuildResult(store, n_pairs=0, n_computed=0, n_journaled=0, n_holes=0)
+    total = BuildResult(store, n_pairs=0, n_computed=0, n_journaled=0)
     for idx in range(k, len(dataset)):
         r = extend_store(
             store, dataset.chains[:idx], dataset[idx],
-            params=params, config=config, prefilter=prefilter,
-            backend=backend,
+            config=config, backend=backend,
         )
         total.n_pairs += r.n_pairs
         total.n_computed += r.n_computed
         total.n_journaled += r.n_journaled
-        total.n_holes += r.n_holes
         total.notes.extend(r.notes)
     total.wall_seconds = time.perf_counter() - t0
     return total

@@ -253,10 +253,6 @@ class MatrixStore:
         except OSError:
             return 0
 
-    def index_of(self, chain_hash: str) -> Optional[int]:
-        """Store index of a content hash, or None if unregistered."""
-        return self._index.get(chain_hash)
-
     def __contains__(self, chain_hash: str) -> bool:
         return chain_hash in self._index
 

@@ -17,13 +17,11 @@ from repro.parallel.costsched import (
 )
 from repro.parallel.farm import (
     DEFAULT_CHUNK,
-    SERIAL_RETRY_CHUNK_CAP,
     FarmBackend,
     FarmStats,
     ParallelConfig,
     RetryPolicy,
     WorkerCrash,
-    auto_chunk,
     effective_workers,
     iter_pair_results,
     reset_worker_clamp_warnings,
@@ -38,7 +36,6 @@ from repro.parallel.shmplane import (
 
 __all__ = [
     "DEFAULT_CHUNK",
-    "SERIAL_RETRY_CHUNK_CAP",
     "ChunkPlan",
     "DatasetPlane",
     "FarmBackend",
@@ -48,7 +45,6 @@ __all__ = [
     "RetryPolicy",
     "ShmDataset",
     "WorkerCrash",
-    "auto_chunk",
     "effective_workers",
     "iter_pair_results",
     "pack_chunks",

@@ -25,12 +25,12 @@ flight per worker, the paper's master–slaves rule (see
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from repro.cost.cpu import AMD_ATHLON_2400, CpuModel
-from repro.cost.model import DEFAULT_PAIR_COST_MODEL, PairCostModel
+from repro.cost.cpu import AMD_ATHLON_2400
+from repro.cost.model import DEFAULT_PAIR_COST_MODEL
 
 __all__ = [
     "CHUNKS_PER_WORKER",
@@ -54,34 +54,30 @@ MAX_CHUNK_PAIRS = 128
 
 
 def predict_pair_seconds(
-    lengths_a: Sequence[int],
-    lengths_b: Sequence[int],
-    model: Optional[PairCostModel] = None,
-    cpu: Optional[CpuModel] = None,
+    lengths_a: Sequence[int], lengths_b: Sequence[int]
 ) -> np.ndarray:
     """Predicted seconds per pair on the nominal CPU, vectorized.
 
-    The noiseless mean of the cost model (no per-pair jitter: scheduling
-    wants the expectation, and needs no chain names).  Mirrors
+    The noiseless mean of :data:`DEFAULT_PAIR_COST_MODEL` priced on
+    :data:`AMD_ATHLON_2400` (no per-pair jitter: scheduling wants the
+    expectation, and needs no chain names).  Mirrors
     :meth:`PairCostModel.counts` exactly: polynomial per op class clipped
     at zero, ``sec_res`` exact, ``align_fixed`` one per comparison.
     """
-    model = model or DEFAULT_PAIR_COST_MODEL
-    cpu = cpu or AMD_ATHLON_2400
     la = np.asarray(lengths_a, dtype=float)
     lb = np.asarray(lengths_b, dtype=float)
     lmin = np.minimum(la, lb)
     prod = la * lb
     cycles = np.zeros_like(la)
-    for op, (c0, c1, c2) in model.coeffs.items():
+    for op, (c0, c1, c2) in DEFAULT_PAIR_COST_MODEL.coeffs.items():
         if op == "sec_res":
             counts = la + lb
         elif op == "align_fixed":
             counts = np.ones_like(la)
         else:
             counts = np.maximum(0.0, c0 + c1 * lmin + c2 * prod)
-        cycles += counts * cpu.cycles_per_op(op)
-    return cycles / cpu.freq_hz
+        cycles += counts * AMD_ATHLON_2400.cycles_per_op(op)
+    return cycles / AMD_ATHLON_2400.freq_hz
 
 
 @dataclass(frozen=True)
@@ -101,15 +97,13 @@ def pack_chunks(
     pairs: Sequence[Tuple[int, int]],
     costs: Sequence[float],
     workers: int,
-    chunks_per_worker: int = CHUNKS_PER_WORKER,
-    max_pairs: int = MAX_CHUNK_PAIRS,
 ) -> ChunkPlan:
     """Cut ``pairs`` into contiguous chunks of ~equal predicted cost.
 
-    The budget is ``total_cost / (workers * chunks_per_worker)``, floored
+    The budget is ``total_cost / (workers * CHUNKS_PER_WORKER)``, floored
     at the most expensive single pair (one pair can never be split).  A
     chunk closes when adding the next pair would overshoot the budget or
-    exceed ``max_pairs``; every chunk therefore carries at most
+    exceed :data:`MAX_CHUNK_PAIRS`; every chunk therefore carries at most
     ``budget + max_single_cost`` of predicted work, which bounds the tail
     straggler by construction.  Concatenating the chunks reproduces
     ``pairs`` exactly — order is preserved, nothing dropped or duplicated.
@@ -121,13 +115,13 @@ def pack_chunks(
     workers = max(1, workers)
     costs = [max(0.0, float(c)) for c in costs]
     total = sum(costs)
-    budget = max(total / (workers * max(1, chunks_per_worker)), max(costs))
+    budget = max(total / (workers * CHUNKS_PER_WORKER), max(costs))
     chunks: List[List[Tuple[int, int]]] = []
     predicted: List[float] = []
     cur: List[Tuple[int, int]] = []
     cur_cost = 0.0
     for pair, cost in zip(pairs, costs):
-        if cur and (cur_cost + cost > budget or len(cur) >= max_pairs):
+        if cur and (cur_cost + cost > budget or len(cur) >= MAX_CHUNK_PAIRS):
             chunks.append(cur)
             predicted.append(cur_cost)
             cur, cur_cost = [], 0.0

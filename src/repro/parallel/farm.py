@@ -10,7 +10,7 @@ machine instead of the simulated SCC:
   drain;
 * **per-drain context, not per-pool dataset** — every chunk carries its
   drain's small context (the plane or registry spec, the method, the
-  mode, the query and the fault plan), which each worker materialises
+  query and the fault plan), which each worker materialises
   once and caches by fingerprint, so jobs stay bare ``(i, j)`` index
   tuples and one pool serves any dataset.  Like the paper's master
   loading the structures once per job list, each drain publishes its
@@ -76,25 +76,19 @@ from repro.structure.model import Chain
 
 __all__ = [
     "DEFAULT_CHUNK",
-    "SERIAL_RETRY_CHUNK_CAP",
     "FarmBackend",
     "FarmStats",
     "ParallelConfig",
     "RetryPolicy",
     "WorkerCrash",
-    "auto_chunk",
     "effective_workers",
     "iter_pair_results",
     "reset_worker_clamp_warnings",
 ]
 
-#: default scheduling granularity when ``chunk`` is left at 0 and the job
-#: list is too small for the auto heuristic to matter
+#: a fixed chunk size for callers that want one; the farm never reads it
+#: (``chunk = 0`` packs chunks by predicted cost)
 DEFAULT_CHUNK = 8
-
-#: serial-path chunk bound once a retry policy is armed: bounds how much
-#: completed work a single re-dispatch could ever replay
-SERIAL_RETRY_CHUNK_CAP = 32
 
 #: a drain context up to this many bytes rides with every chunk; a bigger
 #: one (a pickled dataset) goes only to a worker that reports a cache
@@ -235,7 +229,6 @@ class FarmStats:
     chunk_sizes: List[int] = field(default_factory=list)
     chunk_predicted: List[float] = field(default_factory=list)
     chunk_walls: List[float] = field(default_factory=list)
-    chunk_done_at: List[float] = field(default_factory=list)
 
     @property
     def pairs_per_second(self) -> float:
@@ -291,27 +284,6 @@ class FarmStats:
         return self.wall_seconds / ideal if ideal > 0 else None
 
 
-def auto_chunk(n_jobs: int, workers: int, retry_armed: bool = False) -> int:
-    """Fixed chunk size balancing dispatch overhead against load balance.
-
-    Aim for ~4 chunks per worker (dynamic scheduling can then absorb a
-    4x per-pair cost spread), capped at 32 pairs so one straggler chunk
-    cannot dominate the tail, floored at 1.  The serial path takes the
-    whole list as one chunk — unless a retry policy is armed, in which
-    case the chunk is bounded at :data:`SERIAL_RETRY_CHUNK_CAP` so a
-    single fault can never force an unbounded re-dispatch.
-
-    This is the cost-*blind* fallback; with ``chunk=0`` the farm prefers
-    :func:`repro.parallel.costsched.pack_chunks`.
-    """
-    if workers <= 1:
-        if retry_armed:
-            return max(1, min(SERIAL_RETRY_CHUNK_CAP, n_jobs))
-        return max(1, n_jobs)
-    target = -(-n_jobs // (workers * 4))  # ceil division
-    return max(1, min(32, target, n_jobs))
-
-
 def _chunked(pairs: Sequence[tuple[int, int]], size: int) -> list[list[tuple[int, int]]]:
     return [list(pairs[k : k + size]) for k in range(0, len(pairs), size)]
 
@@ -332,35 +304,26 @@ def _pair_lengths(
 def _plan_chunks(
     dataset: Dataset,
     pairs: Sequence[tuple[int, int]],
-    config: ParallelConfig,
+    chunk: int,
     workers: int,
-    mode: EvalMode,
     query: Optional[Chain],
-) -> tuple[list[list[tuple[int, int]]], Optional[list[float]], bool, int]:
-    """Cut the job list into chunks; cost-packed when possible.
+) -> tuple[list[list[tuple[int, int]]], list[float], bool, int]:
+    """Cut the job list into chunks, every one priced by the cost model.
 
-    Returns ``(chunks, predicted_costs, cost_packed, nominal_size)``.
-    An explicit ``config.chunk`` forces fixed sizes (still priced, so
-    stats keep their cost signal); MODEL
-    mode is priced trivially per pair, so cost packing is pointless and
-    the fixed heuristic is used.
+    Returns ``(chunks, predicted_costs, cost_packed, nominal_size)``.  An
+    explicit ``chunk`` forces fixed sizes; otherwise
+    :func:`~repro.parallel.costsched.pack_chunks` cuts chunks of equal
+    predicted cost.
     """
-    costs: Optional[list[float]] = None
-    try:
-        la, lb = _pair_lengths(dataset, pairs, query)
-        costs = [float(c) for c in predict_pair_seconds(la, lb)]
-    except Exception:  # pricing must never break the farm
-        costs = None
-    if config.chunk > 0 or mode is EvalMode.MODEL or costs is None:
-        size = config.chunk or auto_chunk(len(pairs), workers)
-        chunks = _chunked(pairs, size)
-        predicted = None
-        if costs is not None:
-            predicted, k = [], 0
-            for c in chunks:
-                predicted.append(sum(costs[k : k + len(c)]))
-                k += len(c)
-        return chunks, predicted, False, size
+    la, lb = _pair_lengths(dataset, pairs, query)
+    costs = [float(c) for c in predict_pair_seconds(la, lb)]
+    if chunk > 0:
+        chunks = _chunked(pairs, chunk)
+        predicted, k = [], 0
+        for c in chunks:
+            predicted.append(sum(costs[k : k + len(c)]))
+            k += len(c)
+        return chunks, predicted, False, chunk
     plan = pack_chunks(pairs, costs, workers)
     nominal = int(round(len(pairs) / plan.n_chunks)) if plan.n_chunks else 0
     return plan.chunks, list(plan.predicted_seconds), True, nominal
@@ -386,7 +349,6 @@ def _serial_results(
     dataset: Dataset,
     pairs: Iterable[tuple[int, int]],
     method: PSCMethod,
-    mode: EvalMode,
     query: Optional[Chain],
     faults: Optional[FarmFaultPlan] = None,
     retry: Optional[RetryPolicy] = None,
@@ -401,7 +363,7 @@ def _serial_results(
                     _fire_serial_fault(faults, i, j, attempt)
                 chain_a = query if i == _worker.QUERY_INDEX else dataset[i]
                 scores, counter = evaluate_pair(
-                    method, mode, chain_a, dataset[j]
+                    method, EvalMode.MEASURED, chain_a, dataset[j]
                 )
                 break
             except Exception:
@@ -418,7 +380,6 @@ def _inprocess_chunk(
     dataset: Dataset,
     pairs: Sequence[tuple[int, int]],
     method: PSCMethod,
-    mode: EvalMode,
     query: Optional[Chain],
     retry: Optional[RetryPolicy],
     stats: Optional[FarmStats],
@@ -428,9 +389,7 @@ def _inprocess_chunk(
     :class:`WorkerCrash` naming the pair, exactly like a pool worker."""
     t0 = time.perf_counter()
     out: list[PairResult] = []
-    gen = _serial_results(
-        dataset, pairs, method, mode, query, retry=retry, stats=stats
-    )
+    gen = _serial_results(dataset, pairs, method, query, retry=retry, stats=stats)
     try:
         for res in gen:
             out.append(res)
@@ -441,36 +400,32 @@ def _inprocess_chunk(
 
 
 def _record_chunk(
-    stats: FarmStats, size: int, predicted: float, wall: float, t0: float
+    stats: FarmStats, size: int, predicted: float, wall: float
 ) -> None:
     stats.chunk_sizes.append(size)
     stats.chunk_predicted.append(predicted)
     stats.chunk_walls.append(wall)
-    stats.chunk_done_at.append(time.perf_counter() - t0)
 
 
 def _inprocess_drain(
     dataset: Dataset,
     chunks: list[list[tuple[int, int]]],
-    predicted: Optional[list[float]],
+    predicted: list[float],
     method: PSCMethod,
-    mode: EvalMode,
     query: Optional[Chain],
     retry: Optional[RetryPolicy],
     stats: Optional[FarmStats],
 ) -> Iterator[PairResult]:
     """The one-CPU rule: the planned chunks, in index order, on the
     master — no pool, no plane, worker-equivalent failure semantics."""
-    t0 = time.perf_counter()
     if stats is not None:
         stats.serial_fallback = True
-    for idx, chunk in enumerate(chunks):
+    for chunk, cost in zip(chunks, predicted):
         payload, wall = _inprocess_chunk(
-            dataset, chunk, method, mode, query, retry, stats
+            dataset, chunk, method, query, retry, stats
         )
         if stats is not None:
-            cost = predicted[idx] if predicted is not None else 0.0
-            _record_chunk(stats, len(chunk), cost, wall, t0)
+            _record_chunk(stats, len(chunk), cost, wall)
         yield from payload
 
 
@@ -640,7 +595,7 @@ def _farm_drain(
     backend: FarmBackend,
     context: tuple[str, bytes],
     chunks: list[list[tuple[int, int]]],
-    predicted: Optional[list[float]],
+    predicted: list[float],
     stats: Optional[FarmStats],
 ) -> Iterator[PairResult]:
     """Submit-based farm drain on ``backend``: retry, restart and stall
@@ -676,7 +631,6 @@ def _farm_drain(
     with_blob = len(blob) <= INLINE_CONTEXT_BYTES
     bounced: set[int] = set()  # chunks a worker returned for the blob
     restarts = 0
-    t_drain0 = time.perf_counter()
     pool, generation, built = backend._current_pool()
     # Warm-up accounting: the first ok completion after this drain built
     # (or rebuilt) the pool prices its warm-up — process start plus
@@ -702,8 +656,7 @@ def _farm_drain(
     def mark_done(idx: int, payload: list, exec_wall: float) -> None:
         done[idx] = payload
         if stats is not None:
-            cost = predicted[idx] if predicted is not None else 0.0
-            _record_chunk(stats, len(chunks[idx]), cost, exec_wall, t_drain0)
+            _record_chunk(stats, len(chunks[idx]), predicted[idx], exec_wall)
 
     try:
         while next_yield < n:
@@ -863,7 +816,6 @@ def iter_pair_results(
     dataset: Dataset,
     pairs: Sequence[tuple[int, int]],
     method: PSCMethod,
-    mode: EvalMode | str = EvalMode.MEASURED,
     config: Optional[ParallelConfig] = None,
     query: Optional[Chain] = None,
     stats: Optional[FarmStats] = None,
@@ -895,6 +847,7 @@ def iter_pair_results(
     deterministic :class:`~repro.faults.farm.FarmFaultPlan` to the
     workers (and the serial path) for resilience testing.
 
+    Every pair is evaluated in MEASURED mode: the method really runs.
     Scheduling is cost-aware by default: with ``config.chunk == 0`` the
     job list is packed into contiguous chunks of roughly equal predicted
     cost.  The requested worker count is clamped against the machine and
@@ -907,12 +860,10 @@ def iter_pair_results(
             raise ValueError("config differs from the backend's config")
         config = backend.config
     config = config or ParallelConfig()
-    mode = EvalMode(mode)
     pairs = list(pairs)
     n_jobs = len(pairs)
     requested = config.workers
     workers = effective_workers(requested) if requested > 1 else requested
-    retry_armed = config.retry is not None
     if stats is not None:
         stats.n_jobs = n_jobs
         stats.requested_workers = requested
@@ -920,20 +871,20 @@ def iter_pair_results(
     t0 = time.perf_counter()
     try:
         if workers <= 1 or n_jobs == 0:
-            chunk = config.chunk or auto_chunk(n_jobs, workers, retry_armed)
+            # pair by pair in-process; the stats report the job list as
+            # the configured chunks, or one chunk of everything
+            chunk = config.chunk or max(1, n_jobs)
             if stats is not None:
                 stats.chunk_size = chunk
-                stats.n_chunks = -(-n_jobs // chunk) if n_jobs else 0
-                stats.chunk_sizes = [
-                    len(c) for c in _chunked(pairs, chunk)
-                ]
+                stats.chunk_sizes = [len(c) for c in _chunked(pairs, chunk)]
+                stats.n_chunks = len(stats.chunk_sizes)
             yield from _serial_results(
-                dataset, pairs, method, mode, query,
+                dataset, pairs, method, query,
                 faults=faults, retry=config.retry, stats=stats,
             )
             return
         chunks, predicted, cost_packed, nominal = _plan_chunks(
-            dataset, pairs, config, workers, mode, query
+            dataset, pairs, config.chunk, workers, query
         )
         if stats is not None:
             stats.chunk_size = nominal
@@ -944,8 +895,7 @@ def iter_pair_results(
             # only add IPC; fault-injection runs keep the pool's crash
             # isolation
             yield from _inprocess_drain(
-                dataset, chunks, predicted, method, mode, query,
-                config.retry, stats,
+                dataset, chunks, predicted, method, query, config.retry, stats
             )
             return
         from repro.parallel import shmplane
@@ -959,7 +909,7 @@ def iter_pair_results(
                 plane.worker_spec() if plane is not None
                 else _worker.dataset_spec(dataset)
             )
-            context = _worker.drain_context(spec, method, mode, query, faults)
+            context = _worker.drain_context(spec, method, query, faults)
             if stats is not None:
                 stats.shm_plane = plane is not None
             yield from _farm_drain(owner, context, chunks, predicted, stats)

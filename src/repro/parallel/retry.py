@@ -10,7 +10,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-__all__ = ["RetryPolicy"]
+__all__ = ["BACKOFF_FACTOR", "MAX_BACKOFF_SECONDS", "RetryPolicy"]
+
+#: growth of the backoff delay per failed attempt
+BACKOFF_FACTOR = 2.0
+
+#: ceiling on one backoff delay, however many attempts have failed
+MAX_BACKOFF_SECONDS = 2.0
 
 
 @dataclass(frozen=True)
@@ -24,23 +30,19 @@ class RetryPolicy:
 
     max_retries: int = 2
     backoff_seconds: float = 0.05
-    backoff_factor: float = 2.0
-    max_backoff_seconds: float = 2.0
     chunk_timeout_seconds: float = 0.0
 
     def __post_init__(self) -> None:
         if self.max_retries < 0:
             raise ValueError("max_retries must be non-negative")
-        if self.backoff_seconds < 0 or self.max_backoff_seconds < 0:
-            raise ValueError("backoff times must be non-negative")
-        if self.backoff_factor < 1.0:
-            raise ValueError("backoff_factor must be >= 1")
+        if self.backoff_seconds < 0:
+            raise ValueError("backoff_seconds must be non-negative")
         if self.chunk_timeout_seconds < 0:
             raise ValueError("chunk_timeout_seconds must be non-negative")
 
     def backoff(self, attempt: int) -> float:
         """Backoff before re-dispatching after failed attempt ``attempt``."""
         return min(
-            self.max_backoff_seconds,
-            self.backoff_seconds * self.backoff_factor ** max(0, attempt),
+            MAX_BACKOFF_SECONDS,
+            self.backoff_seconds * BACKOFF_FACTOR ** max(0, attempt),
         )

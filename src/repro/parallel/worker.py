@@ -3,8 +3,8 @@
 Mirrors the paper's slave design: a worker process boots once and then
 serves chunks of (i, j) comparison jobs for the life of its pool, which
 may span many drains over different datasets.  Every chunk names the
-*drain context* it belongs to — the dataset spec, the method, the mode,
-the query and the fault plan — as a ``(key, blob)`` pair built once per
+*drain context* it belongs to — the dataset spec, the method, the query
+and the fault plan — as a ``(key, blob)`` pair built once per
 drain by :func:`drain_context`.  The worker materialises a context the
 first time it sees its key (attaching the shared-memory plane, rebuilding
 the registry dataset, or unpickling the dataset once) and serves later
@@ -63,7 +63,6 @@ CONTEXT_CACHE = 2
 class _Context(NamedTuple):
     dataset: object
     method: PSCMethod
-    mode: EvalMode
     query: Optional[Chain]
     faults: Optional[FarmFaultPlan]
     view: object  # the ShmDataset behind ``dataset`` for a plane spec, else None
@@ -93,7 +92,6 @@ def dataset_spec(dataset) -> tuple:
 def drain_context(
     spec: tuple,
     method: PSCMethod,
-    mode: EvalMode | str,
     query: Optional[Chain] = None,
     faults: Optional[FarmFaultPlan] = None,
 ) -> tuple[str, bytes]:
@@ -105,7 +103,7 @@ def drain_context(
     than once per chunk.
     """
     blob = pickle.dumps(
-        (spec, method, EvalMode(mode), query, faults),
+        (spec, method, query, faults),
         protocol=pickle.HIGHEST_PROTOCOL,
     )
     return hashlib.sha256(blob).hexdigest()[:32], blob
@@ -144,9 +142,9 @@ def init_worker(context: tuple[str, Optional[bytes]]) -> Optional[_Context]:
         return hit
     if blob is None:
         return None
-    spec, method, mode, query, faults = pickle.loads(blob)
+    spec, method, query, faults = pickle.loads(blob)
     dataset, view = _open_dataset(spec)
-    ctx = _Context(dataset, method, EvalMode(mode), query, faults, view)
+    ctx = _Context(dataset, method, query, faults, view)
     _CONTEXTS[key] = ctx
     while len(_CONTEXTS) > CONTEXT_CACHE:
         _key, old = _CONTEXTS.popitem(last=False)
@@ -248,7 +246,7 @@ def eval_chunk(
             maybe_inject_fault(ctx.faults, i, j, attempt)
             chain_a = ctx.query if i == QUERY_INDEX else ctx.dataset[i]
             scores, counter = evaluate_pair(
-                ctx.method, ctx.mode, chain_a, ctx.dataset[j]
+                ctx.method, EvalMode.MEASURED, chain_a, ctx.dataset[j]
             )
         except Exception:
             return ("error", [i, j], traceback.format_exc(), time.perf_counter() - t0)

@@ -10,8 +10,8 @@ meaningful, so they all evaluate pairs through one :class:`JobEvaluator`:
   are used.
 
 The rule itself is :func:`evaluate_pair`, which the process farm's
-workers and in-process chunks call too, so a pair costs the same
-whichever path evaluated it.
+workers and in-process chunks call too (always in ``measured`` mode), so
+a measured pair costs the same whichever path evaluated it.
 
 Both modes memoize per pair, so a core-count sweep that replays the
 same job list at every point pays the Python cost (analytic estimate or
@@ -23,16 +23,13 @@ outside.
 from __future__ import annotations
 
 import enum
-from typing import TYPE_CHECKING, Dict, Iterable, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.cost.counters import CostCounter
 from repro.datasets.registry import Dataset
 from repro.psc.base import PSCMethod
 from repro.psc.methods import TMAlignMethod
 from repro.structure.model import Chain
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.parallel import ParallelConfig
 
 __all__ = ["EvalMode", "JobEvaluator", "evaluate_pair"]
 
@@ -91,36 +88,6 @@ class JobEvaluator:
     def cache_len(self) -> int:
         """Number of memoized pairs (bench/diagnostic instrumentation)."""
         return len(self._cache)
-
-    def prewarm(
-        self,
-        pairs: Optional[Iterable[Tuple[int, int]]] = None,
-        config: Optional["ParallelConfig"] = None,
-    ) -> int:
-        """Fill the per-pair memo cache up front, optionally in parallel.
-
-        With ``config.workers > 1`` the uncached pairs are farmed over a
-        process pool (the real win in MEASURED mode, where every pair is a
-        full aligner run); the cached entries are bit-identical to what
-        :meth:`evaluate` would have produced serially, so a simulation
-        replaying the warmed cache is unaffected.  Returns the number of
-        pairs actually computed.
-        """
-        from repro.datasets.pairs import all_vs_all_pairs
-
-        wanted = list(pairs) if pairs is not None else list(
-            all_vs_all_pairs(len(self.dataset))
-        )
-        todo = [key for key in wanted if key not in self._cache]
-        if not todo:
-            return 0
-        from repro.parallel import iter_pair_results
-
-        for i, j, scores, counts in iter_pair_results(
-            self.dataset, todo, self.method, mode=self.mode, config=config
-        ):
-            self._cache[(i, j)] = (scores, CostCounter(counts))
-        return len(todo)
 
     def job_nbytes(self, i: int, j: int) -> int:
         """Wire size of the job the master ships (both structures)."""

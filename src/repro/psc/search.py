@@ -14,8 +14,8 @@ scores and merged op counts (see :mod:`repro.parallel.farm` for chunk
 packing, retries and the shared-memory dataset plane).
 
 ``prefilter`` — the cheap first tier of the hierarchical search
-(:mod:`repro.seqalign.prefilter`) — shrinks the pair list before it
-reaches the kernel.  Pass a
+(:mod:`repro.seqalign.prefilter`) — shrinks a one-vs-all pair list
+before it reaches the kernel.  Pass a
 :class:`~repro.seqalign.prefilter.PrefilterConfig` (or a prebuilt
 :class:`~repro.seqalign.prefilter.SequencePrefilter` over the same
 corpus, e.g. the query service's cached instance) and only the
@@ -47,7 +47,7 @@ __all__ = [
     "resolve_prefilter",
 ]
 
-#: accepted by the ``prefilter`` parameter of both search tasks
+#: accepted by the ``prefilter`` parameter of :func:`one_vs_all`
 Prefilter = Optional["PrefilterConfig | SequencePrefilter"]
 
 
@@ -171,31 +171,16 @@ def all_vs_all(
     method: Optional[PSCMethod] = None,
     counter: Optional[CostCounter] = None,
     config: Optional["ParallelConfig"] = None,
-    prefilter: Prefilter = None,
 ) -> Dict[tuple[str, str], Dict[str, float]]:
-    """All unordered pairs (i<j) of the dataset; returns a score table.
+    """All unordered pairs (i<j) of the dataset, in row-major order;
+    returns a score table.
 
     Scores and the merged ``counter`` are bit-identical for any
     ``config``.
-
-    With ``prefilter`` set, pair ``(i, j)`` is computed iff ``j`` is
-    promoted for query ``i`` **or** ``i`` is promoted for query ``j``
-    (the union keeps the table symmetric in what it covers); the
-    returned table contains only the kept pairs, in row-major order.
     """
     method = method or TMAlignMethod()
-    pf = resolve_prefilter(prefilter, dataset)
     n = len(dataset)
-    keep: Optional[list[set[int]]] = None
-    if pf is not None:
-        keep = [
-            set(pf.promote_chain(dataset[i], exclude={i})) for i in range(n)
-        ]
-
-    def kept(i: int, j: int) -> bool:
-        return keep is None or j in keep[i] or i in keep[j]
-
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n) if kept(i, j)]
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     return {
         (dataset[i].name, dataset[j].name): scores
         for i, j, scores in _evaluate(dataset, pairs, method, config, counter)

@@ -49,7 +49,6 @@ def matrix_run(
     resume: Optional[str] = None,
     config: Optional[ParallelConfig] = None,
     faults=None,
-    mode: EvalMode | str = EvalMode.MEASURED,
     backend: Optional[FarmBackend] = None,
 ) -> MatrixRunResult:
     """Evaluate (and journal) the all-vs-all matrix of ``dataset``.
@@ -85,7 +84,7 @@ def matrix_run(
             command="matrix",
             dataset=dataset,
             method_name=method.name,
-            mode=EvalMode(mode).value,
+            mode=EvalMode.MEASURED.value,
             n_pairs=len(pairs),
             params={
                 "workers": config.workers,
@@ -106,7 +105,6 @@ def matrix_run(
                     dataset,
                     todo,
                     method,
-                    mode=mode,
                     config=config,
                     faults=faults,
                     stats=stats,

@@ -21,9 +21,6 @@ class CoreStats:
     comm_s: float = 0.0
     jobs_done: int = 0
 
-    def busy_s(self) -> float:
-        return self.compute_s + self.comm_s
-
 
 class Core:
     """One SCC core: an execution context for simulation coroutines.

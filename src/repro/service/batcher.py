@@ -22,14 +22,8 @@ share the backend's single cap of one chunk per worker, so a batch that
 is finishing its tail leaves the idle workers to the next batch instead
 of holding a barrier.
 
-Batches are cut by *predicted cost*, not just job count: every admitted
-job is priced by the farm's pair cost model
-(:func:`repro.parallel.predict_pair_seconds`) and a batch closes early
-when its accumulated predicted cost reaches ``max_batch_cost`` seconds.
-A count-cut batch of long chains can otherwise hold an executor thread
-for arbitrarily long; the cost cut bounds per-batch latency the same
-way the farm's cost-packed chunks bound per-chunk work.  The farm call
-below the batch then reuses the same model to pack its own chunks: the
+Batches are cut by job count alone; the farm call below the batch
+prices its pairs with the cost model and packs its own chunks, so the
 service, the search API and the matrix CLI reach the kernel through the
 same call and the same cost-aware chunker.
 
@@ -54,7 +48,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Deque, Dict, List, Optional, Sequence
 
 from repro.datasets.registry import Dataset
-from repro.parallel import FarmBackend, iter_pair_results, predict_pair_seconds
+from repro.parallel import FarmBackend, iter_pair_results
 from repro.psc.base import PSCMethod
 from repro.service.cache import CacheKey
 from repro.service.metrics import ServiceMetrics
@@ -77,7 +71,6 @@ class PairJob:
     chain_b: Chain
     method: PSCMethod
     submitted_at: float = field(default_factory=time.perf_counter)
-    predicted_seconds: float = 0.0  # cost-model price, set at admission
 
     @property
     def method_name(self) -> str:
@@ -88,29 +81,20 @@ class PairJob:
         return self.key[3]
 
 
-def result_body(job: PairJob, scores: Dict[str, float]) -> str:
-    """The canonical JSON body of one evaluated pair (what gets cached)."""
+def result_body(
+    key: CacheKey, method: PSCMethod, scores: Dict[str, float]
+) -> str:
+    """The canonical JSON body of one scored pair (what gets cached),
+    whether the batcher evaluated it or the matrix store served it."""
     return canonical_json(
         {
-            "pair": [job.key[0], job.key[1]],
-            "method": job.method_name,
-            "params_hash": job.params_hash,
+            "pair": [key[0], key[1]],
+            "method": key[2],
+            "params_hash": key[3],
             "scores": dict(scores),
-            "score": job.method.similarity(scores),
+            "score": method.similarity(scores),
         }
     )
-
-
-def _price_pair(chain_a: Chain, chain_b: Chain) -> float:
-    """Predicted evaluation seconds for one pair (nominal CPU).
-
-    Defensive: pricing exists to *improve* batching; a cost-model hiccup
-    must never reject an admission.
-    """
-    try:
-        return float(predict_pair_seconds([len(chain_a)], [len(chain_b)])[0])
-    except Exception:
-        return 0.0
 
 
 def _hash_named(chain: Chain, content_hash: str) -> Chain:
@@ -147,7 +131,6 @@ class MicroBatcher:
         queue_limit: int = 64,
         max_batch: int = 16,
         batch_window: float = 0.002,
-        max_batch_cost: float = 0.0,
         metrics: Optional[ServiceMetrics] = None,
         evaluate: Optional[Callable[[Sequence[PairJob]], List[str]]] = None,
         eval_delay: float = 0.0,
@@ -157,12 +140,9 @@ class MicroBatcher:
             raise ValueError("queue_limit must be >= 1")
         if max_batch < 1:
             raise ValueError("max_batch must be >= 1")
-        if max_batch_cost < 0:
-            raise ValueError("max_batch_cost must be >= 0")
         self.queue_limit = queue_limit
         self.max_batch = max_batch
         self.batch_window = batch_window
-        self.max_batch_cost = max_batch_cost
         self.eval_delay = eval_delay
         self.backend = backend
         #: batches evaluated at once: one per farm worker, one when serial
@@ -222,15 +202,7 @@ class MicroBatcher:
                 f"{self.queue_limit} jobs pending); retry later"
             )
         self._waiters[key] = [fut]
-        self._pending.append(
-            PairJob(
-                key,
-                chain_a,
-                chain_b,
-                method,
-                predicted_seconds=_price_pair(chain_a, chain_b),
-            )
-        )
+        self._pending.append(PairJob(key, chain_a, chain_b, method))
         self.metrics.set_gauge("queue_depth", len(self._pending))
         self._wakeup.set()
         return await fut
@@ -253,7 +225,10 @@ class MicroBatcher:
                     and not self._stopping
                 ):
                     await asyncio.sleep(self.batch_window)
-                batch = self._cut_batch()
+                batch = [
+                    self._pending.popleft()
+                    for _ in range(min(self.max_batch, len(self._pending)))
+                ]
                 self.metrics.set_gauge("queue_depth", len(self._pending))
                 self.metrics.inc("batches_dispatched")
                 self.metrics.inc("jobs_dispatched", len(batch))
@@ -287,26 +262,6 @@ class MicroBatcher:
         finally:
             self._inflight_jobs -= len(batch)
             self.metrics.set_gauge("inflight_jobs", self._inflight_jobs)
-
-    def _cut_batch(self) -> List[PairJob]:
-        """Pop the next batch: at most ``max_batch`` jobs, closed early
-        when accumulated predicted cost reaches ``max_batch_cost`` (0 =
-        count-only cutting).  Always takes at least one job, so a single
-        pair more expensive than the whole budget still dispatches."""
-        batch: List[PairJob] = []
-        cost = 0.0
-        while self._pending and len(batch) < self.max_batch:
-            job = self._pending[0]
-            if (
-                batch
-                and self.max_batch_cost > 0
-                and cost + job.predicted_seconds > self.max_batch_cost
-            ):
-                self.metrics.inc("batcher_cost_cut")
-                break
-            batch.append(self._pending.popleft())
-            cost += job.predicted_seconds
-        return batch
 
     def _resolve(
         self,
@@ -362,5 +317,5 @@ class MicroBatcher:
                 )
             )
             for job, (_i, _j, scores, _counts) in zip(group, results):
-                bodies[job.key] = result_body(job, scores)
+                bodies[job.key] = result_body(job.key, job.method, scores)
         return [bodies[job.key] for job in jobs]

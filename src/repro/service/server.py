@@ -42,7 +42,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, Optional, Tuple
 
 from repro.parallel import FarmBackend, ParallelConfig
-from repro.service.batcher import MicroBatcher
+from repro.service.batcher import MicroBatcher, result_body
 from repro.service.cache import ResultCache, pair_key
 from repro.service.metrics import ServiceMetrics
 from repro.service.protocol import (
@@ -74,7 +74,6 @@ class ServiceConfig:
     queue_limit: int = 64  # admission control: max pending pair jobs
     max_batch: int = 16  # jobs per dispatched kernel batch
     batch_window: float = 0.002  # seconds to wait for a batch to fill
-    max_batch_cost: float = 0.0  # predicted-seconds batch budget (0 = off)
     farm: ParallelConfig = ParallelConfig()  # batches, store builds, runs
     cache_capacity: int = 1024  # LRU result-cache entries
     runs_dir: str = "runs"  # durable store for submit-matrix
@@ -256,7 +255,6 @@ class PSCService(LineProtocolServer):
             queue_limit=self.config.queue_limit,
             max_batch=self.config.max_batch,
             batch_window=self.config.batch_window,
-            max_batch_cost=self.config.max_batch_cost,
             metrics=self.metrics,
             evaluate=evaluate,
             eval_delay=self.config.eval_delay,
@@ -272,6 +270,7 @@ class PSCService(LineProtocolServer):
         self.matstore = None
         self._matstore_lock = threading.Lock()
         self._matstore_job: Optional[Tuple[threading.Thread, Dict[str, Any]]] = None
+        self._matstore_last_error = ""  # last failed extend, for status
         if self.config.matstore_dir:
             from repro.matstore import MatrixStore, MatStoreError
 
@@ -338,25 +337,15 @@ class PSCService(LineProtocolServer):
     ) -> Tuple[str, bool]:
         """The canonical body for one pair: result cache, then the
         precomputed matrix store, then batched compute."""
-        from repro.service.protocol import canonical_json
-
         key = pair_key(hash_a, hash_b, method_name, params_hash)
         body = self.cache.get(key)
         if body is not None:
             return body, True
         scores = self._store_scores(hash_a, hash_b, method_name, params_hash)
         if scores is not None:
-            # same shape as the batcher's result_body: store hits are
-            # byte-identical across requests and server restarts
-            body = canonical_json(
-                {
-                    "pair": [hash_a, hash_b],
-                    "method": method_name,
-                    "params_hash": params_hash,
-                    "scores": scores,
-                    "score": method.similarity(scores),
-                }
-            )
+            # the batcher's body: store hits are byte-identical across
+            # requests and server restarts
+            body = result_body(key, method, scores)
             self.cache.put(key, body)
             self.metrics.set_gauge("cache_size", len(self.cache))
             return body, True
@@ -725,10 +714,20 @@ class PSCService(LineProtocolServer):
                 out["error"] = job[1]["error"]
             elif job[1]["result"] and not job[0].is_alive():
                 out["last_build"] = job[1]["result"]
-        last = getattr(self, "_matstore_last_error", None)
-        if last:
-            out["extend_error"] = last
+        if self._matstore_last_error:
+            out["extend_error"] = self._matstore_last_error
         return out
+
+    def _matrix_runs_summary(self) -> Dict[str, str]:
+        """``run_id -> running/failed/done`` of every submit-matrix run."""
+        return {
+            run_id: (
+                "running"
+                if thread.is_alive()
+                else ("failed" if outcome["error"] else "done")
+            )
+            for run_id, (thread, outcome) in sorted(self._matrix_jobs.items())
+        }
 
     async def _op_submit_matrix(self, payload: Dict[str, Any]):
         from repro.datasets.registry import load_dataset
@@ -787,16 +786,7 @@ class PSCService(LineProtocolServer):
                     "registry_generation": self.registry.generation,
                     "corpus_fingerprint": self.registry.corpus_fingerprint(),
                     "matstore": self._matstore_summary(),
-                    "matrix_runs": {
-                        run_id: (
-                            "running"
-                            if thread.is_alive()
-                            else ("failed" if outcome["error"] else "done")
-                        )
-                        for run_id, (thread, outcome) in sorted(
-                            self._matrix_jobs.items()
-                        )
-                    },
+                    "matrix_runs": self._matrix_runs_summary(),
                 },
                 None,
             )
@@ -853,14 +843,7 @@ class PSCService(LineProtocolServer):
             "max_batch": self.config.max_batch,
             "batch_window_seconds": self.config.batch_window,
         }
-        snap["matrix_runs"] = {
-            run_id: (
-                "running"
-                if thread.is_alive()
-                else ("failed" if outcome["error"] else "done")
-            )
-            for run_id, (thread, outcome) in sorted(self._matrix_jobs.items())
-        }
+        snap["matrix_runs"] = self._matrix_runs_summary()
         snap["matstore"] = self._matstore_summary()
         return snap, None
 

@@ -215,7 +215,6 @@ class Process(Event):
     # -- driving the generator ---------------------------------------------
     def _resume(self, event: Event) -> None:
         self._waiting_on = None
-        self.env._active_process = self
         try:
             if event._ok:
                 target = self._generator.send(
@@ -225,23 +224,18 @@ class Process(Event):
                 exc = event._value
                 target = self._generator.throw(exc)
         except StopIteration as stop:
-            self.env._active_process = None
             self.succeed(stop.value)
             return
         except Interrupt as exc:
             # Interrupt escaped the generator: treat as normal termination
             # failure so waiters see it.
-            self.env._active_process = None
             self.fail(exc)
             return
         except BaseException as exc:
-            self.env._active_process = None
             if self.callbacks:
                 self.fail(exc)
                 return
             raise
-        finally:
-            self.env._active_process = None
 
         if not isinstance(target, Event):
             raise SimulationError(
@@ -312,16 +306,11 @@ class Environment:
         self._now = float(initial_time)
         self._queue: list[tuple[float, int, Event]] = []
         self._seq = 0
-        self._active_process: Optional[Process] = None
         self.event_count = 0  # processed events, for instrumentation
 
     @property
     def now(self) -> float:
         return self._now
-
-    @property
-    def active_process(self) -> Optional[Process]:
-        return self._active_process
 
     # -- factories ---------------------------------------------------------
     def event(self) -> Event:

@@ -4,8 +4,6 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass
 
-import numpy as np
-
 __all__ = [
     "TMAlignParams",
     "params_fingerprint",
@@ -94,6 +92,3 @@ def params_fingerprint(params: TMAlignParams) -> str:
     )
     return hashlib.sha256(payload.encode("ascii")).hexdigest()
 
-
-def np_float(x) -> float:  # pragma: no cover - tiny helper
-    return float(np.asarray(x))

@@ -340,7 +340,7 @@ class TestWorkerContexts:
                 if plane is None:
                     pytest.skip("shared memory unavailable")
                 planes.append(plane)
-                ctx = _worker.drain_context(plane.worker_spec(), method, "measured")
+                ctx = _worker.drain_context(plane.worker_spec(), method)
                 status, rows, _tb, _wall = _worker.eval_chunk([(0, 1)], 0, ctx)
                 assert status == "ok"
                 assert rows == _serial(ds, [(0, 1)], method)
@@ -357,9 +357,7 @@ class TestWorkerContexts:
         """A context without its blob is served from the cache, or
         bounced back for the blob when the worker has not seen it."""
         method = get_method("sse_composition")
-        key, blob = _worker.drain_context(
-            ("pickle", ck34_mini), method, "measured"
-        )
+        key, blob = _worker.drain_context(("pickle", ck34_mini), method)
         try:
             assert _worker.eval_chunk([(0, 1)], 0, (key, None))[0] == "context"
             status, rows, _tb, _wall = _worker.eval_chunk([(0, 1)], 0, (key, blob))
@@ -376,7 +374,7 @@ class TestWorkerContexts:
         method = get_method("sse_composition")
         ds = Dataset("adhoc", ck34_mini.chains, "not in the registry")
         pairs = list(all_vs_all_pairs(len(ds)))
-        _key, blob = _worker.drain_context(("pickle", ds), method, "measured")
+        _key, blob = _worker.drain_context(("pickle", ds), method)
         stats = FarmStats()
         config = ParallelConfig(workers=2, chunk=1, shm=False)
         got = list(iter_pair_results(ds, pairs, method, config=config, stats=stats))
@@ -387,12 +385,10 @@ class TestWorkerContexts:
     def test_context_key_tracks_content(self, ck34_mini):
         method = get_method("sse_composition")
         spec = ("registry", "ck34-mini")
-        a = _worker.drain_context(spec, method, "measured")
-        assert a == _worker.drain_context(spec, method, "measured")
-        assert a[0] != _worker.drain_context(spec, method, "model")[0]
-        assert a[0] != _worker.drain_context(
-            spec, method, "measured", query=ck34_mini[0]
-        )[0]
+        a = _worker.drain_context(spec, method)
+        assert a == _worker.drain_context(spec, method)
+        assert a[0] != _worker.drain_context(spec, get_method("tmalign"))[0]
+        assert a[0] != _worker.drain_context(spec, method, query=ck34_mini[0])[0]
 
 
 class TestOverlappingBatches:
@@ -570,7 +566,7 @@ class TestPlaneLifetime:
         assert _own_planes() == []
 
         plane = shmplane.plane_for(ck34_mini)
-        context = _worker.drain_context(plane.worker_spec(), method, "measured")
+        context = _worker.drain_context(plane.worker_spec(), method)
         plane.unlink()
         status, _pair, remote_tb, _wall = _worker.eval_chunk([(0, 1)], 0, context)
         assert status == "error" and "PlaneUnavailable" in remote_tb

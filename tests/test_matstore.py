@@ -342,24 +342,3 @@ class TestHoles:
         assert store.stats()["holes"] == 1
         report = store.verify()
         assert report["holes"] == 1
-
-
-class TestSearchIntegration:
-    def test_populate_forwards_prefilter_to_build(self, mini4, tmp_path):
-        """The build step honours the caller's prefilter economy:
-        demoted pairs become journaled NaN holes, never kernel runs, and
-        the store holds exactly the pairs the prefiltered sweep keeps."""
-        from repro.matstore import ensure_coverage
-        from repro.psc.methods import TMAlignFullMethod
-        from repro.psc.search import all_vs_all
-        from repro.seqalign.prefilter import PrefilterConfig
-
-        prefilter = PrefilterConfig(keep=0.25, min_keep=1)
-        root = str(tmp_path / "populated-pf")
-        ensure_coverage(root, mini4, prefilter=prefilter)
-        table = all_vs_all(
-            mini4, method=TMAlignFullMethod(), prefilter=prefilter
-        )
-        stats = MatrixStore.open(root).stats()
-        assert stats["holes"] > 0
-        assert stats["pairs_stored"] == len(table)

@@ -21,12 +21,10 @@ from repro.datasets.pairs import all_vs_all_pairs
 from repro.faults import FarmFaultPlan, InjectedFault, WorkerFault
 from repro.parallel import (
     DEFAULT_CHUNK,
-    SERIAL_RETRY_CHUNK_CAP,
     FarmStats,
     ParallelConfig,
     RetryPolicy,
     WorkerCrash,
-    auto_chunk,
     effective_workers,
     iter_pair_results,
     reset_worker_clamp_warnings,
@@ -320,38 +318,24 @@ class TestFailureSurfacing:
 
 
 class TestScheduling:
-    def test_auto_chunk_serial_takes_everything(self):
-        assert auto_chunk(100, 1) == 100
-        assert auto_chunk(0, 1) == 1
-
-    def test_auto_chunk_targets_four_chunks_per_worker(self):
-        assert auto_chunk(64, 4) == 4  # 64 / (4*4)
-        assert auto_chunk(7021, 8) == 32  # capped
-        assert auto_chunk(3, 8) == 1  # floored, never exceeds n_jobs
-
-    def test_auto_chunk_bounds(self):
-        for n_jobs in (1, 5, 33, 561, 7021):
-            for workers in (2, 3, 8, 16):
-                c = auto_chunk(n_jobs, workers)
-                assert 1 <= c <= min(32, n_jobs)
-
-    def test_auto_chunk_more_workers_than_jobs(self):
-        # chunk must stay 1 so every worker can get at least one pair
-        assert auto_chunk(1, 16) == 1
-        assert auto_chunk(2, 8) == 1
-        assert auto_chunk(3, 4) == 1
-        assert auto_chunk(7, 8) == 1
-
-    def test_auto_chunk_cap_and_target_boundaries(self):
-        assert auto_chunk(16, 4) == 1  # exactly 4 chunks/worker at size 1
-        assert auto_chunk(17, 4) == 2  # first size that rounds up
-        assert auto_chunk(512, 4) == 32  # lands exactly on the cap
-        assert auto_chunk(513, 4) == 32  # stays capped past it
-        assert auto_chunk(0, 4) == 1  # empty job list still legal
-
-    def test_auto_chunk_zero_workers_is_serial(self):
-        assert auto_chunk(5, 0) == 5
-        assert auto_chunk(0, 0) == 1
+    def test_serial_path_reports_one_chunk(self, ck34_mini):
+        """The serial path evaluates pair by pair; its stats report the
+        whole job list as one chunk, or as the explicit ``chunk``."""
+        pairs = [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)]
+        method = get_method("sse_composition")
+        for config, sizes in (
+            (ParallelConfig(), [5]),
+            (ParallelConfig(retry=RetryPolicy()), [5]),
+            (ParallelConfig(chunk=2), [2, 2, 1]),
+        ):
+            stats = FarmStats()
+            list(iter_pair_results(ck34_mini, pairs, method, config=config, stats=stats))
+            assert stats.chunk_sizes == sizes
+            assert stats.n_chunks == len(sizes)
+            assert stats.chunk_size == sizes[0]
+        stats = FarmStats()
+        assert list(iter_pair_results(ck34_mini, [], method, stats=stats)) == []
+        assert (stats.n_chunks, stats.chunk_sizes) == (0, [])
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -428,15 +412,6 @@ class TestCostAwareScheduling:
         with pytest.warns(RuntimeWarning):  # different request: warns again
             effective_workers(cap + 11)
         reset_worker_clamp_warnings()
-
-    def test_auto_chunk_serial_retry_floor(self):
-        # armed retry bounds the serial chunk: a fault can only ever
-        # force a bounded re-dispatch, not replay the whole job list
-        assert auto_chunk(7021, 1, retry_armed=True) == SERIAL_RETRY_CHUNK_CAP
-        assert auto_chunk(7021, 0, retry_armed=True) == SERIAL_RETRY_CHUNK_CAP
-        assert auto_chunk(5, 1, retry_armed=True) == 5
-        # without retry the historical contract stands
-        assert auto_chunk(7021, 1) == 7021
 
     def test_cost_packed_stats_record_realized_chunks(self, ck34_mini):
         stats = FarmStats()
@@ -724,29 +699,17 @@ class TestRetryPath:
         assert got == want
 
 
-class TestEvaluatorPrewarm:
-    @pytest.mark.parametrize(
-        "mode", [EvalMode.MEASURED, EvalMode.MODEL], ids=["measured", "model"]
-    )
-    def test_prewarm_matches_serial_evaluate(self, ck34_mini, mode):
-        """The farm and the simulator's JobEvaluator charge identical
-        per-pair scores and counts in either mode: both go through
+class TestEvaluatorParity:
+    def test_farm_matches_job_evaluator_measured(self, ck34_mini):
+        """The farm and the simulator's MEASURED JobEvaluator charge
+        identical per-pair scores and counts: both go through
         ``evaluate_pair``."""
-        serial = JobEvaluator(ck34_mini, mode=mode)
-        warmed = JobEvaluator(ck34_mini, mode=mode)
+        evaluator = JobEvaluator(ck34_mini, mode=EvalMode.MEASURED)
         pairs = [(0, 1), (0, 2), (1, 3), (2, 3)]
         config = ParallelConfig(workers=2, chunk=1)
-        assert warmed.prewarm(pairs, config=config) == len(pairs)
-        assert warmed.cache_len() == len(pairs)
-        for i, j in pairs:
-            s_scores, s_ctr = serial.evaluate(i, j)
-            w_scores, w_ctr = warmed.evaluate(i, j)
-            assert w_scores == s_scores
-            assert w_ctr.as_dict() == s_ctr.as_dict()
-
-    def test_prewarm_is_idempotent(self, ck34_mini):
-        ev = JobEvaluator(ck34_mini, mode=EvalMode.MODEL)
-        n = len(ck34_mini) * (len(ck34_mini) - 1) // 2
-        config = ParallelConfig(workers=2)
-        assert ev.prewarm(config=config) == n
-        assert ev.prewarm(config=config) == 0
+        for i, j, scores, counts in iter_pair_results(
+            ck34_mini, pairs, evaluator.method, config=config
+        ):
+            s_scores, s_ctr = evaluator.evaluate(i, j)
+            assert scores == s_scores
+            assert counts == s_ctr.as_dict()

@@ -123,35 +123,6 @@ class TestPrefilteredSearch:
         )
         assert serial == par
 
-    def test_all_vs_all_union_semantics(self, ck34_mini):
-        method = SSECompositionMethod()
-        pf = self._pf(ck34_mini)
-        full = all_vs_all(ck34_mini, method=method)
-        table = all_vs_all(ck34_mini, method=method, prefilter=pf)
-        names = [c.name for c in ck34_mini]
-        idx = {name: k for k, name in enumerate(names)}
-        promoted = [
-            set(pf.promote_chain(ck34_mini[i], exclude={i}))
-            for i in range(len(ck34_mini))
-        ]
-        for (a, b), scores in full.items():
-            i, j = idx[a], idx[b]
-            kept = j in promoted[i] or i in promoted[j]
-            assert ((a, b) in table) == kept
-            if kept:  # kept pairs carry the exact tier's scores
-                assert table[(a, b)] == scores
-        assert set(table) <= set(full)
-
-    def test_all_vs_all_serial_matches_parallel(self, ck34_mini):
-        method = SSECompositionMethod()
-        pf = self._pf(ck34_mini)
-        serial = all_vs_all(ck34_mini, method=method, prefilter=pf)
-        par = all_vs_all(
-            ck34_mini, method=method, prefilter=pf,
-            config=ParallelConfig(workers=2),
-        )
-        assert serial == par
-
     def test_resolve_prefilter_rejects_wrong_corpus(self, ck34_mini):
         from repro.psc.search import resolve_prefilter
         from repro.seqalign.prefilter import SequencePrefilter

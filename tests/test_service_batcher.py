@@ -172,65 +172,6 @@ class TestDispatch:
 
         asyncio.run(scenario())
 
-    def test_max_batch_cost_cuts_batches_early(self, ck34_mini):
-        """With a cost budget of ~1.5 pairs, a queue of 4 equal-cost jobs
-        dispatches as 4 single-job batches — the cost cut, not the count
-        cap, is doing the cutting."""
-        from repro.parallel import predict_pair_seconds
-
-        a, b_ = ck34_mini[0], ck34_mini[1]
-        pair_cost = float(predict_pair_seconds([len(a)], [len(b_)])[0])
-        calls = []
-
-        def evaluate(jobs):
-            calls.append(len(jobs))
-            return ["body"] * len(jobs)
-
-        async def scenario():
-            b = MicroBatcher(
-                queue_limit=16,
-                max_batch=8,
-                batch_window=0.0,
-                max_batch_cost=1.5 * pair_cost,
-                evaluate=evaluate,
-            )
-            # queue deterministically before the drain loop starts
-            futs = [
-                asyncio.ensure_future(b.submit(key(str(i)), a, b_, None))
-                for i in range(4)
-            ]
-            await asyncio.sleep(0)  # let the submits enqueue
-            assert b.depth == 4
-            b.start()
-            await asyncio.gather(*futs)
-            assert calls == [1, 1, 1, 1]
-            assert b.metrics.counters["batcher_cost_cut"] == 3
-            await b.stop()
-
-        asyncio.run(scenario())
-
-    def test_zero_cost_budget_keeps_count_cutting(self):
-        calls = []
-
-        def evaluate(jobs):
-            calls.append(len(jobs))
-            return ["body"] * len(jobs)
-
-        async def scenario():
-            b = MicroBatcher(
-                queue_limit=16, max_batch=8, batch_window=0.05,
-                max_batch_cost=0.0, evaluate=evaluate,
-            )
-            b.start()
-            await asyncio.gather(
-                *(b.submit(key(str(i)), None, None, None) for i in range(4))
-            )
-            assert calls == [4]
-            assert "batcher_cost_cut" not in b.metrics.counters
-            await b.stop()
-
-        asyncio.run(scenario())
-
     def test_evaluation_failure_maps_to_service_error(self):
         def evaluate(jobs):
             raise RuntimeError("kernel exploded")

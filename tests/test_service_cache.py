@@ -97,7 +97,9 @@ class TestByteIdentity:
         def evaluate_once() -> str:
             from repro.cost.counters import CostCounter
 
-            return result_body(job, method.compare(parent, child, CostCounter()))
+            return result_body(
+                job.key, job.method, method.compare(parent, child, CostCounter())
+            )
 
         first, second = evaluate_once(), evaluate_once()
         assert first == second  # recompute is bit-identical
@@ -112,8 +114,7 @@ class TestByteIdentity:
         method = get_method("sse_composition")
         _m, params_hash = resolve_method("sse_composition", None)
         k = pair_key("ha", "hb", "sse_composition", params_hash)
-        body = result_body(PairJob(k, parent, child, method),
-                           method.compare(parent, child, CostCounter()))
+        body = result_body(k, method, method.compare(parent, child, CostCounter()))
         # decoding and canonically re-encoding reproduces the exact bytes,
         # so a served cache hit cannot differ from the original response
         assert canonical_json(json.loads(body)) == body
