@@ -431,7 +431,7 @@ def run_kernel_bench(
     from repro.tmalign import tm_align
     from repro.tmalign.align import _NATIVE_REFINE
     from repro.tmalign.dp import _NATIVE_FORWARD
-    from repro.tmalign.tmscore import _NATIVE_SEARCH
+    from repro.tmalign.tmscore import _KERNELS, _NATIVE_SEARCH
 
     baseline, baseline_source = resolve_kernel_baseline(
         baseline_path, baseline, strict=strict_baseline
@@ -447,12 +447,22 @@ def run_kernel_bench(
     best = max(runs, key=lambda r: r["pairs_per_second"])
     rate = best["pairs_per_second"]
 
-    # one counted pass over the same grid: aggregate op counts
+    # one counted pass over the same grid: aggregate op counts, and the
+    # Kabsch SVDs of this thread when the native search is in use
+    native_svd = _NATIVE_SEARCH is not None and _KERNELS.svd_chain
+    svd0 = _KERNELS.svd_counts() if _NATIVE_SEARCH is not None else None
     n = min(len(ds), 10)
     counter = CostCounter()
     for i in range(n):
         for j in range(i + 1, n):
             tm_align(ds[i], ds[j], counter=counter)
+    svd = None
+    if svd0 is not None:
+        calls, hits = (b - a for a, b in zip(svd0, _KERNELS.svd_counts()))
+        svd = {
+            "calls_per_pair": calls / best["pairs"],
+            "memo_hit_ratio": hits / calls if calls else 0.0,
+        }
 
     report: dict = {
         **host_record("repro-bench-kernel/1"),
@@ -466,6 +476,8 @@ def run_kernel_bench(
         "native_dp": _NATIVE_FORWARD is not None,
         "native_tm": _NATIVE_SEARCH is not None,
         "native_refine": _NATIVE_REFINE is not None,
+        "native_svd": native_svd,
+        "svd": svd,
         "op_counts_grid": counter.as_dict(),
         "seed_pairs_per_second": SEED_KERNEL_PAIRS_PER_SECOND,
         "speedup_vs_seed": rate / SEED_KERNEL_PAIRS_PER_SECOND,
@@ -497,7 +509,8 @@ def format_kernel_bench_report(report: dict) -> str:
         f"({report['speedup_vs_seed']:.2f}x vs seed kernel, "
         f"native DP {'on' if report['native_dp'] else 'off'}, "
         f"native search/threading {'on' if report.get('native_tm') else 'off'}, "
-        f"native refine {'on' if report.get('native_refine') else 'off'})",
+        f"native refine {'on' if report.get('native_refine') else 'off'}, "
+        f"dgesdd chain {'on' if report.get('native_svd') else 'off'})",
         f"regression: {reg['ratio']:.2f}x of baseline "
         f"{reg['baseline_pairs_per_second']:.2f} pairs/s "
         f"({reg['baseline_source']}, min {reg['min_ratio']:.2f}) -> "

@@ -16,7 +16,6 @@ from repro.parallel.costsched import (
     predict_pair_seconds,
 )
 from repro.parallel.farm import (
-    DEFAULT_CHUNK,
     FarmBackend,
     FarmStats,
     ParallelConfig,
@@ -35,7 +34,6 @@ from repro.parallel.shmplane import (
 )
 
 __all__ = [
-    "DEFAULT_CHUNK",
     "ChunkPlan",
     "DatasetPlane",
     "FarmBackend",

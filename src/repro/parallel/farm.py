@@ -75,7 +75,6 @@ from repro.psc.evaluator import EvalMode, evaluate_pair
 from repro.structure.model import Chain
 
 __all__ = [
-    "DEFAULT_CHUNK",
     "FarmBackend",
     "FarmStats",
     "ParallelConfig",
@@ -85,10 +84,6 @@ __all__ = [
     "iter_pair_results",
     "reset_worker_clamp_warnings",
 ]
-
-#: a fixed chunk size for callers that want one; the farm never reads it
-#: (``chunk = 0`` packs chunks by predicted cost)
-DEFAULT_CHUNK = 8
 
 #: a drain context up to this many bytes rides with every chunk; a bigger
 #: one (a pickled dataset) goes only to a worker that reports a cache

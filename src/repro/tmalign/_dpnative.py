@@ -16,9 +16,10 @@ modules that use them fall back to it whenever a handle is None.
   ``b > a ? b : a`` so it compiles to ``maxsd`` rather than a branch.
 * ``nw_traceback`` — the corner-to-origin walk of ``nw_align``, with the
   same exact-equality predecessor tests and M > Ix > Iy tie order.
-* ``tm_search`` — ``superposition_search``: per seed, Kabsch on the seed
-  window, then score / reselect with cutoff escalation / convergence
-  check, keeping the first strictly best score in serial seed order.
+* ``tm_search`` — ``superposition_search``: the seed schedule of its
+  fractions, then per seed Kabsch on the seed window, score / reselect
+  with cutoff escalation / convergence check, keeping the first strictly
+  best score in serial seed order.
 * ``tm_windows`` — one Kabsch plus one GL score per window, for
   ``gapless_threading`` and ``fragment_threading``.
 * ``tm_refine`` — ``align._refine`` for one candidate alignment: per
@@ -32,10 +33,10 @@ modules that use them fall back to it whenever a handle is None.
 
 How the Kabsch and scoring loops match NumPy's floats:
 
-* the 3x3 SVD calls ``dgesdd`` (``jobz='A'``, column-major copy, lwork
-  from a workspace query) in NumPy's own bundled OpenBLAS, exactly as
-  ``numpy.linalg`` does, and ``R @ mu`` calls its ``cblas_dgemv`` with
-  the arguments ``np.matmul`` passes;
+* the 3x3 SVD is the one ``numpy.linalg`` gets from ``dgesdd``
+  (``jobz='A'``, column-major copy) in NumPy's own bundled OpenBLAS, and
+  ``R @ mu`` calls its ``cblas_dgemv`` with the arguments ``np.matmul``
+  passes (see below for how the SVD is reached);
 * every GEMM NumPy runs with K = 3 and three output columns (covariance,
   3x3 products, the ``(n, 3) @ (3, 3)`` transform) accumulates each
   output as one sequential fused multiply-add chain over K, which
@@ -49,6 +50,29 @@ How the Kabsch and scoring loops match NumPy's floats:
 * window means are sequential sums, score sums use NumPy's pairwise
   order, and the rest is elementwise IEEE arithmetic compiled with
   ``-ffp-contract=off``.
+
+The SVDs (~1,100 per pair, about 40% of a pair's time through the
+``dgesdd`` wrapper) take ``dgesdd``'s own code path for this input
+without its wrapper.  For M = N = 3 and ``jobz='A'``, ``dgesdd`` picks
+its "path 5" (M < MNTHR = 5): ``dgebrd``, which for N < NB is
+``dgebd2``; then ``dbdsdc``, whose N <= SMLSIZ branch runs ``dlasdq``
+on identity U and VT and a selection sort; then ``dormbr``, which for
+K < NB is ``dorm2r`` and ``dorml2``.  ``svd3_chain`` calls those same
+routines, bound from the same library, with the same arguments, so it
+is the same arithmetic minus the wrapper's argument checks, workspace
+queries, ``ilaenv`` lookups and norm.  It defers to ``dgesdd`` itself
+for every input the wrapper treats differently: NaN, which ``dgesdd``
+rejects, and a max-abs entry outside (SMLNUM, BIGNUM] as ``dgesdd``
+derives them from ``dlamch``, which it rescales first; also for the
+zero matrix, so that no memo key is all zero bytes (below).
+:func:`load_tm_kernels` checks the chain against ``dgesdd`` byte for
+byte on :func:`_svd_battery` once per process and keeps ``dgesdd``
+alone on any difference.  In front of it a per-thread
+direct-mapped memo keyed by the covariance's bytes returns the rotation
+computed the first time (about 12% of a pair's covariances repeat one
+decomposed earlier), so a hit is bit-identical by construction and
+still charges its ``kabsch`` and ``kabsch_point`` ops.  It is per
+thread because ctypes releases the GIL inside the kernels.
 
 The GEMM order depends on the OpenBLAS kernel the CPU selects, so
 :func:`self_check` runs the search, window, traceback and refinement
@@ -252,16 +276,33 @@ typedef void (*gemv_fn)(int, int, int64_t, int64_t, double, const double *,
 typedef void (*gemm_fn)(int, int, int, int64_t, int64_t, int64_t, double,
                         const double *, int64_t, const double *, int64_t,
                         double, double *, int64_t);
+typedef const int64_t *fint; /* an ILP64 LAPACK integer argument */
+typedef void (*gebd2_fn)(fint, fint, double *, fint, double *, double *,
+                         double *, double *, double *, int64_t *);
+typedef void (*lasdq_fn)(const char *, fint, fint, fint, fint, fint, double *,
+                         double *, double *, fint, double *, fint, double *,
+                         fint, double *, int64_t *, size_t);
+typedef void (*orm_fn)(const char *, const char *, fint, fint, fint, double *,
+                       fint, const double *, double *, fint, double *,
+                       int64_t *, size_t, size_t);
+typedef double (*lamch_fn)(const char *, size_t);
 
 #define SVD_WORK_MAX 512
 static gesdd_fn blas_gesdd;
 static gemv_fn blas_gemv;
 static gemm_fn blas_gemm;
+static gebd2_fn lp_gebd2;
+static lasdq_fn lp_lasdq;
+static orm_fn lp_orm2r, lp_orml2;
 static int64_t svd_lwork;
+static double svd_small, svd_big; /* dgesdd's SMLNUM and BIGNUM */
+static int svd_chain;
 
-/* Bind NumPy's ILP64 dgesdd, cblas_dgemv and cblas_dgemm; sizes the SVD
- * workspace by the same query numpy.linalg makes.  Returns 0 on success. */
-int tm_bind(void *gesdd, void *gemv, void *gemm)
+/* Bind NumPy's ILP64 dgesdd, cblas_dgemv and cblas_dgemm and, unless
+ * chain is NULL, dgesdd's 3x3 path (dgebd2, dlasdq, dorm2r, dorml2 and
+ * dlamch); sizes the SVD workspace by the same query numpy.linalg
+ * makes.  Returns 0 on success. */
+int tm_bind(void *gesdd, void *gemv, void *gemm, void *const *chain)
 {
     char jobz = 'A';
     int64_t three = 3, query = -1, info = 0, iwork[24];
@@ -269,11 +310,91 @@ int tm_bind(void *gesdd, void *gemv, void *gemm)
     blas_gesdd = (gesdd_fn)gesdd;
     blas_gemv = (gemv_fn)gemv;
     blas_gemm = (gemm_fn)gemm;
+    if ((svd_chain = chain != NULL)) {
+        lamch_fn lamch = (lamch_fn)chain[4];
+        lp_gebd2 = (gebd2_fn)chain[0];
+        lp_lasdq = (lasdq_fn)chain[1];
+        lp_orm2r = (orm_fn)chain[2];
+        lp_orml2 = (orm_fn)chain[3];
+        svd_small = sqrt(lamch("S", 1)) / lamch("P", 1);
+        svd_big = 1.0 / svd_small;
+    }
     blas_gesdd(&jobz, &three, &three, a, &three, s, u, &three, vt, &three,
                &wq, &query, iwork, &info, 1);
     svd_lwork = (int64_t)wq;
     if (svd_lwork < 1) svd_lwork = 1;
     return (info != 0 || svd_lwork > SVD_WORK_MAX) ? -1 : 0;
+}
+
+/* What dgesdd runs for this input ("path 5", M = N = 3 < MNTHR = 5,
+ * N <= SMLSIZ, every NB >= K): dgebd2, then dbdsdc's small-N branch
+ * (dlasdq on identity U and VT, then its selection sort), then dormbr's
+ * unblocked dorm2r and dorml2.  Valid where dgesdd does not rescale. */
+static int64_t svd3_chain(double *a, double *s, double *u, double *vt)
+{
+    const int64_t zero = 0, two = 2, three = 3;
+    int64_t info = 0;
+    double e[3], tauq[3], taup[3], work[12], t;
+    int i, j, k;
+    lp_gebd2(&three, &three, a, &three, s, e, tauq, taup, work, &info);
+    for (i = 0; i < 9; ++i) u[i] = vt[i] = (i % 4 == 0) ? 1.0 : 0.0;
+    lp_lasdq("U", &zero, &three, &three, &three, &zero, s, e, vt, &three, u,
+             &three, u, &three, work, &info, 1);
+    if (info != 0) return info;
+    for (i = 0; i < 2; ++i) {
+        for (k = i, j = i + 1; j < 3; ++j)
+            if (s[j] > s[k]) k = j;
+        if (k == i) continue;
+        t = s[k], s[k] = s[i], s[i] = t;
+        for (j = 0; j < 3; ++j) {
+            t = u[j + 3 * k], u[j + 3 * k] = u[j + 3 * i], u[j + 3 * i] = t;
+            t = vt[k + 3 * j], vt[k + 3 * j] = vt[i + 3 * j], vt[i + 3 * j] = t;
+        }
+    }
+    lp_orm2r("L", "N", &three, &three, &three, a, &three, tauq, u, &three,
+             work, &info, 1, 1);
+    lp_orml2("R", "N", &three, &two, &two, a + 3, &three, taup, vt + 3,
+             &three, work, &info, 1, 1);
+    return 0;
+}
+
+/* Whether dgesdd takes A as it is: it rejects NaN and rescales A when
+ * max|a| is outside (SMLNUM, BIGNUM]. */
+static int svd3_unscaled(const double *a)
+{
+    double anrm = 0.0;
+    int k;
+    for (k = 0; k < 9; ++k) {
+        if (a[k] != a[k]) return 0;
+        anrm = fabs(a[k]) > anrm ? fabs(a[k]) : anrm;
+    }
+    return anrm > svd_small && anrm <= svd_big;
+}
+
+/* The SVD numpy.linalg.svd makes of the row-major 3x3 cov: the chain
+ * where dgesdd takes A as it is, else (or with reference) dgesdd.  f
+ * gets S, U and VT in Fortran order.  Returns dgesdd's INFO. */
+static int64_t svd3(const double *cov, int reference, double *f)
+{
+    char jobz = 'A';
+    int64_t three = 3, info = 0, iwork[24], lwork = svd_lwork;
+    double a[9], work[SVD_WORK_MAX];
+    int i, j;
+    for (i = 0; i < 3; ++i)
+        for (j = 0; j < 3; ++j) a[i + 3 * j] = cov[3 * i + j];
+    if (!reference && svd_chain && svd3_unscaled(a))
+        return svd3_chain(a, f, f + 3, f + 12);
+    blas_gesdd(&jobz, &three, &three, a, &three, f, f + 3, &three, f + 12,
+               &three, work, &lwork, iwork, &info, 1);
+    return info;
+}
+
+/* svd3 of n covariances; out gets 22 doubles each: INFO, S, U, VT. */
+void tm_svd3(const double *covs, ptrdiff_t n, int reference, double *out)
+{
+    ptrdiff_t k;
+    for (k = 0; k < n; ++k)
+        out[22 * k] = (double)svd3(covs + 9 * k, reference, out + 22 * k + 1);
 }
 
 /* C = A @ B (3x3 row-major), each output one fma chain over K from 0 */
@@ -290,19 +411,41 @@ INLINE void mm3(const double *A, const double *B, double *C)
         }
 }
 
+/* Per-thread direct-mapped memo of rotation_from_cov, keyed by the
+ * covariance's bytes (1024 slots of 144 bytes), and this thread's call
+ * and hit counts.  Only unscaled covariances enter, so a zeroed empty
+ * slot never matches. */
+#define MEMO_SLOTS 1024
+static __thread struct memo_slot { double cov[9], rot[9]; } memo[MEMO_SLOTS];
+static __thread int64_t svd_counts[2];
+
+/* This thread's rotation_from_cov calls and memo hits, in out[0..1]. */
+void tm_svd_counts(int64_t *out)
+{
+    memcpy(out, svd_counts, sizeof svd_counts);
+}
+
 /* rotations_from_covariances for one covariance */
 INLINE void rotation_from_cov(const double *cov, double *rot)
 {
-    char jobz = 'A';
-    int64_t three = 3, info = 0, iwork[24], lwork = svd_lwork;
-    double a[9], s[3], uf[9], vtf[9], work[SVD_WORK_MAX];
-    double vtT[9], uT[9], det;
+    double f[21], *uf = f + 3, *vtf = f + 12, vtT[9], uT[9], det;
+    struct memo_slot *slot = NULL;
+    uint64_t h = 0, w;
     int i, j;
-    for (i = 0; i < 3; ++i)
-        for (j = 0; j < 3; ++j) a[i + 3 * j] = cov[3 * i + j];
-    blas_gesdd(&jobz, &three, &three, a, &three, s, uf, &three, vtf, &three,
-               work, &lwork, iwork, &info, 1);
-    if (info != 0) { /* numpy.linalg fills failed factors with NaN */
+    ++svd_counts[0];
+    if (svd3_unscaled(cov)) {
+        for (i = 0; i < 9; ++i) {
+            memcpy(&w, cov + i, sizeof w);
+            h = (h ^ w) * 0x9E3779B97F4A7C15ull;
+        }
+        slot = &memo[h >> 54];
+        if (memcmp(slot->cov, cov, sizeof slot->cov) == 0) {
+            ++svd_counts[1];
+            memcpy(rot, slot->rot, sizeof slot->rot);
+            return;
+        }
+    }
+    if (svd3(cov, 0, f) != 0) { /* numpy.linalg fills failed factors with NaN */
         for (i = 0; i < 9; ++i) uf[i] = vtf[i] = NAN;
     }
     /* Fortran outputs: u[i][j] = uf[i + 3j], vt[i][j] = vtf[i + 3j] */
@@ -321,6 +464,17 @@ INLINE void rotation_from_cov(const double *cov, double *rot)
         mm3(vtT, diag, t);
         mm3(t, uT, rot);
     }
+    if (slot) {
+        memcpy(slot->cov, cov, sizeof slot->cov);
+        memcpy(slot->rot, rot, sizeof slot->rot);
+    }
+}
+
+/* rotation_from_cov of each of n row-major covariances */
+void tm_rotations(const double *covs, ptrdiff_t n, double *rots)
+{
+    ptrdiff_t k;
+    for (k = 0; k < n; ++k) rotation_from_cov(covs + 9 * k, rots + 9 * k);
 }
 
 /* Kabsch of pa onto pb over m point pairs: rows a0.. / b0.. when sel is
@@ -414,16 +568,23 @@ INLINE double score(const double *pa, const double *pb, ptrdiff_t m,
 }
 
 /* GL score of nwin windows: Kabsch of xa[a0[w]:a0[w]+lens[w]] onto
- * ya[b0[w]:...] and the TM-score of the same pairs.  Returns 0, or -1
- * when scratch allocation fails. */
-HOT int tm_windows(const double *xa, const double *ya, const int64_t *a0,
-                   const int64_t *b0, const int64_t *lens, ptrdiff_t nwin,
-                   double d0, double lnorm, double *tms)
+ * ya[b0[w]:...] and the TM-score of the same pairs.  xa has na rows and
+ * ya nb.  Returns the total window length, -1 when scratch allocation
+ * fails, or -2 when a window is empty or outside the sets. */
+HOT ptrdiff_t tm_windows(const double *xa, ptrdiff_t na, const double *ya,
+                         ptrdiff_t nb, const int64_t *a0, const int64_t *b0,
+                         const int64_t *lens, ptrdiff_t nwin, double d0,
+                         double lnorm, double *tms)
 {
-    ptrdiff_t w, mmax = 1;
+    ptrdiff_t w, mmax = 1, points = 0;
     double *buf;
-    for (w = 0; w < nwin; ++w)
+    for (w = 0; w < nwin; ++w) {
+        if (a0[w] < 0 || b0[w] < 0 || lens[w] < 1 || a0[w] + lens[w] > na
+            || b0[w] + lens[w] > nb)
+            return -2;
         if (lens[w] > mmax) mmax = lens[w];
+        points += lens[w];
+    }
     buf = malloc(sizeof(double) * 2 * mmax);
     if (!buf) return -1;
     for (w = 0; w < nwin; ++w) {
@@ -433,7 +594,7 @@ HOT int tm_windows(const double *xa, const double *ya, const int64_t *a0,
                        d0, lnorm, buf, buf + mmax);
     }
     free(buf);
-    return 0;
+    return points;
 }
 
 /* superposition_search over n matched pairs.  seeds holds (start, len)
@@ -489,29 +650,6 @@ INLINE void search(const double *pa, const double *pb, ptrdiff_t n,
     }
 }
 
-/* search() as an entry point; ops[0..2] are overwritten.  Returns 0, or
- * -1 when scratch allocation fails. */
-HOT int tm_search(const double *pa, const double *pb, ptrdiff_t n,
-                  const int64_t *seeds, ptrdiff_t nseeds, double d0,
-                  double lnorm, double d0_search, ptrdiff_t max_iters,
-                  double *best_tm, double *best_rot, double *best_tra,
-                  int64_t *ops)
-{
-    double *dist = malloc(sizeof(double) * 2 * n);
-    unsigned char *sel = malloc(2 * n);
-    if (!dist || !sel) {
-        free(dist);
-        free(sel);
-        return -1;
-    }
-    ops[0] = ops[1] = ops[2] = 0;
-    search(pa, pb, n, seeds, nseeds, d0, lnorm, d0_search, max_iters, dist,
-           sel, best_tm, best_rot, best_tra, ops);
-    free(dist);
-    free(sel);
-    return 0;
-}
-
 /* ---- the refinement loop of align._refine ---- */
 
 /* _seed_schedule: (start, len) seeds in fraction order.  A fraction whose
@@ -542,6 +680,34 @@ static ptrdiff_t seed_schedule(ptrdiff_t n, const int64_t *fracs,
         }
     }
     return k;
+}
+
+/* superposition_search from the seed fractions: search() over the
+ * seed_schedule of n pairs.  out gets the best score, rotation (9) and
+ * translation (3), then the kabsch, kabsch_point and score_pair counts
+ * as int64.  Returns 0, -1 when scratch allocation fails, or -2 when
+ * a fraction is below 1. */
+HOT int tm_search(const double *pa, const double *pb, ptrdiff_t n,
+                  const int64_t *fracs, ptrdiff_t nfracs,
+                  ptrdiff_t min_seed_len, double d0, double lnorm,
+                  double d0_search, ptrdiff_t max_iters, double *out)
+{
+    const ptrdiff_t nseeds_max = nfracs * (n + 1);
+    int64_t ops[3] = {0, 0, 0}, *seeds;
+    double *dist;
+    ptrdiff_t k;
+    for (k = 0; k < nfracs; ++k)
+        if (fracs[k] < 1) return -2;
+    dist = malloc(sizeof(double) * (2 * n + 2 * nseeds_max) + 2 * n);
+    if (!dist) return -1;
+    seeds = (int64_t *)(dist + 2 * n);
+    search(pa, pb, n, seeds,
+           seed_schedule(n, fracs, nfracs, min_seed_len, seeds), d0, lnorm,
+           d0_search, max_iters, dist, (unsigned char *)(seeds + 2 * nseeds_max),
+           out, out + 1, out + 10, ops);
+    memcpy(out + 13, ops, sizeof ops);
+    free(dist);
+    return 0;
 }
 
 /* TM-score terms of every residue pair under (rot, tra), as
@@ -609,16 +775,16 @@ HOT int tm_scores(const double *xa, ptrdiff_t la, const double *ya,
  * the alignment repeats one seen in this call, the score has not
  * improved for `patience` steps, or after `max_iters` steps.
  *
- * iargs: min_seed_len, max_score_iters, max_iters, patience.
- * dargs: d0, lnorm, d0_search, gap.
- * On return best_tm/rot/tra hold the best search result (-1 and the
- * identity if none), best_n[0] is -1 when the starting alignment stayed
- * best, else the length of the DP alignment written to best_ai/best_aj
- * (capacity min(la, lb)) with its corner score in best_dp.  ops[0..3]
- * receive the kabsch, kabsch_point, score_pair and dp_cell counts.
- * All scratch is carved from the caller's 8-byte aligned workspace ws
- * of ws_bytes bytes (see tm_refine_bytes).  Returns 0, or -1 when ws is
- * too small. */
+ * out gets 14 doubles: the best search score (-1 if none), the corner
+ * score of the best DP alignment, and the best rotation (identity if
+ * none) and translation; then as int64 the best alignment's length (-1
+ * when the starting alignment stayed best), the kabsch, kabsch_point,
+ * score_pair and dp_cell counts, and the best alignment's i and j
+ * indices (min(la, lb) slots each).  All scratch is carved from the
+ * caller's 8-byte aligned workspace ws of ws_bytes bytes (see
+ * tm_refine_bytes).  Returns 0, -1 when ws is too small, -2 when the
+ * alignment indexes outside the chains, or -3 when there is no seed
+ * fraction or one is below 1. */
 static void refine_sizes(ptrdiff_t la, ptrdiff_t lb, ptrdiff_t nfracs,
                          ptrdiff_t max_iters, ptrdiff_t *nf, ptrdiff_t *nh,
                          ptrdiff_t *ns, ptrdiff_t *nsel)
@@ -642,23 +808,29 @@ ptrdiff_t tm_refine_bytes(ptrdiff_t la, ptrdiff_t lb, ptrdiff_t nfracs,
 HOT int tm_refine(const double *xa, ptrdiff_t la, const double *ya,
                   ptrdiff_t lb, const int64_t *ai0, const int64_t *aj0,
                   ptrdiff_t n0, const int64_t *fracs, ptrdiff_t nfracs,
-                  const int64_t *iargs, const double *dargs, double *best_tm,
-                  double *best_rot, double *best_tra, int64_t *best_ai,
-                  int64_t *best_aj, int64_t *best_n, double *best_dp,
-                  int64_t *ops, unsigned char *ws, ptrdiff_t ws_bytes)
+                  ptrdiff_t min_seed_len, ptrdiff_t max_score_iters,
+                  ptrdiff_t max_iters, ptrdiff_t patience, double d0,
+                  double lnorm, double d0_search, double gap,
+                  unsigned char *out, unsigned char *ws, ptrdiff_t ws_bytes)
 {
-    const ptrdiff_t min_seed_len = iargs[0], max_score_iters = iargs[1];
-    const ptrdiff_t max_iters = iargs[2], patience = iargs[3];
-    const double d0 = dargs[0], lnorm = dargs[1], d0_search = dargs[2];
-    const double gap = dargs[3];
     const ptrdiff_t cap = la < lb ? la : lb, stride = lb + 1;
     const ptrdiff_t cells = (la + 1) * stride;
+    double *best_tm = (double *)out, *best_dp = best_tm + 1;
+    double *best_rot = best_tm + 2, *best_tra = best_tm + 11;
+    int64_t *best_n = (int64_t *)(best_tm + 14), *ops = best_n + 1;
+    int64_t *best_ai = ops + 4, *best_aj = best_ai + cap;
     ptrdiff_t *hai, *haj, *hn, it, k, nh = 1, cur = 0, best = 0, stale = 0;
     ptrdiff_t n_f, n_h, n_s, n_sel;
     double *fbuf, *pa, *pb, *dist, *mv, *asq, *bsq, *S, *M, *Ix, *Iy, *hdp;
     int64_t *seeds;
     unsigned char *sel;
 
+    for (k = 0; k < n0; ++k)
+        if (ai0[k] < 0 || ai0[k] >= la || aj0[k] < 0 || aj0[k] >= lb)
+            return -2;
+    if (nfracs < 1) return -3;
+    for (k = 0; k < nfracs; ++k)
+        if (fracs[k] < 1) return -3;
     refine_sizes(la, lb, nfracs, max_iters, &n_f, &n_h, &n_s, &n_sel);
     if (ws == NULL || ws_bytes < tm_refine_bytes(la, lb, nfracs, max_iters))
         return -1;
@@ -770,8 +942,14 @@ def load_forward_kernel() -> Optional[ctypes._CFuncPtr]:
     return fn
 
 
-def _bundled_blas() -> Optional[tuple[int, int, int]]:
-    """Addresses of ``dgesdd``, ``cblas_dgemv``, ``cblas_dgemm`` in NumPy's OpenBLAS.
+# dgesdd's 3x3 path, in the order tm_bind takes it
+_SVD_CHAIN = ("dgebd2", "dlasdq", "dorm2r", "dorml2", "dlamch")
+
+
+def _bundled_blas() -> Optional[tuple]:
+    """Addresses of ``dgesdd``, ``cblas_dgemv``, ``cblas_dgemm`` in NumPy's
+    OpenBLAS, then the ``_SVD_CHAIN`` routines as a ctypes array (None
+    when the library does not export them all).
 
     NumPy wheels bundle one ``libscipy_openblas64_`` next to the package;
     any other layout returns None (the NumPy path then stays in use).
@@ -785,13 +963,21 @@ def _bundled_blas() -> Optional[tuple[int, int, int]]:
         return None
     try:
         blas = ctypes.CDLL(found[0])
-        return (
-            ctypes.cast(blas.scipy_dgesdd_64_, _P).value,
-            ctypes.cast(blas.scipy_cblas_dgemv64_, _P).value,
-            ctypes.cast(blas.scipy_cblas_dgemm64_, _P).value,
+        core = tuple(
+            ctypes.cast(getattr(blas, name), _P).value
+            for name in ("scipy_dgesdd_64_", "scipy_cblas_dgemv64_",
+                         "scipy_cblas_dgemm64_")
         )
     except (OSError, AttributeError):
         return None
+    try:
+        chain = (_P * len(_SVD_CHAIN))(*(
+            ctypes.cast(getattr(blas, f"scipy_{name}_64_"), _P)
+            for name in _SVD_CHAIN
+        ))
+    except AttributeError:
+        chain = None
+    return (*core, chain)
 
 
 _SCRATCH = threading.local()
@@ -805,11 +991,12 @@ def scratch(nbytes: int) -> np.ndarray:
     and neither call runs inside the other.  It is per thread because
     ctypes releases the GIL inside the kernels and a service evaluates
     batches in several threads.  Sized by the largest pair the thread
-    has seen; it never shrinks.
+    has seen; it never shrinks.  ``_SCRATCH.addr`` caches its address.
     """
     buf = getattr(_SCRATCH, "buf", None)
     if buf is None or buf.nbytes < nbytes:
         buf = _SCRATCH.buf = np.empty(nbytes, dtype=np.uint8)
+        _SCRATCH.addr = buf.ctypes.data
     return buf
 
 
@@ -828,78 +1015,83 @@ def _charge(counter, kabsch: int, kabsch_points: int, score_pairs: int) -> None:
         counter.add("score_pair", score_pairs)
 
 
+def _fn(lib: ctypes.CDLL, name: str, restype, argtypes: list):
+    fn = getattr(lib, name)
+    fn.restype = restype
+    fn.argtypes = argtypes
+    return fn
+
+
 class TMKernels:
     """Front-ends of the search, window, traceback, score and refine entry points.
 
-    Each method validates dtype and contiguity before a pointer reaches
-    C, and charges ``counter`` the totals the NumPy path charges.
+    Each method validates its arguments before a pointer reaches C (the
+    index bounds in C, which reports them by return code), and charges
+    ``counter`` the totals the NumPy path charges.  ``svd_chain`` says
+    whether the Kabsch SVDs take dgesdd's 3x3 path directly.
     """
 
-    def __init__(self, lib: ctypes.CDLL) -> None:
-        self._search = lib.tm_search
-        self._search.restype = ctypes.c_int
-        # pa, pb, n, seeds, nseeds, d0, lnorm, d0_search, max_iters,
-        # best_tm, best_rot, best_tra, ops
-        self._search.argtypes = [_P, _P, _N, _P, _N, _D, _D, _D, _N, _P, _P, _P, _P]
-        self._windows = lib.tm_windows
-        self._windows.restype = ctypes.c_int
-        # xa, ya, a0, b0, lens, nwin, d0, lnorm, tms
-        self._windows.argtypes = [_P, _P, _P, _P, _P, _N, _D, _D, _P]
-        self._traceback = lib.nw_traceback
-        self._traceback.restype = ctypes.c_ssize_t
+    def __init__(self, lib: ctypes.CDLL, svd_chain: bool) -> None:
+        self.svd_chain = svd_chain
+        # pa, pb, n, fracs, nfracs, min_seed_len, d0, lnorm, d0_search,
+        # max_iters, out
+        self._search = _fn(lib, "tm_search", ctypes.c_int,
+                           [_P, _P, _N, _P, _N, _N, _D, _D, _D, _N, _P])
+        # xa, na, ya, nb, a0, b0, lens, nwin, d0, lnorm, tms
+        self._windows = _fn(lib, "tm_windows", _N,
+                            [_P, _N, _P, _N, _P, _P, _P, _N, _D, _D, _P])
         # M, Ix, Iy, score, la, lb, stride, sstride, gap, ai, aj, dp_score
-        self._traceback.argtypes = [_P, _P, _P, _P, _N, _N, _N, _N, _D, _P, _P, _P]
-        self._scores = lib.tm_scores
-        self._scores.restype = ctypes.c_int
+        self._traceback = _fn(lib, "nw_traceback", _N,
+                              [_P, _P, _P, _P, _N, _N, _N, _N, _D, _P, _P, _P])
         # xa, la, ya, lb, rot, tra, d0, S
-        self._scores.argtypes = [_P, _N, _P, _N, _P, _P, _D, _P]
-        self._refine = lib.tm_refine
-        self._refine.restype = ctypes.c_int
-        # xa, la, ya, lb, ai0, aj0, n0, fracs, nfracs, iargs, dargs,
-        # best_tm, best_rot, best_tra, best_ai, best_aj, best_n, best_dp,
-        # ops, ws, ws_bytes
-        self._refine.argtypes = (
-            [_P, _N, _P, _N, _P, _P, _N, _P, _N, _P, _P] + [_P] * 9 + [_N]
-        )
-        self._refine_bytes = lib.tm_refine_bytes
-        self._refine_bytes.restype = ctypes.c_ssize_t
+        self._scores = _fn(lib, "tm_scores", ctypes.c_int,
+                           [_P, _N, _P, _N, _P, _P, _D, _P])
+        # xa, la, ya, lb, ai0, aj0, n0, fracs, nfracs, min_seed_len,
+        # max_score_iters, max_iters, patience, d0, lnorm, d0_search, gap,
+        # out, ws, ws_bytes
+        self._refine = _fn(lib, "tm_refine", ctypes.c_int,
+                           [_P, _N, _P, _N, _P, _P, _N, _P] + [_N] * 5
+                           + [_D] * 4 + [_P, _P, _N])
         # la, lb, nfracs, max_iters
-        self._refine_bytes.argtypes = [_N, _N, _N, _N]
+        self._refine_bytes = _fn(lib, "tm_refine_bytes", _N, [_N] * 4)
+        # covs, n, reference, out
+        self._svd3 = _fn(lib, "tm_svd3", None, [_P, _N, ctypes.c_int, _P])
+        # covs, n, rots
+        self._rotations = _fn(lib, "tm_rotations", None, [_P, _N, _P])
+        self._svd_counts = _fn(lib, "tm_svd_counts", None, [_P])
 
     def search(
         self,
         pa: np.ndarray,
         pb: np.ndarray,
-        seeds: list[tuple[int, int]],
+        fractions,
+        min_seed_len: int,
         d0: float,
         lnorm: int,
         d0_search: float,
         max_iters: int,
         counter=None,
     ) -> tuple[float, np.ndarray, np.ndarray]:
-        """``(best_tm, rotation, translation)`` of the seeded search."""
+        """``(best_tm, rotation, translation)`` of the search seeded from
+        ``fractions`` as ``tmscore._seed_schedule`` lays them out."""
         pa, pb = _f64(pa), _f64(pb)
         n = pa.shape[0]
         if pb.shape != (n, 3) or pa.shape != (n, 3):
             raise ValueError(f"matched (n, 3) sets required: {pa.shape}/{pb.shape}")
-        seed_arr = _i64(seeds).reshape(-1, 2)
-        if len(seed_arr) and (
-            seed_arr.min() < 0 or (seed_arr[:, 0] + seed_arr[:, 1]).max() > n
-        ):
-            raise ValueError("seed window outside the matched pairs")
-        best = np.empty(1)
-        rot = np.empty((3, 3))
-        tra = np.empty(3)
-        ops = np.empty(3, dtype=np.int64)
+        fracs = _i64(fractions)
+        if fracs.ndim != 1:
+            raise ValueError("seed fractions must be a 1-D sequence")
+        out = np.empty(16)
         rc = self._search(
-            pa.ctypes.data, pb.ctypes.data, n, seed_arr.ctypes.data,
-            len(seed_arr), d0, float(lnorm), d0_search, max_iters,
-            best.ctypes.data, rot.ctypes.data, tra.ctypes.data, ops.ctypes.data,
+            pa.ctypes.data, pb.ctypes.data, n, fracs.ctypes.data, fracs.shape[0],
+            min_seed_len, d0, lnorm, d0_search, max_iters, out.ctypes.data,
         )
+        if rc == -2:
+            raise ValueError("seed fractions must be >= 1")
         if rc != 0:
             raise MemoryError("tm_search scratch allocation failed")
-        _charge(counter, *ops.tolist())
-        return float(best[0]), rot, tra
+        _charge(counter, *out[13:].view(np.int64).tolist())
+        return float(out[0]), out[1:10].reshape(3, 3), out[10:13]
 
     def windows(
         self,
@@ -917,23 +1109,19 @@ class TMKernels:
         sm, st, ln = _i64(starts_m), _i64(starts_t), _i64(lens)
         if sm.ndim != 1 or not (sm.shape == st.shape == ln.shape):
             raise ValueError("window start and length arrays must match")
-        if len(ln) and (
-            min(sm.min(), st.min()) < 0
-            or ln.min() < 1
-            or (sm + ln).max() > mobile.shape[0]
-            or (st + ln).max() > target.shape[0]
-        ):
-            raise ValueError("window outside the coordinate sets")
-        tms = np.empty(len(ln))
-        rc = self._windows(
-            mobile.ctypes.data, target.ctypes.data, sm.ctypes.data,
-            st.ctypes.data, ln.ctypes.data, len(ln), d0, float(lnorm),
-            tms.ctypes.data,
+        if mobile.shape[1:] != (3,) or target.shape[1:] != (3,):
+            raise ValueError("(n, 3) coordinates required")
+        tms = np.empty(ln.shape[0])
+        pts = self._windows(
+            mobile.ctypes.data, mobile.shape[0], target.ctypes.data,
+            target.shape[0], sm.ctypes.data, st.ctypes.data, ln.ctypes.data,
+            ln.shape[0], d0, lnorm, tms.ctypes.data,
         )
-        if rc != 0:
+        if pts == -2:
+            raise ValueError("window outside the coordinate sets")
+        if pts < 0:
             raise MemoryError("tm_windows scratch allocation failed")
-        pts = int(ln.sum())
-        _charge(counter, len(ln), pts, pts)
+        _charge(counter, ln.shape[0], pts, pts)
         return tms
 
     def traceback(
@@ -1018,47 +1206,97 @@ class TMKernels:
             raise ValueError(f"(n, 3) coordinates required: {xa.shape}/{ya.shape}")
         if ai.ndim != 1 or ai.shape != aj.shape or ai.shape[0] > cap:
             raise ValueError("the starting alignment must be equal 1-D index arrays")
-        if ai.shape[0] and (
-            min(ai.min(), aj.min()) < 0 or ai.max() >= la or aj.max() >= lb
-        ):
-            raise ValueError("the starting alignment indexes outside the chains")
         fracs = _i64(seed_fractions)
-        if fracs.ndim != 1 or not len(fracs) or fracs.min() < 1:
-            raise ValueError("seed fractions must be >= 1")
-        iargs = _i64([
-            params.min_seed_len, params.max_score_iters,
-            params.max_refine_iters, params.refine_patience,
-        ])
-        dargs = np.array([d0, float(lnorm), d0_search, params.gap_open])
-        best = np.empty(2)  # best_tm, dp_score
-        rot = np.empty((3, 3))
-        tra = np.empty(3)
-        best_ai = np.empty(cap, dtype=np.intp)
-        best_aj = np.empty(cap, dtype=np.intp)
-        best_n = np.empty(1, dtype=np.int64)
-        ops = np.empty(4, dtype=np.int64)
-        ws = scratch(
-            self._refine_bytes(la, lb, len(fracs), params.max_refine_iters)
-        )
+        if fracs.ndim != 1:
+            raise ValueError("seed fractions must be a 1-D sequence")
+        max_iters = params.max_refine_iters
+        nbytes = self._refine_bytes(la, lb, fracs.shape[0], max_iters)
+        ws = scratch(nbytes)
+        # 14 doubles (scores, rotation, translation), then int64: length,
+        # 4 op counts, cap i indices, cap j indices
+        out = np.empty(19 + 2 * cap)
         rc = self._refine(
             xa.ctypes.data, la, ya.ctypes.data, lb, ai.ctypes.data,
-            aj.ctypes.data, ai.shape[0], fracs.ctypes.data, len(fracs),
-            iargs.ctypes.data, dargs.ctypes.data, best.ctypes.data,
-            rot.ctypes.data, tra.ctypes.data, best_ai.ctypes.data,
-            best_aj.ctypes.data, best_n.ctypes.data, best[1:].ctypes.data,
-            ops.ctypes.data, ws.ctypes.data, ws.nbytes,
+            aj.ctypes.data, ai.shape[0], fracs.ctypes.data, fracs.shape[0],
+            params.min_seed_len, params.max_score_iters, max_iters,
+            params.refine_patience, d0, lnorm, d0_search, params.gap_open,
+            out.ctypes.data, _SCRATCH.addr, ws.nbytes,
         )
+        if rc == -2:
+            raise ValueError("the starting alignment indexes outside the chains")
+        if rc == -3:
+            raise ValueError("seed fractions must be >= 1")
         if rc != 0:
             raise MemoryError("tm_refine workspace too small")
-        kabsch, kabsch_points, score_pairs, dp_cells = ops.tolist()
+        ints = out[14:].view(np.int64)
+        n, kabsch, kabsch_points, score_pairs, dp_cells = ints[:5].tolist()
         _charge(counter, kabsch, kabsch_points, score_pairs)
         if counter is not None:
             counter.add("dp_cell", dp_cells)
-        n = int(best_n[0])
         found = None
         if n >= 0:
-            found = (best_ai[:n].copy(), best_aj[:n].copy(), float(best[1]))
-        return float(best[0]), found, rot, tra
+            found = (ints[5:5 + n].copy(), ints[5 + cap:5 + cap + n].copy(),
+                     float(out[1]))
+        # copies, so that the transform does not keep the index tail alive
+        return float(out[0]), found, out[2:11].reshape(3, 3).copy(), out[11:14].copy()
+
+    def svd3(self, covs: np.ndarray, reference: bool = False) -> np.ndarray:
+        """The SVD the kernel takes of each 3x3 in ``covs`` (``reference``:
+        plain ``dgesdd``), 22 doubles each: INFO, S, U and VT."""
+        covs = _f64(covs)
+        if covs.shape[1:] != (3, 3):
+            raise ValueError("a stack of 3x3 matrices required")
+        out = np.zeros((covs.shape[0], 22))  # a failed call leaves factors unset
+        self._svd3(covs.ctypes.data, covs.shape[0], int(reference), out.ctypes.data)
+        return out
+
+    def rotations(self, covs: np.ndarray) -> np.ndarray:
+        """Kabsch rotation of each 3x3 covariance in ``covs``, through
+        this thread's memo, as ``rotations_from_covariances`` computes it."""
+        covs = _f64(covs)
+        if covs.shape[1:] != (3, 3):
+            raise ValueError("a stack of 3x3 matrices required")
+        out = np.empty(covs.shape)
+        self._rotations(covs.ctypes.data, covs.shape[0], out.ctypes.data)
+        return out
+
+    def svd_counts(self) -> tuple[int, int]:
+        """This thread's Kabsch SVD requests and memo hits so far."""
+        out = np.empty(2, dtype=np.int64)
+        self._svd_counts(out.ctypes.data)
+        return tuple(out.tolist())
+
+
+def _svd_battery() -> np.ndarray:
+    """Fixed 3x3 covariances on which the chain must match ``dgesdd``.
+
+    General, rank-1, rank-2, repeated-singular-value and signed-zero
+    matrices, scaled from 1e-100 to 1e100, then inputs ``dgesdd``
+    rescales or rejects (1e-200 and 1e200 scales, zero, NaN, inf), which
+    must take ``dgesdd`` itself.
+    """
+    rng = np.random.default_rng(26)
+    g = rng.normal(size=(4, 3, 3))
+    u, v = rng.normal(size=(2, 4, 3, 2))
+    q = np.linalg.qr(g)[0]
+    zeros = g.copy()
+    zeros[rng.random(size=g.shape) < 0.4] = 0.0
+    zeros[:2, 0, 0] = -0.0
+    shapes = np.concatenate([
+        g,
+        u[..., :1] @ v[..., :1].swapaxes(1, 2),
+        u @ v.swapaxes(1, 2),
+        q * np.array([2.0, 2.0, 1.0]) @ q.swapaxes(1, 2),
+        zeros,
+        [np.eye(3), np.diag([1.0, 1.0, 0.0]), -np.eye(3)[::-1]],
+    ])
+    scales = 10.0 ** np.array([-100, 0, 100])
+    edge = np.array([np.full((3, 3), x) for x in (1e-200, 1e200, 0.0, np.nan, np.inf)])
+    return np.concatenate([(shapes[:, None] * scales[:, None, None]).reshape(-1, 3, 3), edge])
+
+
+# Whether the chain matched dgesdd on the battery; taken once per process.
+_CHAIN_MATCHES: Optional[bool] = None
 
 
 def load_tm_kernels() -> Optional[TMKernels]:
@@ -1066,18 +1304,31 @@ def load_tm_kernels() -> Optional[TMKernels]:
 
     None when the library does not build, ``REPRO_NO_NATIVE_DP`` is set,
     or NumPy does not bundle the OpenBLAS whose SVD, GEMV and GEMM the
-    kernels must call to match it.  The caller runs :func:`self_check`
-    before trusting them.
+    kernels must call to match it.  The dgesdd chain is switched on when
+    that OpenBLAS exports it and it matched ``dgesdd`` byte for byte on
+    :func:`_svd_battery` (checked once per process).  The caller runs
+    :func:`self_check` before trusting the entry points.
     """
+    global _CHAIN_MATCHES
     lib = _library()
     blas = _bundled_blas()
     if lib is None or blas is None:
         return None
-    lib.tm_bind.restype = ctypes.c_int
-    lib.tm_bind.argtypes = [_P, _P, _P]
-    if lib.tm_bind(*blas) != 0:
+    bind = _fn(lib, "tm_bind", ctypes.c_int, [_P, _P, _P, _P])
+    chain = blas[3] if _CHAIN_MATCHES is not False else None
+    if bind(*blas[:3], chain) != 0:
         return None
-    return TMKernels(lib)
+    kernels = TMKernels(lib, svd_chain=chain is not None)
+    if chain is not None and _CHAIN_MATCHES is None:
+        battery = _svd_battery()
+        _CHAIN_MATCHES = (
+            kernels.svd3(battery).tobytes()
+            == kernels.svd3(battery, reference=True).tobytes()
+        )
+        if not _CHAIN_MATCHES:
+            bind(*blas[:3], None)
+            kernels.svd_chain = False
+    return kernels
 
 
 def _probe() -> list:

@@ -179,12 +179,17 @@ def superposition_search(
     """
     params = params or TMAlignParams()
     pa, pb, n, d0_search = _check_search_args(pa, pb, d0, d0_search)
-    fractions = tuple(seed_fractions or params.n_seed_fractions)
-    seeds = _seed_schedule(n, fractions, params)
-    search = _NATIVE_SEARCH or _search_lockstep
-    tm, rot, tra = search(
-        pa, pb, seeds, d0, lnorm, d0_search, params.max_score_iters, counter=counter
-    )
+    fractions = seed_fractions or params.n_seed_fractions
+    if _NATIVE_SEARCH is not None:
+        tm, rot, tra = _NATIVE_SEARCH(
+            pa, pb, fractions, params.min_seed_len, d0, lnorm, d0_search,
+            params.max_score_iters, counter=counter,
+        )
+    else:
+        tm, rot, tra = _search_lockstep(
+            pa, pb, _seed_schedule(n, fractions, params), d0, lnorm, d0_search,
+            params.max_score_iters, counter=counter,
+        )
     return tm, RigidTransform.from_trusted(rot, tra)
 
 

@@ -20,7 +20,6 @@ from repro.cost.counters import CostCounter
 from repro.datasets.pairs import all_vs_all_pairs
 from repro.faults import FarmFaultPlan, InjectedFault, WorkerFault
 from repro.parallel import (
-    DEFAULT_CHUNK,
     FarmStats,
     ParallelConfig,
     RetryPolicy,
@@ -362,9 +361,6 @@ class TestScheduling:
         assert stats.chunk_size == 2
         assert stats.wall_seconds > 0
         assert stats.pairs_per_second > 0
-
-    def test_default_chunk_positive(self):
-        assert DEFAULT_CHUNK >= 1
 
     def test_dataset_spec_prefers_registry_name(self, ck34_mini):
         kind, payload = dataset_spec(ck34_mini)

@@ -347,6 +347,53 @@ def test_threads_keep_their_own_scratch(ck34):
         assert [got[name][k] for k in range(len(pairs))] == want
 
 
+@requires_native
+def test_svd_chain_matches_dgesdd(rng):
+    """The Kabsch SVD runs dgesdd's own 3x3 path where dgesdd would not
+    rescale, and dgesdd itself elsewhere: the same INFO, S, U and VT
+    bytes as the plain dgesdd call, on the load-time battery (which holds
+    the 1e-200 and 1e+200 scales, the zero matrix and NaN that must take
+    dgesdd) and on random, scaled and NaN-holed stacks."""
+    kernels = tmscore._KERNELS
+    assert kernels.svd_chain
+    g = rng.normal(size=(200, 3, 3))
+    holed = g[:20].copy()
+    holed[:, 1, 2] = np.nan
+    covs = np.concatenate(
+        [_dpnative._svd_battery(), g, g[:50] * 1e-200, g[:50] * 1e200, holed]
+    )
+    assert kernels.svd3(covs).tobytes() == kernels.svd3(covs, reference=True).tobytes()
+
+
+@requires_native
+def test_repeated_covariance_hits_memo(rng):
+    """A covariance seen before in this thread returns the rotation
+    LAPACK produced for it the first time, and counts one memo hit."""
+    from repro.geometry.kabsch import rotations_from_covariances
+
+    kernels = tmscore._KERNELS
+    cov = rng.normal(size=(3, 3))
+    calls, hits = kernels.svd_counts()
+    rots = kernels.rotations(np.stack([cov, cov]))
+    assert kernels.svd_counts() == (calls + 2, hits + 1)
+    want = rotations_from_covariances(cov[None])[0].tobytes()
+    assert rots[0].tobytes() == rots[1].tobytes() == want
+
+
+def test_thread_pool_matches_serial(ck34_mini):
+    """ctypes releases the GIL inside the kernel and the SVD memo is per
+    thread: two pool threads aligning distinct pairs at once give the
+    serial results byte for byte."""
+    from concurrent.futures import ThreadPoolExecutor
+
+    chains = ck34_mini.chains
+    pairs = [(a, b) for k, a in enumerate(chains) for b in chains[k + 1:]]
+    want = [_result_key(tm_align(a, b)) for a, b in pairs]
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        got = list(pool.map(lambda p: _result_key(tm_align(*p)), pairs))
+    assert got == want
+
+
 class TestSelfCheck:
     @requires_native
     def test_passes_on_this_build(self):
