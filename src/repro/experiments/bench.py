@@ -266,12 +266,17 @@ def _bench_kernel_stages(dataset) -> Dict[str, dict]:
     correspondence of a full alignment.  One counted call per stage wires
     its :class:`~repro.cost.counters.CostCounter` op totals into the
     report next to the timing, so the artefact records both what each
-    stage costs in wall-clock and what it charges the cost model.
+    stage costs in wall-clock and what it charges the cost model.  Every
+    timed repeat takes chain A under its own rigid motion: the work is
+    the same, but every covariance has new bytes, so the per-thread SVD
+    memo cannot turn a repeat into lookups and each row times a new
+    pair's cost.
     """
     import numpy as np
 
     from repro.cost.counters import CostCounter
     from repro.geometry.kabsch import kabsch_batch
+    from repro.geometry.transforms import RigidTransform, random_rotation
     from repro.tmalign import tm_align
     from repro.tmalign.align import _refine
     from repro.tmalign.dp import nw_align
@@ -286,58 +291,72 @@ def _bench_kernel_stages(dataset) -> Dict[str, dict]:
     from repro.tmalign.tmscore import superposition_search
 
     a, b = dataset[0], dataset[1]
-    xa, ya = a.coords, b.coords
+    ya = b.coords
     la, lb = len(a), len(b)
     lmin = min(la, lb)
     d0 = d0_from_length(lmin)
     params = TMAlignParams()
     res = tm_align(a, b)
-    pa = xa[res.alignment.ai]
     pb = ya[res.alignment.aj]
     # a combined-style DP score matrix for the DP stage
     score = 1.0 / (1.0 + (np.linalg.norm(
-        res.transform.apply(xa)[:, None, :] - ya[None, :, :], axis=2
+        res.transform.apply(a.coords)[:, None, :] - ya[None, :, :], axis=2
     ) / d0) ** 2)
     flen = max(lmin // 2, 3)
-    starts = np.arange(0, pa.shape[0] - flen + 1, max(flen // 2, 1), dtype=np.intp)
+    starts = np.arange(0, pb.shape[0] - flen + 1, max(flen // 2, 1), dtype=np.intp)
     windows = starts[:, None] + np.arange(flen, dtype=np.intp)
     # the refinement loop from the gapless diagonal of the two chains
     diag = np.arange(lmin, dtype=np.intp)
     start = Alignment.from_trusted(diag, diag.copy())
 
-    stage_fns = {
-        "gapless_threading": lambda c: gapless_threading(
-            xa, ya, d0, lmin, params=params, counter=c
-        ),
-        "fragment_threading": lambda c: fragment_threading(
-            xa, ya, d0, lmin, params=params, counter=c
-        ),
-        "ss_alignment": lambda c: ss_alignment(
-            a.secondary, b.secondary, params=params, counter=c,
-            codes_a=a.ss_codes, codes_b=b.ss_codes,
-        ),
-        "combined_alignment": lambda c: combined_alignment(
-            xa, ya, res.transform, a.secondary, b.secondary, d0,
-            params=params, counter=c,
-            codes_a=a.ss_codes, codes_b=b.ss_codes,
-        ),
-        "superposition_search": lambda c: superposition_search(
-            pa, pb, d0, lmin, params=params, counter=c
-        ),
-        "nw_align": lambda c: nw_align(score, params.gap_open, counter=c),
-        "refine": lambda c: _refine(
-            xa, ya, start, d0, lmin, params, c if c is not None else CostCounter()
-        ),
-        "kabsch_batch": lambda c: kabsch_batch(pa[windows], pb[windows], counter=c),
-    }
-    stages: Dict[str, dict] = {}
+    def stage_fns(motion: RigidTransform) -> dict:
+        """The stages with chain A moved by ``motion``."""
+        xa = motion.apply(a.coords)
+        pa = xa[res.alignment.ai]
+        xf = res.transform.compose(motion.inverse())
+        return {
+            "gapless_threading": lambda c: gapless_threading(
+                xa, ya, d0, lmin, params=params, counter=c
+            ),
+            "fragment_threading": lambda c: fragment_threading(
+                xa, ya, d0, lmin, params=params, counter=c
+            ),
+            "ss_alignment": lambda c: ss_alignment(
+                a.secondary, b.secondary, params=params, counter=c,
+                codes_a=a.ss_codes, codes_b=b.ss_codes,
+            ),
+            "combined_alignment": lambda c: combined_alignment(
+                xa, ya, xf, a.secondary, b.secondary, d0,
+                params=params, counter=c,
+                codes_a=a.ss_codes, codes_b=b.ss_codes,
+            ),
+            "superposition_search": lambda c: superposition_search(
+                pa, pb, d0, lmin, params=params, counter=c
+            ),
+            "nw_align": lambda c: nw_align(score, params.gap_open, counter=c),
+            "refine": lambda c: _refine(
+                xa, ya, start, d0, lmin, params,
+                c if c is not None else CostCounter(),
+            ),
+            "kabsch_batch": lambda c: kabsch_batch(
+                pa[windows], pb[windows], counter=c
+            ),
+        }
+
     reps = 20
-    for name, fn in stage_fns.items():
+    rng = np.random.default_rng(20)
+    moved = [
+        stage_fns(RigidTransform(random_rotation(rng), rng.normal(scale=10.0, size=3)))
+        for _ in range(reps)
+    ]
+    stages: Dict[str, dict] = {}
+    for name, fn in stage_fns(RigidTransform.identity()).items():
         counted = CostCounter()
         fn(counted)  # warm + per-stage op counts
+        timed = [fns[name] for fns in moved]
         t0 = time.perf_counter()
-        for _ in range(reps):
-            fn(None)
+        for rep in timed:
+            rep(None)
         wall = time.perf_counter() - t0
         stages[name] = {
             "calls": float(reps),
@@ -447,21 +466,29 @@ def run_kernel_bench(
     best = max(runs, key=lambda r: r["pairs_per_second"])
     rate = best["pairs_per_second"]
 
-    # one counted pass over the same grid: aggregate op counts, and the
-    # Kabsch SVDs of this thread when the native search is in use
-    native_svd = _NATIVE_SEARCH is not None and _KERNELS.svd_chain
-    svd0 = _KERNELS.svd_counts() if _NATIVE_SEARCH is not None else None
+    # one counted pass over the same grid: aggregate op counts, and this
+    # thread's Kabsch SVDs and threading windows when the native search
+    # is in use
+    native = _NATIVE_SEARCH is not None
+    native_svd = native and _KERNELS.svd_chain
+    svd0 = _KERNELS.svd_counts() if native else None
+    win0 = _KERNELS.window_counts() if native else None
     n = min(len(ds), 10)
     counter = CostCounter()
     for i in range(n):
         for j in range(i + 1, n):
             tm_align(ds[i], ds[j], counter=counter)
-    svd = None
-    if svd0 is not None:
+    svd = windows = None
+    if native:
         calls, hits = (b - a for a, b in zip(svd0, _KERNELS.svd_counts()))
         svd = {
             "calls_per_pair": calls / best["pairs"],
             "memo_hit_ratio": hits / calls if calls else 0.0,
+        }
+        scanned, exact = (b - a for a, b in zip(win0, _KERNELS.window_counts()))
+        windows = {
+            "calls_per_pair": scanned / best["pairs"],
+            "exact_share": exact / scanned if scanned else 0.0,
         }
 
     report: dict = {
@@ -478,6 +505,7 @@ def run_kernel_bench(
         "native_refine": _NATIVE_REFINE is not None,
         "native_svd": native_svd,
         "svd": svd,
+        "windows": windows,
         "op_counts_grid": counter.as_dict(),
         "seed_pairs_per_second": SEED_KERNEL_PAIRS_PER_SECOND,
         "speedup_vs_seed": rate / SEED_KERNEL_PAIRS_PER_SECOND,
@@ -516,6 +544,14 @@ def format_kernel_bench_report(report: dict) -> str:
         f"({reg['baseline_source']}, min {reg['min_ratio']:.2f}) -> "
         f"{'PASS' if reg['passed'] else 'FAIL'}{steal_note(report)}",
     ]
+    svd, windows = report.get("svd"), report.get("windows")
+    if svd and windows:
+        parts.append(
+            f"per pair: {svd['calls_per_pair']:.0f} Kabsch SVDs "
+            f"({svd['memo_hit_ratio']:.0%} memo hits), "
+            f"{windows['calls_per_pair']:.0f} threading windows "
+            f"({windows['exact_share']:.1%} scored exactly)"
+        )
     stages = report.get("stages")
     if stages:
         rows = [
@@ -719,10 +755,13 @@ def run_parallel_bench(
     worker-side walls, after a single scale fit), ``tail_imbalance``
     (measured wall over the perfectly-balanced ideal), and
     ``serial_fallback`` (the one-CPU rule ran the chunks in-process).
-    The ``regression`` block gates the best point's
-    ``speedup_vs_serial`` against ``min_speedup`` (the farm must never
-    lose to serial) and passes only if every point, the no-plane
-    reference included, is bit-identical to serial.
+    The ``regression`` block gates the best ``speedup_vs_serial`` of the
+    points with ``workers >= 2`` against ``min_speedup`` (the farm must
+    never lose to serial; a ``workers=1`` point runs the serial loop and
+    measures nothing) and passes only if every point, the no-plane
+    reference included, is bit-identical to serial.  Its ``verdict`` is
+    ``not-measurable``, with no best speedup, on a one-CPU host or a grid
+    without such a point; the bit-identity check still applies there.
 
     Schema v3 adds per-point pool economics — ``pool_startup_s``,
     ``rebuild_s``, ``bytes_to_workers``, ``shm_plane`` — plus a
@@ -794,17 +833,40 @@ def run_parallel_bench(
         # the same sweep's widest point with the plane forced off, so
         # the artefact tracks speedup with *and* without the plane
         report["no_plane_reference"] = farm_point(max(parallel_grid), False)
-    best = max(
-        (p["speedup_vs_serial"] for p in report["points"]), default=0.0
+    best, verdict = farm_speedup_verdict(
+        report["points"], os.cpu_count() or 1, min_speedup
     )
     report["regression"] = {
         "best_speedup_vs_serial": best,
         "min_speedup": min_speedup,
-        "passed": best >= min_speedup and not _diverged(report),
+        "verdict": verdict,
+        "passed": verdict != "fail" and not _diverged(report),
     }
     report["plane"] = _bench_plane(min_startup_speedup)
     report["kernel_micro"] = _bench_kernel_micro(ds)
     return report
+
+
+def farm_speedup_verdict(
+    points: Sequence[dict], cpu_count: int, min_speedup: float
+) -> tuple[Optional[float], str]:
+    """``(best, verdict)`` of the bench-parallel speedup gate.
+
+    The ``workers=1`` point runs the serial loop and reads ~1.0x by
+    construction, so only points with ``workers >= 2`` measure the farm;
+    with none of them, or one CPU to run them on, the verdict is
+    ``not-measurable`` and ``best`` None.
+    """
+    farm = [p["speedup_vs_serial"] for p in points if p["workers"] >= 2]
+    if cpu_count < 2 or not farm:
+        return None, "not-measurable"
+    best = max(farm)
+    return best, "pass" if best >= min_speedup else "fail"
+
+
+def _speedup_text(reg: dict) -> str:
+    best = reg["best_speedup_vs_serial"]
+    return "not-measurable" if best is None else f"{best:.2f}x"
 
 
 def _diverged(report: dict) -> list:
@@ -900,7 +962,7 @@ def format_parallel_bench_report(report: dict) -> str:
     reg = report.get("regression")
     if reg:
         parts.append(
-            f"regression: best speedup {reg['best_speedup_vs_serial']:.2f}x "
+            f"regression: best workers>=2 speedup {_speedup_text(reg)} "
             f"(min {reg['min_speedup']:.2f}) -> "
             f"{'PASS' if reg['passed'] else 'FAIL'}"
         )
@@ -1575,9 +1637,8 @@ def _parallel_failure(report: dict) -> Optional[str]:
     failures = []
     if not reg["passed"]:
         line = (
-            f"parallel regression: best speedup "
-            f"{reg['best_speedup_vs_serial']:.2f}x "
-            f"(min {reg['min_speedup']:.2f}x serial)"
+            f"parallel regression: best workers>=2 speedup "
+            f"{_speedup_text(reg)} (min {reg['min_speedup']:.2f}x serial)"
         )
         diverged = _diverged(report)
         if diverged:

@@ -20,8 +20,18 @@ modules that use them fall back to it whenever a handle is None.
   fractions, then per seed Kabsch on the seed window, score / reselect
   with cutoff escalation / convergence check, keeping the first strictly
   best score in serial seed order.
-* ``tm_windows`` — one Kabsch plus one GL score per window, for
-  ``gapless_threading`` and ``fragment_threading``.
+* ``tm_windows`` — the GL score of every window of a
+  ``gapless_threading`` or ``fragment_threading`` scan, exact for the
+  windows that can rank.  Those callers use only the ``keep`` best
+  windows (2 shifts, 1 placement), so each window is first screened:
+  raw moments, Theobald's QCP rotation (Newton on the Horn matrix's
+  characteristic quartic, eigenvector from the adjugate) and a GL score
+  on squared distances, with a certified bound of its distance from the
+  exact score (``screen``, whose comment derives the bound).  Having no
+  summation order to keep, the screen's loops run four pairs per step
+  over column copies of the chains.  Only windows whose bound reaches the
+  keep-th best lower bound run the exact Kabsch and GL score; the rest
+  read ``-inf``, which changes no ranked window, score or op count.
 * ``tm_refine`` — ``align._refine`` for one candidate alignment: per
   step the gather of the matched coordinates, the search with the
   ``(1, 2)`` seed schedule, the TM-score matrix of the moved chain, the
@@ -51,8 +61,8 @@ How the Kabsch and scoring loops match NumPy's floats:
   order, and the rest is elementwise IEEE arithmetic compiled with
   ``-ffp-contract=off``.
 
-The SVDs (~1,100 per pair, about 40% of a pair's time through the
-``dgesdd`` wrapper) take ``dgesdd``'s own code path for this input
+The SVDs (~350 per ck34 pair once the window screen prunes, ~1,100
+without it) take ``dgesdd``'s own code path for this input
 without its wrapper.  For M = N = 3 and ``jobz='A'``, ``dgesdd`` picks
 its "path 5" (M < MNTHR = 5): ``dgebrd``, which for N < NB is
 ``dgebd2``; then ``dbdsdc``, whose N <= SMLSIZ branch runs ``dlasdq``
@@ -67,12 +77,12 @@ derives them from ``dlamch``, which it rescales first; also for the
 zero matrix, so that no memo key is all zero bytes (below).
 :func:`load_tm_kernels` checks the chain against ``dgesdd`` byte for
 byte on :func:`_svd_battery` once per process and keeps ``dgesdd``
-alone on any difference.  In front of it a per-thread
-direct-mapped memo keyed by the covariance's bytes returns the rotation
-computed the first time (about 12% of a pair's covariances repeat one
-decomposed earlier), so a hit is bit-identical by construction and
-still charges its ``kabsch`` and ``kabsch_point`` ops.  It is per
-thread because ctypes releases the GIL inside the kernels.
+alone on any difference.  In front of it a per-thread direct-mapped
+memo keyed by the covariance's bytes returns the rotation computed the
+first time (about a third of the covariances left after the window
+screen repeat one decomposed earlier), so a hit is bit-identical by
+construction and still charges its ``kabsch`` and ``kabsch_point`` ops.
+It is per thread because ctypes releases the GIL inside the kernels.
 
 The GEMM order depends on the OpenBLAS kernel the CPU selects, so
 :func:`self_check` runs the search, window, traceback and refinement
@@ -567,34 +577,459 @@ INLINE double score(const double *pa, const double *pb, ptrdiff_t m,
     return (0.0 + pairwise_sum(sbuf, m)) / lnorm;
 }
 
-/* GL score of nwin windows: Kabsch of xa[a0[w]:a0[w]+lens[w]] onto
- * ya[b0[w]:...] and the TM-score of the same pairs.  xa has na rows and
- * ya nb.  Returns the total window length, -1 when scratch allocation
- * fails, or -2 when a window is empty or outside the sets. */
-HOT ptrdiff_t tm_windows(const double *xa, ptrdiff_t na, const double *ya,
-                         ptrdiff_t nb, const int64_t *a0, const int64_t *b0,
-                         const int64_t *lens, ptrdiff_t nwin, double d0,
-                         double lnorm, double *tms)
+/* ---- the screened window scan ---- */
+
+/* This thread's windows scanned and windows scored exactly (kabsch() +
+ * score()), in out[0..1]. */
+static __thread int64_t win_counts[2];
+
+void tm_window_counts(int64_t *out)
 {
-    ptrdiff_t w, mmax = 1, points = 0;
-    double *buf;
+    memcpy(out, win_counts, sizeof win_counts);
+}
+
+/* The exact GL score of one window: what the NumPy path computes. */
+INLINE double window_exact(const double *xa, const double *ya, ptrdiff_t a0,
+                           ptrdiff_t b0, ptrdiff_t m, double d0, double lnorm,
+                           double *dist, double *sbuf)
+{
+    double rot[9], tra[3];
+    ++win_counts[1];
+    kabsch(xa, ya, a0, b0, m, NULL, 0, rot, tra);
+    return score(xa + 3 * a0, ya + 3 * b0, m, rot, tra, d0, lnorm, dist, sbuf);
+}
+
+/* Newton's method on a monic polynomial (coefficients c[0..deg-1] below
+ * the leading 1, highest first) from x above its largest root: with
+ * every root real the iterates fall monotonically onto that root, so
+ * each one is an upper bound of it.  Stops where the value or the step
+ * is no longer positive; returns the last x, and in *done whether it
+ * stopped before the iteration cap. */
+static double newton_down(const double *c, int deg, double x, int *done)
+{
+    int it, k;
+    for (it = 0; it < 100; ++it) {
+        double p = 1.0, dp = 0.0, step, next;
+        for (k = 0; k < deg; ++k) {
+            dp = dp * x + p;
+            p = p * x + c[k];
+        }
+        if (!(p > 0.0) || !(dp > 0.0)) break;
+        step = p / dp;
+        next = x - step;
+        if (!(next < x)) break;
+        x = next;
+    }
+    *done = it < 100;
+    return x;
+}
+
+#define SCREEN_SAFETY 1024.0
+#define U_ROUND 0x1p-53 /* unit roundoff of double */
+
+/* Screen of one window of m >= 1 pairs pa/pb: the GL score f under the
+ * QCP superposition, and a bound eps of |f - E| for the exact score E
+ * that window_exact() computes.  Returns 0 when the window must be
+ * scored exactly instead.  Derivation of eps (u the unit roundoff,
+ * a_i' = a_i - mu_a):
+ *
+ * - Covariance.  S = sum a_i' b_i'^T from raw moments about the window's
+ *   first pair (in any order), K(S) the 4x4 Horn matrix, whose
+ *   top eigenvector is the optimal rotation's quaternion.  The raw-moment
+ *   error is |dS_pq| <= (m+5)u (Ra + Rb), Ra = sum |a_i - a_0|^2, and
+ *   ||K(E)||_2 <= ||K(E)||_F = 2||E||_F <= 6 max|E_pq|: eta_s.  The exact
+ *   path's centred fma covariance, whose means carry (m+2)u |a|max, and
+ *   dgesdd's backward error give eta_k; by Kabsch = Horn, the exact
+ *   rotation is the top eigenvector of a K within eta_k of the true one.
+ * - Eigen-gap.  lambda1 is the largest root of Theobald's characteristic
+ *   quartic x^4 + c2 x^2 + c1 x + c0 (c2 = -2||S||_F^2, c1 = -8 det S,
+ *   c0 = det K), by Newton from (GA + GB) / 2 >= lambda1; lambda2 the
+ *   largest root of the quartic deflated by (x - lambda1), by Newton from
+ *   lambda1, so an upper bound of it.  Rounding the coefficients moves a
+ *   root of multiplicity <= 3 (the Horn spectrum, sums of +-s1 +-s2 +-s3
+ *   over the singular values, has a fourfold root only at K = 0) by at
+ *   most e_g = (64u)^(1/3) ||K||_F per root; the gap used is
+ *   G = (lambda1 - lambda2) - 2 e_g - 2 eta_s - rho_s.
+ * - Eigenvector.  q is the largest column of adj(K - lambda1 I), made
+ *   unit; its residual ||K q - (q.Kq) q|| plus rounding and eta_s is
+ *   rho_s, and Davis-Kahan gives sin(q, q*) <= rho_s / G.  The exact
+ *   rotation likewise is within eta_k / G.  A rotation differs from
+ *   another by at most twice the sine of their quaternions' angle, so the
+ *   two rotations differ by dR <= 2 (rho_s + eta_k) / G + 64u.
+ * - Score.  f and E both sum t(d_i) = 1 / (1 + d_i^2 / d0^2) / lnorm
+ *   over d_i = |R a_i' - b_i'|, and t is Lipschitz in d with constant
+ *   3 sqrt(3) / (8 d0).  A rotation change dR moves d_i by at most
+ *   dR |a_i'|, so the lever arm sum |a_i'| <= sqrt(m GA) carries it; the
+ *   means and transforms of the two paths add (2(m+2) + 16)u (|a|max +
+ *   |b|max) per distance and the sums (2m + 16)u m.
+ *
+ * eps is that first-order total times SCREEN_SAFETY.  The window goes
+ * exact when G is not positive or either sine exceeds 0.1 (gap too small
+ * for the bound to prune), when the adjugate has no usable column (no
+ * eigenvector), and when any moment, coefficient or f is not finite or
+ * a coordinate reaches 1e100 (non-finite values). */
+INLINE v4d load4(const double *p)
+{
+    v4d v;
+    memcpy(&v, p, sizeof v);
+    return v;
+}
+
+INLINE v4d splat(double x) { return (v4d){x, x, x, x}; }
+
+INLINE double lanes(v4d v) { return (v[0] + v[1]) + (v[2] + v[3]); }
+
+INLINE int screen(const double *a, ptrdiff_t na, const double *b, ptrdiff_t nb,
+                  ptrdiff_t m, double d0, double lnorm, double *f, double *eps)
+{
+    const double u = U_ROUND, inv_m = 1.0 / (double)m;
+    const double *ac[3] = {a, a + na, a + 2 * na};
+    const double *bc[3] = {b, b + nb, b + 2 * nb};
+    const double ra[3] = {a[0], a[na], a[2 * na]};
+    const double rb[3] = {b[0], b[nb], b[2 * nb]};
+    const ptrdiff_t m4 = m & ~(ptrdiff_t)3;
+    v4d va[3], vb[3], vab[9], vaa = splat(0.0), vbb = splat(0.0), vsum = vaa;
+    double sa[3], sb[3], sab[9], saa, sbb, mua[3], mub[3], S[9], K[16];
+    double A[16], adj[16], ga, gb, n2, nk, c[4], lam, lam2, qn = 0.0, q[4];
+    double y[4], rq = 0.0, res = 0.0, R[9], t[3], sum;
+    double inv_d02 = 1.0 / (d0 * d0);
+    double xa_max, xb_max, eta_s, eta_k, e_g, gap, rho_s, sin_s, sin_k;
+    double s0, s1, s2, s3, s4, s5, k0, k1, k2, k3, k4, k5;
+    int p, j, done, best = 0;
+    ptrdiff_t i;
+
+    /* raw moments about the first pair, four pairs per step */
+    for (p = 0; p < 3; ++p) va[p] = vb[p] = splat(0.0);
+    for (p = 0; p < 9; ++p) vab[p] = splat(0.0);
+    for (i = 0; i < m4; i += 4) {
+        v4d x[3], z[3];
+        for (p = 0; p < 3; ++p) {
+            x[p] = load4(ac[p] + i) - splat(ra[p]);
+            z[p] = load4(bc[p] + i) - splat(rb[p]);
+            va[p] += x[p];
+            vb[p] += z[p];
+        }
+        vaa += x[0] * x[0] + x[1] * x[1] + x[2] * x[2];
+        vbb += z[0] * z[0] + z[1] * z[1] + z[2] * z[2];
+    }
+    for (i = 0; i < m4; i += 4) {
+        v4d x[3], z[3];
+        for (p = 0; p < 3; ++p) {
+            x[p] = load4(ac[p] + i) - splat(ra[p]);
+            z[p] = load4(bc[p] + i) - splat(rb[p]);
+        }
+        for (p = 0; p < 3; ++p)
+            for (j = 0; j < 3; ++j) vab[3 * p + j] += x[p] * z[j];
+    }
+    for (p = 0; p < 3; ++p) {
+        sa[p] = lanes(va[p]);
+        sb[p] = lanes(vb[p]);
+    }
+    for (p = 0; p < 9; ++p) sab[p] = lanes(vab[p]);
+    saa = lanes(vaa);
+    sbb = lanes(vbb);
+    for (i = m4; i < m; ++i) {
+        double x[3], z[3];
+        for (p = 0; p < 3; ++p) {
+            x[p] = ac[p][i] - ra[p];
+            z[p] = bc[p][i] - rb[p];
+            sa[p] += x[p];
+            sb[p] += z[p];
+        }
+        for (p = 0; p < 3; ++p)
+            for (j = 0; j < 3; ++j) sab[3 * p + j] += x[p] * z[j];
+        saa += x[0] * x[0] + x[1] * x[1] + x[2] * x[2];
+        sbb += z[0] * z[0] + z[1] * z[1] + z[2] * z[2];
+    }
+    for (p = 0; p < 3; ++p) {
+        mua[p] = sa[p] * inv_m;
+        mub[p] = sb[p] * inv_m;
+    }
+    for (p = 0; p < 3; ++p)
+        for (j = 0; j < 3; ++j) S[3 * p + j] = sab[3 * p + j] - sa[p] * mub[j];
+    ga = saa - (sa[0] * mua[0] + sa[1] * mua[1] + sa[2] * mua[2]);
+    gb = sbb - (sb[0] * mub[0] + sb[1] * mub[1] + sb[2] * mub[2]);
+    ga = ga > 0.0 ? ga : 0.0;
+    gb = gb > 0.0 ? gb : 0.0;
+    xa_max = sqrt(ra[0] * ra[0] + ra[1] * ra[1] + ra[2] * ra[2]) + sqrt(saa);
+    xb_max = sqrt(rb[0] * rb[0] + rb[1] * rb[1] + rb[2] * rb[2]) + sqrt(sbb);
+    if (!(xa_max + xb_max < 1e100)) return 0;
+
+    /* Horn's matrix; S[3p+q] = Spq with p on the mobile side */
+    K[0] = S[0] + S[4] + S[8];
+    K[1] = K[4] = S[5] - S[7];
+    K[2] = K[8] = S[6] - S[2];
+    K[3] = K[12] = S[1] - S[3];
+    K[5] = S[0] - S[4] - S[8];
+    K[6] = K[9] = S[1] + S[3];
+    K[7] = K[13] = S[6] + S[2];
+    K[10] = -S[0] + S[4] - S[8];
+    K[11] = K[14] = S[5] + S[7];
+    K[15] = -S[0] - S[4] + S[8];
+    n2 = 0.0;
+    for (p = 0; p < 9; ++p) n2 += S[p] * S[p];
+    nk = 2.0 * sqrt(n2); /* ||K||_F */
+    /* 2x2 minors of K's rows 0-1 (s) and 2-3 (k), for det and adjugate */
+    s0 = K[0] * K[5] - K[4] * K[1];
+    s1 = K[0] * K[6] - K[4] * K[2];
+    s2 = K[0] * K[7] - K[4] * K[3];
+    s3 = K[1] * K[6] - K[5] * K[2];
+    s4 = K[1] * K[7] - K[5] * K[3];
+    s5 = K[2] * K[7] - K[6] * K[3];
+    k5 = K[10] * K[15] - K[14] * K[11];
+    k4 = K[9] * K[15] - K[13] * K[11];
+    k3 = K[9] * K[14] - K[13] * K[10];
+    k2 = K[8] * K[15] - K[12] * K[11];
+    k1 = K[8] * K[14] - K[12] * K[10];
+    k0 = K[8] * K[13] - K[12] * K[9];
+    c[0] = 0.0;
+    c[1] = -2.0 * n2;
+    c[2] = -8.0 * (S[0] * (S[4] * S[8] - S[5] * S[7])
+                   - S[1] * (S[3] * S[8] - S[5] * S[6])
+                   + S[2] * (S[3] * S[7] - S[4] * S[6]));
+    c[3] = s0 * k5 - s1 * k4 + s2 * k3 + s3 * k2 - s4 * k1 + s5 * k0;
+    if (!isfinite(c[1]) || !isfinite(c[2]) || !isfinite(c[3])
+        || !isfinite(ga + gb))
+        return 0;
+    lam = newton_down(c, 4, 0.5 * (ga + gb) * (1.0 + 1e-9), &done);
+    if (!done) return 0;
+    { /* deflate by (x - lam): the cubic's coefficients by synthetic division */
+        double cubic[3];
+        cubic[0] = lam;
+        cubic[1] = c[1] + lam * lam;
+        cubic[2] = c[2] + lam * cubic[1];
+        lam2 = newton_down(cubic, 3, lam, &done);
+    }
+
+    /* eigenvector: the largest column of adj(K - lam I), symmetric */
+    memcpy(A, K, sizeof A);
+    for (p = 0; p < 4; ++p) A[5 * p] -= lam;
+    s0 = A[0] * A[5] - A[4] * A[1];
+    s1 = A[0] * A[6] - A[4] * A[2];
+    s2 = A[0] * A[7] - A[4] * A[3];
+    s3 = A[1] * A[6] - A[5] * A[2];
+    s4 = A[1] * A[7] - A[5] * A[3];
+    s5 = A[2] * A[7] - A[6] * A[3];
+    k5 = A[10] * A[15] - A[14] * A[11];
+    k4 = A[9] * A[15] - A[13] * A[11];
+    k3 = A[9] * A[14] - A[13] * A[10];
+    k2 = A[8] * A[15] - A[12] * A[11];
+    k1 = A[8] * A[14] - A[12] * A[10];
+    k0 = A[8] * A[13] - A[12] * A[9];
+    adj[0] = A[5] * k5 - A[6] * k4 + A[7] * k3;
+    adj[1] = -A[4] * k5 + A[6] * k2 - A[7] * k1;
+    adj[2] = A[4] * k4 - A[5] * k2 + A[7] * k0;
+    adj[3] = -A[4] * k3 + A[5] * k1 - A[6] * k0;
+    adj[4] = -A[1] * k5 + A[2] * k4 - A[3] * k3;
+    adj[5] = A[0] * k5 - A[2] * k2 + A[3] * k1;
+    adj[6] = -A[0] * k4 + A[1] * k2 - A[3] * k0;
+    adj[7] = A[0] * k3 - A[1] * k1 + A[2] * k0;
+    adj[8] = A[13] * s5 - A[14] * s4 + A[15] * s3;
+    adj[9] = -A[12] * s5 + A[14] * s2 - A[15] * s1;
+    adj[10] = A[12] * s4 - A[13] * s2 + A[15] * s0;
+    adj[11] = -A[12] * s3 + A[13] * s1 - A[14] * s0;
+    adj[12] = -A[9] * s5 + A[10] * s4 - A[11] * s3;
+    adj[13] = A[8] * s5 - A[10] * s2 + A[11] * s1;
+    adj[14] = -A[8] * s4 + A[9] * s2 - A[11] * s0;
+    adj[15] = A[8] * s3 - A[9] * s1 + A[10] * s0;
+    for (j = 0; j < 4; ++j) {
+        double nrm = 0.0;
+        for (p = 0; p < 4; ++p) nrm += adj[4 * j + p] * adj[4 * j + p];
+        if (nrm > qn) qn = nrm, best = j;
+    }
+    if (!(qn > 0.0) || !isfinite(qn)) return 0;
+    qn = 1.0 / sqrt(qn);
+    for (p = 0; p < 4; ++p) q[p] = adj[4 * best + p] * qn;
+    for (p = 0; p < 4; ++p) {
+        y[p] = K[4 * p] * q[0] + K[4 * p + 1] * q[1] + K[4 * p + 2] * q[2]
+               + K[4 * p + 3] * q[3];
+        rq += q[p] * y[p];
+    }
+    for (p = 0; p < 4; ++p) res += (y[p] - rq * q[p]) * (y[p] - rq * q[p]);
+
+    /* the bound's rotation terms, and the routing */
+    eta_s = 6.0 * (m + 5) * u * (saa + sbb) + 4.0 * u * nk;
+    eta_k = 6.0 * ((m + 2) * u * (xa_max * sqrt(m * gb) + xb_max * sqrt(m * ga))
+                   + m * u * (ga + gb))
+            + 32.0 * u * nk;
+    rho_s = sqrt(res) + 8.0 * u * nk + eta_s;
+    e_g = cbrt(64.0 * u) * nk;
+    gap = (lam - lam2) - 2.0 * e_g - 2.0 * eta_s - rho_s;
+    if (!(gap > 0.0)) return 0;
+    sin_s = rho_s / gap;
+    sin_k = eta_k / gap;
+    if (!(sin_s <= 0.1 && sin_k <= 0.1)) return 0;
+
+    /* R(q), mobile onto target, and the score pass */
+    R[0] = q[0] * q[0] + q[1] * q[1] - q[2] * q[2] - q[3] * q[3];
+    R[1] = 2.0 * (q[1] * q[2] - q[0] * q[3]);
+    R[2] = 2.0 * (q[1] * q[3] + q[0] * q[2]);
+    R[3] = 2.0 * (q[1] * q[2] + q[0] * q[3]);
+    R[4] = q[0] * q[0] - q[1] * q[1] + q[2] * q[2] - q[3] * q[3];
+    R[5] = 2.0 * (q[2] * q[3] - q[0] * q[1]);
+    R[6] = 2.0 * (q[1] * q[3] - q[0] * q[2]);
+    R[7] = 2.0 * (q[2] * q[3] + q[0] * q[1]);
+    R[8] = q[0] * q[0] - q[1] * q[1] - q[2] * q[2] + q[3] * q[3];
+    /* translation in absolute coordinates, then the score pass */
+    for (p = 0; p < 3; ++p)
+        t[p] = (rb[p] + mub[p]) - (R[3 * p] * (ra[0] + mua[0])
+                                   + R[3 * p + 1] * (ra[1] + mua[1])
+                                   + R[3 * p + 2] * (ra[2] + mua[2]));
+    for (i = 0; i < m4; i += 4) {
+        v4d x[3], w = splat(0.0);
+        for (p = 0; p < 3; ++p) x[p] = load4(ac[p] + i);
+        for (p = 0; p < 3; ++p) {
+            v4d v = splat(R[3 * p]) * x[0] + splat(R[3 * p + 1]) * x[1]
+                    + splat(R[3 * p + 2]) * x[2] + splat(t[p])
+                    - load4(bc[p] + i);
+            w += v * v;
+        }
+        vsum += 1.0 / (1.0 + w * inv_d02);
+    }
+    sum = lanes(vsum);
+    for (i = m4; i < m; ++i) {
+        double w = 0.0;
+        for (p = 0; p < 3; ++p) {
+            double v = R[3 * p] * ac[0][i] + R[3 * p + 1] * ac[1][i]
+                       + R[3 * p + 2] * ac[2][i] + t[p] - bc[p][i];
+            w += v * v;
+        }
+        sum += 1.0 / (1.0 + w * inv_d02);
+    }
+    *f = sum / lnorm;
+    *eps = SCREEN_SAFETY
+           * ((3.0 * sqrt(3.0) / (8.0 * d0))
+                  * ((2.0 * (sin_s + sin_k) + 64.0 * u)
+                         * sqrt(m * (ga + 4.0 * (m + 2) * u * saa))
+                     + m * (2.0 * (m + 2) + 16.0) * u * (xa_max + xb_max))
+              + m * (2.0 * m + 16.0) * u)
+           / lnorm;
+    return isfinite(*f) && isfinite(*eps);
+}
+
+/* The n rows of xyz as three contiguous columns, for the screen */
+static void columns(const double *xyz, ptrdiff_t n, double *out)
+{
+    ptrdiff_t i;
+    int p;
+    for (i = 0; i < n; ++i)
+        for (p = 0; p < 3; ++p) out[p * n + i] = xyz[3 * i + p];
+}
+
+/* Whether every window is inside the sets and not empty; the largest
+ * length goes to *mmax and the total to *points. */
+static int windows_valid(ptrdiff_t na, ptrdiff_t nb, const int64_t *a0,
+                         const int64_t *b0, const int64_t *lens, ptrdiff_t nwin,
+                         ptrdiff_t *mmax, ptrdiff_t *points)
+{
+    ptrdiff_t w;
+    *mmax = 1;
+    *points = 0;
     for (w = 0; w < nwin; ++w) {
         if (a0[w] < 0 || b0[w] < 0 || lens[w] < 1 || a0[w] + lens[w] > na
             || b0[w] + lens[w] > nb)
-            return -2;
-        if (lens[w] > mmax) mmax = lens[w];
-        points += lens[w];
+            return 0;
+        if (lens[w] > *mmax) *mmax = lens[w];
+        *points += lens[w];
     }
-    buf = malloc(sizeof(double) * 2 * mmax);
+    return 1;
+}
+
+/* GL scores of nwin windows: window w pairs xa[a0[w]:a0[w]+lens[w]] with
+ * ya[b0[w]:...]; xa has na rows and ya nb.
+ *
+ * With keep = 0 every window is scored exactly (window_exact, the NumPy
+ * path's Kabsch and GL score).  With keep >= 1, for a caller that ranks
+ * only the keep highest, every window is screened first; lowk is the
+ * keep-th largest of the lower bounds f - eps (exact scores, for windows
+ * the screen sends exact; NaN ones do not count), every window whose
+ * f + eps reaches lowk is then scored exactly and the rest get -inf.  A
+ * pruned window's exact score is below lowk, so strictly below keep
+ * exact scores: the keep highest windows, their order (ties included)
+ * and their scores are those of the full scan.
+ *
+ * Returns the total window length, -1 when scratch allocation fails, or
+ * -2 when a window is empty or outside the sets. */
+HOT ptrdiff_t tm_windows(const double *xa, ptrdiff_t na, const double *ya,
+                         ptrdiff_t nb, const int64_t *a0, const int64_t *b0,
+                         const int64_t *lens, ptrdiff_t nwin, double d0,
+                         double lnorm, ptrdiff_t keep, double *tms)
+{
+    ptrdiff_t w, k, mmax, points, nd;
+    double *buf, *hi, *top, *ca, *cb, lowk;
+    unsigned char *open;
+    if (!windows_valid(na, nb, a0, b0, lens, nwin, &mmax, &points)) return -2;
+    if (keep >= nwin || !(d0 > 0.0) || !(lnorm > 0.0)) keep = 0;
+    /* exact-score scratch; with keep, the chains' columns, the upper
+     * bounds, the top lower bounds and the open flags */
+    nd = 2 * mmax + (keep ? 3 * (na + nb) + nwin + keep : 0);
+    buf = malloc(sizeof(double) * nd + (keep ? nwin : 0));
     if (!buf) return -1;
+    win_counts[0] += nwin;
+    if (!keep) {
+        for (w = 0; w < nwin; ++w)
+            tms[w] = window_exact(xa, ya, a0[w], b0[w], lens[w], d0, lnorm,
+                                  buf, buf + mmax);
+        free(buf);
+        return points;
+    }
+    ca = buf + 2 * mmax;
+    cb = ca + 3 * na;
+    hi = cb + 3 * nb;
+    top = hi + nwin; /* the keep largest lower bounds, descending */
+    open = (unsigned char *)(top + keep);
+    columns(xa, na, ca);
+    columns(ya, nb, cb);
+    for (k = 0; k < keep; ++k) top[k] = -INFINITY;
     for (w = 0; w < nwin; ++w) {
-        double rot[9], tra[3];
-        kabsch(xa, ya, a0[w], b0[w], lens[w], NULL, 0, rot, tra);
-        tms[w] = score(xa + 3 * a0[w], ya + 3 * b0[w], lens[w], rot, tra,
-                       d0, lnorm, buf, buf + mmax);
+        double f, eps, lo;
+        if ((open[w] = screen(ca + a0[w], na, cb + b0[w], nb, lens[w], d0,
+                              lnorm, &f, &eps))) {
+            lo = f - eps;
+            hi[w] = f + eps;
+        } else {
+            lo = tms[w] = window_exact(xa, ya, a0[w], b0[w], lens[w], d0,
+                                       lnorm, buf, buf + mmax);
+        }
+        if (lo > top[keep - 1]) { /* false for NaN */
+            for (k = keep - 1; k > 0 && lo > top[k - 1]; --k)
+                top[k] = top[k - 1];
+            top[k] = lo;
+        }
+    }
+    lowk = top[keep - 1];
+    for (w = 0; w < nwin; ++w) {
+        if (!open[w]) continue;
+        tms[w] = hi[w] >= lowk ? window_exact(xa, ya, a0[w], b0[w], lens[w],
+                                              d0, lnorm, buf, buf + mmax)
+                               : -INFINITY;
     }
     free(buf);
     return points;
+}
+
+/* The screen of each window as tm_windows runs it: f and eps per window
+ * in out[2w], out[2w+1], both NaN where the window goes exact.  Returns
+ * tm_windows' codes. */
+HOT ptrdiff_t tm_window_screens(const double *xa, ptrdiff_t na,
+                                const double *ya, ptrdiff_t nb,
+                                const int64_t *a0, const int64_t *b0,
+                                const int64_t *lens, ptrdiff_t nwin, double d0,
+                                double lnorm, double *out)
+{
+    ptrdiff_t w, mmax, points;
+    double *ca;
+    if (!windows_valid(na, nb, a0, b0, lens, nwin, &mmax, &points)) return -2;
+    ca = malloc(sizeof(double) * 3 * (na + nb));
+    if (!ca) return -1;
+    columns(xa, na, ca);
+    columns(ya, nb, ca + 3 * na);
+    for (w = 0; w < nwin; ++w)
+        if (!screen(ca + a0[w], na, ca + 3 * na + b0[w], nb, lens[w], d0, lnorm,
+                    out + 2 * w, out + 2 * w + 1))
+            out[2 * w] = out[2 * w + 1] = NAN;
+    free(ca);
+    return 0;
 }
 
 /* superposition_search over n matched pairs.  seeds holds (start, len)
@@ -1037,9 +1472,13 @@ class TMKernels:
         # max_iters, out
         self._search = _fn(lib, "tm_search", ctypes.c_int,
                            [_P, _P, _N, _P, _N, _N, _D, _D, _D, _N, _P])
-        # xa, na, ya, nb, a0, b0, lens, nwin, d0, lnorm, tms
+        # xa, na, ya, nb, a0, b0, lens, nwin, d0, lnorm, keep, tms
         self._windows = _fn(lib, "tm_windows", _N,
-                            [_P, _N, _P, _N, _P, _P, _P, _N, _D, _D, _P])
+                            [_P, _N, _P, _N, _P, _P, _P, _N, _D, _D, _N, _P])
+        # xa, na, ya, nb, a0, b0, lens, nwin, d0, lnorm, out
+        self._window_screens = _fn(lib, "tm_window_screens", _N,
+                                   [_P, _N, _P, _N, _P, _P, _P, _N, _D, _D, _P])
+        self._window_counts = _fn(lib, "tm_window_counts", None, [_P])
         # M, Ix, Iy, score, la, lb, stride, sstride, gap, ai, aj, dp_score
         self._traceback = _fn(lib, "nw_traceback", _N,
                               [_P, _P, _P, _P, _N, _N, _N, _N, _D, _P, _P, _P])
@@ -1093,6 +1532,23 @@ class TMKernels:
         _charge(counter, *out[13:].view(np.int64).tolist())
         return float(out[0]), out[1:10].reshape(3, 3), out[10:13]
 
+    @staticmethod
+    def _window_args(mobile, target, starts_m, starts_t, lens) -> tuple:
+        """The checked arrays, which the caller holds through the C call,
+        and the leading C arguments of ``tm_windows``."""
+        arrays = mobile, target, sm, st, ln = (
+            _f64(mobile), _f64(target), _i64(starts_m), _i64(starts_t), _i64(lens)
+        )
+        if sm.ndim != 1 or not (sm.shape == st.shape == ln.shape):
+            raise ValueError("window start and length arrays must match")
+        if mobile.shape[1:] != (3,) or target.shape[1:] != (3,):
+            raise ValueError("(n, 3) coordinates required")
+        return arrays, (
+            mobile.ctypes.data, mobile.shape[0], target.ctypes.data,
+            target.shape[0], sm.ctypes.data, st.ctypes.data, ln.ctypes.data,
+            ln.shape[0],
+        )
+
     def windows(
         self,
         mobile: np.ndarray,
@@ -1103,26 +1559,47 @@ class TMKernels:
         d0: float,
         lnorm: int,
         counter=None,
+        keep: int = 0,
     ) -> np.ndarray:
-        """GL score of each window ``mobile[sm:sm+m]`` onto ``target[st:st+m]``."""
-        mobile, target = _f64(mobile), _f64(target)
-        sm, st, ln = _i64(starts_m), _i64(starts_t), _i64(lens)
-        if sm.ndim != 1 or not (sm.shape == st.shape == ln.shape):
-            raise ValueError("window start and length arrays must match")
-        if mobile.shape[1:] != (3,) or target.shape[1:] != (3,):
-            raise ValueError("(n, 3) coordinates required")
-        tms = np.empty(ln.shape[0])
-        pts = self._windows(
-            mobile.ctypes.data, mobile.shape[0], target.ctypes.data,
-            target.shape[0], sm.ctypes.data, st.ctypes.data, ln.ctypes.data,
-            ln.shape[0], d0, lnorm, tms.ctypes.data,
-        )
+        """GL score of each window ``mobile[sm:sm+m]`` onto ``target[st:st+m]``.
+
+        ``keep`` > 0 is the number of top windows the caller ranks: only
+        windows that can still rank among them are scored exactly, the
+        rest read ``-inf`` (see ``tm_windows``).  0 scores every window.
+        Either way ``counter`` is charged for every window.
+        """
+        if keep < 0:
+            raise ValueError("keep must be >= 0")
+        arrays, args = self._window_args(mobile, target, starts_m, starts_t, lens)
+        nwin = arrays[4].shape[0]
+        tms = np.empty(nwin)
+        pts = self._windows(*args, d0, lnorm, keep, tms.ctypes.data)
         if pts == -2:
             raise ValueError("window outside the coordinate sets")
         if pts < 0:
             raise MemoryError("tm_windows scratch allocation failed")
-        _charge(counter, ln.shape[0], pts, pts)
+        _charge(counter, nwin, pts, pts)
         return tms
+
+    def window_screens(
+        self, mobile, target, starts_m, starts_t, lens, d0: float, lnorm: int
+    ) -> np.ndarray:
+        """``(nwin, 2)``: each window's screened score and its error bound,
+        NaN for a window the screen sends to exact scoring."""
+        arrays, args = self._window_args(mobile, target, starts_m, starts_t, lens)
+        out = np.empty((arrays[4].shape[0], 2))
+        rc = self._window_screens(*args, d0, lnorm, out.ctypes.data)
+        if rc == -2:
+            raise ValueError("window outside the coordinate sets")
+        if rc < 0:
+            raise MemoryError("tm_window_screens scratch allocation failed")
+        return out
+
+    def window_counts(self) -> tuple[int, int]:
+        """This thread's windows scanned and windows scored exactly so far."""
+        out = np.empty(2, dtype=np.int64)
+        self._window_counts(out.ctypes.data)
+        return tuple(out.tolist())
 
     def traceback(
         self,

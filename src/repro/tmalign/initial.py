@@ -6,13 +6,18 @@ and a DP over a score matrix combining the previous two.  A fragment
 threading variant (half-length windows) is included as in the original's
 additional inits.
 
-The threading generators score every candidate window with one Kabsch
-superposition and one TM-score (the "GL score").  When the compiled
-kernel loads, all windows of a scan go to C in one call (``tm_windows``
-in :mod:`repro.tmalign._dpnative`); ranking and argmax stay here.  The
-NumPy path is its reference and fallback: windows of equal length are
-stacked and solved with one batched Kabsch and one batched scoring pass,
-and every slice is bit-identical to scoring that window alone.
+The threading generators rank candidate windows by the TM-score of one
+Kabsch superposition (the "GL score") and keep the best few.  When the
+compiled kernel loads, all windows of a scan go to C in one call
+(``tm_windows`` in :mod:`repro.tmalign._dpnative`), told how many
+windows the caller ranks: it screens every window with a cheap bounded
+estimate and runs the Kabsch and GL score only on the windows that can
+still rank, giving the others ``-inf``; ranking and argmax stay here and
+pick the same windows with the same scores as a full scan.  The NumPy
+path is its reference and fallback and scores every window: windows of
+equal length are stacked and solved with one batched Kabsch and one
+batched scoring pass, and every slice is bit-identical to scoring that
+window alone.
 """
 
 from __future__ import annotations
@@ -35,8 +40,9 @@ __all__ = [
     "fragment_threading",
 ]
 
-# Compiled window scan (bit-identical to the NumPy batches below); None
-# when the kernel is unavailable or failed its load-time self-check.
+# Compiled window scan (ranks the same windows with the same score bits
+# as the NumPy batches below); None when the kernel is unavailable or
+# failed its load-time self-check.
 _NATIVE_WINDOWS = getattr(load_tm_kernels(), "windows", None)
 
 # Cap on the element count of one stacked (g, m, 3) threading batch; larger
@@ -66,14 +72,16 @@ def _windows_numpy(
     d0: float,
     lnorm: int,
     counter=None,
+    keep: int = 0,
 ) -> np.ndarray:
     """NumPy reference of the compiled ``tm_windows``, same signature.
 
     GL score of each window ``mobile[sm:sm+m]`` onto ``target[st:st+m]``,
-    in input order.  Windows of equal length stack into ``(g, m, 3)``
-    gathers — in row chunks bounding the element count — for one batched
-    Kabsch and one batched scoring pass; every slice is bit-identical to
-    scoring that window alone.
+    in input order; every window is scored, whatever ``keep``.  Windows
+    of equal length stack into ``(g, m, 3)`` gathers — in row chunks
+    bounding the element count — for one batched Kabsch and one batched
+    scoring pass; every slice is bit-identical to scoring that window
+    alone.
     """
     tms = np.empty(lens.shape[0])
     for m in np.unique(lens).tolist():
@@ -120,7 +128,10 @@ def gapless_threading(
     starts = np.maximum(shifts, 0)
     lens = np.minimum(la, lb + shifts) - starts
     windows = _NATIVE_WINDOWS or _windows_numpy
-    tms = windows(xa, ya, starts, starts - shifts, lens, d0, lnorm, counter=counter)
+    tms = windows(
+        xa, ya, starts, starts - shifts, lens, d0, lnorm, counter=counter,
+        keep=n_best,
+    )
     # shifts ascend, so a stable sort on -score ranks ties by shift
     out = []
     for k in np.argsort(-tms, kind="stable")[:n_best].tolist():
@@ -227,7 +238,7 @@ def fragment_threading(
     windows = _NATIVE_WINDOWS or _windows_numpy
     tms = windows(
         short, long_, np.repeat(fstarts, ns), np.tile(shifts, nf),
-        np.full(nf * ns, flen), d0, lnorm, counter=counter,
+        np.full(nf * ns, flen), d0, lnorm, counter=counter, keep=1,
     )
     best_flat = int(np.argmax(tms))
     best_tm = float(tms[best_flat])

@@ -417,6 +417,19 @@ class TestBenchDriver:
         assert report["plane"]["min_rebuild_speedup"] == 0
         assert report["plane"]["passed"] is True
 
+    def test_parallel_gate_reads_only_farm_points(self):
+        """The workers=1 point runs the serial loop: it cannot pass the
+        gate for a slower farm, and without a workers>=2 point or a
+        second CPU the gate cannot measure."""
+        from repro.experiments.bench import farm_speedup_verdict
+
+        points = [{"workers": 1, "speedup_vs_serial": 1.06},
+                  {"workers": 2, "speedup_vs_serial": 0.71}]
+        assert farm_speedup_verdict(points, 2, 1.0) == (0.71, "fail")
+        assert farm_speedup_verdict(points, 2, 0.5) == (0.71, "pass")
+        assert farm_speedup_verdict(points, 1, 1.0) == (None, "not-measurable")
+        assert farm_speedup_verdict(points[:1], 2, 1.0) == (None, "not-measurable")
+
     def test_parallel_passed_requires_bit_identity(self, tmp_path,
                                                    monkeypatch):
         import repro.parallel as parallel

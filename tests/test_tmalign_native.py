@@ -22,7 +22,12 @@ from repro.geometry.transforms import RigidTransform
 from repro.structure.synthetic import perturb_chain
 from repro.tmalign import _dpnative, align, dp, initial, tm_align, tmscore
 from repro.tmalign.dp import nw_align
-from repro.tmalign.initial import fragment_threading
+from repro.tmalign.initial import (
+    _fragment_geometry,
+    _windows_numpy,
+    fragment_threading,
+    gapless_threading,
+)
 from repro.tmalign.params import TMAlignParams, d0_from_length
 from repro.tmalign.result import Alignment
 from repro.tmalign.tmscore import superposition_search
@@ -31,6 +36,7 @@ from tests.test_tmalign_golden import test_kernel_bit_identical_to_seed as check
 from tests.tmalign_oracles import (
     NATIVE_HANDLES,
     fragment_threading_serial,
+    gapless_threading_serial,
     native_loaded,
     numpy_path,
 )
@@ -80,6 +86,167 @@ def test_fragment_submatch_three_paths(rng):
                 ali = fragment_threading_serial(xa, ya, 2.7, min(la, lb), counter=ctr)
             results.append((ali.key(), repr(ali.dp_score), ctr.counts))
         assert results[0] == results[1] == results[2], (la, lb)
+
+
+def _helix(n, turn=3.6, radius=2.3, rise=1.5):
+    t = np.arange(n) * (2.0 * np.pi / turn)
+    return np.stack([radius * np.cos(t), radius * np.sin(t), rise * t], axis=1)
+
+
+def _scans(xa, ya, params=None):
+    """Every window of the gapless and fragment scans of one pair, as
+    ``(mobile, target, starts_m, starts_t, lens)``."""
+    params = params or TMAlignParams()
+    la, lb = xa.shape[0], ya.shape[0]
+    mo = min(5, la, lb)
+    shifts = np.arange(-(lb - mo), la - mo + 1)
+    starts = np.maximum(shifts, 0)
+    out = [(xa, ya, starts, starts - shifts, np.minimum(la, lb + shifts) - starts)]
+    geom = _fragment_geometry(la, lb, params)
+    if geom is not None:
+        swap, ls, ll, flen, step = geom
+        short, long_ = (ya, xa) if swap else (xa, ya)
+        fs = np.arange(0, ls - flen + 1, step)
+        sh = np.arange(0, ll - flen + 1)
+        out.append((short, long_, np.repeat(fs, sh.size), np.tile(sh, fs.size),
+                    np.full(fs.size * sh.size, flen)))
+    return out
+
+
+@requires_native
+class TestScreenedThreading:
+    """The threading scans screen every window with a QCP superposition and
+    score exactly only the windows that can still rank: the ranked windows,
+    their ``dp_score`` bytes and the op counts must be those of the serial
+    oracles and of the exhaustive NumPy path, on the inputs where the
+    screen is weakest: reflections, rank-deficient and repeated windows,
+    ties and near-ties between windows, and NaN."""
+
+    D0, LNORM = 2.6, 40
+
+    def _three_ways(self, xa, ya, oracle=True):
+        kernels = tmscore._KERNELS
+        for run, serial in ((gapless_threading, gapless_threading_serial),
+                            (fragment_threading, fragment_threading_serial)):
+            ctrs = [CostCounter() for _ in range(3)]
+            got = run(xa, ya, self.D0, self.LNORM, counter=ctrs[0])
+            with numpy_path():
+                ref = run(xa, ya, self.D0, self.LNORM, counter=ctrs[1])
+            runs = [got, ref]
+            if oracle:
+                runs.append(serial(xa, ya, self.D0, self.LNORM, counter=ctrs[2]))
+            keys = [
+                [(a.key(), repr(a.dp_score))
+                 for a in (r if isinstance(r, list) else [r])]
+                for r in runs
+            ]
+            assert all(k == keys[0] for k in keys), run.__name__
+            assert all(c.counts == ctrs[0].counts for c in ctrs[: len(runs)])
+        for args in _scans(xa, ya):
+            full = kernels.windows(*args, self.D0, self.LNORM)
+            want = _windows_numpy(*args, self.D0, self.LNORM)
+            assert [repr(x) for x in full] == [repr(x) for x in want]
+            screens = kernels.window_screens(*args, self.D0, self.LNORM)
+            ok = ~np.isnan(screens[:, 1])
+            assert np.all(np.abs(screens[ok, 0] - want[ok]) <= screens[ok, 1])
+
+    def test_mirror_images(self, rng):
+        base = _walk(rng, 48)
+        self._three_ways(base, base * np.array([1.0, 1.0, -1.0]))
+        # a helix and its mirror: the reflected fit has sigma2 == sigma3,
+        # a two-fold top eigenvalue of the Horn matrix
+        helix = _helix(45)
+        self._three_ways(helix, helix * np.array([1.0, 1.0, -1.0]))
+        noisy = helix * np.array([-1.0, 1.0, 1.0])
+        noisy += rng.normal(scale=1e-9, size=helix.shape)
+        self._three_ways(helix, noisy)
+
+    def test_collinear_and_rank_one_windows(self, rng):
+        steps = np.cumsum(rng.uniform(0.5, 2.0, size=40))
+        line = steps[:, None] * np.array([0.3, -1.2, 0.8])
+        walk = _walk(rng, 50)
+        self._three_ways(line, walk)
+        self._three_ways(walk, line[:35] + 7.0)
+        self._three_ways(line, line[::-1] @ _rotation(rng))
+        planar = walk.copy()
+        planar[:, 2] = 0.0
+        self._three_ways(planar, walk[:44])
+
+    def test_repeated_coordinates(self, rng):
+        self._three_ways(np.repeat(_walk(rng, 10), 4, axis=0), _walk(rng, 45))
+        block = _walk(rng, 42)
+        block[10:30] = block[10]
+        self._three_ways(block, np.repeat(_walk(rng, 15), 3, axis=0))
+        self._three_ways(np.zeros((30, 3)), np.ones((36, 3)))
+
+    def test_windows_tied_by_symmetry(self, rng):
+        # a byte-for-byte repeat: two shifts (and placements) score the
+        # same bits, and ties must rank in scan order
+        seg = _walk(rng, 24)
+        self._three_ways(seg @ _rotation(rng) + 3.0, np.concatenate([seg, seg]))
+        self._three_ways(np.concatenate([seg, seg, seg]), seg[:20])
+
+    def test_near_ties_inside_the_margin(self, rng):
+        # a copy translated by a dyadic offset scores the same in exact
+        # arithmetic and within a few ulps in floats, far inside the
+        # screen's margin: only exact scores may decide
+        for _ in range(6):
+            seg = _walk(rng, 24)
+            mobile = seg @ _rotation(rng) + rng.normal(scale=0.3, size=seg.shape)
+            target = np.concatenate([seg, seg + 0.5, seg - 0.25])
+            self._three_ways(mobile, target)
+            self._three_ways(target, mobile)
+
+    def test_nan_coordinates(self, rng):
+        # the serial oracle's comparisons are not NaN-aware, so it is
+        # only a reference where NaN cannot reorder it: the fragment
+        # scan with a NaN in its first window, the gapless scan with a
+        # NaN among its last rows
+        xa, ya = _walk(rng, 40), _walk(rng, 52)
+        first = xa.copy()
+        first[0] = np.nan
+        last = xa.copy()
+        last[39, 1] = np.nan
+        mid = ya.copy()
+        mid[20] = np.nan
+        with np.errstate(invalid="ignore"):
+            self._three_ways(first, ya, oracle=False)
+            for run, serial in ((fragment_threading, fragment_threading_serial),):
+                got = run(first, ya, self.D0, self.LNORM)
+                assert got.key() == serial(first, ya, self.D0, self.LNORM).key()
+            self._three_ways(last, ya[:44], oracle=False)
+            got = gapless_threading(last, ya[:44], self.D0, self.LNORM)
+            want = gapless_threading_serial(last, ya[:44], self.D0, self.LNORM)
+            assert [(a.key(), repr(a.dp_score)) for a in got] == [
+                (a.key(), repr(a.dp_score)) for a in want
+            ]
+            self._three_ways(xa, mid, oracle=False)
+
+    def test_converted_inputs(self, rng):
+        """Fortran-order coordinates and int32 windows are converted, and
+        the copies live through the C call."""
+        kernels = tmscore._KERNELS
+        xa, ya = _walk(rng, 60), _walk(rng, 50)
+        (args,) = _scans(xa, ya)[:1]
+        want = kernels.windows(*args, self.D0, self.LNORM, keep=2)
+        got = kernels.windows(
+            np.asfortranarray(xa), np.asfortranarray(ya),
+            *(a.astype(np.int32) for a in args[2:]), self.D0, self.LNORM, keep=2,
+        )
+        assert got.tobytes() == want.tobytes()
+
+    def test_screen_prunes_all_but_the_ranked(self, rng):
+        """On a plain pair the exact pass runs on a handful of windows,
+        and every window is still counted as scanned."""
+        kernels = tmscore._KERNELS
+        xa = _walk(rng, 80)
+        ya = xa[10:70] @ _rotation(rng) + rng.normal(scale=0.5, size=(60, 3))
+        scanned, exact = kernels.window_counts()
+        gapless_threading(xa, ya, 3.0, 60)
+        scanned2, exact2 = kernels.window_counts()
+        nwin = 80 + 60 - 2 * 5 + 1
+        assert scanned2 - scanned == nwin
+        assert 2 <= exact2 - exact <= 10
 
 
 @requires_native
@@ -378,6 +545,29 @@ def test_repeated_covariance_hits_memo(rng):
     assert kernels.svd_counts() == (calls + 2, hits + 1)
     want = rotations_from_covariances(cov[None])[0].tobytes()
     assert rots[0].tobytes() == rots[1].tobytes() == want
+
+
+@requires_native
+def test_svd_memo_is_per_thread(rng):
+    """A covariance the main thread decomposed is a miss in a fresh
+    thread, whose memo starts empty."""
+    import threading
+
+    kernels = tmscore._KERNELS
+    cov = rng.normal(size=(1, 3, 3))
+    kernels.rotations(cov)
+    seen = {}
+
+    def run():
+        calls, hits = kernels.svd_counts()
+        kernels.rotations(cov)
+        calls2, hits2 = kernels.svd_counts()
+        seen["delta"] = (calls2 - calls, hits2 - hits)
+
+    worker = threading.Thread(target=run)
+    worker.start()
+    worker.join()
+    assert seen["delta"] == (1, 0)
 
 
 def test_thread_pool_matches_serial(ck34_mini):
