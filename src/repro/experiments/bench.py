@@ -448,7 +448,7 @@ def run_kernel_bench(
     """
     from repro.cost.counters import CostCounter
     from repro.tmalign import tm_align
-    from repro.tmalign.align import _NATIVE_REFINE
+    from repro.tmalign.align import _NATIVE_ALIGN, _NATIVE_REFINE
     from repro.tmalign.dp import _NATIVE_FORWARD
     from repro.tmalign.tmscore import _KERNELS, _NATIVE_SEARCH
 
@@ -503,6 +503,7 @@ def run_kernel_bench(
         "native_dp": _NATIVE_FORWARD is not None,
         "native_tm": _NATIVE_SEARCH is not None,
         "native_refine": _NATIVE_REFINE is not None,
+        "native_align": _NATIVE_ALIGN is not None,
         "native_svd": native_svd,
         "svd": svd,
         "windows": windows,
@@ -538,6 +539,7 @@ def format_kernel_bench_report(report: dict) -> str:
         f"native DP {'on' if report['native_dp'] else 'off'}, "
         f"native search/threading {'on' if report.get('native_tm') else 'off'}, "
         f"native refine {'on' if report.get('native_refine') else 'off'}, "
+        f"one-call align {'on' if report.get('native_align') else 'off'}, "
         f"dgesdd chain {'on' if report.get('native_svd') else 'off'})",
         f"regression: {reg['ratio']:.2f}x of baseline "
         f"{reg['baseline_pairs_per_second']:.2f} pairs/s "

@@ -1,5 +1,5 @@
 """Compiled TM-align kernel: DP sweep, traceback, superposition search,
-threading and the refinement loop.
+threading, the refinement loop and the whole pairwise alignment.
 
 TM-align's NumPy hot paths are dispatch-bound: the DP forward fill runs
 ~8 whole-row ufunc calls per row, the superposition search ~100 small
@@ -40,6 +40,17 @@ modules that use them fall back to it whenever a handle is None.
   matrices and the alignment history) is carved from :func:`scratch`,
   the calling thread's grow-only buffer, which the NumPy-side DP
   workspace shares.
+* ``tm_align_pair`` — ``align.tm_align`` for one pair: the gapless scan
+  and its stable top-2, the SS DP, the fragment scan and its first best
+  placement (NaN last, as in the gapless ranking), the ``(1,)``-seed
+  searches, the combined matrix and its DP, candidate de-duplication on
+  exact indices, ``tm_refine``'s loop per candidate, the degenerate
+  branch, the two final searches and the RMSD, in the order the Python
+  orchestration runs them and with the same entry points' arithmetic.
+  Scores, alignment, dp_score, transform and op counts come back in one
+  buffer; the scratch is carved from :func:`scratch` as for
+  ``tm_refine``.  One call per pair leaves ~0.15 ms of Python per pair
+  where the stage-by-stage calls left ~1 ms.
 
 How the Kabsch and scoring loops match NumPy's floats:
 
@@ -85,10 +96,10 @@ construction and still charges its ``kabsch`` and ``kabsch_point`` ops.
 It is per thread because ctypes releases the GIL inside the kernels.
 
 The GEMM order depends on the OpenBLAS kernel the CPU selects, so
-:func:`self_check` runs the search, window, traceback and refinement
-entry points on a fixed probe against the NumPy path when the package
-loads and switches them off on any bit difference; ``nw_forward`` does
-not depend on BLAS and stays on.  The library is built on first use by
+:func:`self_check` runs the search, window, traceback, refinement and
+whole-pair entry points on a fixed probe against the NumPy path when the
+package loads and switches them off on any bit difference;
+``nw_forward`` does not depend on BLAS and stays on.  The library is built on first use by
 :mod:`repro._native`; set ``REPRO_NO_NATIVE_DP=1`` to disable all of it.
 """
 
@@ -97,6 +108,7 @@ from __future__ import annotations
 import ctypes
 import glob
 import os
+import struct
 import threading
 from typing import Optional
 
@@ -935,6 +947,15 @@ static int windows_valid(ptrdiff_t na, ptrdiff_t nb, const int64_t *a0,
     return 1;
 }
 
+/* Doubles of scratch windows_scan() takes for nwin windows of at most
+ * mmax pairs, the open flags' nwin bytes included. */
+static ptrdiff_t windows_doubles(ptrdiff_t na, ptrdiff_t nb, ptrdiff_t nwin,
+                                 ptrdiff_t mmax, ptrdiff_t keep)
+{
+    if (keep >= nwin) keep = 0;
+    return 2 * mmax + (keep ? 3 * (na + nb) + nwin + keep + (nwin + 7) / 8 : 0);
+}
+
 /* GL scores of nwin windows: window w pairs xa[a0[w]:a0[w]+lens[w]] with
  * ya[b0[w]:...]; xa has na rows and ya nb.
  *
@@ -948,31 +969,27 @@ static int windows_valid(ptrdiff_t na, ptrdiff_t nb, const int64_t *a0,
  * exact scores: the keep highest windows, their order (ties included)
  * and their scores are those of the full scan.
  *
- * Returns the total window length, -1 when scratch allocation fails, or
- * -2 when a window is empty or outside the sets. */
-HOT ptrdiff_t tm_windows(const double *xa, ptrdiff_t na, const double *ya,
+ * The windows are valid (windows_valid, which gives mmax); buf holds
+ * windows_doubles() doubles. */
+INLINE void windows_scan(const double *xa, ptrdiff_t na, const double *ya,
                          ptrdiff_t nb, const int64_t *a0, const int64_t *b0,
-                         const int64_t *lens, ptrdiff_t nwin, double d0,
-                         double lnorm, ptrdiff_t keep, double *tms)
+                         const int64_t *lens, ptrdiff_t nwin, ptrdiff_t mmax,
+                         double d0, double lnorm, ptrdiff_t keep, double *tms,
+                         double *buf)
 {
-    ptrdiff_t w, k, mmax, points, nd;
-    double *buf, *hi, *top, *ca, *cb, lowk;
+    ptrdiff_t w, k;
+    double *hi, *top, *ca, *cb, lowk;
     unsigned char *open;
-    if (!windows_valid(na, nb, a0, b0, lens, nwin, &mmax, &points)) return -2;
     if (keep >= nwin || !(d0 > 0.0) || !(lnorm > 0.0)) keep = 0;
-    /* exact-score scratch; with keep, the chains' columns, the upper
-     * bounds, the top lower bounds and the open flags */
-    nd = 2 * mmax + (keep ? 3 * (na + nb) + nwin + keep : 0);
-    buf = malloc(sizeof(double) * nd + (keep ? nwin : 0));
-    if (!buf) return -1;
     win_counts[0] += nwin;
     if (!keep) {
         for (w = 0; w < nwin; ++w)
             tms[w] = window_exact(xa, ya, a0[w], b0[w], lens[w], d0, lnorm,
                                   buf, buf + mmax);
-        free(buf);
-        return points;
+        return;
     }
+    /* the chains' columns, the upper bounds, the top lower bounds and the
+     * open flags */
     ca = buf + 2 * mmax;
     cb = ca + 3 * na;
     hi = cb + 3 * nb;
@@ -1004,6 +1021,23 @@ HOT ptrdiff_t tm_windows(const double *xa, ptrdiff_t na, const double *ya,
                                               d0, lnorm, buf, buf + mmax)
                                : -INFINITY;
     }
+}
+
+/* windows_scan() as an entry point.  Returns the total window length, -1
+ * when scratch allocation fails, or -2 when a window is empty or outside
+ * the sets. */
+HOT ptrdiff_t tm_windows(const double *xa, ptrdiff_t na, const double *ya,
+                         ptrdiff_t nb, const int64_t *a0, const int64_t *b0,
+                         const int64_t *lens, ptrdiff_t nwin, double d0,
+                         double lnorm, ptrdiff_t keep, double *tms)
+{
+    ptrdiff_t mmax, points;
+    double *buf;
+    if (!windows_valid(na, nb, a0, b0, lens, nwin, &mmax, &points)) return -2;
+    buf = malloc(sizeof(double) * windows_doubles(na, nb, nwin, mmax, keep));
+    if (!buf) return -1;
+    windows_scan(xa, na, ya, nb, a0, b0, lens, nwin, mmax, d0, lnorm, keep,
+                 tms, buf);
     free(buf);
     return points;
 }
@@ -1205,21 +1239,17 @@ HOT int tm_scores(const double *xa, ptrdiff_t la, const double *ya,
     return 0;
 }
 
-/* _refine for one starting alignment (ai0, aj0, n0): alternate the
- * seeded superposition search and the DP on the TM-score matrix until
- * the alignment repeats one seen in this call, the score has not
- * improved for `patience` steps, or after `max_iters` steps.
- *
- * out gets 14 doubles: the best search score (-1 if none), the corner
- * score of the best DP alignment, and the best rotation (identity if
- * none) and translation; then as int64 the best alignment's length (-1
- * when the starting alignment stayed best), the kabsch, kabsch_point,
- * score_pair and dp_cell counts, and the best alignment's i and j
- * indices (min(la, lb) slots each).  All scratch is carved from the
- * caller's 8-byte aligned workspace ws of ws_bytes bytes (see
- * tm_refine_bytes).  Returns 0, -1 when ws is too small, -2 when the
- * alignment indexes outside the chains, or -3 when there is no seed
- * fraction or one is below 1. */
+/* The refinement loop's scratch, carved by refine_carve from a workspace
+ * of tm_refine_bytes() bytes: the gathered pairs, the search's distances,
+ * seeds and selections, the score matrix and its scratch, the three DP
+ * matrices, and the alignment history (indices, lengths, corner scores). */
+struct refine_ws {
+    double *pa, *pb, *dist, *mv, *asq, *bsq, *S, *M, *Ix, *Iy, *hdp;
+    ptrdiff_t *hai, *haj, *hn;
+    int64_t *seeds;
+    unsigned char *sel;
+};
+
 static void refine_sizes(ptrdiff_t la, ptrdiff_t lb, ptrdiff_t nfracs,
                          ptrdiff_t max_iters, ptrdiff_t *nf, ptrdiff_t *nh,
                          ptrdiff_t *ns, ptrdiff_t *nsel)
@@ -1240,54 +1270,38 @@ ptrdiff_t tm_refine_bytes(ptrdiff_t la, ptrdiff_t lb, ptrdiff_t nfracs,
            + sizeof(int64_t) * ns + nsel;
 }
 
-HOT int tm_refine(const double *xa, ptrdiff_t la, const double *ya,
-                  ptrdiff_t lb, const int64_t *ai0, const int64_t *aj0,
-                  ptrdiff_t n0, const int64_t *fracs, ptrdiff_t nfracs,
-                  ptrdiff_t min_seed_len, ptrdiff_t max_score_iters,
-                  ptrdiff_t max_iters, ptrdiff_t patience, double d0,
-                  double lnorm, double d0_search, double gap,
-                  unsigned char *out, unsigned char *ws, ptrdiff_t ws_bytes)
+static void refine_carve(unsigned char *ws, ptrdiff_t la, ptrdiff_t lb,
+                         ptrdiff_t nfracs, ptrdiff_t max_iters,
+                         struct refine_ws *w)
 {
-    const ptrdiff_t cap = la < lb ? la : lb, stride = lb + 1;
-    const ptrdiff_t cells = (la + 1) * stride;
-    double *best_tm = (double *)out, *best_dp = best_tm + 1;
-    double *best_rot = best_tm + 2, *best_tra = best_tm + 11;
-    int64_t *best_n = (int64_t *)(best_tm + 14), *ops = best_n + 1;
-    int64_t *best_ai = ops + 4, *best_aj = best_ai + cap;
-    ptrdiff_t *hai, *haj, *hn, it, k, nh = 1, cur = 0, best = 0, stale = 0;
+    const ptrdiff_t cap = la < lb ? la : lb, cells = (la + 1) * (lb + 1);
     ptrdiff_t n_f, n_h, n_s, n_sel;
-    double *fbuf, *pa, *pb, *dist, *mv, *asq, *bsq, *S, *M, *Ix, *Iy, *hdp;
-    int64_t *seeds;
-    unsigned char *sel;
-
-    for (k = 0; k < n0; ++k)
-        if (ai0[k] < 0 || ai0[k] >= la || aj0[k] < 0 || aj0[k] >= lb)
-            return -2;
-    if (nfracs < 1) return -3;
-    for (k = 0; k < nfracs; ++k)
-        if (fracs[k] < 1) return -3;
     refine_sizes(la, lb, nfracs, max_iters, &n_f, &n_h, &n_s, &n_sel);
-    if (ws == NULL || ws_bytes < tm_refine_bytes(la, lb, nfracs, max_iters))
-        return -1;
-    fbuf = (double *)ws;
-    hai = (ptrdiff_t *)(fbuf + n_f);
-    seeds = (int64_t *)(hai + n_h);
-    sel = (unsigned char *)(seeds + n_s);
-    pa = fbuf;
-    pb = pa + 3 * cap;
-    dist = pb + 3 * cap;
-    mv = dist + 2 * cap;
-    asq = mv + 3 * la;
-    bsq = asq + la;
-    S = bsq + lb;
-    M = S + la * lb;
-    Ix = M + cells;
-    Iy = Ix + cells;
-    hdp = Iy + cells;
-    haj = hai + (max_iters + 1) * cap;
-    hn = haj + (max_iters + 1) * cap;
+    w->pa = (double *)ws;
+    w->pb = w->pa + 3 * cap;
+    w->dist = w->pb + 3 * cap;
+    w->mv = w->dist + 2 * cap;
+    w->asq = w->mv + 3 * la;
+    w->bsq = w->asq + la;
+    w->S = w->bsq + lb;
+    w->M = w->S + la * lb;
+    w->Ix = w->M + cells;
+    w->Iy = w->Ix + cells;
+    w->hdp = w->Iy + cells;
+    w->hai = (ptrdiff_t *)(w->pa + n_f);
+    w->haj = w->hai + (max_iters + 1) * cap;
+    w->hn = w->haj + (max_iters + 1) * cap;
+    w->seeds = (int64_t *)(w->hai + n_h);
+    w->sel = (unsigned char *)(w->seeds + n_s);
+}
 
-    /* boundaries, as dp._forward initialises them */
+/* The DP matrices' boundaries, as dp._forward initialises them; the sweep
+ * and the traceback never write them. */
+static void dp_bounds(double *M, double *Ix, double *Iy, ptrdiff_t la,
+                      ptrdiff_t lb)
+{
+    const ptrdiff_t stride = lb + 1;
+    ptrdiff_t k;
     for (k = 0; k < stride; ++k) {
         M[k] = Ix[k] = -1e18;
         Iy[k] = 0.0;
@@ -1297,6 +1311,36 @@ HOT int tm_refine(const double *xa, ptrdiff_t la, const double *ya,
         M[k * stride] = Iy[k * stride] = -1e18;
         Ix[k * stride] = 0.0;
     }
+}
+
+/* _refine for one starting alignment (ai0, aj0, n0) inside chains of la
+ * and lb rows: alternate the seeded superposition search and the DP on
+ * the TM-score matrix until the alignment repeats one seen in this call,
+ * the score has not improved for `patience` steps, or after `max_iters`
+ * steps.  w is carved for (la, lb, nfracs, max_iters), with the DP
+ * boundaries set.
+ *
+ * out gets 14 doubles: the best search score (-1 if none), the corner
+ * score of the best DP alignment, and the best rotation (identity if
+ * none) and translation; then as int64 the best alignment's length (-1
+ * when the starting alignment stayed best), the kabsch, kabsch_point,
+ * score_pair and dp_cell counts, and the best alignment's i and j
+ * indices (min(la, lb) slots each). */
+INLINE void refine_core(const double *xa, ptrdiff_t la, const double *ya,
+                        ptrdiff_t lb, const int64_t *ai0, const int64_t *aj0,
+                        ptrdiff_t n0, const int64_t *fracs, ptrdiff_t nfracs,
+                        ptrdiff_t min_seed_len, ptrdiff_t max_score_iters,
+                        ptrdiff_t max_iters, ptrdiff_t patience, double d0,
+                        double lnorm, double d0_search, double gap,
+                        unsigned char *out, const struct refine_ws *w)
+{
+    const ptrdiff_t cap = la < lb ? la : lb, stride = lb + 1;
+    double *best_tm = (double *)out, *best_dp = best_tm + 1;
+    double *best_rot = best_tm + 2, *best_tra = best_tm + 11;
+    int64_t *best_n = (int64_t *)(best_tm + 14), *ops = best_n + 1;
+    int64_t *best_ai = ops + 4, *best_aj = best_ai + cap;
+    ptrdiff_t *hai = w->hai, *haj = w->haj, *hn = w->hn;
+    ptrdiff_t it, k, nh = 1, cur = 0, best = 0, stale = 0;
 
     for (k = 0; k < n0; ++k) {
         hai[k] = ai0[k];
@@ -1316,12 +1360,12 @@ HOT int tm_refine(const double *xa, ptrdiff_t la, const double *ya,
         int seen = 0;
         if (n < 3) break;
         for (k = 0; k < n; ++k) {
-            memcpy(pa + 3 * k, xa + 3 * ci[k], sizeof(double) * 3);
-            memcpy(pb + 3 * k, ya + 3 * cj[k], sizeof(double) * 3);
+            memcpy(w->pa + 3 * k, xa + 3 * ci[k], sizeof(double) * 3);
+            memcpy(w->pb + 3 * k, ya + 3 * cj[k], sizeof(double) * 3);
         }
-        nseeds = seed_schedule(n, fracs, nfracs, min_seed_len, seeds);
-        search(pa, pb, n, seeds, nseeds, d0, lnorm, d0_search,
-               max_score_iters, dist, sel, &tm, rot, tra, ops);
+        nseeds = seed_schedule(n, fracs, nfracs, min_seed_len, w->seeds);
+        search(w->pa, w->pb, n, w->seeds, nseeds, d0, lnorm, d0_search,
+               max_score_iters, w->dist, w->sel, &tm, rot, tra, ops);
         if (tm > *best_tm) {
             *best_tm = tm;
             memcpy(best_rot, rot, sizeof rot);
@@ -1331,12 +1375,12 @@ HOT int tm_refine(const double *xa, ptrdiff_t la, const double *ya,
         } else if (++stale >= patience) {
             break;
         }
-        score_matrix(xa, la, ya, lb, rot, tra, d0, mv, asq, bsq, S);
+        score_matrix(xa, la, ya, lb, rot, tra, d0, w->mv, w->asq, w->bsq, w->S);
         ops[2] += la * lb;
-        nw_forward(M, Ix, Iy, S, la, lb, stride, lb, gap);
+        nw_forward(w->M, w->Ix, w->Iy, w->S, la, lb, stride, lb, gap);
         ops[3] += la * lb;
-        hn[nh] = nw_traceback(M, Ix, Iy, S, la, lb, stride, lb, gap, ni, nj,
-                              hdp + nh);
+        hn[nh] = nw_traceback(w->M, w->Ix, w->Iy, w->S, la, lb, stride, lb, gap,
+                              ni, nj, w->hdp + nh);
         for (h = 0; h < nh && !seen; ++h)
             seen = hn[h] == hn[nh]
                    && memcmp(hai + h * cap, ni, sizeof(ptrdiff_t) * hn[nh]) == 0
@@ -1348,9 +1392,434 @@ HOT int tm_refine(const double *xa, ptrdiff_t la, const double *ya,
         *best_n = -1;
     } else {
         *best_n = hn[best];
-        *best_dp = hdp[best];
+        *best_dp = w->hdp[best];
         memcpy(best_ai, hai + best * cap, sizeof(ptrdiff_t) * hn[best]);
         memcpy(best_aj, haj + best * cap, sizeof(ptrdiff_t) * hn[best]);
+    }
+}
+
+/* refine_core() as an entry point, with its scratch carved from the
+ * caller's 8-byte aligned workspace ws of ws_bytes bytes (see
+ * tm_refine_bytes).  Returns 0, -1 when ws is too small, -2 when the
+ * alignment indexes outside the chains, or -3 when there is no seed
+ * fraction or one is below 1. */
+HOT int tm_refine(const double *xa, ptrdiff_t la, const double *ya,
+                  ptrdiff_t lb, const int64_t *ai0, const int64_t *aj0,
+                  ptrdiff_t n0, const int64_t *fracs, ptrdiff_t nfracs,
+                  ptrdiff_t min_seed_len, ptrdiff_t max_score_iters,
+                  ptrdiff_t max_iters, ptrdiff_t patience, double d0,
+                  double lnorm, double d0_search, double gap,
+                  unsigned char *out, unsigned char *ws, ptrdiff_t ws_bytes)
+{
+    struct refine_ws w;
+    ptrdiff_t k;
+    for (k = 0; k < n0; ++k)
+        if (ai0[k] < 0 || ai0[k] >= la || aj0[k] < 0 || aj0[k] >= lb)
+            return -2;
+    if (nfracs < 1) return -3;
+    for (k = 0; k < nfracs; ++k)
+        if (fracs[k] < 1) return -3;
+    if (ws == NULL || ws_bytes < tm_refine_bytes(la, lb, nfracs, max_iters))
+        return -1;
+    refine_carve(ws, la, lb, nfracs, max_iters, &w);
+    dp_bounds(w.M, w.Ix, w.Iy, la, lb);
+    refine_core(xa, la, ya, lb, ai0, aj0, n0, fracs, nfracs, min_seed_len,
+                max_score_iters, max_iters, patience, d0, lnorm, d0_search,
+                gap, out, &w);
+    return 0;
+}
+
+/* ---- the whole pair: align.tm_align ---- */
+
+/* Python's a // b, b != 0 */
+static ptrdiff_t floordiv(ptrdiff_t a, ptrdiff_t b)
+{
+    const ptrdiff_t q = a / b;
+    return (a % b != 0 && (a < 0) != (b < 0)) ? q - 1 : q;
+}
+
+/* len(np.arange(start, stop, step)), step >= 1 */
+static ptrdiff_t arange_len(ptrdiff_t start, ptrdiff_t stop, ptrdiff_t step)
+{
+    return stop > start ? (stop - start + step - 1) / step : 0;
+}
+
+/* superposition_search's default cutoff: d0 clipped into [4.5, 8] */
+static double clip_d0(double d0)
+{
+    const double x = d0 > 4.5 ? d0 : 4.5;
+    return x < 8.0 ? x : 8.0;
+}
+
+/* Indices of the keep best of nwin scores, best first, into top: numpy's
+ * stable argsort of -tms, i.e. descending score, NaN last, ties by index.
+ * Returns how many (min(keep, nwin)). */
+static ptrdiff_t rank_top(const double *tms, ptrdiff_t nwin, ptrdiff_t keep,
+                          ptrdiff_t *top)
+{
+    ptrdiff_t w, k, j, n = 0;
+    for (w = 0; w < nwin; ++w) {
+        const double x = tms[w];
+        /* a later window moves ahead only of one it strictly beats */
+        for (k = n; k > 0; --k) {
+            const double y = tms[top[k - 1]];
+            if (!(x == x && (y != y || x > y))) break;
+        }
+        if (k >= keep) continue;
+        if (n < keep) ++n;
+        for (j = n - 1; j > k; --j) top[j] = top[j - 1];
+        top[k] = w;
+    }
+    return n;
+}
+
+/* The scan geometry of one pair, as gapless_threading and
+ * fragment_threading lay it out. */
+struct scans {
+    ptrdiff_t mo, stride, ngap;                  /* gapless: shifts */
+    int frag, swap;                              /* fragment: any, swapped */
+    ptrdiff_t ls, ll, flen, step, nf, ns;        /* fragment: placements */
+};
+
+/* Returns 0, or -6 when the fragment fraction is 0 (Python's // raises). */
+static int scan_geometry(ptrdiff_t la, ptrdiff_t lb, int threading, int fragment,
+                         ptrdiff_t stride, ptrdiff_t fraction,
+                         ptrdiff_t min_seed_len, struct scans *g)
+{
+    memset(g, 0, sizeof *g);
+    g->stride = stride > 1 ? stride : 1;
+    if (threading) {
+        g->mo = la < lb ? la : lb;
+        if (g->mo > 5) g->mo = 5;
+        g->ngap = arange_len(-(lb - g->mo), la - g->mo + 1, g->stride);
+    }
+    if (!fragment) return 0;
+    if (fraction == 0) return -6;
+    g->swap = la > lb;
+    g->ls = g->swap ? lb : la;
+    g->ll = g->swap ? la : lb;
+    g->flen = floordiv(g->ls, fraction);
+    if (g->flen < min_seed_len) g->flen = min_seed_len;
+    if (g->flen < min_seed_len || g->flen >= g->ls) return 0;
+    g->frag = 1;
+    g->step = floordiv(g->flen, 2) > 1 ? floordiv(g->flen, 2) : 1;
+    g->nf = arange_len(0, g->ls - g->flen + 1, g->step);
+    g->ns = arange_len(0, g->ll - g->flen + 1, g->stride);
+    return 0;
+}
+
+/* Windows of the larger scan, and the doubles of windows_scan() scratch
+ * either scan takes (no window is longer than the shorter chain). */
+static ptrdiff_t scan_windows(const struct scans *g)
+{
+    const ptrdiff_t nfrag = g->nf * g->ns;
+    return g->ngap > nfrag ? g->ngap : nfrag;
+}
+
+static ptrdiff_t scan_doubles(ptrdiff_t la, ptrdiff_t lb, const struct scans *g)
+{
+    const ptrdiff_t cap = la < lb ? la : lb;
+    const ptrdiff_t gap = windows_doubles(la, lb, g->ngap, cap, 2);
+    const ptrdiff_t frag = windows_doubles(la, lb, g->nf * g->ns, cap, 1);
+    return gap > frag ? gap : frag;
+}
+
+/* Workspace of tm_align_pair: the refinement loop's (whose score matrix,
+ * DP matrices, gathered pairs and search scratch the other stages reuse),
+ * the final searches' seeds, the windows (starts, lengths, scores, scan
+ * scratch), five candidate alignments, the best one, and the refinement
+ * loop's output. */
+static ptrdiff_t align_bytes(ptrdiff_t la, ptrdiff_t lb, const struct scans *g,
+                             ptrdiff_t nfracs, ptrdiff_t nrfracs,
+                             ptrdiff_t max_iters)
+{
+    const ptrdiff_t cap = la < lb ? la : lb;
+    return tm_refine_bytes(la, lb, nrfracs, max_iters)
+           + 8 * (2 * nfracs * (cap + 1)                   /* seeds */
+                  + 4 * scan_windows(g)                    /* a0, b0, lens, tms */
+                  + scan_doubles(la, lb, g)                /* scan scratch */
+                  + 6 * 2 * cap                            /* candidates, best */
+                  + 19 + 2 * cap);                         /* refine output */
+}
+
+/* One candidate alignment: n pairs (ai[k], aj[k]) and its dp_score */
+struct cand {
+    int64_t *ai, *aj;
+    ptrdiff_t n;
+    double dp;
+};
+
+static void gather(const double *xa, const double *ya, const struct cand *c,
+                   double *pa, double *pb)
+{
+    ptrdiff_t k;
+    for (k = 0; k < c->n; ++k) {
+        memcpy(pa + 3 * k, xa + 3 * c->ai[k], sizeof(double) * 3);
+        memcpy(pb + 3 * k, ya + 3 * c->aj[k], sizeof(double) * 3);
+    }
+}
+
+/* The DP alignment of the (la, lb) score matrix S into c */
+static void dp_align(const struct refine_ws *w, ptrdiff_t la, ptrdiff_t lb,
+                     double gap, struct cand *c, int64_t *ops)
+{
+    nw_forward(w->M, w->Ix, w->Iy, w->S, la, lb, lb + 1, lb, gap);
+    ops[3] += la * lb;
+    c->n = nw_traceback(w->M, w->Ix, w->Iy, w->S, la, lb, lb + 1, lb, gap,
+                        c->ai, c->aj, &c->dp);
+}
+
+/* align.tm_align for one pair, with the compiled stages in the Python
+ * orchestration's order:
+ *
+ * - the gapless scan (keep 2) and its top two shifts; the SS DP on the
+ *   0/1 match matrix of the SS codes; the fragment scan (keep 1) and its
+ *   first best placement, NaN last (the candidates, in this order, for
+ *   each init switched on in `flags`: 1 threading, 2 SS, 4 fragment,
+ *   8 combined);
+ * - the (1,)-seed search of each candidate of >= 3 pairs; the combined
+ *   matrix ss_mix * SS + (1 - ss_mix) * score_matrix under the first best
+ *   of those transforms, in NumPy's op order, and its DP;
+ * - refine_core() of each candidate of >= 3 pairs not equal to an earlier
+ *   one, keeping the first strictly best; when none scores above -1, the
+ *   first candidate with the identity;
+ * - the full-schedule searches normalised by la and by lb, and the RMSD
+ *   of the best transform over the best alignment, summed in NumPy's
+ *   order (contiguous (n, 3) array: one pairwise sum over 3n).
+ *
+ * xa/ya are (la, 3) and (lb, 3); ssa/ssb the SS codes; seqa/seqb the
+ * sequences as UTF-32 code units (for the identity count).  iparams:
+ * flags, max_refine_iters, refine_patience, max_score_iters,
+ * min_seed_len, threading_stride, fragment_fraction, then the count and
+ * values of the seed fractions, then of the refinement's seed fractions.
+ * dparams: gap_open, ss_gap_open, ss_mix, d0 of min(la, lb), of la and
+ * of lb.
+ *
+ * out gets 16 doubles: tm_a, tm_b, rmsd, the best alignment's dp_score,
+ * rotation, translation; then as int64 the alignment length, the
+ * identical pairs, the kabsch, kabsch_point, score_pair and dp_cell
+ * counts, and the i and j indices (min(la, lb) slots each).  All scratch
+ * is carved from the 8-byte aligned ws of ws_bytes bytes.
+ *
+ * Returns 0; the bytes needed when ws is smaller (before any work); or
+ * -2 (a window outside the chains), -3 (a seed fraction below 1), -4
+ * (the best alignment has fewer than 3 pairs), -5 (no initial alignment
+ * switched on), -6 (fragment fraction 0), as the Python path raises. */
+HOT ptrdiff_t tm_align_pair(const double *xa, ptrdiff_t la, const double *ya,
+                            ptrdiff_t lb, const unsigned char *ssa,
+                            const unsigned char *ssb, const uint32_t *seqa,
+                            const uint32_t *seqb, const int64_t *iparams,
+                            const double *dparams, double *out,
+                            unsigned char *ws, ptrdiff_t ws_bytes)
+{
+    const ptrdiff_t flags = iparams[0], max_iters = iparams[1];
+    const ptrdiff_t patience = iparams[2], max_score_iters = iparams[3];
+    const ptrdiff_t min_seed_len = iparams[4], nfracs = iparams[7];
+    const int64_t *fracs = iparams + 8, *rfracs = fracs + nfracs + 1;
+    const ptrdiff_t nrfracs = fracs[nfracs];
+    const double gap = dparams[0], ss_gap = dparams[1], mix = dparams[2];
+    const double d0 = dparams[3], d0_a = dparams[4], d0_b = dparams[5];
+    const ptrdiff_t cap = la < lb ? la : lb, lmin = cap;
+    const int64_t one = 1;
+    int64_t *ops = (int64_t *)(out + 16) + 2, *seeds, *a0, *b0, *lens, *ci;
+    double *tms, *scan, *ro, best_tm = -1.0, rot_q[9], tra_q[3], rot[9], tra[3];
+    double tm, q = -1.0, *rot_out = out + 4, *tra_out = out + 13;
+    struct refine_ws w;
+    struct scans g;
+    struct cand cands[5], best;
+    ptrdiff_t ncand = 0, need, k, c, h, top[2], nwin, pts, mmax, nseeds;
+    unsigned char *p;
+    int rc;
+
+    rc = scan_geometry(la, lb, flags & 1, flags & 4, iparams[5], iparams[6],
+                       min_seed_len, &g);
+    if (rc) return rc;
+    if (nfracs < 1 || nrfracs < 1) return -3;
+    for (k = 0; k < nfracs; ++k)
+        if (fracs[k] < 1) return -3;
+    for (k = 0; k < nrfracs; ++k)
+        if (rfracs[k] < 1) return -3;
+    need = align_bytes(la, lb, &g, nfracs, nrfracs, max_iters);
+    if (ws == NULL || ws_bytes < need) return need;
+
+    /* carve */
+    refine_carve(ws, la, lb, nrfracs, max_iters, &w);
+    p = ws + tm_refine_bytes(la, lb, nrfracs, max_iters);
+    seeds = (int64_t *)p;
+    a0 = seeds + 2 * nfracs * (cap + 1);
+    nwin = scan_windows(&g);
+    b0 = a0 + nwin;
+    lens = b0 + nwin;
+    tms = (double *)(lens + nwin);
+    scan = tms + nwin;
+    ci = (int64_t *)(scan + scan_doubles(la, lb, &g));
+    for (k = 0; k < 5; ++k) {
+        cands[k].ai = ci + 2 * k * cap;
+        cands[k].aj = cands[k].ai + cap;
+    }
+    best.ai = ci + 10 * cap;
+    best.aj = best.ai + cap;
+    ro = (double *)(best.aj + cap); /* refine_core's output */
+    ops[0] = ops[1] = ops[2] = ops[3] = 0;
+    dp_bounds(w.M, w.Ix, w.Iy, la, lb);
+
+    /* gapless threading: shifts ascend, so ties rank by shift */
+    if (flags & 1) {
+        for (k = 0; k < g.ngap; ++k) {
+            const int64_t shift = -(lb - g.mo) + k * g.stride;
+            const int64_t end = la < lb + shift ? la : lb + shift;
+            a0[k] = shift > 0 ? shift : 0;
+            b0[k] = a0[k] - shift;
+            lens[k] = end - a0[k];
+        }
+        if (!windows_valid(la, lb, a0, b0, lens, g.ngap, &mmax, &pts)) return -2;
+        windows_scan(xa, la, ya, lb, a0, b0, lens, g.ngap, mmax, d0, lmin, 2,
+                     tms, scan);
+        ops[0] += g.ngap;
+        ops[1] += pts;
+        ops[2] += pts;
+        for (h = rank_top(tms, g.ngap, 2, top), k = 0; k < h; ++k) {
+            struct cand *cd = &cands[ncand++];
+            cd->n = lens[top[k]];
+            for (c = 0; c < cd->n; ++c) {
+                cd->ai[c] = a0[top[k]] + c;
+                cd->aj[c] = b0[top[k]] + c;
+            }
+            cd->dp = tms[top[k]];
+        }
+    }
+    /* secondary-structure DP: match 1, mismatch 0 */
+    if (flags & 2) {
+        for (k = 0; k < la; ++k)
+            for (c = 0; c < lb; ++c) w.S[k * lb + c] = ssa[k] == ssb[c];
+        dp_align(&w, la, lb, ss_gap, &cands[ncand++], ops);
+    }
+    /* fragment threading: short[fstart:] onto long[shift:], fragment-major */
+    if (g.frag) {
+        const double *sh = g.swap ? ya : xa, *lo = g.swap ? xa : ya;
+        const ptrdiff_t n = g.nf * g.ns;
+        struct cand *cd;
+        for (k = 0; k < n; ++k) {
+            a0[k] = (k / g.ns) * g.step;
+            b0[k] = (k % g.ns) * g.stride;
+            lens[k] = g.flen;
+        }
+        if (!windows_valid(g.ls, g.ll, a0, b0, lens, n, &mmax, &pts)) return -2;
+        windows_scan(sh, g.ls, lo, g.ll, a0, b0, lens, n, mmax, d0, lmin, 1,
+                     tms, scan);
+        ops[0] += n;
+        ops[1] += pts;
+        ops[2] += pts;
+        rank_top(tms, n, 1, top);
+        cd = &cands[ncand++];
+        cd->n = g.flen;
+        for (c = 0; c < g.flen; ++c) {
+            cd->ai[c] = (g.swap ? b0 : a0)[top[0]] + c;
+            cd->aj[c] = (g.swap ? a0 : b0)[top[0]] + c;
+        }
+        cd->dp = tms[top[0]];
+    }
+    if (!ncand && !(flags & 8)) return -5;
+
+    /* quick (1,)-seed searches: the combined init's superposition */
+    for (k = 0; k < 9; ++k) rot_q[k] = (k % 4 == 0) ? 1.0 : 0.0;
+    tra_q[0] = tra_q[1] = tra_q[2] = 0.0;
+    for (c = 0; c < ncand; ++c) {
+        if (cands[c].n < 3) continue;
+        gather(xa, ya, &cands[c], w.pa, w.pb);
+        nseeds = seed_schedule(cands[c].n, &one, 1, min_seed_len, seeds);
+        search(w.pa, w.pb, cands[c].n, seeds, nseeds, d0, lmin, clip_d0(d0),
+               max_score_iters, w.dist, w.sel, &tm, rot, tra, ops);
+        if (tm > q) {
+            q = tm;
+            memcpy(rot_q, rot, sizeof rot);
+            memcpy(tra_q, tra, sizeof tra);
+        }
+    }
+    /* combined: mix * ss + (1 - mix) * score, as three in-place ufuncs */
+    if (flags & 8) {
+        const double keep = 1.0 - mix;
+        score_matrix(xa, la, ya, lb, rot_q, tra_q, d0, w.mv, w.asq, w.bsq, w.S);
+        ops[2] += la * lb;
+        for (k = 0; k < la; ++k)
+            for (c = 0; c < lb; ++c) {
+                const double ss = (ssa[k] == ssb[c]) * mix;
+                w.S[k * lb + c] = ss + w.S[k * lb + c] * keep;
+            }
+        dp_align(&w, la, lb, gap, &cands[ncand++], ops);
+    }
+
+    /* refinement of each distinct candidate of >= 3 pairs */
+    best.n = -1;
+    for (c = 0; c < ncand; ++c) {
+        const struct cand *cd = &cands[c];
+        const int64_t *ints = (const int64_t *)(ro + 14);
+        int dup = 0;
+        if (cd->n < 3) continue;
+        for (h = 0; h < c && !dup; ++h)
+            dup = cands[h].n == cd->n
+                  && memcmp(cands[h].ai, cd->ai, sizeof(int64_t) * cd->n) == 0
+                  && memcmp(cands[h].aj, cd->aj, sizeof(int64_t) * cd->n) == 0;
+        if (dup) continue;
+        refine_core(xa, la, ya, lb, cd->ai, cd->aj, cd->n, rfracs, nrfracs,
+                    min_seed_len, max_score_iters, max_iters, patience, d0,
+                    lmin, clip_d0(d0), gap, (unsigned char *)ro, &w);
+        for (k = 0; k < 4; ++k) ops[k] += ints[1 + k];
+        if (!(ro[0] > best_tm)) continue;
+        best_tm = ro[0];
+        memcpy(rot_out, ro + 2, sizeof(double) * 12);
+        if (ints[0] < 0) {
+            best.n = cd->n;
+            best.dp = cd->dp;
+            memcpy(best.ai, cd->ai, sizeof(int64_t) * cd->n);
+            memcpy(best.aj, cd->aj, sizeof(int64_t) * cd->n);
+        } else {
+            best.n = ints[0];
+            best.dp = ro[1];
+            memcpy(best.ai, ints + 5, sizeof(int64_t) * best.n);
+            memcpy(best.aj, ints + 5 + cap, sizeof(int64_t) * best.n);
+        }
+    }
+    if (best.n < 3) { /* degenerate tiny chains: the first candidate */
+        best.n = cands[0].n;
+        best.dp = cands[0].dp;
+        memcpy(best.ai, cands[0].ai, sizeof(int64_t) * best.n);
+        memcpy(best.aj, cands[0].aj, sizeof(int64_t) * best.n);
+        for (k = 0; k < 9; ++k) rot_out[k] = (k % 4 == 0) ? 1.0 : 0.0;
+        tra_out[0] = tra_out[1] = tra_out[2] = 0.0;
+    }
+    if (best.n < 3) return -4;
+
+    /* final scores, normalised by each chain, with the full schedule */
+    gather(xa, ya, &best, w.pa, w.pb);
+    nseeds = seed_schedule(best.n, fracs, nfracs, min_seed_len, seeds);
+    search(w.pa, w.pb, best.n, seeds, nseeds, d0_a, la, clip_d0(d0_a),
+           max_score_iters, w.dist, w.sel, out, rot, tra, ops);
+    search(w.pa, w.pb, best.n, seeds, nseeds, d0_b, lb, clip_d0(d0_b),
+           max_score_iters, w.dist, w.sel, out + 1, rot, tra, ops);
+    /* RMSD under the best transform, the squared differences in the
+     * score matrix's 3 la doubles of scratch */
+    {
+        double *sq = w.mv;
+        for (k = 0; k < best.n; ++k)
+            for (c = 0; c < 3; ++c) {
+                double acc = 0.0;
+                acc = fma(w.pa[3 * k + 0], rot_out[3 * c + 0], acc);
+                acc = fma(w.pa[3 * k + 1], rot_out[3 * c + 1], acc);
+                acc = fma(w.pa[3 * k + 2], rot_out[3 * c + 2], acc);
+                acc = (acc + tra_out[c]) - w.pb[3 * k + c];
+                sq[3 * k + c] = acc * acc;
+            }
+        out[2] = sqrt((0.0 + pairwise_sum(sq, 3 * best.n)) / (double)best.n);
+    }
+    out[3] = best.dp;
+    {
+        int64_t *ints = (int64_t *)(out + 16), ident = 0;
+        ints[0] = best.n;
+        for (k = 0; k < best.n; ++k) ident += seqa[best.ai[k]] == seqb[best.aj[k]];
+        ints[1] = ident;
+        memcpy(ints + 6, best.ai, sizeof(int64_t) * best.n);
+        memcpy(ints + 6 + cap, best.aj, sizeof(int64_t) * best.n);
     }
     return 0;
 }
@@ -1458,11 +1927,13 @@ def _fn(lib: ctypes.CDLL, name: str, restype, argtypes: list):
 
 
 class TMKernels:
-    """Front-ends of the search, window, traceback, score and refine entry points.
+    """Front-ends of the search, window, traceback, score, refine and
+    whole-pair entry points.
 
     Each method validates its arguments before a pointer reaches C (the
     index bounds in C, which reports them by return code), and charges
-    ``counter`` the totals the NumPy path charges.  ``svd_chain`` says
+    ``counter`` the totals the NumPy path charges (``align`` returns
+    them).  ``svd_chain`` says
     whether the Kabsch SVDs take dgesdd's 3x3 path directly.
     """
 
@@ -1493,6 +1964,10 @@ class TMKernels:
                            + [_D] * 4 + [_P, _P, _N])
         # la, lb, nfracs, max_iters
         self._refine_bytes = _fn(lib, "tm_refine_bytes", _N, [_N] * 4)
+        # xa, la, ya, lb, ssa, ssb, seqa, seqb, iparams, dparams, out, ws,
+        # ws_bytes
+        self._align = _fn(lib, "tm_align_pair", _N,
+                          [_P, _N, _P, _N] + [_P] * 8 + [_N])
         # covs, n, reference, out
         self._svd3 = _fn(lib, "tm_svd3", None, [_P, _N, ctypes.c_int, _P])
         # covs, n, rots
@@ -1717,6 +2192,80 @@ class TMKernels:
         # copies, so that the transform does not keep the index tail alive
         return float(out[0]), found, out[2:11].reshape(3, 3).copy(), out[11:14].copy()
 
+    def align(
+        self,
+        xa: np.ndarray,
+        ya: np.ndarray,
+        ss_a: np.ndarray,
+        ss_b: np.ndarray,
+        seq_a: str,
+        seq_b: str,
+        d0s: tuple[float, float, float],
+        params,
+        refine_fractions,
+    ) -> tuple:
+        """``align.tm_align`` of one pair in one call (``tm_align_pair``).
+
+        ``ss_a``/``ss_b`` are the chains' SS byte codes, ``seq_a``/``seq_b``
+        their sequences, ``d0s`` the d0 of the shorter chain, of A and of
+        B.  Every ``params`` field the Python path reads goes to C.
+        Returns ``(tm_a, tm_b, rmsd, ai, aj, dp_score, rotation,
+        translation, identical_pairs, (kabsch, kabsch_point, score_pair,
+        dp_cell))``.
+
+        Inputs go to C as bytes objects, which ctypes passes by address
+        for a fraction of the cost of an ndarray's ``ctypes.data``.
+        """
+        xa, ya = _f64(xa), _f64(ya)
+        la, lb = xa.shape[0], ya.shape[0]
+        if xa.shape != (la, 3) or ya.shape != (lb, 3):
+            raise ValueError(f"(n, 3) coordinates required: {xa.shape}/{ya.shape}")
+        ss_a = np.asarray(ss_a, dtype=np.uint8).tobytes()
+        ss_b = np.asarray(ss_b, dtype=np.uint8).tobytes()
+        # fixed-width code units, so residue k is unit k
+        seq_a = seq_a.encode("utf-32-le")
+        seq_b = seq_b.encode("utf-32-le")
+        if (len(ss_a), len(ss_b), len(seq_a), len(seq_b)) != (la, lb, 4 * la, 4 * lb):
+            raise ValueError("SS codes and sequences must match the chain lengths")
+        fracs = tuple(params.n_seed_fractions)
+        rfracs = tuple(refine_fractions)
+        iparams = (
+            bool(params.use_threading_init) | bool(params.use_ss_init) << 1
+            | bool(params.use_fragment_init) << 2
+            | bool(params.use_combined_init) << 3,
+            params.max_refine_iters, params.refine_patience,
+            params.max_score_iters, params.min_seed_len,
+            params.threading_stride, params.fragment_fraction,
+            len(fracs), *fracs, len(rfracs), *rfracs,
+        )
+        cap = min(la, lb)
+        # 16 doubles (scores, RMSD, dp_score, rotation, translation), then
+        # int64: length, identical pairs, 4 op counts, cap i and cap j indices
+        out = (ctypes.c_double * (22 + 2 * cap))()
+        args = (
+            xa.tobytes(), la, ya.tobytes(), lb, ss_a, ss_b, seq_a, seq_b,
+            struct.pack(f"<{len(iparams)}q", *iparams),
+            struct.pack("<6d", params.gap_open, params.ss_gap_open,
+                        params.ss_mix, *d0s),
+            out,
+        )
+        ws = scratch(0)
+        rc = self._align(*args, _SCRATCH.addr, ws.nbytes)
+        if rc > 0:  # the workspace it needs, in bytes
+            ws = scratch(rc)
+            rc = self._align(*args, _SCRATCH.addr, ws.nbytes)
+        if rc < 0:
+            exc, message = _ALIGN_ERRORS[rc]
+            raise exc(message)
+        ints = np.frombuffer(out, dtype=np.int64, offset=8 * 16)
+        n, ident = ints[:2].tolist()
+        rot = np.frombuffer(out, count=12, offset=8 * 4)
+        return (
+            out[0], out[1], out[2], ints[6:6 + n].copy(),
+            ints[6 + cap:6 + cap + n].copy(), out[3], rot[:9].reshape(3, 3).copy(),
+            rot[9:].copy(), ident, ints[2:6].tolist(),
+        )
+
     def svd3(self, covs: np.ndarray, reference: bool = False) -> np.ndarray:
         """The SVD the kernel takes of each 3x3 in ``covs`` (``reference``:
         plain ``dgesdd``), 22 doubles each: INFO, S, U and VT."""
@@ -1742,6 +2291,16 @@ class TMKernels:
         out = np.empty(2, dtype=np.int64)
         self._svd_counts(out.ctypes.data)
         return tuple(out.tolist())
+
+
+# tm_align_pair's error codes, as the Python path raises them
+_ALIGN_ERRORS = {
+    -2: (ValueError, "window outside the coordinate sets"),
+    -3: (ValueError, "seed fractions must be >= 1"),
+    -4: (ValueError, "need at least 3 matched pairs"),
+    -5: (ValueError, "all initial alignments disabled"),
+    -6: (ZeroDivisionError, "integer division or modulo by zero"),
+}
 
 
 def _svd_battery() -> np.ndarray:
@@ -1777,7 +2336,7 @@ _CHAIN_MATCHES: Optional[bool] = None
 
 
 def load_tm_kernels() -> Optional[TMKernels]:
-    """The search, window, traceback, score and refine entry points, or None.
+    """The search, window, traceback, score, refine and align entry points, or None.
 
     None when the library does not build, ``REPRO_NO_NATIVE_DP`` is set,
     or NumPy does not bundle the OpenBLAS whose SVD, GEMV and GEMM the
@@ -1815,11 +2374,13 @@ def _probe() -> list:
     covariance, past the K-blocking size of common GEMM kernels), short
     and long gapless windows, fragment windows, a tie-heavy DP
     traceback, two score matrices whose last columns fall in GEMM edge
-    tiles (where a plain fma chain differs from OpenBLAS), and one
-    refinement loop.  Everything is returned as exact reprs and bytes.
+    tiles (where a plain fma chain differs from OpenBLAS), one
+    refinement loop, and one whole ``tm_align`` of a 36 x 30 pair.
+    Everything is returned as exact reprs and bytes.
     """
     from repro.cost.counters import CostCounter
-    from repro.tmalign.align import _refine
+    from repro.structure.model import Chain
+    from repro.tmalign.align import _refine, tm_align
     from repro.tmalign.dp import nw_align
     from repro.tmalign.initial import fragment_threading, gapless_threading
     from repro.tmalign.params import TMAlignParams
@@ -1859,6 +2420,11 @@ def _probe() -> list:
     )
     out.append((repr(tm), ali.key(), repr(ali.dp_score), xf.rotation.tobytes(),
                 xf.translation.tobytes()))
+    res = tm_align(Chain("a", xa[:36]), Chain("b", ya[3:33]), counter=ctr)
+    out.append((repr(res.tm_norm_a), repr(res.tm_norm_b), repr(res.rmsd),
+                repr(res.seq_identity), res.alignment.key(),
+                repr(res.alignment.dp_score), res.transform.rotation.tobytes(),
+                res.transform.translation.tobytes()))
     out.append(sorted(ctr.as_dict().items()))
     return out
 
@@ -1879,6 +2445,7 @@ def self_check() -> bool:
         (initial, "_NATIVE_WINDOWS"),
         (tmscore, "_NATIVE_SCORES"),
         (align, "_NATIVE_REFINE"),
+        (align, "_NATIVE_ALIGN"),
     )
     loaded = [getattr(mod, name) for mod, name in handles]
     if all(h is None for h in loaded):

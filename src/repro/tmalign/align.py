@@ -3,10 +3,13 @@
 Each candidate alignment is refined by alternating the superposition
 search with a DP over the TM-score matrix of the current superposition
 until the alignment repeats, stops improving, or hits the step cap.
-When the compiled kernel loads, that whole loop is one C call per
-candidate (``tm_refine`` in :mod:`repro.tmalign._dpnative`); the NumPy
-``_refine`` below is its reference and fallback, and both return the
-same score, alignment and transform bytes and charge the same op counts.
+When the compiled kernel loads, a whole pair is one C call
+(``tm_align_pair`` in :mod:`repro.tmalign._dpnative`): the initial
+alignments, the refinement of each candidate, the final scoring and the
+RMSD.  The Python orchestration below, with ``_refine`` as one
+``tm_refine`` call per candidate or its NumPy loop, is its reference
+and fallback; every path returns the same scores, alignment, dp_score
+and transform bytes and charges the same op counts.
 """
 
 from __future__ import annotations
@@ -18,7 +21,6 @@ import numpy as np
 from repro.cost.counters import CostCounter
 from repro.geometry.transforms import RigidTransform
 from repro.structure.model import Chain
-from repro.structure.secstruct import assign_secondary
 from repro.tmalign._dpnative import load_tm_kernels
 from repro.tmalign.dp import nw_align
 from repro.tmalign.initial import (
@@ -38,9 +40,12 @@ __all__ = ["tm_align"]
 # scoring (mirrors TM-align's cheap in-loop TM-score search).
 _REFINE_SEEDS = (1, 2)
 
-# Compiled refinement loop (bit-identical to _refine's NumPy path); None
-# when the kernel is unavailable or failed its load-time self-check.
-_NATIVE_REFINE = getattr(load_tm_kernels(), "refine", None)
+# Compiled refinement loop and whole-pair alignment (bit-identical to
+# _refine's NumPy path and to tm_align's orchestration); None when the
+# kernel is unavailable or failed its load-time self-check.
+_KERNELS = load_tm_kernels()
+_NATIVE_REFINE = getattr(_KERNELS, "refine", None)
+_NATIVE_ALIGN = getattr(_KERNELS, "align", None)
 
 
 def _refine(
@@ -120,12 +125,25 @@ def tm_align(
     la, lb = len(chain_a), len(chain_b)
     lmin = min(la, lb)
     d0_min = d0_from_length(lmin)
-
     # secondary structure (chains cache the string; cost charged always,
     # as the real program recomputes it per comparison)
+    local.add("sec_res", la + lb)
+    if _NATIVE_ALIGN is not None:
+        tm_a, tm_b, rmsd, ai, aj, dp_score, rot, tra, ident, ops = _NATIVE_ALIGN(
+            xa, ya, chain_a.ss_codes, chain_b.ss_codes, chain_a.sequence,
+            chain_b.sequence, (d0_min, d0_from_length(la), d0_from_length(lb)),
+            params, _REFINE_SEEDS,
+        )
+        for name, value in zip(("kabsch", "kabsch_point", "score_pair", "dp_cell"), ops):
+            local.add(name, value)
+        best_ali = Alignment.from_trusted(ai, aj, dp_score)
+        best_xf = RigidTransform.from_trusted(rot, tra)
+        seq_id = ident / max(1, len(best_ali))
+        return _result(chain_a, chain_b, tm_a, tm_b, rmsd, seq_id, best_ali,
+                       best_xf, local, counter)
+
     ss_a = chain_a.secondary
     ss_b = chain_b.secondary
-    local.add("sec_res", la + lb)
 
     # --- initial alignments ------------------------------------------------
     candidates: list[Alignment] = []
@@ -218,14 +236,29 @@ def tm_align(
         if chain_a.sequence[i] == chain_b.sequence[j]
     )
     seq_id = ident / max(1, len(best_ali))
+    return _result(chain_a, chain_b, tm_a, tm_b, rmsd, seq_id, best_ali,
+                   best_xf, local, counter)
 
+
+def _result(
+    chain_a: Chain,
+    chain_b: Chain,
+    tm_a: float,
+    tm_b: float,
+    rmsd: float,
+    seq_id: float,
+    best_ali: Alignment,
+    best_xf: RigidTransform,
+    local: CostCounter,
+    counter: Optional[CostCounter],
+) -> TMAlignResult:
     if counter is not None:
         counter.merge(local)
     return TMAlignResult(
         name_a=chain_a.name,
         name_b=chain_b.name,
-        len_a=la,
-        len_b=lb,
+        len_a=len(chain_a),
+        len_b=len(chain_b),
         tm_norm_a=tm_a,
         tm_norm_b=tm_b,
         rmsd=rmsd,

@@ -220,7 +220,8 @@ def fragment_threading(
     Catches alignments where only a sub-domain matches; returns None when
     the chains are too short to cut a meaningful fragment.  Every
     (fragment, segment) placement has the same window length; the best
-    is the first strict maximum in fragment-major order.
+    is the first maximum in fragment-major order, NaN scores last (the
+    ranking rule of :func:`gapless_threading`).
     """
     params = params or TMAlignParams()
     la, lb = xa.shape[0], ya.shape[0]
@@ -240,7 +241,8 @@ def fragment_threading(
         short, long_, np.repeat(fstarts, ns), np.tile(shifts, nf),
         np.full(nf * ns, flen), d0, lnorm, counter=counter, keep=1,
     )
-    best_flat = int(np.argmax(tms))
+    scored = np.flatnonzero(~np.isnan(tms))
+    best_flat = int(scored[np.argmax(tms[scored])]) if scored.size else 0
     best_tm = float(tms[best_flat])
     fstart = int(fstarts[best_flat // ns])
     shift = int(shifts[best_flat % ns])

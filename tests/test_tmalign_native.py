@@ -4,9 +4,10 @@ The compiled search, window and traceback entry points must reproduce
 the NumPy path bit for bit — scores by repr, transforms by bytes, op
 counts exactly.  ``tests/test_tmalign_batch.py`` runs the search and
 threading differentials over random geometries; this file adds the
-traceback, fragment sub-matches, whole ``tm_align`` runs over perturbed
-ck34 pairs, and the load-time self-check, which must switch the entry
-points off on any mismatch and leave the NumPy path producing the
+traceback, fragment sub-matches, whole ``tm_align`` runs (one
+``tm_align_pair`` call each) over ck34, rs119-mini and edge-case pairs
+and parameter sets, and the load-time self-check, which must switch the
+entry points off on any mismatch and leave the NumPy path producing the
 goldens.  Tests that need the compiled kernel skip when it is
 unavailable (no C compiler, ``REPRO_NO_NATIVE_DP`` set, or a BLAS build
 the self-check rejected).
@@ -18,7 +19,9 @@ import numpy as np
 import pytest
 
 from repro.cost.counters import CostCounter
+from repro.datasets import load_dataset
 from repro.geometry.transforms import RigidTransform
+from repro.structure.model import Chain
 from repro.structure.synthetic import perturb_chain
 from repro.tmalign import _dpnative, align, dp, initial, tm_align, tmscore
 from repro.tmalign.dp import nw_align
@@ -124,7 +127,7 @@ class TestScreenedThreading:
 
     D0, LNORM = 2.6, 40
 
-    def _three_ways(self, xa, ya, oracle=True):
+    def _three_ways(self, xa, ya):
         kernels = tmscore._KERNELS
         for run, serial in ((gapless_threading, gapless_threading_serial),
                             (fragment_threading, fragment_threading_serial)):
@@ -132,16 +135,14 @@ class TestScreenedThreading:
             got = run(xa, ya, self.D0, self.LNORM, counter=ctrs[0])
             with numpy_path():
                 ref = run(xa, ya, self.D0, self.LNORM, counter=ctrs[1])
-            runs = [got, ref]
-            if oracle:
-                runs.append(serial(xa, ya, self.D0, self.LNORM, counter=ctrs[2]))
+            runs = [got, ref, serial(xa, ya, self.D0, self.LNORM, counter=ctrs[2])]
             keys = [
                 [(a.key(), repr(a.dp_score))
                  for a in (r if isinstance(r, list) else [r])]
                 for r in runs
             ]
             assert all(k == keys[0] for k in keys), run.__name__
-            assert all(c.counts == ctrs[0].counts for c in ctrs[: len(runs)])
+            assert all(c.counts == ctrs[0].counts for c in ctrs)
         for args in _scans(xa, ya):
             full = kernels.windows(*args, self.D0, self.LNORM)
             want = _windows_numpy(*args, self.D0, self.LNORM)
@@ -198,10 +199,9 @@ class TestScreenedThreading:
             self._three_ways(target, mobile)
 
     def test_nan_coordinates(self, rng):
-        # the serial oracle's comparisons are not NaN-aware, so it is
-        # only a reference where NaN cannot reorder it: the fragment
-        # scan with a NaN in its first window, the gapless scan with a
-        # NaN among its last rows
+        # every path ranks NaN windows last: a NaN in the fragment scan's
+        # first window, among the gapless scan's last rows, mid-chain,
+        # and everywhere (all windows NaN: the first window wins)
         xa, ya = _walk(rng, 40), _walk(rng, 52)
         first = xa.copy()
         first[0] = np.nan
@@ -210,17 +210,13 @@ class TestScreenedThreading:
         mid = ya.copy()
         mid[20] = np.nan
         with np.errstate(invalid="ignore"):
-            self._three_ways(first, ya, oracle=False)
-            for run, serial in ((fragment_threading, fragment_threading_serial),):
-                got = run(first, ya, self.D0, self.LNORM)
-                assert got.key() == serial(first, ya, self.D0, self.LNORM).key()
-            self._three_ways(last, ya[:44], oracle=False)
-            got = gapless_threading(last, ya[:44], self.D0, self.LNORM)
-            want = gapless_threading_serial(last, ya[:44], self.D0, self.LNORM)
-            assert [(a.key(), repr(a.dp_score)) for a in got] == [
-                (a.key(), repr(a.dp_score)) for a in want
-            ]
-            self._three_ways(xa, mid, oracle=False)
+            self._three_ways(first, ya)
+            self._three_ways(last, ya[:44])
+            self._three_ways(xa, mid)
+            self._three_ways(np.full_like(xa, np.nan), ya)
+            # the fragment pick skips the NaN placements
+            ali = fragment_threading(first, ya, self.D0, self.LNORM)
+            assert not np.isnan(ali.dp_score)
 
     def test_converted_inputs(self, rng):
         """Fortran-order coordinates and int32 windows are converted, and
@@ -584,6 +580,147 @@ def test_thread_pool_matches_serial(ck34_mini):
     assert got == want
 
 
+def _full_key(res):
+    """Every :class:`TMAlignResult` field: floats by repr, index arrays by
+    dtype and bytes, the transform by bytes, op counts in order."""
+    ali, xf = res.alignment, res.transform
+    return (
+        res.name_a, res.name_b, res.len_a, res.len_b, repr(res.tm_norm_a),
+        repr(res.tm_norm_b), repr(res.rmsd), res.n_aligned,
+        repr(res.seq_identity), ali.ai.dtype.str, ali.ai.tobytes(),
+        ali.aj.dtype.str, ali.aj.tobytes(), repr(ali.dp_score),
+        xf.rotation.tobytes(), xf.translation.tobytes(),
+        list(res.op_counts.items()),
+    )
+
+
+def _outcome(a, b, params=None):
+    """``tm_align``'s full result and the counter it charged, or the type
+    and message of what it raised."""
+    ctr = CostCounter()
+    try:
+        res = tm_align(a, b, params, counter=ctr)
+    except (ValueError, ZeroDivisionError) as exc:
+        return type(exc), str(exc)
+    return _full_key(res), list(ctr.counts.items())
+
+
+def _nan_copy(chain, rows, name):
+    """``chain`` with NaN coordinates at ``rows``: Chain itself rejects
+    non-finite input, so the coordinates are swapped in afterwards."""
+    out = Chain(name, chain.coords, chain.sequence)
+    coords = chain.coords.copy()
+    coords[rows] = np.nan
+    out.coords = coords
+    return out
+
+
+@pytest.fixture(scope="module")
+def rs119_mini():
+    return load_dataset("rs119-mini")
+
+
+@requires_native
+class TestOneCallAlign:
+    """``tm_align`` as one ``tm_align_pair`` call vs the Python
+    orchestration on the NumPy path: every result field, the charged
+    counter, or the same error."""
+
+    def _both(self, pairs, params=None):
+        native = [_outcome(a, b, params) for a, b in pairs]
+        with numpy_path(), np.errstate(invalid="ignore"):
+            reference = [_outcome(a, b, params) for a, b in pairs]
+        assert native == reference
+        return reference
+
+    def test_ck34_pairs_both_orders(self, ck34):
+        pairs = [(ck34[i], ck34[j]) for i, j in ((0, 1), (0, 30), (5, 20), (12, 33))]
+        self._both(pairs + [(b, a) for a, b in pairs])
+
+    def test_rs119_mini_pairs(self, rs119_mini):
+        self._both([(rs119_mini[0], rs119_mini[7]), (rs119_mini[9], rs119_mini[3])])
+
+    def test_long_pair_across_gemm_edge_tiles(self, rs119_mini):
+        a, b = rs119_mini[4], rs119_mini[5]
+        assert min(len(a), len(b)) >= 300
+        self._both([(a, b)])
+
+    @pytest.mark.parametrize("change", [
+        {"use_threading_init": False},
+        {"use_ss_init": False},
+        {"use_fragment_init": False},
+        {"use_combined_init": False},
+        {"use_threading_init": False, "use_ss_init": False,
+         "use_fragment_init": False, "use_combined_init": False},
+        {"threading_stride": 2},
+        {"fragment_fraction": 3},
+        {"fragment_fraction": 0},
+        {"ss_mix": 0.0},
+        {"ss_mix": 1.0},
+        {"refine_patience": 1},
+        {"max_refine_iters": 1},
+        {"n_seed_fractions": (1,)},
+    ], ids=lambda c: ",".join(f"{k}={v}" for k, v in c.items()))
+    def test_parameter_sets(self, ck34, change):
+        a, b = ck34[3], ck34[25]
+        outcomes = self._both([(a, b), (b, a)], TMAlignParams(**change))
+        raises = change.get("fragment_fraction") == 0 or len(change) == 4
+        assert all(isinstance(o[0], type) for o in outcomes) == raises
+
+    def test_tiny_chains(self):
+        """3-6 residues: no fragment fits a chain of 4 or fewer; with free
+        gaps and no SS term the combined DP keeps < 3 pairs, and the
+        degenerate branch's first candidate then fails the final search
+        in both paths."""
+        rng = np.random.default_rng(29)
+        pairs = []
+        for _ in range(12):
+            la, lb = (int(x) for x in rng.integers(3, 7, size=2))
+            pairs.append((Chain("a", rng.uniform(-80, 80, size=(la, 3))),
+                          Chain("b", rng.uniform(-80, 80, size=(lb, 3)))))
+        no_fragment = [
+            fragment_threading(a.coords, b.coords, 0.5, 3) is None for a, b in pairs
+        ]
+        assert no_fragment == [min(len(a), len(b)) <= 4 for a, b in pairs]
+        assert any(no_fragment) and not all(no_fragment)
+        assert not any(isinstance(o[0], type) for o in self._both(pairs))
+        bare = TMAlignParams(use_threading_init=False, use_ss_init=False,
+                             use_fragment_init=False, ss_mix=0.0, gap_open=0.0)
+        outcomes = self._both(pairs, bare)
+        raised = [o for o in outcomes if isinstance(o[0], type)]
+        assert (ValueError, "need at least 3 matched pairs") in raised
+        assert len(raised) < len(outcomes)
+
+    def test_tied_windows(self, rng):
+        """A byte-for-byte repeat: two shifts and two placements score the
+        same bits, and ties must rank in scan order."""
+        seg = _walk(rng, 30)
+        a = Chain("seg", seg @ _rotation(rng) + 3.0)
+        b = Chain("twice", np.concatenate([seg, seg]))
+        self._both([(a, b), (b, a)])
+
+    def test_nan_coordinates(self, ck34, monkeypatch):
+        """One NaN residue, and a chain of NaN, whose every refinement
+        scores -1 so that the degenerate branch returns the first
+        candidate under the identity."""
+        a, b = ck34[2], ck34[17]
+        one = _nan_copy(a, 40, "one_nan")
+        every = _nan_copy(b, slice(None), "all_nan")
+        self._both([(one, b), (b, one), (a, every)])
+        refined = []
+        refine = align._refine
+
+        def spy(*args):
+            refined.append(refine(*args)[0])
+            return refine(*args)
+
+        monkeypatch.setattr(align, "_refine", spy)
+        with numpy_path(), np.errstate(invalid="ignore"):
+            res = tm_align(a, every)
+        assert refined and all(tm == -1.0 for tm in refined)
+        assert res.transform.rotation.tobytes() == np.eye(3).tobytes()
+
+
 class TestSelfCheck:
     @requires_native
     def test_passes_on_this_build(self):
@@ -608,6 +745,7 @@ class TestSelfCheck:
         assert initial._NATIVE_WINDOWS is None
         assert tmscore._NATIVE_SCORES is None
         assert align._NATIVE_REFINE is None
+        assert align._NATIVE_ALIGN is None
         assert dp._NATIVE_FORWARD is forward  # BLAS-free sweep stays on
         for pair in sorted(GOLDEN):
             check_golden(ck34, pair)

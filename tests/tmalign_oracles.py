@@ -4,8 +4,11 @@ One seed, one window, one placement at a time, written with the plain
 per-call :func:`repro.geometry.kabsch.kabsch` — the pre-batch kernel the
 NumPy lockstep paths and the compiled kernel must both reproduce bit for
 bit.  Also :func:`numpy_path`, which switches the compiled search, window,
-traceback, score-matrix and refinement entry points off for the duration
-of a block.
+traceback, score-matrix, refinement and whole-pair entry points off for
+the duration of a block.
+
+Window rankings follow the program's rule: descending score, NaN last,
+ties in scan order.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ NATIVE_HANDLES = (
     (initial, "_NATIVE_WINDOWS"),
     (tmscore, "_NATIVE_SCORES"),
     (align, "_NATIVE_REFINE"),
+    (align, "_NATIVE_ALIGN"),
 )
 
 
@@ -146,7 +150,7 @@ def gapless_threading_serial(
             sa, sb, xf, d0, lnorm, work[:m], dist[:m], sbuf[:m], counter=counter
         )
         scored.append((tm, shift))
-    scored.sort(key=lambda t: (-t[0], t[1]))
+    scored.sort(key=lambda t: (t[0] != t[0], 0.0 if t[0] != t[0] else -t[0], t[1]))
     out = []
     for tm, shift in scored[:n_best]:
         ai, aj = _gapless_alignment(shift, la, lb)
@@ -182,7 +186,7 @@ def fragment_threading_serial(
             tm = _moved_tm_score(
                 frag, seg, xf, d0, lnorm, work, dist, sbuf, counter=counter
             )
-            if best is None or tm > best[0]:
+            if best is None or tm > best[0] or (best[0] != best[0] and tm == tm):
                 best = (tm, fstart, shift)
     if best is None:
         return None
