@@ -413,7 +413,6 @@ _BENCH_KWARGS: dict[str, Callable] = {
         baseline_path=output,
         baseline=args.baseline if args.baseline > 0 else None,
         repeats=1 if args.quick else args.repeats,
-        stages=not args.no_micro,
         strict_baseline=args.check,
     ),
     "prefilter": lambda args, output: dict(
@@ -1175,13 +1174,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--no-micro",
         action="store_true",
-        help="skip the micro-benchmarks (with --kernel: the stage table)",
+        help="skip the simulator micro-benchmarks of the default hot-path "
+        "bench (no effect on --kernel and the other suites)",
     )
     p.add_argument(
         "--kernel",
         action="store_true",
         help="benchmark the TM-align kernel (quick grid) instead of the "
-        "simulator, writing per-stage timings to BENCH_kernel.json",
+        "simulator, writing pairs/s and op counts to BENCH_kernel.json",
     )
     p.add_argument(
         "--prefilter",

@@ -257,116 +257,6 @@ def _bench_kernel_micro(dataset) -> Dict[str, float]:
     return out
 
 
-def _bench_kernel_stages(dataset) -> Dict[str, dict]:
-    """Per-stage kernel timings and op counts on a representative pair.
-
-    Each stage of the TM-align kernel is run standalone on inputs taken
-    from the first dataset pair: the initial-alignment generators on the
-    raw chains, the superposition search and DP on the converged
-    correspondence of a full alignment.  One counted call per stage wires
-    its :class:`~repro.cost.counters.CostCounter` op totals into the
-    report next to the timing, so the artefact records both what each
-    stage costs in wall-clock and what it charges the cost model.  Every
-    timed repeat takes chain A under its own rigid motion: the work is
-    the same, but every covariance has new bytes, so the per-thread SVD
-    memo cannot turn a repeat into lookups and each row times a new
-    pair's cost.
-    """
-    import numpy as np
-
-    from repro.cost.counters import CostCounter
-    from repro.geometry.kabsch import kabsch_batch
-    from repro.geometry.transforms import RigidTransform, random_rotation
-    from repro.tmalign import tm_align
-    from repro.tmalign.align import _refine
-    from repro.tmalign.dp import nw_align
-    from repro.tmalign.initial import (
-        combined_alignment,
-        fragment_threading,
-        gapless_threading,
-        ss_alignment,
-    )
-    from repro.tmalign.params import TMAlignParams, d0_from_length
-    from repro.tmalign.result import Alignment
-    from repro.tmalign.tmscore import superposition_search
-
-    a, b = dataset[0], dataset[1]
-    ya = b.coords
-    la, lb = len(a), len(b)
-    lmin = min(la, lb)
-    d0 = d0_from_length(lmin)
-    params = TMAlignParams()
-    res = tm_align(a, b)
-    pb = ya[res.alignment.aj]
-    # a combined-style DP score matrix for the DP stage
-    score = 1.0 / (1.0 + (np.linalg.norm(
-        res.transform.apply(a.coords)[:, None, :] - ya[None, :, :], axis=2
-    ) / d0) ** 2)
-    flen = max(lmin // 2, 3)
-    starts = np.arange(0, pb.shape[0] - flen + 1, max(flen // 2, 1), dtype=np.intp)
-    windows = starts[:, None] + np.arange(flen, dtype=np.intp)
-    # the refinement loop from the gapless diagonal of the two chains
-    diag = np.arange(lmin, dtype=np.intp)
-    start = Alignment.from_trusted(diag, diag.copy())
-
-    def stage_fns(motion: RigidTransform) -> dict:
-        """The stages with chain A moved by ``motion``."""
-        xa = motion.apply(a.coords)
-        pa = xa[res.alignment.ai]
-        xf = res.transform.compose(motion.inverse())
-        return {
-            "gapless_threading": lambda c: gapless_threading(
-                xa, ya, d0, lmin, params=params, counter=c
-            ),
-            "fragment_threading": lambda c: fragment_threading(
-                xa, ya, d0, lmin, params=params, counter=c
-            ),
-            "ss_alignment": lambda c: ss_alignment(
-                a.secondary, b.secondary, params=params, counter=c,
-                codes_a=a.ss_codes, codes_b=b.ss_codes,
-            ),
-            "combined_alignment": lambda c: combined_alignment(
-                xa, ya, xf, a.secondary, b.secondary, d0,
-                params=params, counter=c,
-                codes_a=a.ss_codes, codes_b=b.ss_codes,
-            ),
-            "superposition_search": lambda c: superposition_search(
-                pa, pb, d0, lmin, params=params, counter=c
-            ),
-            "nw_align": lambda c: nw_align(score, params.gap_open, counter=c),
-            "refine": lambda c: _refine(
-                xa, ya, start, d0, lmin, params,
-                c if c is not None else CostCounter(),
-            ),
-            "kabsch_batch": lambda c: kabsch_batch(
-                pa[windows], pb[windows], counter=c
-            ),
-        }
-
-    reps = 20
-    rng = np.random.default_rng(20)
-    moved = [
-        stage_fns(RigidTransform(random_rotation(rng), rng.normal(scale=10.0, size=3)))
-        for _ in range(reps)
-    ]
-    stages: Dict[str, dict] = {}
-    for name, fn in stage_fns(RigidTransform.identity()).items():
-        counted = CostCounter()
-        fn(counted)  # warm + per-stage op counts
-        timed = [fns[name] for fns in moved]
-        t0 = time.perf_counter()
-        for rep in timed:
-            rep(None)
-        wall = time.perf_counter() - t0
-        stages[name] = {
-            "calls": float(reps),
-            "wall_seconds": wall,
-            "ms_per_call": 1e3 * wall / reps,
-            "op_counts": counted.as_dict(),
-        }
-    return stages
-
-
 class BaselineError(ValueError):
     """The committed kernel baseline artefact is missing or unusable."""
 
@@ -425,7 +315,6 @@ def run_kernel_bench(
     baseline_path: Optional[str] = None,
     baseline: Optional[float] = None,
     repeats: int = 3,
-    stages: bool = True,
     strict_baseline: bool = False,
     *,
     min_ratio: float,
@@ -448,7 +337,7 @@ def run_kernel_bench(
     """
     from repro.cost.counters import CostCounter
     from repro.tmalign import tm_align
-    from repro.tmalign.align import _NATIVE_ALIGN, _NATIVE_REFINE
+    from repro.tmalign.align import _NATIVE_ALIGN
     from repro.tmalign.dp import _NATIVE_FORWARD
     from repro.tmalign.tmscore import _KERNELS, _NATIVE_SEARCH
 
@@ -502,7 +391,6 @@ def run_kernel_bench(
         "host_steal_share": steal,
         "native_dp": _NATIVE_FORWARD is not None,
         "native_tm": _NATIVE_SEARCH is not None,
-        "native_refine": _NATIVE_REFINE is not None,
         "native_align": _NATIVE_ALIGN is not None,
         "native_svd": native_svd,
         "svd": svd,
@@ -518,8 +406,6 @@ def run_kernel_bench(
             "passed": bool(baseline and rate >= min_ratio * baseline),
         },
     }
-    if stages:
-        report["stages"] = _bench_kernel_stages(ds)
     return report
 
 
@@ -537,8 +423,7 @@ def format_kernel_bench_report(report: dict) -> str:
         f"throughput: {report['pairs_per_second']:.2f} pairs/s "
         f"({report['speedup_vs_seed']:.2f}x vs seed kernel, "
         f"native DP {'on' if report['native_dp'] else 'off'}, "
-        f"native search/threading {'on' if report.get('native_tm') else 'off'}, "
-        f"native refine {'on' if report.get('native_refine') else 'off'}, "
+        f"native search {'on' if report.get('native_tm') else 'off'}, "
         f"one-call align {'on' if report.get('native_align') else 'off'}, "
         f"dgesdd chain {'on' if report.get('native_svd') else 'off'})",
         f"regression: {reg['ratio']:.2f}x of baseline "
@@ -553,17 +438,6 @@ def format_kernel_bench_report(report: dict) -> str:
             f"({svd['memo_hit_ratio']:.0%} memo hits), "
             f"{windows['calls_per_pair']:.0f} threading windows "
             f"({windows['exact_share']:.1%} scored exactly)"
-        )
-    stages = report.get("stages")
-    if stages:
-        rows = [
-            (name, s["ms_per_call"], s["wall_seconds"])
-            for name, s in sorted(
-                stages.items(), key=lambda kv: -kv[1]["ms_per_call"]
-            )
-        ]
-        parts.append(
-            render_table(("stage", "ms/call", "wall (s)"), rows)
         )
     return "\n".join(parts)
 

@@ -1,5 +1,5 @@
-"""Compiled TM-align kernel: DP sweep, traceback, superposition search,
-threading, the refinement loop and the whole pairwise alignment.
+"""Compiled TM-align kernel: DP sweep, traceback, superposition search
+and the whole pairwise alignment.
 
 TM-align's NumPy hot paths are dispatch-bound: the DP forward fill runs
 ~8 whole-row ufunc calls per row, the superposition search ~100 small
@@ -8,7 +8,8 @@ Kabsch and one scoring pass per window, and each refinement step
 materialises a distance matrix through five ufuncs.  This module
 compiles the same dataflow as C loops.  The NumPy code stays the single
 reference: every entry point here reproduces it bit for bit, and the
-modules that use them fall back to it whenever a handle is None.
+modules that use them fall back to it whenever a handle is None.  Each
+public entry point of the package has one native call:
 
 * ``nw_forward`` — the Gotoh row sweep of :mod:`repro.tmalign.dp`.  Pure
   additions and binary max selections, so exactness needs only a max
@@ -20,37 +21,35 @@ modules that use them fall back to it whenever a handle is None.
   fractions, then per seed Kabsch on the seed window, score / reselect
   with cutoff escalation / convergence check, keeping the first strictly
   best score in serial seed order.
-* ``tm_windows`` — the GL score of every window of a
-  ``gapless_threading`` or ``fragment_threading`` scan, exact for the
-  windows that can rank.  Those callers use only the ``keep`` best
-  windows (2 shifts, 1 placement), so each window is first screened:
-  raw moments, Theobald's QCP rotation (Newton on the Horn matrix's
-  characteristic quartic, eigenvector from the adjugate) and a GL score
-  on squared distances, with a certified bound of its distance from the
-  exact score (``screen``, whose comment derives the bound).  Having no
-  summation order to keep, the screen's loops run four pairs per step
-  over column copies of the chains.  Only windows whose bound reaches the
-  keep-th best lower bound run the exact Kabsch and GL score; the rest
-  read ``-inf``, which changes no ranked window, score or op count.
-* ``tm_refine`` — ``align._refine`` for one candidate alignment: per
-  step the gather of the matched coordinates, the search with the
-  ``(1, 2)`` seed schedule, the TM-score matrix of the moved chain, the
-  DP sweep and traceback, and the seen-alignment, patience and step-cap
-  exits, all in one call.  Its scratch (the score matrix, three DP
-  matrices and the alignment history) is carved from :func:`scratch`,
-  the calling thread's grow-only buffer, which the NumPy-side DP
-  workspace shares.
-* ``tm_align_pair`` — ``align.tm_align`` for one pair: the gapless scan
-  and its stable top-2, the SS DP, the fragment scan and its first best
-  placement (NaN last, as in the gapless ranking), the ``(1,)``-seed
-  searches, the combined matrix and its DP, candidate de-duplication on
-  exact indices, ``tm_refine``'s loop per candidate, the degenerate
-  branch, the two final searches and the RMSD, in the order the Python
-  orchestration runs them and with the same entry points' arithmetic.
+* ``tm_align_pair`` — ``align.tm_align`` for one pair, in the order the
+  Python orchestration runs its stages and with their arithmetic:
+
+  - the gapless scan and its stable top-2, the SS DP, the fragment scan
+    and its first best placement (NaN last, as in the gapless ranking);
+  - the ``(1,)``-seed searches, the combined matrix and its DP;
+  - candidate de-duplication on exact indices and ``align._refine``'s
+    loop per candidate (``refine_core``: per step the gather of the
+    matched coordinates, the ``(1, 2)``-seeded search, the TM-score
+    matrix of the moved chain, the DP sweep and traceback, and the
+    seen-alignment, patience and step-cap exits);
+  - the degenerate branch, the two final searches and the RMSD.
+
   Scores, alignment, dp_score, transform and op counts come back in one
-  buffer; the scratch is carved from :func:`scratch` as for
-  ``tm_refine``.  One call per pair leaves ~0.15 ms of Python per pair
-  where the stage-by-stage calls left ~1 ms.
+  buffer; the scratch (score matrix, three DP matrices, alignment
+  history, windows) is carved from :func:`scratch`, the calling thread's
+  grow-only buffer, which the NumPy-side DP workspace shares.
+
+The threading scans inside ``tm_align_pair`` (``windows_scan``) keep
+exact only the windows that can rank: 2 shifts, 1 placement.  Each
+window is first screened: raw moments, Theobald's QCP rotation (Newton
+on the Horn matrix's characteristic quartic, eigenvector from the
+adjugate) and a GL score on squared distances, with a certified bound of
+its distance from the exact score (``screen``, whose comment derives the
+bound).  Having no summation order to keep, the screen's loops run four
+pairs per step over column copies of the chains.  Only windows whose
+bound reaches the keep-th best lower bound run the exact Kabsch and GL
+score; the rest read ``-inf``, which changes no ranked window, score or
+op count.
 
 How the Kabsch and scoring loops match NumPy's floats:
 
@@ -65,7 +64,7 @@ How the Kabsch and scoring loops match NumPy's floats:
 * the ``(la, 3) @ (3, lb)`` cross product inside ``cross_distances`` is
   different: OpenBLAS switches kernels at its column tile edges, and a
   hand-written fma chain was measured to differ from NumPy in columns
-  208-211 of every matrix with ``lb >= 212``.  ``tm_refine`` therefore
+  208-211 of every matrix with ``lb >= 212``.  ``score_matrix`` therefore
   calls the bound ``cblas_dgemm`` with the arguments ``np.matmul``
   passes, and only the elementwise tail of the score is C;
 * window means are sequential sums, score sums use NumPy's pairwise
@@ -96,17 +95,19 @@ construction and still charges its ``kabsch`` and ``kabsch_point`` ops.
 It is per thread because ctypes releases the GIL inside the kernels.
 
 The GEMM order depends on the OpenBLAS kernel the CPU selects, so
-:func:`self_check` runs the search, window, traceback, refinement and
-whole-pair entry points on a fixed probe against the NumPy path when the
-package loads and switches them off on any bit difference;
-``nw_forward`` does not depend on BLAS and stays on.  The library is built on first use by
-:mod:`repro._native`; set ``REPRO_NO_NATIVE_DP=1`` to disable all of it.
+:func:`self_check` runs the search, traceback and whole-pair entry
+points (:data:`NATIVE_HANDLES`) on a fixed probe against the NumPy path
+when the package loads and switches them off on any bit difference;
+``nw_forward`` does not depend on BLAS and stays on.  The library is
+built on first use by :mod:`repro._native`; set
+``REPRO_NO_NATIVE_DP=1`` to disable all of it.
 """
 
 from __future__ import annotations
 
 import ctypes
 import glob
+import importlib
 import os
 import struct
 import threading
@@ -122,9 +123,21 @@ __all__ = [
     "self_check",
     "TMKernels",
     "NATIVE_DP_ENV",
+    "NATIVE_HANDLES",
+    "native_handles",
 ]
 
 NATIVE_DP_ENV = "REPRO_NO_NATIVE_DP"
+
+#: (module, attribute) of every entry-point handle :func:`self_check`
+#: guards: the one native call of ``nw_align``'s traceback, of
+#: ``superposition_search`` and of ``tm_align``.  ``nw_forward`` needs no
+#: BLAS and is not among them.
+NATIVE_HANDLES = (
+    ("repro.tmalign.dp", "_NATIVE_TRACEBACK"),
+    ("repro.tmalign.tmscore", "_NATIVE_SEARCH"),
+    ("repro.tmalign.align", "_NATIVE_ALIGN"),
+)
 
 _SOURCE = r"""
 #include <stddef.h>
@@ -1023,28 +1036,10 @@ INLINE void windows_scan(const double *xa, ptrdiff_t na, const double *ya,
     }
 }
 
-/* windows_scan() as an entry point.  Returns the total window length, -1
- * when scratch allocation fails, or -2 when a window is empty or outside
- * the sets. */
-HOT ptrdiff_t tm_windows(const double *xa, ptrdiff_t na, const double *ya,
-                         ptrdiff_t nb, const int64_t *a0, const int64_t *b0,
-                         const int64_t *lens, ptrdiff_t nwin, double d0,
-                         double lnorm, ptrdiff_t keep, double *tms)
-{
-    ptrdiff_t mmax, points;
-    double *buf;
-    if (!windows_valid(na, nb, a0, b0, lens, nwin, &mmax, &points)) return -2;
-    buf = malloc(sizeof(double) * windows_doubles(na, nb, nwin, mmax, keep));
-    if (!buf) return -1;
-    windows_scan(xa, na, ya, nb, a0, b0, lens, nwin, mmax, d0, lnorm, keep,
-                 tms, buf);
-    free(buf);
-    return points;
-}
-
-/* The screen of each window as tm_windows runs it: f and eps per window
- * in out[2w], out[2w+1], both NaN where the window goes exact.  Returns
- * tm_windows' codes. */
+/* The screen of each window as windows_scan() runs it (a test hook): f
+ * and eps per window in out[2w], out[2w+1], both NaN where the window
+ * goes exact.  Returns 0, -1 when scratch allocation fails, or -2 when a
+ * window is empty or outside the sets. */
 HOT ptrdiff_t tm_window_screens(const double *xa, ptrdiff_t na,
                                 const double *ya, ptrdiff_t nb,
                                 const int64_t *a0, const int64_t *b0,
@@ -1225,8 +1220,9 @@ INLINE void score_matrix(const double *restrict xa, ptrdiff_t la,
     }
 }
 
-/* score_matrix() as an entry point.  Returns 0, or -1 when scratch
- * allocation fails. */
+/* score_matrix() as an entry point, a test and probe hook: a whole-pair
+ * result rarely shows a last-bit difference in the matrix.  Returns 0,
+ * or -1 when scratch allocation fails. */
 HOT int tm_scores(const double *xa, ptrdiff_t la, const double *ya,
                   ptrdiff_t lb, const double *rot, const double *tra,
                   double d0, double *S)
@@ -1240,7 +1236,7 @@ HOT int tm_scores(const double *xa, ptrdiff_t la, const double *ya,
 }
 
 /* The refinement loop's scratch, carved by refine_carve from a workspace
- * of tm_refine_bytes() bytes: the gathered pairs, the search's distances,
+ * of refine_bytes() bytes: the gathered pairs, the search's distances,
  * seeds and selections, the score matrix and its scratch, the three DP
  * matrices, and the alignment history (indices, lengths, corner scores). */
 struct refine_ws {
@@ -1261,8 +1257,8 @@ static void refine_sizes(ptrdiff_t la, ptrdiff_t lb, ptrdiff_t nfracs,
     *nsel = 2 * cap + 1;
 }
 
-ptrdiff_t tm_refine_bytes(ptrdiff_t la, ptrdiff_t lb, ptrdiff_t nfracs,
-                          ptrdiff_t max_iters)
+static ptrdiff_t refine_bytes(ptrdiff_t la, ptrdiff_t lb, ptrdiff_t nfracs,
+                              ptrdiff_t max_iters)
 {
     ptrdiff_t nf, nh, ns, nsel;
     refine_sizes(la, lb, nfracs, max_iters, &nf, &nh, &ns, &nsel);
@@ -1398,37 +1394,6 @@ INLINE void refine_core(const double *xa, ptrdiff_t la, const double *ya,
     }
 }
 
-/* refine_core() as an entry point, with its scratch carved from the
- * caller's 8-byte aligned workspace ws of ws_bytes bytes (see
- * tm_refine_bytes).  Returns 0, -1 when ws is too small, -2 when the
- * alignment indexes outside the chains, or -3 when there is no seed
- * fraction or one is below 1. */
-HOT int tm_refine(const double *xa, ptrdiff_t la, const double *ya,
-                  ptrdiff_t lb, const int64_t *ai0, const int64_t *aj0,
-                  ptrdiff_t n0, const int64_t *fracs, ptrdiff_t nfracs,
-                  ptrdiff_t min_seed_len, ptrdiff_t max_score_iters,
-                  ptrdiff_t max_iters, ptrdiff_t patience, double d0,
-                  double lnorm, double d0_search, double gap,
-                  unsigned char *out, unsigned char *ws, ptrdiff_t ws_bytes)
-{
-    struct refine_ws w;
-    ptrdiff_t k;
-    for (k = 0; k < n0; ++k)
-        if (ai0[k] < 0 || ai0[k] >= la || aj0[k] < 0 || aj0[k] >= lb)
-            return -2;
-    if (nfracs < 1) return -3;
-    for (k = 0; k < nfracs; ++k)
-        if (fracs[k] < 1) return -3;
-    if (ws == NULL || ws_bytes < tm_refine_bytes(la, lb, nfracs, max_iters))
-        return -1;
-    refine_carve(ws, la, lb, nfracs, max_iters, &w);
-    dp_bounds(w.M, w.Ix, w.Iy, la, lb);
-    refine_core(xa, la, ya, lb, ai0, aj0, n0, fracs, nfracs, min_seed_len,
-                max_score_iters, max_iters, patience, d0, lnorm, d0_search,
-                gap, out, &w);
-    return 0;
-}
-
 /* ---- the whole pair: align.tm_align ---- */
 
 /* Python's a // b, b != 0 */
@@ -1534,7 +1499,7 @@ static ptrdiff_t align_bytes(ptrdiff_t la, ptrdiff_t lb, const struct scans *g,
                              ptrdiff_t max_iters)
 {
     const ptrdiff_t cap = la < lb ? la : lb;
-    return tm_refine_bytes(la, lb, nrfracs, max_iters)
+    return refine_bytes(la, lb, nrfracs, max_iters)
            + 8 * (2 * nfracs * (cap + 1)                   /* seeds */
                   + 4 * scan_windows(g)                    /* a0, b0, lens, tms */
                   + scan_doubles(la, lb, g)                /* scan scratch */
@@ -1644,7 +1609,7 @@ HOT ptrdiff_t tm_align_pair(const double *xa, ptrdiff_t la, const double *ya,
 
     /* carve */
     refine_carve(ws, la, lb, nrfracs, max_iters, &w);
-    p = ws + tm_refine_bytes(la, lb, nrfracs, max_iters);
+    p = ws + refine_bytes(la, lb, nrfracs, max_iters);
     seeds = (int64_t *)p;
     a0 = seeds + 2 * nfracs * (cap + 1);
     nwin = scan_windows(&g);
@@ -1890,7 +1855,7 @@ _SCRATCH = threading.local()
 def scratch(nbytes: int) -> np.ndarray:
     """This thread's grow-only byte buffer, at least ``nbytes`` long.
 
-    One buffer serves ``tm_refine`` and the DP workspace of
+    One buffer serves ``tm_align_pair`` and the DP workspace of
     :mod:`repro.tmalign.dp`: neither's contents outlive its own call,
     and neither call runs inside the other.  It is per thread because
     ctypes releases the GIL inside the kernels and a service evaluates
@@ -1912,13 +1877,6 @@ def _i64(a) -> np.ndarray:
     return np.ascontiguousarray(a, dtype=np.int64)
 
 
-def _charge(counter, kabsch: int, kabsch_points: int, score_pairs: int) -> None:
-    if counter is not None:
-        counter.add("kabsch", kabsch)
-        counter.add("kabsch_point", kabsch_points)
-        counter.add("score_pair", score_pairs)
-
-
 def _fn(lib: ctypes.CDLL, name: str, restype, argtypes: list):
     fn = getattr(lib, name)
     fn.restype = restype
@@ -1927,14 +1885,32 @@ def _fn(lib: ctypes.CDLL, name: str, restype, argtypes: list):
 
 
 class TMKernels:
-    """Front-ends of the search, window, traceback, score, refine and
-    whole-pair entry points.
+    """Front-ends of the search, traceback and whole-pair entry points,
+    plus test and probe hooks.
 
-    Each method validates its arguments before a pointer reaches C (the
-    index bounds in C, which reports them by return code), and charges
-    ``counter`` the totals the NumPy path charges (``align`` returns
-    them).  ``svd_chain`` says
-    whether the Kabsch SVDs take dgesdd's 3x3 path directly.
+    ``search``, ``traceback`` and ``align`` are the one native call of
+    ``superposition_search``, ``nw_align``'s walk and ``tm_align``; each
+    validates its arguments before a pointer reaches C (index bounds in
+    C, which reports them by return code) and returns or charges the op
+    totals the NumPy path charges.
+
+    The hooks expose what a whole-pair comparison cannot see:
+
+    * ``scores`` — the score matrix ``tm_align_pair`` builds.  A last-bit
+      difference at a GEMM column edge tile rarely changes a
+      ``tm_align`` result (a kernel with an fma-chain cross product
+      matched the NumPy path on a whole 24 x 220 pair), so the load-time
+      probe and the tests compare the matrix itself with
+      ``tm_score_matrix``.
+    * ``window_screens`` — each threading window's screened score and
+      error bound, which tests hold against the exact NumPy scores.
+    * ``window_counts``, ``svd_counts`` — per-thread counters that
+      ``bench --kernel`` reports.
+    * ``svd3`` — the dgesdd chain's factors, checked against ``dgesdd``
+      at load; ``rotations`` — the memoised Kabsch rotation.
+
+    ``svd_chain`` says whether the Kabsch SVDs take dgesdd's 3x3 path
+    directly.
     """
 
     def __init__(self, lib: ctypes.CDLL, svd_chain: bool) -> None:
@@ -1943,9 +1919,6 @@ class TMKernels:
         # max_iters, out
         self._search = _fn(lib, "tm_search", ctypes.c_int,
                            [_P, _P, _N, _P, _N, _N, _D, _D, _D, _N, _P])
-        # xa, na, ya, nb, a0, b0, lens, nwin, d0, lnorm, keep, tms
-        self._windows = _fn(lib, "tm_windows", _N,
-                            [_P, _N, _P, _N, _P, _P, _P, _N, _D, _D, _N, _P])
         # xa, na, ya, nb, a0, b0, lens, nwin, d0, lnorm, out
         self._window_screens = _fn(lib, "tm_window_screens", _N,
                                    [_P, _N, _P, _N, _P, _P, _P, _N, _D, _D, _P])
@@ -1956,14 +1929,6 @@ class TMKernels:
         # xa, la, ya, lb, rot, tra, d0, S
         self._scores = _fn(lib, "tm_scores", ctypes.c_int,
                            [_P, _N, _P, _N, _P, _P, _D, _P])
-        # xa, la, ya, lb, ai0, aj0, n0, fracs, nfracs, min_seed_len,
-        # max_score_iters, max_iters, patience, d0, lnorm, d0_search, gap,
-        # out, ws, ws_bytes
-        self._refine = _fn(lib, "tm_refine", ctypes.c_int,
-                           [_P, _N, _P, _N, _P, _P, _N, _P] + [_N] * 5
-                           + [_D] * 4 + [_P, _P, _N])
-        # la, lb, nfracs, max_iters
-        self._refine_bytes = _fn(lib, "tm_refine_bytes", _N, [_N] * 4)
         # xa, la, ya, lb, ssa, ssb, seqa, seqb, iparams, dparams, out, ws,
         # ws_bytes
         self._align = _fn(lib, "tm_align_pair", _N,
@@ -2004,66 +1969,31 @@ class TMKernels:
             raise ValueError("seed fractions must be >= 1")
         if rc != 0:
             raise MemoryError("tm_search scratch allocation failed")
-        _charge(counter, *out[13:].view(np.int64).tolist())
+        if counter is not None:
+            for name, value in zip(("kabsch", "kabsch_point", "score_pair"),
+                                   out[13:].view(np.int64).tolist()):
+                counter.add(name, value)
         return float(out[0]), out[1:10].reshape(3, 3), out[10:13]
 
-    @staticmethod
-    def _window_args(mobile, target, starts_m, starts_t, lens) -> tuple:
-        """The checked arrays, which the caller holds through the C call,
-        and the leading C arguments of ``tm_windows``."""
-        arrays = mobile, target, sm, st, ln = (
+    def window_screens(
+        self, mobile, target, starts_m, starts_t, lens, d0: float, lnorm: int
+    ) -> np.ndarray:
+        """``(nwin, 2)``: the screened score and error bound of each window
+        ``mobile[sm:sm+m]`` onto ``target[st:st+m]``, NaN for a window the
+        screen sends to exact scoring."""
+        mobile, target, sm, st, ln = (
             _f64(mobile), _f64(target), _i64(starts_m), _i64(starts_t), _i64(lens)
         )
         if sm.ndim != 1 or not (sm.shape == st.shape == ln.shape):
             raise ValueError("window start and length arrays must match")
         if mobile.shape[1:] != (3,) or target.shape[1:] != (3,):
             raise ValueError("(n, 3) coordinates required")
-        return arrays, (
+        out = np.empty((ln.shape[0], 2))
+        rc = self._window_screens(
             mobile.ctypes.data, mobile.shape[0], target.ctypes.data,
             target.shape[0], sm.ctypes.data, st.ctypes.data, ln.ctypes.data,
-            ln.shape[0],
+            ln.shape[0], d0, lnorm, out.ctypes.data,
         )
-
-    def windows(
-        self,
-        mobile: np.ndarray,
-        target: np.ndarray,
-        starts_m,
-        starts_t,
-        lens,
-        d0: float,
-        lnorm: int,
-        counter=None,
-        keep: int = 0,
-    ) -> np.ndarray:
-        """GL score of each window ``mobile[sm:sm+m]`` onto ``target[st:st+m]``.
-
-        ``keep`` > 0 is the number of top windows the caller ranks: only
-        windows that can still rank among them are scored exactly, the
-        rest read ``-inf`` (see ``tm_windows``).  0 scores every window.
-        Either way ``counter`` is charged for every window.
-        """
-        if keep < 0:
-            raise ValueError("keep must be >= 0")
-        arrays, args = self._window_args(mobile, target, starts_m, starts_t, lens)
-        nwin = arrays[4].shape[0]
-        tms = np.empty(nwin)
-        pts = self._windows(*args, d0, lnorm, keep, tms.ctypes.data)
-        if pts == -2:
-            raise ValueError("window outside the coordinate sets")
-        if pts < 0:
-            raise MemoryError("tm_windows scratch allocation failed")
-        _charge(counter, nwin, pts, pts)
-        return tms
-
-    def window_screens(
-        self, mobile, target, starts_m, starts_t, lens, d0: float, lnorm: int
-    ) -> np.ndarray:
-        """``(nwin, 2)``: each window's screened score and its error bound,
-        NaN for a window the screen sends to exact scoring."""
-        arrays, args = self._window_args(mobile, target, starts_m, starts_t, lens)
-        out = np.empty((arrays[4].shape[0], 2))
-        rc = self._window_screens(*args, d0, lnorm, out.ctypes.data)
         if rc == -2:
             raise ValueError("window outside the coordinate sets")
         if rc < 0:
@@ -2112,7 +2042,9 @@ class TMKernels:
     def scores(
         self, xa: np.ndarray, ya: np.ndarray, rotation, translation, d0: float
     ) -> np.ndarray:
-        """``1 / (1 + (d / d0)^2)`` of every pair of ``xa @ R.T + t`` and ``ya``."""
+        """The score matrix ``tm_align_pair`` builds: ``1 / (1 + (d / d0)^2)``
+        of every pair of ``xa @ R.T + t`` and ``ya``, as
+        ``tmscore.tm_score_matrix`` computes it."""
         xa, ya = _f64(xa), _f64(ya)
         rot, tra = _f64(rotation), _f64(translation)
         la, lb = xa.shape[0], ya.shape[0]
@@ -2128,69 +2060,6 @@ class TMKernels:
         if rc != 0:
             raise MemoryError("tm_scores scratch allocation failed")
         return out
-
-    def refine(
-        self,
-        xa: np.ndarray,
-        ya: np.ndarray,
-        ai: np.ndarray,
-        aj: np.ndarray,
-        d0: float,
-        lnorm: int,
-        d0_search: float,
-        seed_fractions,
-        params,
-        counter=None,
-    ) -> tuple[float, Optional[tuple], np.ndarray, np.ndarray]:
-        """The refinement loop of ``align._refine`` from the alignment ``(ai, aj)``.
-
-        Returns ``(best_tm, best, rotation, translation)`` where ``best``
-        is None when the starting alignment stayed best, else the
-        ``(ai, aj, dp_score)`` of the DP alignment that scored best.
-        ``params`` supplies the gap penalty, the loop caps, the patience
-        and the seed length floor.
-        """
-        xa, ya = _f64(xa), _f64(ya)
-        ai, aj = _i64(ai), _i64(aj)
-        la, lb = xa.shape[0], ya.shape[0]
-        cap = min(la, lb)
-        if xa.shape != (la, 3) or ya.shape != (lb, 3):
-            raise ValueError(f"(n, 3) coordinates required: {xa.shape}/{ya.shape}")
-        if ai.ndim != 1 or ai.shape != aj.shape or ai.shape[0] > cap:
-            raise ValueError("the starting alignment must be equal 1-D index arrays")
-        fracs = _i64(seed_fractions)
-        if fracs.ndim != 1:
-            raise ValueError("seed fractions must be a 1-D sequence")
-        max_iters = params.max_refine_iters
-        nbytes = self._refine_bytes(la, lb, fracs.shape[0], max_iters)
-        ws = scratch(nbytes)
-        # 14 doubles (scores, rotation, translation), then int64: length,
-        # 4 op counts, cap i indices, cap j indices
-        out = np.empty(19 + 2 * cap)
-        rc = self._refine(
-            xa.ctypes.data, la, ya.ctypes.data, lb, ai.ctypes.data,
-            aj.ctypes.data, ai.shape[0], fracs.ctypes.data, fracs.shape[0],
-            params.min_seed_len, params.max_score_iters, max_iters,
-            params.refine_patience, d0, lnorm, d0_search, params.gap_open,
-            out.ctypes.data, _SCRATCH.addr, ws.nbytes,
-        )
-        if rc == -2:
-            raise ValueError("the starting alignment indexes outside the chains")
-        if rc == -3:
-            raise ValueError("seed fractions must be >= 1")
-        if rc != 0:
-            raise MemoryError("tm_refine workspace too small")
-        ints = out[14:].view(np.int64)
-        n, kabsch, kabsch_points, score_pairs, dp_cells = ints[:5].tolist()
-        _charge(counter, kabsch, kabsch_points, score_pairs)
-        if counter is not None:
-            counter.add("dp_cell", dp_cells)
-        found = None
-        if n >= 0:
-            found = (ints[5:5 + n].copy(), ints[5 + cap:5 + cap + n].copy(),
-                     float(out[1]))
-        # copies, so that the transform does not keep the index tail alive
-        return float(out[0]), found, out[2:11].reshape(3, 3).copy(), out[11:14].copy()
 
     def align(
         self,
@@ -2336,7 +2205,7 @@ _CHAIN_MATCHES: Optional[bool] = None
 
 
 def load_tm_kernels() -> Optional[TMKernels]:
-    """The search, window, traceback, score, refine and align entry points, or None.
+    """The search, traceback and whole-pair entry points and the hooks, or None.
 
     None when the library does not build, ``REPRO_NO_NATIVE_DP`` is set,
     or NumPy does not bundle the OpenBLAS whose SVD, GEMV and GEMM the
@@ -2367,25 +2236,27 @@ def load_tm_kernels() -> Optional[TMKernels]:
     return kernels
 
 
+def native_handles() -> list:
+    """:data:`NATIVE_HANDLES` as ``(module, attribute)`` pairs, with the
+    modules imported."""
+    return [(importlib.import_module(mod), name) for mod, name in NATIVE_HANDLES]
+
+
 def _probe() -> list:
-    """Results of every native-backed entry point on a fixed small input.
+    """Results of every guarded entry point on a fixed small input.
 
     Covers seeded searches (proper and reflected fits, and one 300-pair
-    covariance, past the K-blocking size of common GEMM kernels), short
-    and long gapless windows, fragment windows, a tie-heavy DP
-    traceback, two score matrices whose last columns fall in GEMM edge
-    tiles (where a plain fma chain differs from OpenBLAS), one
-    refinement loop, and one whole ``tm_align`` of a 36 x 30 pair.
+    covariance, past the K-blocking size of common GEMM kernels), two
+    score matrices of the kind ``tm_align_pair`` builds whose last
+    columns fall in GEMM edge tiles (where a plain fma chain differs
+    from OpenBLAS, and a whole pair rarely shows it), a tie-heavy DP
+    traceback, and one whole ``tm_align`` of a 36 x 30 pair.
     Everything is returned as exact reprs and bytes.
     """
     from repro.cost.counters import CostCounter
     from repro.structure.model import Chain
-    from repro.tmalign.align import _refine, tm_align
+    from repro.tmalign import align, tmscore
     from repro.tmalign.dp import nw_align
-    from repro.tmalign.initial import fragment_threading, gapless_threading
-    from repro.tmalign.params import TMAlignParams
-    from repro.tmalign.result import Alignment
-    from repro.tmalign.tmscore import superposition_search, tm_score_matrix
 
     rng = np.random.default_rng(2013)
     xa = np.cumsum(rng.normal(scale=2.0, size=(300, 3)), axis=0)
@@ -2399,28 +2270,25 @@ def _probe() -> list:
         (xa[:40], mirror[:40], 3.0, (1, 2)),
         (xa, ya, 4.0, (1,)),
     ):
-        tm, xf = superposition_search(
+        tm, xf = tmscore.superposition_search(
             pa, pb, d0, pa.shape[0] + 7, seed_fractions=fractions, counter=ctr
         )
         out.append((repr(tm), xf.rotation.tobytes(), xf.translation.tobytes()))
-    # rows that land near the edge columns, where cancellation exposes
-    # a last-bit difference of the cross product in the score
-    out.append(tm_score_matrix(xa[196:220], ya[:220], xf, 3.0).tobytes())
-    out.append(tm_score_matrix(xa[192:216], ya[:215], xf, 4.5).tobytes())
-    alis = gapless_threading(xa[:24], ya[6:26], 2.0, 20, counter=ctr)
-    alis += gapless_threading(xa, ya[:290], 4.0, 290, min_overlap=286, counter=ctr)
-    alis.append(fragment_threading(xa[:40], mirror[:30], 2.0, 30, counter=ctr))
+    # the matrix tm_align_pair builds, whose rows land near the edge
+    # columns, where cancellation exposes a last-bit difference of the
+    # cross product (the hook while the whole-pair handle is on)
+    for rows, lb, d0 in ((slice(196, 220), 220, 3.0), (slice(192, 216), 215, 4.5)):
+        if align._NATIVE_ALIGN is not None:
+            score = tmscore._KERNELS.scores(
+                xa[rows], ya[:lb], xf.rotation, xf.translation, d0
+            )
+        else:
+            score = tmscore.tm_score_matrix(xa[rows], ya[:lb], xf, d0)
+        out.append(score.tobytes())
     ties = rng.integers(-2, 3, size=(24, 31)).astype(np.float64)
-    alis.append(nw_align(ties, -1.0, counter=ctr))
-    out.extend((a.key(), repr(a.dp_score)) for a in alis)
-    diag = np.arange(24, dtype=np.intp)
-    tm, ali, xf = _refine(
-        xa[196:220], ya[:220], Alignment(diag, diag + 193), 2.0, 24,
-        TMAlignParams(), ctr,
-    )
-    out.append((repr(tm), ali.key(), repr(ali.dp_score), xf.rotation.tobytes(),
-                xf.translation.tobytes()))
-    res = tm_align(Chain("a", xa[:36]), Chain("b", ya[3:33]), counter=ctr)
+    ali = nw_align(ties, -1.0, counter=ctr)
+    out.append((ali.key(), repr(ali.dp_score)))
+    res = align.tm_align(Chain("a", xa[:36]), Chain("b", ya[3:33]), counter=ctr)
     out.append((repr(res.tm_norm_a), repr(res.tm_norm_b), repr(res.rmsd),
                 repr(res.seq_identity), res.alignment.key(),
                 repr(res.alignment.dp_score), res.transform.rotation.tobytes(),
@@ -2432,21 +2300,12 @@ def _probe() -> list:
 def self_check() -> bool:
     """Keep the native BLAS-bound entry points only if they match NumPy.
 
-    Runs :func:`_probe` with the module handles as loaded and again on
-    the NumPy path; on any difference the handles stay None, so every
-    later call takes the NumPy path (``nw_forward`` is not affected).
-    Returns whether the native entry points are on.
+    Runs :func:`_probe` with the :data:`NATIVE_HANDLES` as loaded and
+    again on the NumPy path; on any difference the handles stay None, so
+    every later call takes the NumPy path (``nw_forward`` is not
+    affected).  Returns whether the native entry points are on.
     """
-    from repro.tmalign import align, dp, initial, tmscore
-
-    handles = (
-        (dp, "_NATIVE_TRACEBACK"),
-        (tmscore, "_NATIVE_SEARCH"),
-        (initial, "_NATIVE_WINDOWS"),
-        (tmscore, "_NATIVE_SCORES"),
-        (align, "_NATIVE_REFINE"),
-        (align, "_NATIVE_ALIGN"),
-    )
+    handles = native_handles()
     loaded = [getattr(mod, name) for mod, name in handles]
     if all(h is None for h in loaded):
         return False

@@ -6,10 +6,9 @@ until the alignment repeats, stops improving, or hits the step cap.
 When the compiled kernel loads, a whole pair is one C call
 (``tm_align_pair`` in :mod:`repro.tmalign._dpnative`): the initial
 alignments, the refinement of each candidate, the final scoring and the
-RMSD.  The Python orchestration below, with ``_refine`` as one
-``tm_refine`` call per candidate or its NumPy loop, is its reference
-and fallback; every path returns the same scores, alignment, dp_score
-and transform bytes and charges the same op counts.
+RMSD.  The Python orchestration below, with ``_refine``'s NumPy loop,
+is its reference and its fallback; both return the same scores,
+alignment, dp_score and transform bytes and charge the same op counts.
 """
 
 from __future__ import annotations
@@ -29,7 +28,7 @@ from repro.tmalign.initial import (
     gapless_threading,
     ss_alignment,
 )
-from repro.tmalign.params import TMAlignParams, d0_from_length, d0_search_bounds
+from repro.tmalign.params import TMAlignParams, d0_from_length
 from repro.tmalign.result import Alignment, TMAlignResult
 from repro.tmalign.tmscore import superposition_search, tm_score_matrix
 
@@ -40,12 +39,10 @@ __all__ = ["tm_align"]
 # scoring (mirrors TM-align's cheap in-loop TM-score search).
 _REFINE_SEEDS = (1, 2)
 
-# Compiled refinement loop and whole-pair alignment (bit-identical to
-# _refine's NumPy path and to tm_align's orchestration); None when the
-# kernel is unavailable or failed its load-time self-check.
-_KERNELS = load_tm_kernels()
-_NATIVE_REFINE = getattr(_KERNELS, "refine", None)
-_NATIVE_ALIGN = getattr(_KERNELS, "align", None)
+# Compiled whole-pair alignment (bit-identical to tm_align's
+# orchestration below); None when the kernel is unavailable or failed
+# its load-time self-check.
+_NATIVE_ALIGN = getattr(load_tm_kernels(), "align", None)
 
 
 def _refine(
@@ -58,14 +55,6 @@ def _refine(
     counter: CostCounter,
 ) -> tuple[float, Alignment, RigidTransform]:
     """Alternate superposition search and DP until the alignment repeats."""
-    if _NATIVE_REFINE is not None:
-        # superposition_search's default cutoff: d0 clipped into [4.5, 8]
-        best_tm, found, rot, tra = _NATIVE_REFINE(
-            xa, ya, ali.ai, ali.aj, d0, lnorm, d0_search_bounds(d0)[1],
-            _REFINE_SEEDS, params, counter=counter,
-        )
-        best = ali if found is None else Alignment.from_trusted(*found)
-        return best_tm, best, RigidTransform.from_trusted(rot, tra)
     best_tm = -1.0
     best_ali = ali
     best_xf = RigidTransform.identity()

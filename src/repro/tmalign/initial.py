@@ -7,17 +7,12 @@ threading variant (half-length windows) is included as in the original's
 additional inits.
 
 The threading generators rank candidate windows by the TM-score of one
-Kabsch superposition (the "GL score") and keep the best few.  When the
-compiled kernel loads, all windows of a scan go to C in one call
-(``tm_windows`` in :mod:`repro.tmalign._dpnative`), told how many
-windows the caller ranks: it screens every window with a cheap bounded
-estimate and runs the Kabsch and GL score only on the windows that can
-still rank, giving the others ``-inf``; ranking and argmax stay here and
-pick the same windows with the same scores as a full scan.  The NumPy
-path is its reference and fallback and scores every window: windows of
-equal length are stacked and solved with one batched Kabsch and one
+Kabsch superposition (the "GL score") and keep the best few.  Windows
+of equal length are stacked and solved with one batched Kabsch and one
 batched scoring pass, and every slice is bit-identical to scoring that
-window alone.
+window alone.  This is the reference of the compiled kernel's scans
+inside ``tm_align_pair`` (:mod:`repro.tmalign._dpnative`), which screen
+every window and score exactly only the ones that can still rank.
 """
 
 from __future__ import annotations
@@ -27,7 +22,6 @@ from typing import Optional
 import numpy as np
 
 from repro.geometry.kabsch import _kabsch_batch_core
-from repro.tmalign._dpnative import load_tm_kernels
 from repro.tmalign.dp import nw_align
 from repro.tmalign.params import TMAlignParams
 from repro.tmalign.result import Alignment
@@ -39,11 +33,6 @@ __all__ = [
     "combined_alignment",
     "fragment_threading",
 ]
-
-# Compiled window scan (ranks the same windows with the same score bits
-# as the NumPy batches below); None when the kernel is unavailable or
-# failed its load-time self-check.
-_NATIVE_WINDOWS = getattr(load_tm_kernels(), "windows", None)
 
 # Cap on the element count of one stacked (g, m, 3) threading batch; larger
 # groups are processed in row chunks so very long chains cannot balloon the
@@ -72,13 +61,10 @@ def _windows_numpy(
     d0: float,
     lnorm: int,
     counter=None,
-    keep: int = 0,
 ) -> np.ndarray:
-    """NumPy reference of the compiled ``tm_windows``, same signature.
+    """GL score of each window ``mobile[sm:sm+m]`` onto ``target[st:st+m]``.
 
-    GL score of each window ``mobile[sm:sm+m]`` onto ``target[st:st+m]``,
-    in input order; every window is scored, whatever ``keep``.  Windows
-    of equal length stack into ``(g, m, 3)`` gathers — in row chunks
+    Scores come in input order.  Windows of equal length stack into ``(g, m, 3)`` gathers — in row chunks
     bounding the element count — for one batched Kabsch and one batched
     scoring pass; every slice is bit-identical to scoring that window
     alone.
@@ -127,11 +113,8 @@ def gapless_threading(
     shifts = np.arange(-(lb - min_overlap), la - min_overlap + 1, stride)
     starts = np.maximum(shifts, 0)
     lens = np.minimum(la, lb + shifts) - starts
-    windows = _NATIVE_WINDOWS or _windows_numpy
-    tms = windows(
-        xa, ya, starts, starts - shifts, lens, d0, lnorm, counter=counter,
-        keep=n_best,
-    )
+    tms = _windows_numpy(xa, ya, starts, starts - shifts, lens, d0, lnorm,
+                         counter=counter)
     # shifts ascend, so a stable sort on -score ranks ties by shift
     out = []
     for k in np.argsort(-tms, kind="stable")[:n_best].tolist():
@@ -236,10 +219,9 @@ def fragment_threading(
     nf, ns = fstarts.shape[0], shifts.shape[0]
     # placements enumerate fragment-major (fstart outer, shift inner), so
     # argmax's first maximum is the first strict improvement in that order
-    windows = _NATIVE_WINDOWS or _windows_numpy
-    tms = windows(
+    tms = _windows_numpy(
         short, long_, np.repeat(fstarts, ns), np.tile(shifts, nf),
-        np.full(nf * ns, flen), d0, lnorm, counter=counter, keep=1,
+        np.full(nf * ns, flen), d0, lnorm, counter=counter,
     )
     scored = np.flatnonzero(~np.isnan(tms))
     best_flat = int(scored[np.argmax(tms[scored])]) if scored.size else 0

@@ -10,7 +10,9 @@ transform seen anywhere (the first strictly best, in seed order).
 
 When the compiled kernel loads, ``superposition_search`` runs the whole
 search as one C call (``tm_search`` in :mod:`repro.tmalign._dpnative`).
-The NumPy path below is its reference and fallback.  It runs the search
+``tm_score_matrix`` has no native call of its own: it is the reference
+of the score matrices ``tm_align_pair`` builds in C.  The NumPy search
+below is the reference and fallback of ``tm_search``.  It runs the search
 *in lockstep across seeds*: all fragment seeds of a given length are
 superposed with one batched Kabsch over strided windows, every candidate
 transform is scored with one ``(k, n, 3)`` batched matmul per iteration,
@@ -35,12 +37,10 @@ from repro.tmalign.params import TMAlignParams
 
 __all__ = ["tm_score_from_distances", "tm_score_matrix", "superposition_search"]
 
-# Compiled search and score matrix (bit-identical to the NumPy code
-# below); None when the kernel is unavailable or failed its load-time
-# self-check.
+# Compiled search (bit-identical to the NumPy code below); None when the
+# kernel is unavailable or failed its load-time self-check.
 _KERNELS = load_tm_kernels()
 _NATIVE_SEARCH = getattr(_KERNELS, "search", None)
-_NATIVE_SCORES = getattr(_KERNELS, "scores", None)
 
 
 def tm_score_from_distances(
@@ -66,8 +66,6 @@ def tm_score_matrix(
     and residue j of ``ya`` — the score matrix of the refinement DP and
     the distance term of the combined initial alignment.
     """
-    if _NATIVE_SCORES is not None:
-        return _NATIVE_SCORES(xa, ya, xf.rotation, xf.translation, d0)
     d = cross_distances(xf.apply(xa), ya)
     # in place over d: the float expression 1 / (1 + (d/d0)^2)
     np.divide(d, d0, out=d)

@@ -3,12 +3,15 @@
 The compiled kernel and the NumPy batch paths (stacked Kabsch, lockstep
 superposition search, padded gapless/fragment threading, compiled DP row
 sweep) all promise *bitwise* agreement with the serial oracles in
-``tests/tmalign_oracles.py``.  The search and threading tests run three
-ways — the default path (compiled when it loads), the NumPy path, and
-the oracle — and demand repr-exact scores, byte-identical transforms and
-identical op counts on seeded random chains, including the degenerate
-geometries (collinear points, <3-pair selections, all-far seeds) where
-the determinant correction and cutoff escalation branch.
+``tests/tmalign_oracles.py``.  The search tests run three ways — the
+default path (compiled when it loads), the NumPy path, and the oracle —
+and demand repr-exact scores, byte-identical transforms and identical op
+counts on seeded random chains, including the degenerate geometries
+(collinear points, <3-pair selections, all-far seeds) where the
+determinant correction and cutoff escalation branch.  The threading
+scans have no native call of their own: the NumPy scans must equal the
+oracles, and ``tm_align`` of the same chains, whose compiled pair runs
+the screened scans, must equal the NumPy path.
 """
 
 from __future__ import annotations
@@ -22,9 +25,11 @@ from repro.tmalign.dp import _NATIVE_FORWARD, nw_align
 from repro.tmalign.initial import fragment_threading, gapless_threading
 from repro.tmalign.result import Alignment
 from repro.tmalign.tmscore import superposition_search
+from tests.test_tmalign_native import assert_scans_match
 from tests.tmalign_oracles import (
     fragment_threading_serial,
     gapless_threading_serial,
+    native_loaded,
     numpy_path,
     superposition_search_serial,
 )
@@ -173,6 +178,13 @@ def _same_alignments(got, want):
         assert repr(g.dp_score) == repr(w.dp_score)
 
 
+def _scans_in_whole_pairs(xa, ya):
+    """The compiled scans run only inside ``tm_align_pair``: compare
+    whole pairs of the same chains natively and on the NumPy path."""
+    if native_loaded():
+        assert_scans_match(xa, ya)
+
+
 class TestThreadingBatch:
     @pytest.mark.parametrize(
         "sizes", [(5, 5), (8, 31), (60, 44), (97, 120), (280, 300)]
@@ -181,35 +193,33 @@ class TestThreadingBatch:
         la, lb = sizes
         xa = _chain_coords(rng, la, "walk")
         ya = _chain_coords(rng, lb, "helix")
-        cs = CostCounter()
+        cs, ctr = CostCounter(), CostCounter()
         want = gapless_threading_serial(xa, ya, 3.1, max(la, lb), counter=cs)
-        for got, ctr in _both_paths(
-            lambda c: gapless_threading(xa, ya, 3.1, max(la, lb), counter=c)
-        ):
-            _same_alignments(got, want)
-            assert ctr.counts == cs.counts
+        _same_alignments(gapless_threading(xa, ya, 3.1, max(la, lb), counter=ctr), want)
+        assert ctr.counts == cs.counts
+        _scans_in_whole_pairs(xa, ya)
 
     def test_gapless_below_min_overlap(self, rng):
         xa = _chain_coords(rng, 3, "walk")
         ya = _chain_coords(rng, 3, "walk")
         want = gapless_threading_serial(xa, ya, 2.0, 3)
-        for got, _ in _both_paths(lambda c: gapless_threading(xa, ya, 2.0, 3)):
-            assert [g.key() for g in got] == [w.key() for w in want]
+        got = gapless_threading(xa, ya, 2.0, 3)
+        assert [g.key() for g in got] == [w.key() for w in want]
+        _scans_in_whole_pairs(xa, ya)
 
     @pytest.mark.parametrize("sizes", [(40, 55), (80, 33), (64, 64)])
     def test_fragment_matches_serial(self, rng, sizes):
         la, lb = sizes
         xa = _chain_coords(rng, la, "walk")
         ya = _chain_coords(rng, lb, "helix")
-        cs = CostCounter()
+        cs, ctr = CostCounter(), CostCounter()
         want = fragment_threading_serial(xa, ya, 2.9, max(la, lb), counter=cs)
-        for got, ctr in _both_paths(
-            lambda c: fragment_threading(xa, ya, 2.9, max(la, lb), counter=c)
-        ):
-            assert (got is None) == (want is None)
-            if got is not None:
-                _same_alignments([got], [want])
-            assert ctr.counts == cs.counts
+        got = fragment_threading(xa, ya, 2.9, max(la, lb), counter=ctr)
+        assert (got is None) == (want is None)
+        if got is not None:
+            _same_alignments([got], [want])
+        assert ctr.counts == cs.counts
+        _scans_in_whole_pairs(xa, ya)
 
     def test_fragment_none_for_tiny(self, rng):
         xa = _chain_coords(rng, 4, "walk")

@@ -1,16 +1,20 @@
 """Compiled TM-align kernel vs the NumPy path vs the serial oracles.
 
-The compiled search, window and traceback entry points must reproduce
-the NumPy path bit for bit — scores by repr, transforms by bytes, op
-counts exactly.  ``tests/test_tmalign_batch.py`` runs the search and
-threading differentials over random geometries; this file adds the
-traceback, fragment sub-matches, whole ``tm_align`` runs (one
-``tm_align_pair`` call each) over ck34, rs119-mini and edge-case pairs
-and parameter sets, and the load-time self-check, which must switch the
-entry points off on any mismatch and leave the NumPy path producing the
-goldens.  Tests that need the compiled kernel skip when it is
-unavailable (no C compiler, ``REPRO_NO_NATIVE_DP`` set, or a BLAS build
-the self-check rejected).
+Each public entry point has one native call — ``superposition_search``
+→ ``tm_search``, ``nw_align``'s walk → ``nw_traceback``, ``tm_align`` →
+``tm_align_pair`` — and it must reproduce the NumPy path bit for bit:
+scores by repr, transforms by bytes, op counts exactly.
+``tests/test_tmalign_batch.py`` runs the search and threading
+differentials over random geometries; this file adds the traceback, the
+threading scans, fragment sub-matches and every exit of the refinement
+loop seen through whole ``tm_align`` runs over ck34, rs119-mini and
+edge-case pairs and parameter sets, the test hooks for what a whole pair
+cannot show (the score matrix at GEMM edge tiles, the window screen's
+bound, the SVD chain and memo), and the load-time self-check, which must
+switch the entry points off on any mismatch and leave the NumPy path
+producing the goldens.  Tests that need the compiled kernel skip when it
+is unavailable (no C compiler, ``REPRO_NO_NATIVE_DP`` set, or a BLAS
+build the self-check rejected).
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from repro.datasets import load_dataset
 from repro.geometry.transforms import RigidTransform
 from repro.structure.model import Chain
 from repro.structure.synthetic import perturb_chain
-from repro.tmalign import _dpnative, align, dp, initial, tm_align, tmscore
+from repro.tmalign import _dpnative, align, dp, tm_align, tmscore
 from repro.tmalign.dp import nw_align
 from repro.tmalign.initial import (
     _fragment_geometry,
@@ -31,13 +35,11 @@ from repro.tmalign.initial import (
     fragment_threading,
     gapless_threading,
 )
-from repro.tmalign.params import TMAlignParams, d0_from_length
-from repro.tmalign.result import Alignment
+from repro.tmalign.params import TMAlignParams
 from repro.tmalign.tmscore import superposition_search
 from tests.test_tmalign_golden import GOLDEN
 from tests.test_tmalign_golden import test_kernel_bit_identical_to_seed as check_golden
 from tests.tmalign_oracles import (
-    NATIVE_HANDLES,
     fragment_threading_serial,
     gapless_threading_serial,
     native_loaded,
@@ -69,26 +71,53 @@ def test_search_non_contiguous_input(rng):
     assert xf.rotation.tobytes() == xf_n.rotation.tobytes()
 
 
+def _raw_chain(name, coords, sequence=None):
+    """A chain over ``coords`` as given: ``Chain`` rejects non-finite
+    input, so the coordinates are swapped in afterwards."""
+    out = Chain(name, np.zeros((coords.shape[0], 3)), sequence)
+    out.coords = np.asarray(coords, dtype=np.float64)
+    return out
+
+
+#: parameter sets under which a ``tm_align`` result shows the ranked
+#: threading windows: the defaults, then each scan alone with one
+#: refinement step, whose best alignment is its start, so the result is
+#: a ranked window with its GL score as dp_score
+SCAN_PARAMS = (
+    TMAlignParams(),
+    TMAlignParams(use_ss_init=False, use_fragment_init=False,
+                  use_combined_init=False, max_refine_iters=1),
+    TMAlignParams(use_threading_init=False, use_ss_init=False,
+                  use_combined_init=False, max_refine_iters=1),
+)
+
+
+def assert_scans_match(xa, ya):
+    """``tm_align`` of the chains over ``xa`` and ``ya``, in both orders
+    and under every :data:`SCAN_PARAMS`, natively (the scans inside
+    ``tm_align_pair``) and on the NumPy path: every result field and the
+    charged counter, or the same error."""
+    a, b = _raw_chain("a", xa), _raw_chain("b", ya)
+    for params in SCAN_PARAMS:
+        assert_whole_pairs_match([(a, b), (b, a)], params)
+
+
 @requires_native
 def test_fragment_submatch_three_paths(rng):
     # a rotated noisy copy gives a pronounced best placement, in both
-    # chain orders (the swap branch)
+    # chain orders (the swap branch): the NumPy scan equals the serial
+    # oracle, and whole pairs equal natively and on the NumPy path
     base = _walk(rng, 120)
     for la, lb in ((20, 31), (90, 41), (120, 120)):
         xa = base[:la]
         ya = base[:lb] @ _rotation(rng) + rng.normal(scale=1.0, size=(lb, 3))
         results = []
-        for run in ("native", "numpy", "serial"):
+        for run in (fragment_threading, fragment_threading_serial):
             ctr = CostCounter()
-            if run == "native":
-                ali = fragment_threading(xa, ya, 2.7, min(la, lb), counter=ctr)
-            elif run == "numpy":
-                with numpy_path():
-                    ali = fragment_threading(xa, ya, 2.7, min(la, lb), counter=ctr)
-            else:
-                ali = fragment_threading_serial(xa, ya, 2.7, min(la, lb), counter=ctr)
+            ali = run(xa, ya, 2.7, min(la, lb), counter=ctr)
             results.append((ali.key(), repr(ali.dp_score), ctr.counts))
-        assert results[0] == results[1] == results[2], (la, lb)
+        assert results[0] == results[1], (la, lb)
+        assert_scans_match(xa, ya)
 
 
 def _helix(n, turn=3.6, radius=2.3, rise=1.5):
@@ -118,35 +147,33 @@ def _scans(xa, ya, params=None):
 
 @requires_native
 class TestScreenedThreading:
-    """The threading scans screen every window with a QCP superposition and
-    score exactly only the windows that can still rank: the ranked windows,
-    their ``dp_score`` bytes and the op counts must be those of the serial
-    oracles and of the exhaustive NumPy path, on the inputs where the
-    screen is weakest: reflections, rank-deficient and repeated windows,
-    ties and near-ties between windows, and NaN."""
+    """The threading scans inside ``tm_align_pair`` screen every window
+    with a QCP superposition and score exactly only the windows that can
+    still rank.  On the inputs where the screen is weakest — reflections,
+    rank-deficient and repeated windows, ties and near-ties between
+    windows, and NaN — whole pairs must equal the NumPy path
+    (:func:`assert_scans_match`), the NumPy scans the serial oracles, and
+    every screened bound must hold against the exact NumPy scores."""
 
     D0, LNORM = 2.6, 40
 
     def _three_ways(self, xa, ya):
-        kernels = tmscore._KERNELS
         for run, serial in ((gapless_threading, gapless_threading_serial),
                             (fragment_threading, fragment_threading_serial)):
-            ctrs = [CostCounter() for _ in range(3)]
-            got = run(xa, ya, self.D0, self.LNORM, counter=ctrs[0])
-            with numpy_path():
-                ref = run(xa, ya, self.D0, self.LNORM, counter=ctrs[1])
-            runs = [got, ref, serial(xa, ya, self.D0, self.LNORM, counter=ctrs[2])]
+            ctrs = [CostCounter() for _ in range(2)]
+            runs = [run(xa, ya, self.D0, self.LNORM, counter=ctrs[0]),
+                    serial(xa, ya, self.D0, self.LNORM, counter=ctrs[1])]
             keys = [
                 [(a.key(), repr(a.dp_score))
                  for a in (r if isinstance(r, list) else [r])]
                 for r in runs
             ]
-            assert all(k == keys[0] for k in keys), run.__name__
-            assert all(c.counts == ctrs[0].counts for c in ctrs)
+            assert keys[0] == keys[1], run.__name__
+            assert ctrs[0].counts == ctrs[1].counts
+        assert_scans_match(xa, ya)
+        kernels = tmscore._KERNELS
         for args in _scans(xa, ya):
-            full = kernels.windows(*args, self.D0, self.LNORM)
             want = _windows_numpy(*args, self.D0, self.LNORM)
-            assert [repr(x) for x in full] == [repr(x) for x in want]
             screens = kernels.window_screens(*args, self.D0, self.LNORM)
             ok = ~np.isnan(screens[:, 1])
             assert np.all(np.abs(screens[ok, 0] - want[ok]) <= screens[ok, 1])
@@ -218,27 +245,16 @@ class TestScreenedThreading:
             ali = fragment_threading(first, ya, self.D0, self.LNORM)
             assert not np.isnan(ali.dp_score)
 
-    def test_converted_inputs(self, rng):
-        """Fortran-order coordinates and int32 windows are converted, and
-        the copies live through the C call."""
-        kernels = tmscore._KERNELS
-        xa, ya = _walk(rng, 60), _walk(rng, 50)
-        (args,) = _scans(xa, ya)[:1]
-        want = kernels.windows(*args, self.D0, self.LNORM, keep=2)
-        got = kernels.windows(
-            np.asfortranarray(xa), np.asfortranarray(ya),
-            *(a.astype(np.int32) for a in args[2:]), self.D0, self.LNORM, keep=2,
-        )
-        assert got.tobytes() == want.tobytes()
-
     def test_screen_prunes_all_but_the_ranked(self, rng):
         """On a plain pair the exact pass runs on a handful of windows,
         and every window is still counted as scanned."""
         kernels = tmscore._KERNELS
         xa = _walk(rng, 80)
         ya = xa[10:70] @ _rotation(rng) + rng.normal(scale=0.5, size=(60, 3))
+        gapless_only = TMAlignParams(use_ss_init=False, use_fragment_init=False,
+                                     use_combined_init=False)
         scanned, exact = kernels.window_counts()
-        gapless_threading(xa, ya, 3.0, 60)
+        tm_align(Chain("a", xa), Chain("b", ya), gapless_only)
         scanned2, exact2 = kernels.window_counts()
         nwin = 80 + 60 - 2 * 5 + 1
         assert scanned2 - scanned == nwin
@@ -297,151 +313,180 @@ class TestForwardDifferential:
 @requires_native
 def test_score_matrix_across_gemm_edge_tiles(rng):
     # OpenBLAS changes kernels at its column tile edges (columns 208-211
-    # at lb = 215, 216-219 at lb = 220 on one build): the native matrix
-    # must match NumPy's there too, not just the alignment built on it
+    # at lb = 215, 216-219 at lb = 220 on one build): the matrix
+    # tm_align_pair builds must match NumPy's there too.  A last-bit
+    # difference there rarely moves an alignment, so the matrix is
+    # compared through the ``scores`` hook; whole pairs at those widths
+    # must match as well.
+    kernels = tmscore._KERNELS
     base = _walk(rng, 320)
     for la in (24, 150, 301):
         for lb in range(205, 233):
             xf = RigidTransform.from_trusted(_rotation(rng), rng.normal(size=3))
             ya = base[:lb] + rng.normal(scale=2.0, size=(lb, 3))
-            got = tmscore.tm_score_matrix(base[:la], ya, xf, 3.1)
-            with numpy_path():
-                want = tmscore.tm_score_matrix(base[:la], ya, xf, 3.1)
+            got = kernels.scores(base[:la], ya, xf.rotation, xf.translation, 3.1)
+            want = tmscore.tm_score_matrix(base[:la], ya, xf, 3.1)
             assert got.tobytes() == want.tobytes(), (la, lb)
+            if la == 24 and lb % 4 == 0:
+                assert_whole_pairs_match([(Chain("a", base[:la]), Chain("b", ya))])
+
+
+def _traced_numpy_align(a, b, params, monkeypatch):
+    """``tm_align(a, b, params)`` on the NumPy path with a spy on
+    ``align._refine``: its :func:`_outcome`, and per refinement a trace of
+    its start, the search score and DP alignment of each step, and what
+    it returned."""
+    traces, active = [], []
+    refine, search, dp_align = align._refine, align.superposition_search, align.nw_align
+
+    def spy_refine(xa, ya, start, *rest):
+        trace = {"start": start, "tm": [], "dp": []}
+        traces.append(trace)
+        active.append(trace)
+        try:
+            trace["result"] = refine(xa, ya, start, *rest)
+        finally:
+            active.pop()
+        return trace["result"]
+
+    def spy_search(*args, **kwargs):
+        tm, xf = search(*args, **kwargs)
+        if active:  # not the quick or final searches
+            active[-1]["tm"].append(tm)
+        return tm, xf
+
+    def spy_dp(*args, **kwargs):
+        ali = dp_align(*args, **kwargs)
+        if active:
+            active[-1]["dp"].append(ali)
+        return ali
+
+    with monkeypatch.context() as m, numpy_path(), np.errstate(invalid="ignore"):
+        m.setattr(align, "_refine", spy_refine)
+        m.setattr(align, "superposition_search", spy_search)
+        m.setattr(align, "nw_align", spy_dp)
+        outcome = _outcome(a, b, params)
+    return outcome, traces
+
+
+def _exit(trace, params):
+    """How one traced refinement loop left."""
+    if len(trace["tm"]) == len(trace["dp"]) + 1:
+        return "patience"  # a search that did not improve, no DP after it
+    keys = [trace["start"].key()] + [ali.key() for ali in trace["dp"]]
+    if keys[-1] in keys[:-1]:
+        return "seen"
+    if len(trace["dp"][-1]) < 3:
+        return "below three pairs"
+    assert len(trace["dp"]) == params.max_refine_iters
+    return "step cap"
+
+
+def _tiny_pair(seed, max_len, scale):
+    rng = np.random.default_rng(seed)
+    la, lb = (int(x) for x in rng.integers(3, max_len, size=2))
+    return (Chain("a", rng.uniform(-scale, scale, size=(la, 3))),
+            Chain("b", rng.uniform(-scale, scale, size=(lb, 3))))
 
 
 @requires_native
 class TestRefineDifferential:
-    """``_refine`` as one ``tm_refine`` call vs its NumPy loop.
+    """Every exit of the refinement loop, through whole pairs.
 
-    Each case also checks, on a trace of the NumPy run, that the loop
-    left the way the case is named for, so every exit of the compiled
-    loop is compared at least once.
+    ``tm_align`` natively (``refine_core`` inside ``tm_align_pair``) must
+    equal the NumPy path in every result field and the charged counter,
+    on pairs and parameters chosen so that a spy on the NumPy run sees
+    the named exit: the alignment repeats one seen, the score stops
+    improving for ``refine_patience`` steps, ``max_refine_iters`` steps,
+    the DP keeps < 3 pairs, the start stays best.  A loop that runs one
+    step more or less shows in the op counts.
     """
 
-    def _both(self, xa, ya, start, d0, lnorm, params, monkeypatch):
-        ctr = CostCounter()
-        native = align._refine(xa, ya, start, d0, lnorm, params, ctr)
-        trace = {"tm": [], "dp": []}
-        search, dp_align = align.superposition_search, align.nw_align
-
-        def traced_search(*args, **kwargs):
-            tm, xf = search(*args, **kwargs)
-            trace["tm"].append(tm)
-            return tm, xf
-
-        def traced_dp(*args, **kwargs):
-            ali = dp_align(*args, **kwargs)
-            trace["dp"].append(ali)
-            return ali
-
-        ref_ctr = CostCounter()
-        with monkeypatch.context() as m, numpy_path():
-            m.setattr(align, "superposition_search", traced_search)
-            m.setattr(align, "nw_align", traced_dp)
-            reference = align._refine(xa, ya, start, d0, lnorm, params, ref_ctr)
-        assert isinstance(native[1], Alignment)
-        assert repr(native[0]) == repr(reference[0])
-        assert native[1].key() == reference[1].key()
-        assert native[1].ai.dtype == reference[1].ai.dtype == np.intp
-        assert repr(native[1].dp_score) == repr(reference[1].dp_score)
-        assert (native[1] is start) == (reference[1] is start)
-        assert native[2].rotation.tobytes() == reference[2].rotation.tobytes()
-        assert native[2].translation.tobytes() == reference[2].translation.tobytes()
-        assert ctr.counts == ref_ctr.counts
-        return reference, trace
-
-    @staticmethod
-    def _copy_pair(rng, la, lb, offset):
-        """A random walk and a rotated noisy copy of ``[offset:offset+lb]``."""
-        xa = _walk(rng, la)
-        ya = xa[offset : offset + lb] @ _rotation(rng)
-        return xa, ya + rng.normal(scale=1.5, size=ya.shape)
+    def _exits(self, pairs, params, monkeypatch):
+        """Each refinement of the pairs' NumPy runs as ``(exit, trace)``,
+        after checking every pair natively vs on the NumPy path."""
+        out = []
+        for a, b in pairs:
+            reference, traces = _traced_numpy_align(a, b, params, monkeypatch)
+            assert _outcome(a, b, params) == reference
+            out.extend((_exit(t, params), t) for t in traces)
+        return out
 
     def test_long_chains_past_gemm_tiling(self, rng, monkeypatch):
         # score matrices of >= 300 columns cross OpenBLAS's column tiles
-        for la, lb, off in ((320, 305, 9), (305, 320, 0)):
-            xa, ya = self._copy_pair(rng, max(la, lb) + off, lb, off)
-            xa = xa[:la]
-            start = Alignment(np.arange(4, 40), np.arange(7, 43))
-            d0 = d0_from_length(min(la, lb))
-            _, trace = self._both(
-                xa, ya, start, d0, min(la, lb), TMAlignParams(), monkeypatch
-            )
-            assert len(trace["dp"]) >= 2
+        xa = _walk(rng, 329)
+        ya = xa[9:314] @ _rotation(rng) + rng.normal(scale=1.5, size=(305, 3))
+        a, b = Chain("a", xa[:320]), Chain("b", ya)
+        exits = self._exits([(a, b)], TMAlignParams(), monkeypatch)
+        assert max(len(t["dp"]) for _, t in exits) >= 2
 
     def test_exit_by_seen_alignment(self, ck34, monkeypatch):
-        a, b = ck34[0], ck34[1]
-        start = Alignment(np.arange(0, 80), np.arange(3, 83))
         params = TMAlignParams()
-        lmin = min(len(a), len(b))
-        _, trace = self._both(
-            a.coords, b.coords, start, d0_from_length(lmin), lmin, params,
-            monkeypatch,
-        )
-        keys = [start.key()] + [ali.key() for ali in trace["dp"]]
-        assert len(trace["dp"]) < params.max_refine_iters
-        assert keys[-1] in keys[:-1]
+        exits = self._exits([(ck34[0], ck34[1]), (ck34[2], ck34[17])], params,
+                            monkeypatch)
+        assert "seen" in [e for e, _ in exits]
 
     def test_exit_by_patience(self, ck34, monkeypatch):
-        a, b = ck34[3], ck34[25]
-        start = Alignment(np.arange(0, 60), np.arange(20, 80))
-        params = TMAlignParams(refine_patience=1)
-        lmin = min(len(a), len(b))
-        _, trace = self._both(
-            a.coords, b.coords, start, d0_from_length(lmin), lmin, params,
-            monkeypatch,
-        )
-        # the last search did not improve and stopped the loop before a DP
-        assert len(trace["tm"]) == len(trace["dp"]) + 1
-        assert trace["tm"][-1] <= max(trace["tm"][:-1])
+        exits = self._exits([(ck34[5], ck34[20]), (ck34[3], ck34[25])],
+                            TMAlignParams(refine_patience=1), monkeypatch)
+        assert "patience" in [e for e, _ in exits]
 
     def test_exit_by_iteration_cap(self, ck34, monkeypatch):
-        a, b = ck34[5], ck34[20]
-        start = Alignment(np.arange(0, 50), np.arange(30, 80))
         params = TMAlignParams(max_refine_iters=2, refine_patience=5)
-        lmin = min(len(a), len(b))
-        _, trace = self._both(
-            a.coords, b.coords, start, d0_from_length(lmin), lmin, params,
-            monkeypatch,
-        )
-        keys = [start.key()] + [ali.key() for ali in trace["dp"]]
-        assert len(trace["tm"]) == len(trace["dp"]) == 2
-        assert len(set(keys)) == 3
+        exits = self._exits([(ck34[3], ck34[25])], params, monkeypatch)
+        assert "step cap" in [e for e, _ in exits]
 
     def test_exit_below_three_pairs(self, monkeypatch):
-        # free gaps let the DP keep two well-placed pairs of a 3-residue chain
-        rng = np.random.default_rng(93)
-        lb = int(rng.integers(3, 5))
-        xa = rng.uniform(-6, 6, size=(3, 3))
-        ya = rng.uniform(-6, 6, size=(lb, 3))
-        start = Alignment(np.arange(3), np.sort(rng.choice(lb, size=3, replace=False)))
-        d0 = float(rng.uniform(0.5, 3))
-        _, trace = self._both(
-            xa, ya, start, d0, 3, TMAlignParams(gap_open=0.0), monkeypatch
-        )
-        assert len(trace["dp"][-1]) < 3
-        assert len(trace["tm"]) == len(trace["dp"])
+        # free gaps let the DP keep two well-placed pairs of a tiny chain
+        pairs = [_tiny_pair(seed, 7, 6.0) for seed in (18, 21)]
+        exits = self._exits(pairs, TMAlignParams(gap_open=0.0), monkeypatch)
+        assert "below three pairs" in [e for e, _ in exits]
 
     def test_starting_candidate_stays_best(self, ck34, monkeypatch):
+        """The first gapless window stays best through its refinement and
+        wins: the result is that window, with its GL score as dp_score."""
         a, b = ck34[0], ck34[1]
-        lmin = min(len(a), len(b))
+        exits = self._exits([(a, b)], TMAlignParams(), monkeypatch)
+        kept = [t for _, t in exits if t["result"][1] is t["start"]]
+        assert kept and kept[0]["result"][0] > 0.5
         res = tm_align(a, b)
-        start = Alignment(res.alignment.ai, res.alignment.aj, dp_score=7.25)
-        (_, best, _), _ = self._both(
-            a.coords, b.coords, start, d0_from_length(lmin), lmin,
-            TMAlignParams(), monkeypatch,
-        )
-        assert best is start and best.dp_score == 7.25
+        assert res.alignment.key() == kept[0]["start"].key()
+        assert repr(res.alignment.dp_score) == repr(kept[0]["start"].dp_score)
 
-    def test_start_below_three_pairs_returns_identity(self, monkeypatch):
-        xa = _walk(np.random.default_rng(3), 12)
-        start = Alignment(np.arange(2), np.arange(2), dp_score=1.5)
-        (tm, best, xf), trace = self._both(
-            xa, xa, start, 1.0, 12, TMAlignParams(), monkeypatch
-        )
-        assert tm == -1.0 and best is start and not trace["tm"]
-        assert xf.rotation.tobytes() == np.eye(3).tobytes()
+    def test_start_below_three_pairs_returns_identity(self, ck34, monkeypatch):
+        """``tm_align`` refines no candidate of < 3 pairs; when no
+        refinement scores above -1 the first candidate comes back under
+        the identity, and when it has < 3 pairs too, both paths raise."""
+        combined = []
+        build = align.combined_alignment
+
+        def spy_combined(*args, **kwargs):
+            combined.append(build(*args, **kwargs))
+            return combined[-1]
+
+        monkeypatch.setattr(align, "combined_alignment", spy_combined)
+        # free gaps and no SS term: the combined DP keeps 2 pairs
+        pair = _tiny_pair(36, 9, 30.0)
+        exits = self._exits([pair], TMAlignParams(gap_open=0.0, ss_mix=0.0),
+                            monkeypatch)
+        assert len(combined[-1]) < 3
+        assert exits and all(len(t["start"]) >= 3 for _, t in exits)
+        # the combined DP is the only candidate, of < 3 pairs: nothing is
+        # refined, and the first candidate fails the final search
+        bare = TMAlignParams(use_threading_init=False, use_ss_init=False,
+                             use_fragment_init=False, gap_open=0.0, ss_mix=0.0)
+        pair = _tiny_pair(0, 9, 30.0)
+        reference, traces = _traced_numpy_align(*pair, bare, monkeypatch)
+        assert not traces and len(combined[-1]) < 3
+        assert reference == (ValueError, "need at least 3 matched pairs")
+        assert _outcome(*pair, bare) == reference
+        # an all-NaN chain: every refinement keeps its start at -1, and
+        # the result is the first candidate under the identity
+        every = _raw_chain("all_nan", np.full((len(ck34[17]), 3), np.nan))
+        reference, traces = _traced_numpy_align(ck34[2], every, None, monkeypatch)
+        assert _outcome(ck34[2], every) == reference
+        assert traces and all(t["result"][0] == -1.0 for t in traces)
+        assert reference[0][14] == np.eye(3).tobytes()  # the result's rotation
 
 
 def _perturbed_pairs(ck34, n_pairs, seed):
@@ -605,14 +650,21 @@ def _outcome(a, b, params=None):
     return _full_key(res), list(ctr.counts.items())
 
 
+def assert_whole_pairs_match(pairs, params=None):
+    """``tm_align`` of each pair natively and on the NumPy path gives the
+    same :func:`_outcome`; returns the outcomes."""
+    native = [_outcome(a, b, params) for a, b in pairs]
+    with numpy_path(), np.errstate(invalid="ignore"):
+        reference = [_outcome(a, b, params) for a, b in pairs]
+    assert native == reference
+    return reference
+
+
 def _nan_copy(chain, rows, name):
-    """``chain`` with NaN coordinates at ``rows``: Chain itself rejects
-    non-finite input, so the coordinates are swapped in afterwards."""
-    out = Chain(name, chain.coords, chain.sequence)
+    """``chain`` with NaN coordinates at ``rows``."""
     coords = chain.coords.copy()
     coords[rows] = np.nan
-    out.coords = coords
-    return out
+    return _raw_chain(name, coords, chain.sequence)
 
 
 @pytest.fixture(scope="module")
@@ -627,11 +679,7 @@ class TestOneCallAlign:
     counter, or the same error."""
 
     def _both(self, pairs, params=None):
-        native = [_outcome(a, b, params) for a, b in pairs]
-        with numpy_path(), np.errstate(invalid="ignore"):
-            reference = [_outcome(a, b, params) for a, b in pairs]
-        assert native == reference
-        return reference
+        return assert_whole_pairs_match(pairs, params)
 
     def test_ck34_pairs_both_orders(self, ck34):
         pairs = [(ck34[i], ck34[j]) for i, j in ((0, 1), (0, 30), (5, 20), (12, 33))]
@@ -722,14 +770,24 @@ class TestOneCallAlign:
 
 
 class TestSelfCheck:
-    @requires_native
+    @pytest.mark.skipif(
+        _dpnative.load_tm_kernels() is None, reason="compiled TM-align kernel unavailable"
+    )
     def test_passes_on_this_build(self):
-        assert _dpnative.self_check()
+        """Wherever the kernel builds against NumPy's bundled OpenBLAS, the
+        import-time self-check kept every handle on: a kernel that drifts
+        from the NumPy path on the probe fails here instead of turning the
+        native tests into skips."""
         assert native_loaded()
+        assert _dpnative.self_check()
 
     @requires_native
     def test_forced_mismatch_falls_back_and_goldens_hold(self, monkeypatch, ck34):
-        for mod, name in NATIVE_HANDLES:
+        handles = _dpnative.native_handles()
+        assert [name for _, name in handles] == [
+            "_NATIVE_TRACEBACK", "_NATIVE_SEARCH", "_NATIVE_ALIGN",
+        ]
+        for mod, name in handles:
             monkeypatch.setattr(mod, name, getattr(mod, name))
         native_search = tmscore._NATIVE_SEARCH
 
@@ -740,12 +798,7 @@ class TestSelfCheck:
         monkeypatch.setattr(tmscore, "_NATIVE_SEARCH", off_by_one_ulp)
         forward = dp._NATIVE_FORWARD
         assert not _dpnative.self_check()
-        assert dp._NATIVE_TRACEBACK is None
-        assert tmscore._NATIVE_SEARCH is None
-        assert initial._NATIVE_WINDOWS is None
-        assert tmscore._NATIVE_SCORES is None
-        assert align._NATIVE_REFINE is None
-        assert align._NATIVE_ALIGN is None
+        assert all(getattr(mod, name) is None for mod, name in handles)
         assert dp._NATIVE_FORWARD is forward  # BLAS-free sweep stays on
         for pair in sorted(GOLDEN):
             check_golden(ck34, pair)
@@ -759,6 +812,6 @@ class TestSelfCheck:
         assert _dpnative.load_tm_kernels() is None
 
     def test_all_handles_off_reports_off(self, monkeypatch):
-        for mod, name in NATIVE_HANDLES:
+        for mod, name in _dpnative.native_handles():
             monkeypatch.setattr(mod, name, None)
         assert not _dpnative.self_check()

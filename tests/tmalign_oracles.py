@@ -20,37 +20,27 @@ import numpy as np
 
 from repro.geometry.kabsch import kabsch
 from repro.geometry.transforms import RigidTransform
-from repro.tmalign import align, dp, initial, tmscore
+from repro.tmalign._dpnative import native_handles
 from repro.tmalign.initial import _fragment_geometry, _gapless_alignment
 from repro.tmalign.params import TMAlignParams
 from repro.tmalign.result import Alignment
 from repro.tmalign.tmscore import _check_search_args, _seed_schedule
 
-#: (module, attribute) of every handle the load-time self-check guards
-NATIVE_HANDLES = (
-    (dp, "_NATIVE_TRACEBACK"),
-    (tmscore, "_NATIVE_SEARCH"),
-    (initial, "_NATIVE_WINDOWS"),
-    (tmscore, "_NATIVE_SCORES"),
-    (align, "_NATIVE_REFINE"),
-    (align, "_NATIVE_ALIGN"),
-)
-
-
 def native_loaded() -> bool:
-    return all(getattr(mod, name) is not None for mod, name in NATIVE_HANDLES)
+    return all(getattr(mod, name) is not None for mod, name in native_handles())
 
 
 @contextmanager
 def numpy_path():
     """Run the block on the NumPy reference path (``nw_forward`` stays)."""
-    saved = [getattr(mod, name) for mod, name in NATIVE_HANDLES]
-    for mod, name in NATIVE_HANDLES:
+    handles = native_handles()
+    saved = [getattr(mod, name) for mod, name in handles]
+    for mod, name in handles:
         setattr(mod, name, None)
     try:
         yield
     finally:
-        for (mod, name), handle in zip(NATIVE_HANDLES, saved):
+        for (mod, name), handle in zip(handles, saved):
             setattr(mod, name, handle)
 
 
