@@ -14,7 +14,6 @@ Tool commands::
     python -m repro.cli bench                   # hot-path wall-clock bench
     python -m repro.cli serve --port 7743       # always-on query service
     python -m repro.cli serve-shard 7744 7745   # scatter-gather coordinator
-    python -m repro.cli bench --service --check # 1 vs N shard load test
 """
 
 from __future__ import annotations
@@ -424,11 +423,6 @@ _BENCH_KWARGS: dict[str, Callable] = {
         dataset=args.dataset if args.dataset != "both" else "ck34",
         limit=8 if args.quick else None,
     ),
-    "service": lambda args, output: dict(
-        dataset=args.dataset if args.dataset != "both" else "ck34",
-        shards=args.shards,
-        quick=args.quick,
-    ),
     "parallel": lambda args, output: dict(
         dataset=args.dataset,
         workers_grid=tuple(int(w) for w in args.workers_grid.split(",")),
@@ -449,20 +443,19 @@ def _cmd_bench(args, suite: Optional[str] = None, record=None) -> str:
 
     if suite is None:
         picked = [
-            name for name in ("kernel", "prefilter", "matstore", "service")
+            name for name in ("kernel", "prefilter", "matstore")
             if getattr(args, name)
         ]
         if len(picked) > 1:
             raise SystemExit(
-                "bench: --kernel, --prefilter, --matstore and --service are "
-                "exclusive"
+                "bench: --kernel, --prefilter and --matstore are exclusive"
             )
         suite = picked[0] if picked else "hotpaths"
     row = SUITES[suite]
     if args.check and row.failure is None:
         raise SystemExit(
             f"bench --check: the {suite} suite has no gate (use --kernel, "
-            "--prefilter, --matstore or --service)"
+            "--prefilter or --matstore)"
         )
     output = _bench_output(args, row.output)
     kwargs = _BENCH_KWARGS[suite](args, output)
@@ -546,7 +539,6 @@ def _cmd_serve(args) -> str:
         farm=_farm_config(args),
         cache_capacity=args.cache_capacity,
         runs_dir=args.runs_dir,
-        eval_delay=args.eval_delay,
         matstore_dir=args.matstore_dir,
     )
 
@@ -1164,7 +1156,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=_artefact_path,
         default=None,
         help="JSON artefact path (default: BENCH_hotpaths.json, or "
-        "BENCH_<suite>.json with --kernel/--prefilter/--matstore/--service)",
+        "BENCH_<suite>.json with --kernel/--prefilter/--matstore)",
     )
     p.add_argument(
         "--no-output",
@@ -1198,19 +1190,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(--quick limits to 8 chains)",
     )
     p.add_argument(
-        "--service",
-        action="store_true",
-        help="load-test the sharded query service (1-shard vs N-shard "
-        "behind a coordinator, open-loop arrivals), writing "
-        "BENCH_service.json (--quick runs one short rate point)",
-    )
-    p.add_argument(
-        "--shards",
-        type=_positive_int,
-        default=2,
-        help="with --service: shard count of the N-shard topology",
-    )
-    p.add_argument(
         "--prefilter-keep",
         type=_fraction,
         default=None,
@@ -1238,7 +1217,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--min-speedup",
         type=float,
         default=None,
-        help="--check speedup floor of --prefilter/--matstore/--service "
+        help="--check speedup floor of --prefilter/--matstore "
         "(default: the suite's threshold, recorded in the artefact's "
         "regression block)",
     )
@@ -1265,7 +1244,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--check",
         action="store_true",
-        help="with --kernel/--prefilter/--matstore/--service: exit "
+        help="with --kernel/--prefilter/--matstore: exit "
         "non-zero when the regression gate fails",
     )
     p.set_defaults(fn=_cmd_bench)
@@ -1364,12 +1343,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=1024,
         help="LRU result-cache entries",
-    )
-    p.add_argument(
-        "--eval-delay",
-        type=float,
-        default=0.0,
-        help="test/CI knob: extra seconds per dispatched batch",
     )
     p.add_argument(
         "--matstore-dir",

@@ -2,8 +2,8 @@
 
 Every other harness in this package reports *simulated* seconds; the
 suites here time the code itself, so a slower simulator, kernel, farm,
-prefilter, store or service shows up as a number in a tracked artefact
-instead of as slow CI.  Each suite is one row of :data:`SUITES`:
+prefilter or store shows up as a number in a tracked artefact instead of
+as slow CI.  Each of the five suites is one row of :data:`SUITES`:
 
 * ``hotpaths`` (``bench``) — the Experiment II core-count sweep's
   wall-clock plus three simulator micro-benchmarks; no gate;
@@ -13,8 +13,6 @@ instead of as slow CI.  Each suite is one row of :data:`SUITES`:
   speedup of the SW-prefiltered search;
 * ``matstore`` (``bench --matstore``) — mmap lookup vs recompute and an
   exact one-row extend;
-* ``service`` (``bench --service``) — N-shard vs 1-shard throughput at
-  saturation, a queueing microbench;
 * ``parallel`` (``bench-parallel``) — farm speedup over serial with
   bit-identity, and shared-memory plane delivery vs pickling.
 
@@ -57,13 +55,11 @@ __all__ = [
     "run_kernel_bench",
     "run_prefilter_bench",
     "run_matstore_bench",
-    "run_service_bench",
     "format_bench_report",
     "format_parallel_bench_report",
     "format_kernel_bench_report",
     "format_prefilter_bench_report",
     "format_matstore_bench_report",
-    "format_service_bench_report",
     "PRE_OVERHAUL_SWEEP_WALL_S",
     "SEED_KERNEL_PAIRS_PER_SECOND",
     "KERNEL_BASELINE_PAIRS_PER_SECOND",
@@ -1191,251 +1187,6 @@ def format_matstore_bench_report(report: dict) -> str:
     return "\n".join(parts)
 
 
-def _spawn_shard_process(dataset: str, eval_delay: float) -> tuple:
-    """Launch one ``repro.cli serve`` shard on an ephemeral port.
-
-    Returns ``(proc, "host:port")`` once the server has printed its
-    startup line.  ``--max-batch 1`` plus ``--eval-delay`` make every
-    align cost one fixed service-time slice in the shard's worker
-    thread, so aggregate capacity scales with the number of shard
-    *processes* even on a single-core container (see the ``profile``
-    note in the report).
-    """
-    import os
-    import re
-    import subprocess
-
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(p for p in sys.path if p)
-    cmd = [
-        sys.executable,
-        "-u",
-        "-m",
-        "repro.cli",
-        "serve",
-        "--dataset",
-        dataset,
-        "--host",
-        "127.0.0.1",
-        "--port",
-        "0",
-        "--max-batch",
-        "1",
-        "--batch-window",
-        "0.001",
-        "--eval-delay",
-        str(eval_delay),
-    ]
-    proc = subprocess.Popen(
-        cmd,
-        env=env,
-        stdout=subprocess.PIPE,
-        stderr=subprocess.PIPE,
-        text=True,
-    )
-    line = proc.stdout.readline()
-    match = re.search(r" on ([0-9.]+):(\d+)\s*$", line)
-    if not match:
-        stderr = ""
-        try:
-            _, stderr = proc.communicate(timeout=5)
-        except subprocess.TimeoutExpired:
-            proc.kill()
-        raise RuntimeError(
-            f"shard failed to start: stdout={line!r} stderr={stderr[-500:]!r}"
-        )
-    return proc, f"{match.group(1)}:{match.group(2)}"
-
-
-def _stop_shard_process(proc) -> None:
-    import subprocess
-
-    proc.terminate()
-    try:
-        proc.wait(timeout=10)
-    except subprocess.TimeoutExpired:
-        proc.kill()
-        try:
-            proc.wait(timeout=10)
-        except subprocess.TimeoutExpired:
-            pass
-
-
-async def _drive_service_load(shard_addrs, rate, names, *, duration, clients,
-                              method, seed):
-    """Coordinator (in-process) + open-loop load at one arrival rate."""
-    from repro.service.loadgen import LoadgenConfig, generate_plan, run_load_async
-    from repro.service.shard import CoordinatorConfig, ShardCoordinator
-
-    config = CoordinatorConfig(shards=tuple(shard_addrs), host="127.0.0.1", port=0)
-    async with ShardCoordinator(config) as coordinator:
-        load = LoadgenConfig(
-            host=coordinator.host,
-            port=coordinator.port,
-            rate=rate,
-            duration=duration,
-            clients=clients,
-            op="align",
-            method=method,
-            seed=seed,
-        )
-        plan = generate_plan(names, load)
-        summary = await run_load_async(load, plan)
-    return {"target_rate_rps": rate, **summary}
-
-
-def run_service_bench(
-    dataset: str = "ck34",
-    shards: int = 2,
-    rates: Sequence[float] = (20.0, 60.0),
-    duration: float = 3.0,
-    clients: int = 8,
-    eval_delay: float = 0.04,
-    method: str = "sse_composition",
-    seed: int = 1234,
-    quick: bool = False,
-    *,
-    min_speedup: float,
-) -> dict:
-    """Load-test 1-shard vs N-shard topologies (the ``BENCH_service.json`` report).
-
-    Both topologies run behind a :class:`ShardCoordinator` (so
-    coordinator overhead is paid identically) with real ``serve``
-    subprocesses as shards, all loaded with the same dataset.  The same
-    seeded open-loop align workload is replayed at each arrival rate
-    against each topology; the highest rate is the saturating point and
-    the regression gate asserts the N-shard topology completes at least
-    ``min_speedup`` x the single-shard throughput there.
-
-    **Profile: a queueing microbench, not a kernel benchmark.**  Every
-    align costs one synthetic ``--eval-delay`` slice (a sleep) in the
-    shard's batcher worker (``--max-batch 1``), and the cheap
-    ``sse_composition`` method makes compute negligible.  So the gate
-    measures how the coordinator spreads queued requests over shard
-    processes, independent of how many CPU cores the host has; it says
-    nothing about how real TM-align work scales across shards.
-    """
-    if shards < 2:
-        raise ValueError(f"service bench needs >= 2 shards, got {shards}")
-    if quick:
-        rates = (40.0,)
-        duration = 1.5
-    rates = tuple(float(r) for r in rates)
-    ds = load_dataset(dataset)
-    names = [chain.name for chain in ds.chains]
-
-    import asyncio
-
-    topologies: Dict[str, dict] = {}
-    for n_shards in (1, shards):
-        points = []
-        # fresh shard processes per rate point: every point starts with a
-        # cold result cache, so earlier points can't subsidise later ones
-        # (warm-cache hits at saturation flatter whichever topology is
-        # capacity-bound and mask the scale-out signal)
-        for rate in rates:
-            procs = []
-            addrs = []
-            try:
-                for _ in range(n_shards):
-                    proc, addr = _spawn_shard_process(ds.name, eval_delay)
-                    procs.append(proc)
-                    addrs.append(addr)
-                points.append(
-                    asyncio.run(
-                        _drive_service_load(
-                            addrs,
-                            rate,
-                            names,
-                            duration=duration,
-                            clients=clients,
-                            method=method,
-                            seed=seed,
-                        )
-                    )
-                )
-            finally:
-                for proc in procs:
-                    _stop_shard_process(proc)
-        topologies[str(n_shards)] = {"shards": n_shards, "points": points}
-
-    saturating = max(rates)
-
-    def _throughput_at(topology: dict, rate: float) -> float:
-        for point in topology["points"]:
-            if point["target_rate_rps"] == rate:
-                return float(point["throughput_rps"])
-        raise KeyError(f"no load point at {rate} rps")
-
-    single = _throughput_at(topologies["1"], saturating)
-    multi = _throughput_at(topologies[str(shards)], saturating)
-    speedup = multi / single if single > 0 else float("inf")
-
-    report: dict = {
-        **host_record("repro-bench-service/1"),
-        "dataset": ds.name,
-        "chains": len(ds),
-        "profile": "service-time",
-        "profile_note": (
-            "shards apply a fixed per-align service delay "
-            "(--max-batch 1 --eval-delay) so capacity scales with shard "
-            "processes on a single-core container; method compute is "
-            "negligible by design"
-        ),
-        "method": method,
-        "op": "align",
-        "eval_delay_seconds": eval_delay,
-        "duration_seconds": duration,
-        "clients": clients,
-        "seed": seed,
-        "rates_rps": list(rates),
-        "topologies": topologies,
-        "saturating_rate_rps": saturating,
-        "single_shard_throughput_rps": single,
-        "multi_shard_throughput_rps": multi,
-        "speedup": speedup,
-        "regression": {
-            "min_speedup": min_speedup,
-            "speedup": speedup,
-            "passed": bool(speedup >= min_speedup),
-        },
-    }
-    return report
-
-
-def format_service_bench_report(report: dict) -> str:
-    """Human-readable summary of a ``run_service_bench`` report."""
-    reg = report["regression"]
-    parts = [
-        f"== bench: sharded service, {report['dataset']} "
-        f"({report['chains']} chains, op={report['op']}, "
-        f"profile={report['profile']}, "
-        f"service time {report['eval_delay_seconds'] * 1e3:.0f} ms) ==",
-    ]
-    for key in sorted(report["topologies"], key=int):
-        topo = report["topologies"][key]
-        for point in topo["points"]:
-            lat = point["latency_ms"]
-            parts.append(
-                f"{topo['shards']} shard(s) @ {point['target_rate_rps']:.0f} rps: "
-                f"{point['throughput_rps']:.1f} ok/s, "
-                f"p50 {lat['p50']:.0f} ms, p99 {lat['p99']:.0f} ms, "
-                f"shed {point['shed_rate'] * 100:.1f}%, "
-                f"cache {point['cache_hit_ratio'] * 100:.1f}%"
-            )
-    parts.append(
-        f"saturating point {report['saturating_rate_rps']:.0f} rps: "
-        f"{report['single_shard_throughput_rps']:.1f} -> "
-        f"{report['multi_shard_throughput_rps']:.1f} ok/s "
-        f"({report['speedup']:.2f}x)"
-    )
-    parts.append(
-        f"gate: N-shard throughput >= {reg['min_speedup']:.2f}x single-shard "
-        f"at saturation -> {'PASS' if reg['passed'] else 'FAIL'}"
-    )
-    return "\n".join(parts)
-
-
 def format_prefilter_bench_report(report: dict) -> str:
     """Human-readable summary of a ``run_prefilter_bench`` report."""
     reg = report["regression"]
@@ -1498,16 +1249,6 @@ def _matstore_failure(report: dict) -> Optional[str]:
     )
 
 
-def _service_failure(report: dict) -> Optional[str]:
-    reg = report["regression"]
-    if reg["passed"]:
-        return None
-    return (
-        f"service gate failed: N-shard throughput {reg['speedup']:.2f}x "
-        f"single-shard at saturation (min {reg['min_speedup']:.2f}x)"
-    )
-
-
 def _parallel_failure(report: dict) -> Optional[str]:
     reg, plane = report["regression"], report["plane"]
     failures = []
@@ -1561,10 +1302,6 @@ SUITES: Dict[str, Suite] = {
     "matstore": Suite(
         run_matstore_bench, format_matstore_bench_report,
         "BENCH_matstore.json", {"min_speedup": 100.0}, _matstore_failure,
-    ),
-    "service": Suite(
-        run_service_bench, format_service_bench_report, "BENCH_service.json",
-        {"min_speedup": 1.5}, _service_failure,
     ),
     "parallel": Suite(
         run_parallel_bench, format_parallel_bench_report,

@@ -19,8 +19,7 @@ Start a server with ``python -m repro.cli serve``; talk to it with
 from repro.service.batcher import MicroBatcher, PairJob, result_body
 from repro.service.cache import ResultCache, pair_key
 from repro.service.client import ServiceClient, backoff_delays
-from repro.service.loadgen import LoadgenConfig, generate_plan, run_load
-from repro.service.metrics import LatencyHistogram, ServiceMetrics, percentile
+from repro.service.metrics import LatencyHistogram, ServiceMetrics
 from repro.service.protocol import (
     BadRequest,
     NotFound,
@@ -48,7 +47,6 @@ __all__ = [
     "CoordinatorConfig",
     "LatencyHistogram",
     "LineProtocolServer",
-    "LoadgenConfig",
     "MicroBatcher",
     "NotFound",
     "PSCService",
@@ -65,14 +63,11 @@ __all__ = [
     "backoff_delays",
     "canonical_json",
     "chain_content_hash",
-    "generate_plan",
     "pair_key",
     "parse_shard_spec",
     "partition_keys",
-    "percentile",
     "rendezvous_owner",
     "rendezvous_rank",
     "resolve_method",
     "result_body",
-    "run_load",
 ]

@@ -120,10 +120,10 @@ class MicroBatcher:
     each batch in an executor thread so the event loop keeps serving
     while the kernel computes, with up to :attr:`max_inflight` batches
     at once.  ``backend`` is the farm the batches drain on (``None``:
-    serial in-process evaluation).  ``evaluate`` is injectable for
-    deterministic overload tests; the default groups jobs by
-    method+params and dispatches each group through
-    :func:`repro.parallel.iter_pair_results`.
+    serial in-process evaluation).  ``evaluate`` is injectable, so tests
+    can hold a batch (overload, shard fan-out) without a timing knob;
+    the default groups jobs by method+params and dispatches each group
+    through :func:`repro.parallel.iter_pair_results`.
     """
 
     def __init__(
@@ -133,7 +133,6 @@ class MicroBatcher:
         batch_window: float = 0.002,
         metrics: Optional[ServiceMetrics] = None,
         evaluate: Optional[Callable[[Sequence[PairJob]], List[str]]] = None,
-        eval_delay: float = 0.0,
         backend: Optional[FarmBackend] = None,
     ) -> None:
         if queue_limit < 1:
@@ -143,7 +142,6 @@ class MicroBatcher:
         self.queue_limit = queue_limit
         self.max_batch = max_batch
         self.batch_window = batch_window
-        self.eval_delay = eval_delay
         self.backend = backend
         #: batches evaluated at once: one per farm worker, one when serial
         self.max_inflight = max(1, backend.workers if backend is not None else 1)
@@ -285,11 +283,7 @@ class MicroBatcher:
         ad-hoc hash-indexed dataset plus an (i, j) pair list handed to
         :func:`repro.parallel.iter_pair_results`, so a mixed batch still
         dispatches one farm call per distinct parameterisation.
-        ``eval_delay`` is a test/CI knob that holds the worker thread to
-        make overload scenarios deterministic.
         """
-        if self.eval_delay > 0:
-            time.sleep(self.eval_delay)
         groups: Dict[tuple, List[PairJob]] = {}
         for job in jobs:
             groups.setdefault((job.method_name, job.params_hash), []).append(job)

@@ -9,33 +9,12 @@ diffable across runs.
 
 from __future__ import annotations
 
-import math
 import time
 from collections import defaultdict
-from typing import Dict, Sequence
+from typing import Dict
 
-__all__ = ["LatencyHistogram", "ServiceMetrics", "percentile"]
+__all__ = ["LatencyHistogram", "ServiceMetrics"]
 
-
-def percentile(samples: Sequence[float], q: float) -> float:
-    """Exact ``q``-quantile (``0 <= q <= 1``) with linear interpolation.
-
-    The load generator keeps raw per-request latencies, so its p50/p99
-    come from the samples themselves — no histogram-bucket rounding.
-    Returns 0.0 for an empty sample set.
-    """
-    if not samples:
-        return 0.0
-    if not 0.0 <= q <= 1.0:
-        raise ValueError(f"quantile must be in [0, 1], got {q}")
-    ordered = sorted(samples)
-    pos = q * (len(ordered) - 1)
-    lo = math.floor(pos)
-    hi = math.ceil(pos)
-    if lo == hi:
-        return float(ordered[lo])
-    frac = pos - lo
-    return float(ordered[lo] * (1.0 - frac) + ordered[hi] * frac)
 
 #: histogram bucket upper bounds, milliseconds
 BUCKET_BOUNDS_MS = (1, 2, 5, 10, 20, 50, 100, 200, 500, 1000, 2000, 5000, 10000)

@@ -66,7 +66,11 @@ __all__ = ["LineProtocolServer", "ServiceConfig", "PSCService"]
 
 @dataclass(frozen=True)
 class ServiceConfig:
-    """Every knob of one service instance."""
+    """Every knob of one service instance.
+
+    Each field is a deployment setting; a test that needs to hold or
+    script a batch passes ``PSCService(evaluate=)``.
+    """
 
     dataset: str = "ck34-mini"  # corpus loaded at startup ("" = start empty)
     host: str = "127.0.0.1"
@@ -78,7 +82,6 @@ class ServiceConfig:
     cache_capacity: int = 1024  # LRU result-cache entries
     runs_dir: str = "runs"  # durable store for submit-matrix
     matstore_dir: str = ""  # precomputed matrix store root ("" = none)
-    eval_delay: float = 0.0  # test/CI knob: sleep per batch dispatch
 
 
 def _require_str(payload: Dict[str, Any], field: str) -> str:
@@ -257,7 +260,6 @@ class PSCService(LineProtocolServer):
             batch_window=self.config.batch_window,
             metrics=self.metrics,
             evaluate=evaluate,
-            eval_delay=self.config.eval_delay,
             backend=self.farm,
         )
         # run_id -> (thread, {"error": ...}) for submit-matrix background runs

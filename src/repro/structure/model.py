@@ -10,6 +10,11 @@ __all__ = ["Chain", "AMINO_ACIDS"]
 
 AMINO_ACIDS = "ACDEFGHIKLMNPQRSTVWY"
 
+# Largest accepted |coordinate| in Å: far above the PDB format's
+# +-9999.999, far below where squared distances summed over a chain lose
+# their finiteness.
+MAX_ABS_COORD = 1e6
+
 # Wire-format cost of one residue when a structure is shipped through the
 # simulated NoC: 3 float64 coordinates + 1 sequence byte + 1 SS byte,
 # padded to 32 for headers/alignment.  Used by the communication model.
@@ -47,8 +52,13 @@ class Chain:
             raise ValueError(f"coords must be (N, 3), got {coords.shape}")
         if coords.shape[0] < 3:
             raise ValueError("a chain needs at least 3 residues")
-        if not np.isfinite(coords).all():
-            raise ValueError("coords contain non-finite values")
+        # one check for NaN, inf and overflow-prone magnitudes: NaN fails
+        # the comparison, and every accepted chain stays finite through
+        # the TM-align kernel on both paths
+        if not np.abs(coords).max() < MAX_ABS_COORD:
+            raise ValueError(
+                f"coords must be finite and within +-{MAX_ABS_COORD:g} A"
+            )
         n = coords.shape[0]
         if sequence is None:
             sequence = "A" * n

@@ -1012,7 +1012,7 @@ INLINE void windows_scan(const double *xa, ptrdiff_t na, const double *ya,
     columns(ya, nb, cb);
     for (k = 0; k < keep; ++k) top[k] = -INFINITY;
     for (w = 0; w < nwin; ++w) {
-        double f, eps, lo;
+        double f = 0.0, eps = 0.0, lo;
         if ((open[w] = screen(ca + a0[w], na, cb + b0[w], nb, lens[w], d0,
                               lnorm, &f, &eps))) {
             lo = f - eps;
@@ -1227,7 +1227,7 @@ HOT int tm_scores(const double *xa, ptrdiff_t la, const double *ya,
                   ptrdiff_t lb, const double *rot, const double *tra,
                   double d0, double *S)
 {
-    double *buf = malloc(sizeof(double) * (4 * la + lb + 1));
+    double *buf = calloc(4 * la + lb + 1, sizeof(double));
     if (!buf) return -1;
     score_matrix(xa, la, ya, lb, rot, tra, d0, buf, buf + 3 * la,
                  buf + 4 * la, S);
@@ -1257,13 +1257,16 @@ static void refine_sizes(ptrdiff_t la, ptrdiff_t lb, ptrdiff_t nfracs,
     *nsel = 2 * cap + 1;
 }
 
+/* Rounded up to a multiple of 64, so whatever is carved after it starts
+ * as aligned as the workspace (scratch() hands out 64-byte aligned bytes;
+ * the selection mask at the end has an odd length). */
 static ptrdiff_t refine_bytes(ptrdiff_t la, ptrdiff_t lb, ptrdiff_t nfracs,
                               ptrdiff_t max_iters)
 {
     ptrdiff_t nf, nh, ns, nsel;
     refine_sizes(la, lb, nfracs, max_iters, &nf, &nh, &ns, &nsel);
-    return sizeof(double) * nf + sizeof(ptrdiff_t) * nh
-           + sizeof(int64_t) * ns + nsel;
+    return (sizeof(double) * nf + sizeof(ptrdiff_t) * nh
+            + sizeof(int64_t) * ns + nsel + 63) & ~(ptrdiff_t)63;
 }
 
 static void refine_carve(unsigned char *ws, ptrdiff_t la, ptrdiff_t lb,
@@ -1850,6 +1853,8 @@ def _bundled_blas() -> Optional[tuple]:
 
 
 _SCRATCH = threading.local()
+#: byte alignment of the scratch buffer's start
+SCRATCH_ALIGN = 64
 
 
 def scratch(nbytes: int) -> np.ndarray:
@@ -1860,11 +1865,15 @@ def scratch(nbytes: int) -> np.ndarray:
     and neither call runs inside the other.  It is per thread because
     ctypes releases the GIL inside the kernels and a service evaluates
     batches in several threads.  Sized by the largest pair the thread
-    has seen; it never shrinks.  ``_SCRATCH.addr`` caches its address.
+    has seen; it never shrinks.  ``_SCRATCH.addr`` caches its address,
+    a multiple of :data:`SCRATCH_ALIGN`, which ``tm_align_pair``'s carve
+    relies on.
     """
     buf = getattr(_SCRATCH, "buf", None)
     if buf is None or buf.nbytes < nbytes:
-        buf = _SCRATCH.buf = np.empty(nbytes, dtype=np.uint8)
+        raw = np.empty(nbytes + SCRATCH_ALIGN, dtype=np.uint8)
+        start = -raw.ctypes.data % SCRATCH_ALIGN
+        buf = _SCRATCH.buf = raw[start:start + nbytes]
         _SCRATCH.addr = buf.ctypes.data
     return buf
 

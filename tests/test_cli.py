@@ -343,12 +343,10 @@ class TestBenchDriver:
             (["bench", "--kernel"], "kernel", "BENCH_kernel.json"),
             (["bench", "--prefilter"], "prefilter", "BENCH_prefilter.json"),
             (["bench", "--matstore"], "matstore", "BENCH_matstore.json"),
-            (["bench", "--service"], "service", "BENCH_service.json"),
             (["bench-parallel", "--dataset", "ck34-mini"], "parallel",
              "BENCH_parallel.json"),
         ],
-        ids=["hotpaths", "kernel", "prefilter", "matstore", "service",
-             "parallel"],
+        ids=["hotpaths", "kernel", "prefilter", "matstore", "parallel"],
     )
     def test_default_artefact_path(self, calls, tmp_path, capsys, argv,
                                    suite, path):
@@ -558,7 +556,8 @@ class TestPrefilterFlags:
         assert "must be" in err or "expected" in err
 
     def test_bench_kernel_and_prefilter_exclusive(self):
-        with pytest.raises(SystemExit, match="exclusive"):
+        with pytest.raises(SystemExit, match="^bench: --kernel, --prefilter "
+                           "and --matstore are exclusive$"):
             main(["bench", "--kernel", "--prefilter", "--no-output"])
 
 

@@ -40,6 +40,22 @@ def with_service(client_fn, config=CONFIG, evaluate=None):
     return asyncio.run(main())
 
 
+def _stub_bodies(jobs):
+    """One canned result body per job, in job order."""
+    return [
+        canonical_json(
+            {
+                "pair": [j.key[0], j.key[1]],
+                "method": j.method_name,
+                "params_hash": j.params_hash,
+                "scores": {"similarity": 1.0},
+                "score": 1.0,
+            }
+        )
+        for j in jobs
+    ]
+
+
 class TestAlignAndCache:
     def test_repeat_align_is_cached_and_byte_identical(self):
         def client(port):
@@ -238,18 +254,7 @@ class TestOverloadEndToEnd:
         def evaluate(jobs):
             started.set()
             assert release.wait(30), "test deadlock: release never set"
-            return [
-                canonical_json(
-                    {
-                        "pair": [j.key[0], j.key[1]],
-                        "method": j.method_name,
-                        "params_hash": j.params_hash,
-                        "scores": {"similarity": 1.0},
-                        "score": 1.0,
-                    }
-                )
-                for j in jobs
-            ]
+            return _stub_bodies(jobs)
 
         config = ServiceConfig(
             dataset="ck34-mini",
@@ -308,13 +313,20 @@ class TestOverloadEndToEnd:
     def test_search_reports_shedding_as_overloaded(self):
         """A search that cannot admit all its pair jobs fails typed, not
         half-silently."""
+        import time
+
+        def evaluate(jobs):
+            # hold each admitted job's batch so the queue stays full
+            # while the rest of the search's jobs arrive
+            time.sleep(0.05)
+            return _stub_bodies(jobs)
+
         config = ServiceConfig(
             dataset="ck34-mini",
             port=0,
             queue_limit=2,
             max_batch=1,
             batch_window=0.0,
-            eval_delay=0.05,
         )
 
         def client(port):
@@ -325,7 +337,7 @@ class TestOverloadEndToEnd:
                 except ServiceOverloaded as exc:
                     return str(exc)
 
-        _svc, message = with_service(client, config=config)
+        _svc, message = with_service(client, config=config, evaluate=evaluate)
         assert message is not None and "search shed" in message
         assert "retry later" in message
 

@@ -127,20 +127,30 @@ class TestShardSpec:
             ShardCoordinator(CoordinatorConfig(shards=()))
 
 
-def _shard_config(dataset="ck34-mini"):
-    return ServiceConfig(dataset=dataset, port=0, batch_window=0.001)
+def _shard_config(dataset="ck34-mini", **overrides):
+    return ServiceConfig(dataset=dataset, port=0, batch_window=0.001, **overrides)
 
 
-def with_cluster(client_fn, n_shards=2, dataset="ck34-mini", **coord_kwargs):
+def with_cluster(client_fn, n_shards=2, dataset="ck34-mini", evaluate=None,
+                 shard_overrides=None, **coord_kwargs):
     """Boot ``n_shards`` services + a coordinator; run ``client_fn`` in
-    the loop with ``(coordinator, shard_services)``."""
+    the loop with ``(coordinator, shard_services)``.
+
+    ``evaluate(service, jobs)``, when given, is every shard's batch
+    evaluation (``PSCService(evaluate=)``), called with the shard it
+    runs in; ``shard_overrides`` are extra :class:`ServiceConfig` fields
+    for every shard."""
+
+    def shard_service():
+        config = _shard_config(dataset, **(shard_overrides or {}))
+        hook = evaluate and (lambda jobs: evaluate(service, jobs))
+        service = PSCService(config, evaluate=hook)
+        return service
 
     async def main():
         async with contextlib.AsyncExitStack() as stack:
             shards = [
-                await stack.enter_async_context(
-                    PSCService(_shard_config(dataset))
-                )
+                await stack.enter_async_context(shard_service())
                 for _ in range(n_shards)
             ]
             specs = tuple(f"{s.host}:{s.port}" for s in shards)
@@ -270,6 +280,67 @@ class TestScatterGather:
             assert "uploaded" in [entry["name"] for entry in view["chains"]]
         # write-all keeps the fingerprints converged (no drift)
         assert len({view["fingerprint"] for view in views}) == 1
+
+
+class TestConcurrentFanOut:
+    """The coordinator keeps every shard evaluating at the same moment.
+
+    Each shard's batch evaluation waits on one shared two-party barrier
+    before computing its real bodies, so a request that needs both
+    shards completes only if both shards hold a batch at once.  A
+    serialised fan-out (awaiting one shard slice after another) or one
+    lock around forwarding leaves the first shard waiting alone until
+    the barrier times out, and its batch fails."""
+
+    BARRIER_TIMEOUT = 5.0
+
+    def test_search_and_concurrent_aligns_reach_both_shards_at_once(self):
+        barrier = threading.Barrier(2, timeout=self.BARRIER_TIMEOUT)
+        evaluated = []
+
+        def held(service, jobs):
+            barrier.wait()
+            evaluated.append((service.port, len(jobs)))
+            return service.batcher._evaluate_batch(jobs)
+
+        async def scenario(coordinator, shards):
+            view = (await _request(coordinator, {"op": "corpus"}))["result"]
+            names = [c["name"] for c in view["chains"]]
+            owner = {
+                c["name"]: rendezvous_owner(c["hash"], coordinator.shard_ids)
+                for c in view["chains"]
+            }
+            search = await _request(
+                coordinator, {"op": "search", "query": names[0], "top": 5}
+            )
+            # one align per owner, neither touching a pair the search
+            # cached, sent at once on separate connections
+            targets = [
+                next(n for n in names[2:] if owner[n] == sid)
+                for sid in coordinator.shard_ids
+            ]
+            aligns = await asyncio.gather(*(
+                _request(coordinator, {"op": "align", "a": names[1], "b": b})
+                for b in targets
+            ))
+            return search, aligns, [s.port for s in shards]
+
+        search, aligns, ports = with_cluster(
+            scenario,
+            dataset="ck34",
+            evaluate=held,
+            # every slice of the 33-target search in one batch per shard
+            shard_overrides={"max_batch": 64},
+        )
+        assert search["ok"]
+        assert search["result"]["corpus"] == 33
+        assert len(search["result"]["hits"]) == 5
+        assert [r["ok"] for r in aligns] == [True, True]
+        assert [r["cached"] for r in aligns] == [False, False]
+        # two rendezvous: the search's two slices, then the two aligns
+        assert len(evaluated) == 4
+        assert sorted(port for port, _n in evaluated) == sorted(ports * 2)
+        assert sum(n for _port, n in evaluated) == 33 + 2
 
 
 class TestFailover:

@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.geometry.transforms import RigidTransform, random_rotation
-from repro.structure.model import Chain
+from repro.structure.model import MAX_ABS_COORD, Chain
 
 
 def _coords(n=10, seed=0):
@@ -35,6 +37,22 @@ class TestChainConstruction:
         bad[2, 1] = np.nan
         with pytest.raises(ValueError):
             Chain("x", bad)
+
+    @given(
+        value=st.sampled_from([np.nan, np.inf, -np.inf])
+        | st.floats(MAX_ABS_COORD, 1e308).flatmap(
+            lambda v: st.sampled_from([v, -v])
+        ),
+        row=st.integers(0, 4),
+        col=st.integers(0, 2),
+    )
+    @settings(max_examples=50, deadline=None)
+    def test_over_bound_and_non_finite_raise_one_error(self, value, row, col):
+        bad = _coords(5)
+        bad[row, col] = value
+        with pytest.raises(ValueError) as err:
+            Chain("x", bad)
+        assert str(err.value) == "coords must be finite and within +-1e+06 A"
 
     def test_bad_shape_rejected(self):
         with pytest.raises(ValueError):

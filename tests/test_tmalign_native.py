@@ -21,11 +21,13 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cost.counters import CostCounter
 from repro.datasets import load_dataset
 from repro.geometry.transforms import RigidTransform
-from repro.structure.model import Chain
+from repro.structure.model import MAX_ABS_COORD, Chain
 from repro.structure.synthetic import perturb_chain
 from repro.tmalign import _dpnative, align, dp, tm_align, tmscore
 from repro.tmalign.dp import nw_align
@@ -244,6 +246,24 @@ class TestScreenedThreading:
             # the fragment pick skips the NaN placements
             ali = fragment_threading(first, ya, self.D0, self.LNORM)
             assert not np.isnan(ali.dp_score)
+
+    def test_loose_eigenvector_takes_the_sine_exit(self):
+        # six residues zig-zagging 0.016616 off a line: the Horn matrix's
+        # top eigenvalues split by 2(sigma2 + sigma3), just past the root
+        # error allowance (the eigen-gap is positive from 0.0166128 on);
+        # 9e5 from the origin the lever-arm term then exceeds a tenth of
+        # that gap (up to ~0.016619), so the window goes to exact scoring
+        d1 = np.array([0.3, -1.2, 0.8]) / np.linalg.norm([0.3, -1.2, 0.8])
+        d2 = np.cross(d1, [1.0, 0.0, 0.0])
+        d2 /= np.linalg.norm(d2)
+        zigzag = np.array([1.0, -1.0] * 3)
+        window = (1.5 * np.arange(6.0)[:, None] * d1
+                  + 0.016616 * zigzag[:, None] * d2 + 9e5)
+        screens = tmscore._KERNELS.window_screens(
+            window, window.copy(), [0], [0], [6], self.D0, self.LNORM
+        )
+        assert np.isnan(screens).all()
+        self._three_ways(window, window.copy())
 
     def test_screen_prunes_all_but_the_ranked(self, rng):
         """On a plain pair the exact pass runs on a handful of windows,
@@ -684,6 +704,25 @@ class TestOneCallAlign:
     def test_ck34_pairs_both_orders(self, ck34):
         pairs = [(ck34[i], ck34[j]) for i, j in ((0, 1), (0, 30), (5, 20), (12, 33))]
         self._both(pairs + [(b, a) for a, b in pairs])
+
+    @given(
+        shift=st.tuples(*[st.floats(0.9, 0.9995) for _ in range(6)]),
+        signs=st.tuples(*[st.sampled_from([-1.0, 1.0]) for _ in range(6)]),
+        pair=st.sampled_from([(0, 1), (5, 20), (12, 33)]),
+    )
+    @settings(max_examples=8, deadline=None)
+    def test_chains_near_the_coordinate_bound(self, shift, signs, pair):
+        # translated chains stay inside Chain's bound (ck34 spans well
+        # under 0.05% of it); there both paths are finite and agree
+        ck34 = load_dataset("ck34")
+        offsets = np.array(shift) * np.array(signs) * MAX_ABS_COORD
+        a, b = (
+            Chain(c.name, c.coords + offsets[3 * k:3 * k + 3], c.sequence)
+            for k, c in enumerate(ck34[i] for i in pair)
+        )
+        [(key, _counts)] = self._both([(a, b)])
+        # TM-scores, RMSD and dp_score: a result, and a finite one
+        assert np.isfinite([float(key[k]) for k in (4, 5, 6, 13)]).all()
 
     def test_rs119_mini_pairs(self, rs119_mini):
         self._both([(rs119_mini[0], rs119_mini[7]), (rs119_mini[9], rs119_mini[3])])
