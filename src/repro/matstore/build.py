@@ -1,7 +1,7 @@
 """Populate and incrementally extend a :class:`MatrixStore`.
 
 ``build_store`` computes every unordered pair of a dataset through the
-existing farm (cost-packed chunks, one per worker, retries), journaling
+existing farm (cost-packed chunks, dynamic pickup, retries), journaling
 each pair as it drains, then commits the float32 blocks and header in
 one step.
 ``extend_store`` is the incremental database update: one new chain costs

@@ -17,9 +17,10 @@ module prices and packs the job list with the repro's own cost model:
   order, so contiguous chunks keep the ordered-result stream (and the
   bit-identical-to-serial guarantee) without buffering the whole table.
 
-Concurrency itself is not decided here: the farm keeps one chunk in
-flight per worker, the paper's master–slaves rule (see
-:mod:`repro.parallel.farm`).
+Concurrency itself is not decided here: the farm keeps two chunks in
+flight per worker, one running and one queued behind it (see
+:mod:`repro.parallel.farm`), so the budget also bounds how long a
+queued chunk waits.
 """
 
 from __future__ import annotations
@@ -42,11 +43,12 @@ __all__ = [
 
 #: target scheduling granularity: the cost budget aims for about this
 #: many chunks per worker, so dynamic pickup can absorb prediction error.
-#: Re-fitted from 6 with the shared-memory dataset plane: per-chunk
+#: Re-fitted from 6 to 8 with the shared-memory dataset plane (per-chunk
 #: dispatch no longer rides on a pool whose startup scaled with dataset
-#: size, so slightly finer granularity (better tail balance) costs less
-#: than it buys
-CHUNKS_PER_WORKER = 8
+#: size), then to 16 with double-buffered dispatch: a chunk queued
+#: behind a running one waits up to that chunk's run time, so half-size
+#: chunks keep a pair's latency from its chunk's submit where it was
+CHUNKS_PER_WORKER = 16
 
 #: hard cap on pairs per chunk regardless of how cheap they are, so a
 #: retry/fault re-dispatch never replays an unbounded pair list

@@ -20,13 +20,20 @@ machine instead of the simulated SCC:
   model of :mod:`repro.parallel.costsched`, not a flat pair count);
   whichever worker frees up first takes the next chunk (the paper's
   dynamic farm, with the predicted-cost budget as the granularity dial);
-* **one chunk in flight per worker** — requested workers are clamped
-  against ``os.cpu_count()`` (with a warning, so oversubscribed runs are
-  visible) and a backend keeps at most ``workers`` chunks submitted and
-  not yet finished, shared by every drain running on it.  On a
-  single-CPU machine (and no fault plan) no pool is built at all: the
-  planned chunks are evaluated in-process in index order, since pool
-  workers could only add IPC to the master's work;
+* **double-buffered dispatch** — requested workers are clamped against
+  ``os.cpu_count()`` (with a warning, so oversubscribed runs are
+  visible) and a backend keeps at most :data:`INFLIGHT_PER_WORKER` ×
+  ``workers`` chunks submitted and not yet finished, shared by every
+  drain running on it: one running on each worker and one queued
+  behind it.  The paper's master hands a slave its next job only when
+  the last one returns, which costs nothing when a message is an
+  on-die hop (the simulator keeps that rule); here a chunk's round
+  trip through the master costs about as much as a pair, so a worker
+  that finishes takes its next chunk from the pool's queue instead of
+  idling on that round trip.  On a single-CPU machine (and no fault
+  plan) no pool is built at all: the planned chunks are evaluated
+  in-process in index order, since pool workers could only add IPC to
+  the master's work;
 * **ordered collection** — results are consumed in job order regardless
   of worker arrival order, so score tables, merged cost counters and
   streamed CSV rows are byte-identical to the serial path;
@@ -90,6 +97,11 @@ __all__ = [
 #: miss, since shipping a few KiB costs less than the round trip a miss
 #: takes
 INLINE_CONTEXT_BYTES = 16 * 1024
+
+#: chunks a backend keeps submitted and unfinished per worker: one
+#: running and one queued behind it, so a worker never waits on the
+#: master's round trip between two chunks
+INFLIGHT_PER_WORKER = 2
 
 #: (i, j, scores, op_counts) for one evaluated pair
 PairResult = tuple[int, int, Dict[str, float], Dict[str, float]]
@@ -215,7 +227,7 @@ class FarmStats:
     chunk_timeouts: int = 0  # duplicate dispatches of stalled chunks
     cost_packed: bool = False  # chunks cut by predicted cost, not count
     backoffs: int = 0  # always 0: the in-flight window is static
-    final_window: int = 0  # in-flight chunk cap (0 = in-process, no pool)
+    final_window: int = 0  # in-flight cap, 2 chunks per worker (0 = no pool)
     serial_fallback: bool = False  # one-CPU rule ran the chunks in-process
     shm_plane: bool = False  # workers attached a shared-memory plane
     pool_startup_s: float = 0.0  # warm-up of a pool this drain built; 0 if warm
@@ -439,10 +451,13 @@ class FarmBackend:
     materialises once and caches.
 
     Drains from several threads may overlap on one backend.  They share
-    a single cap of ``workers`` chunks submitted and not yet finished —
-    the paper's one-job-per-slave rule — so a submitted chunk starts
-    executing at once and its stall deadline times the chunk, not a
-    wait in the pool's queue.
+    a single cap of :data:`INFLIGHT_PER_WORKER` × ``workers`` chunks
+    submitted and not yet finished: one running per worker and one
+    queued behind it.  A queued chunk's stall deadline is armed only
+    once a worker can have taken it — at submit while fewer than
+    ``workers`` chunks are outstanding, otherwise when an earlier chunk
+    completes, in the pool's FIFO order — so it times the chunk, not
+    its wait in the queue.
 
     ``pools_built`` counts pool constructions, rebuilds included.  The
     backend owns no dataset: each drain publishes and unlinks its own
@@ -455,8 +470,15 @@ class FarmBackend:
         self.workers = effective_workers(requested) if requested > 1 else requested
         self.pools_built = 0
         self._cv = threading.Condition()
-        self._free = self.workers  # in-flight slots left under the cap
+        self.window = INFLIGHT_PER_WORKER * self.workers
+        self._free = self.window  # in-flight slots left under the cap
         self._outstanding = 0  # submitted futures not yet done, any drain
+        retry = self.config.retry
+        self._timed = retry is not None and retry.chunk_timeout_seconds > 0
+        # with stall deadlines on: (future, its drain's armed list) of
+        # chunks submitted behind busy workers, in submission order
+        self._queued: deque = deque()
+        self._submit_lock = threading.Lock()  # pool order == _queued order
         self._pool: Optional[ProcessPoolExecutor] = None
         self._generation = 0
         self._closed = False
@@ -549,19 +571,31 @@ class FarmBackend:
             self._free += k
             self._cv.notify_all()
 
-    def _submit(self, pool, args: tuple, arrived: list, slot: bool):
-        """Submit one chunk; ``None`` (slot returned) when ``pool`` no
-        longer takes work — broken, or shut down by a rebuild."""
-        try:
-            fut = pool.submit(_worker.eval_chunk, *args)
-        except (BrokenProcessPool, RuntimeError):
-            if slot:
-                self._release_slots(1)
-            return None
-        with self._cv:
-            self._outstanding += 1
+    def _submit(self, pool, args: tuple, arrived: list, armed: list, slot: bool):
+        """Submit one chunk; returns ``(future, started)``, or ``None``
+        (slot returned) when ``pool`` no longer takes work — broken, or
+        shut down by a rebuild.
+
+        ``started`` is the monotonic time from which a worker can have
+        taken the chunk, or None when stall deadlines are on and it
+        waits behind busy workers; it is then appended to ``armed`` as
+        ``(future, started)`` once an earlier chunk completes.
+        """
+        with self._submit_lock:
+            try:
+                fut = pool.submit(_worker.eval_chunk, *args)
+            except (BrokenProcessPool, RuntimeError):
+                if slot:
+                    self._release_slots(1)
+                return None
+            with self._cv:
+                started: Optional[float] = time.monotonic()
+                if self._timed and self._outstanding >= self.workers:
+                    started = None
+                    self._queued.append((fut, armed))
+                self._outstanding += 1
         fut.add_done_callback(functools.partial(self._chunk_done, arrived, slot))
-        return fut
+        return fut, started
 
     def _chunk_done(self, arrived: list, slot: bool, fut) -> None:
         with self._cv:
@@ -569,21 +603,35 @@ class FarmBackend:
             self._outstanding -= 1
             if slot:
                 self._free += 1
+            for k, (queued, _armed) in enumerate(self._queued):
+                if queued is fut:  # cancelled, or lost with a broken pool
+                    del self._queued[k]
+                    break
+            else:
+                # a worker freed up: the oldest queued chunk is its next
+                if self._queued:
+                    nxt, armed = self._queued.popleft()
+                    armed.append((nxt, time.monotonic()))
             self._cv.notify_all()
 
-    def _wait(self, arrived: list, want_slot: bool, timeout: Optional[float]) -> list:
-        """Block until one of this drain's futures is done, a slot frees
-        up (when ``want_slot``), or ``timeout``; returns the done futures."""
+    def _wait(
+        self, arrived: list, armed: list, want_slot: bool, timeout: Optional[float]
+    ) -> tuple[list, list]:
+        """Block until one of this drain's futures is done or armed, a
+        slot frees up (when ``want_slot``), or ``timeout``; returns the
+        done futures and the ``(future, started)`` pairs armed since."""
         with self._cv:
             self._cv.wait_for(
                 lambda: arrived
+                or armed
                 or (want_slot and self._free > 0)
                 or self._closed,
                 timeout,
             )
-            done = list(arrived)
+            done, started = list(arrived), list(armed)
             arrived.clear()
-            return done
+            armed.clear()
+            return done, started
 
 
 def _farm_drain(
@@ -598,6 +646,8 @@ def _farm_drain(
 
     Chunks take the backend's in-flight slots as they free up; the only
     excess is a stall duplicate, dispatched beside the chunk it shadows.
+    A chunk's stall deadline runs from the moment a worker can have
+    taken it (see :meth:`FarmBackend._submit`), not from its submit.
     Every chunk names ``context``, the drain's ``(key, blob)`` from
     :func:`repro.parallel.worker.drain_context`.  A blob of at most
     :data:`INLINE_CONTEXT_BYTES` travels with every chunk; a bigger one
@@ -622,6 +672,7 @@ def _farm_drain(
     inflight: Dict = {}  # Future -> (chunk_idx, attempt, holds a slot)
     deadlines: Dict = {}  # Future -> monotonic stall deadline
     arrived: list = []  # done futures, appended by the backend's callback
+    armed: list = []  # (Future, started) of queued chunks a worker can take
     key, blob = context
     with_blob = len(blob) <= INLINE_CONTEXT_BYTES
     bounced: set[int] = set()  # chunks a worker returned for the blob
@@ -635,14 +686,16 @@ def _farm_drain(
 
     def submit(idx: int, slot: bool) -> bool:
         sent = blob if with_blob or idx in bounced else None
-        fut = backend._submit(
-            pool, (chunks[idx], attempts[idx], (key, sent)), arrived, slot
+        sub = backend._submit(
+            pool, (chunks[idx], attempts[idx], (key, sent)), arrived, armed, slot
         )
-        if fut is None:
+        if sub is None:
             return False
+        fut, started = sub
         inflight[fut] = (idx, attempts[idx], slot)
         deadlines[fut] = (
-            time.monotonic() + timeout_s if timeout_s > 0 else math.inf
+            started + timeout_s
+            if timeout_s > 0 and started is not None else math.inf
         )
         if stats is not None and sent is not None:
             stats.bytes_to_workers += len(sent)
@@ -686,14 +739,18 @@ def _farm_drain(
             ready: list = []
             if not pool_broken:
                 wait_timeout = None
-                if timeout_s > 0 and deadlines:
-                    wait_timeout = max(
-                        0.0, min(deadlines.values()) - time.monotonic()
-                    )
+                soonest = min(deadlines.values(), default=math.inf)
+                if soonest < math.inf:
+                    wait_timeout = max(0.0, soonest - time.monotonic())
                 want_slot = bool(pending) and pending[0] < fatal_floor
-                ready = backend._wait(arrived, want_slot, wait_timeout)
+                ready, started = backend._wait(
+                    arrived, armed, want_slot, wait_timeout
+                )
                 if backend.closed:
                     raise RuntimeError("farm backend is closed")
+                for fut, t in started:
+                    if fut in deadlines:  # not lost to a pool rebuild
+                        deadlines[fut] = t + timeout_s
             if not ready and not pool_broken:
                 # Stall deadline expired: dispatch one duplicate per
                 # overdue chunk (at most once per dispatched future);
@@ -802,7 +859,7 @@ def _farm_drain(
                 pending = deque(sorted({*pending, *redo}))
     finally:
         if stats is not None:
-            stats.final_window = backend.workers
+            stats.final_window = backend.window
         for fut in inflight:
             fut.cancel()
 
@@ -846,7 +903,8 @@ def iter_pair_results(
     Scheduling is cost-aware by default: with ``config.chunk == 0`` the
     job list is packed into contiguous chunks of roughly equal predicted
     cost.  The requested worker count is clamped against the machine and
-    the backend holds at most one chunk per worker.  With fewer than 2
+    the backend holds at most :data:`INFLIGHT_PER_WORKER` chunks per
+    worker: one running, one queued behind it.  With fewer than 2
     CPUs and no fault plan the chunks run in-process instead, in index
     order.  None of it changes a single result bit.
     """

@@ -18,9 +18,9 @@ machine, otherwise the pool, with the farm's retry/backoff machinery.
 Batches overlap: the run loop keeps up to ``workers`` batches in flight
 (one when the farm is serial), each in its own executor thread, and
 resolves a batch's waiters as soon as that batch finishes.  Their chunks
-share the backend's single cap of one chunk per worker, so a batch that
-is finishing its tail leaves the idle workers to the next batch instead
-of holding a barrier.
+share the backend's single cap of two chunks per worker (one running,
+one queued behind it), so a batch that is finishing its tail leaves the
+idle workers to the next batch instead of holding a barrier.
 
 Batches are cut by job count alone; the farm call below the batch
 prices its pairs with the cost model and packs its own chunks, so the

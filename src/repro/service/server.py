@@ -91,6 +91,13 @@ def _require_str(payload: Dict[str, Any], field: str) -> str:
     return value
 
 
+def _retrieve_exception(job: asyncio.Future) -> None:
+    """Done callback of a job no request awaits any more: marks its
+    exception retrieved, so a late failure is not reported as lost."""
+    if not job.cancelled():
+        job.exception()
+
+
 class LineProtocolServer:
     """The TCP front end shared by one-node services and the coordinator.
 
@@ -467,21 +474,32 @@ class PSCService(LineProtocolServer):
             self.metrics.inc(
                 "prefilter_demoted", eligible - len(targets)
             )
-        outcomes = await asyncio.gather(
-            *(
+        jobs = [
+            asyncio.ensure_future(
                 self._pair_body(
                     hash_q, chain_q, h, c, method, method_name, params_hash
                 )
-                for h, c in targets
-            ),
-            return_exceptions=True,
+            )
+            for h, c in targets
+        ]
+        # every job is admitted or shed in its first step, before any
+        # finishes; a shed is known at the first failure, so reply then
+        # and let the admitted jobs finish into the cache on their own
+        done, _ = await asyncio.wait(jobs, return_when=asyncio.FIRST_EXCEPTION)
+        shed = sum(
+            1
+            for job in done
+            if not job.cancelled()
+            and isinstance(job.exception(), ServiceOverloaded)
         )
-        shed = sum(1 for r in outcomes if isinstance(r, ServiceOverloaded))
         if shed:
+            for job in jobs:
+                job.add_done_callback(_retrieve_exception)
             raise ServiceOverloaded(
                 f"search shed {shed}/{len(targets)} pair jobs at admission; "
                 "retry later"
             )
+        outcomes = await asyncio.gather(*jobs, return_exceptions=True)
         for r in outcomes:
             if isinstance(r, BaseException):
                 raise r

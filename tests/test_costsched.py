@@ -88,8 +88,9 @@ class TestPackChunks:
             assert cost <= plan.budget_seconds + max_single + 1e-9
 
     def test_equal_costs_give_equal_counts(self):
-        pairs = [(0, j) for j in range(96)]
-        plan = pack_chunks(pairs, [1.0] * 96, workers=4)
+        n = 3 * 4 * CHUNKS_PER_WORKER  # three pairs per chunk
+        pairs = [(0, j) for j in range(n)]
+        plan = pack_chunks(pairs, [1.0] * n, workers=4)
         sizes = {len(c) for c in plan.chunks}
         assert max(sizes) - min(sizes) <= 1
         assert plan.n_chunks == 4 * CHUNKS_PER_WORKER

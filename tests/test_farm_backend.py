@@ -2,7 +2,7 @@
 
 A service shard builds one process pool on its first drain and keeps it
 until it closes; its micro-batches, matrix runs and store builds drain
-on that pool concurrently, under one cap of a chunk per worker.  These
+on that pool concurrently, under one cap of two chunks per worker.  These
 tests pin the ownership (one pool, rebuilt once after a killed worker,
 nothing left running after close), the shared in-flight cap, the
 worker's bounded context cache, the batcher's overlapping batches, the
@@ -134,9 +134,9 @@ class TestShardPool:
         for key in ("ck_globin_00", "ck_globin_05", "repeat", "align"):
             assert canonical_json(got[key]) == canonical_json(want[key]), key
         assert got["repeat"]["from_cache"] == 7
-        # the shared cap: never more unfinished chunks than workers
-        assert len(pool_probe["futures"]) > 2
-        assert pool_probe["peak"] <= 2
+        # the shared cap: never more unfinished chunks than two per worker
+        assert len(pool_probe["futures"]) > 4
+        assert pool_probe["peak"] <= 4
         assert service.farm.closed
         assert set(multiprocessing.active_children()) <= children
         assert _own_planes() == []
@@ -181,6 +181,39 @@ class TestShardPool:
 
 class TestBackendFaults:
     RETRY = RetryPolicy(max_retries=2, backoff_seconds=0.01)
+
+    @needs_two_cpus
+    def test_queue_wait_is_not_a_stall(self, ck34_mini):
+        """Two workers, one-pair chunks, the first three chunks stalled
+        for less than the timeout: the third waits one stall in the
+        pool's queue, then runs its own.  Its deadline starts when a
+        worker can take it, so no stall is charged."""
+        method = get_method("sse_composition")
+        pairs = list(all_vs_all_pairs(len(ck34_mini)))
+        want = _serial(ck34_mini, pairs, method)
+        # stall < timeout < 2 * stall: a deadline armed at submit would
+        # expire while the third chunk runs its stall
+        retry = RetryPolicy(
+            max_retries=1, backoff_seconds=0.01, chunk_timeout_seconds=0.9
+        )
+        faults = FarmFaultPlan.parse(
+            ",".join(f"stall:0.5@{i}-{j}" for i, j in pairs[:3])
+        )
+        config = ParallelConfig(workers=2, chunk=1, retry=retry)
+        with FarmBackend(config) as backend:
+            # a warm pool, so worker start-up is not on the clock
+            assert list(
+                iter_pair_results(ck34_mini, pairs, method, backend=backend)
+            ) == want
+            stats = FarmStats()
+            got = list(
+                iter_pair_results(
+                    ck34_mini, pairs, method, backend=backend, stats=stats,
+                    faults=faults,
+                )
+            )
+        assert got == want
+        assert stats.chunk_timeouts == 0
 
     @needs_two_cpus
     def test_killed_worker_rebuilds_the_pool_once(self, ck34_mini):

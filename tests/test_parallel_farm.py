@@ -461,10 +461,9 @@ class TestCostAwareScheduling:
         assert stats.cost_packed
 
     @pytest.mark.parametrize("chunk", [0, 1])
-    def test_one_chunk_in_flight_per_worker(self, ck34_mini, monkeypatch, chunk):
-        """The pool never holds more than ``workers`` unfinished chunks:
-        a chunk queued behind busy workers would start its stall timer
-        before it starts executing."""
+    def test_two_chunks_in_flight_per_worker(self, ck34_mini, monkeypatch, chunk):
+        """The pool never holds more than ``2 * workers`` unfinished
+        chunks: one running on each worker and one queued behind it."""
         futures, peak = [], [0]
         submit = ProcessPoolExecutor.submit
 
@@ -481,9 +480,9 @@ class TestCostAwareScheduling:
             ck34_mini, get_method("sse_composition"),
             config=ParallelConfig(workers=2, chunk=chunk), stats=stats,
         )
-        assert len(futures) == stats.n_chunks > 2
-        assert peak[0] <= 2
-        assert stats.final_window == 2 and not stats.serial_fallback
+        assert len(futures) == stats.n_chunks > 4
+        assert peak[0] <= 2 * 2
+        assert stats.final_window == 4 and not stats.serial_fallback
 
     def test_one_cpu_runs_in_process_unless_faults(self, ck34_mini, monkeypatch):
         """One CPU and no fault plan: no pool, serial-identical results;

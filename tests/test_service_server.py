@@ -341,6 +341,54 @@ class TestOverloadEndToEnd:
         assert message is not None and "search shed" in message
         assert "retry later" in message
 
+    def test_shedding_search_replies_before_admitted_jobs_finish(self):
+        """The overloaded reply does not wait for the jobs the search did
+        admit: they are held until the client has its reply, then finish
+        into the cache, and no job's exception goes unretrieved."""
+        import gc
+        import re
+
+        release = threading.Event()
+        held = []
+
+        def evaluate(jobs):
+            held.append(release.wait(timeout=5))
+            return _stub_bodies(jobs)
+
+        config = ServiceConfig(
+            dataset="ck34-mini",
+            port=0,
+            queue_limit=2,
+            max_batch=1,
+            batch_window=0.0,
+        )
+
+        def client(port):
+            try:
+                with ServiceClient(port=port) as c:
+                    with pytest.raises(ServiceOverloaded) as err:
+                        c.search("ck_globin_00", method="sse_composition")
+                    return str(err.value)
+            finally:
+                release.set()
+
+        lost = []
+
+        async def main():
+            loop = asyncio.get_running_loop()
+            loop.set_exception_handler(lambda _loop, ctx: lost.append(ctx))
+            async with PSCService(config, evaluate=evaluate) as service:
+                message = await asyncio.to_thread(client, service.port)
+            gc.collect()
+            return service, message
+
+        service, message = asyncio.run(main())
+        assert held and all(held)  # no evaluate waited out its hold
+        shed, total = map(int, re.search(r"shed (\d+)/(\d+)", message).groups())
+        assert 0 < shed < total
+        assert len(service.cache) == total - shed
+        assert lost == []
+
 
 class TestProtocolEdges:
     def test_unknown_op_and_garbage_line(self):
