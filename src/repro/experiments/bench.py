@@ -333,6 +333,7 @@ def run_kernel_bench(
     """
     from repro.cost.counters import CostCounter
     from repro.tmalign import tm_align
+    from repro.tmalign._dpnative import kernel_target
     from repro.tmalign.align import _NATIVE_ALIGN
     from repro.tmalign.dp import _NATIVE_FORWARD
     from repro.tmalign.tmscore import _KERNELS, _NATIVE_SEARCH
@@ -389,6 +390,7 @@ def run_kernel_bench(
         "native_tm": _NATIVE_SEARCH is not None,
         "native_align": _NATIVE_ALIGN is not None,
         "native_svd": native_svd,
+        "kernel_target": kernel_target(),
         "svd": svd,
         "windows": windows,
         "op_counts_grid": counter.as_dict(),
@@ -421,7 +423,8 @@ def format_kernel_bench_report(report: dict) -> str:
         f"native DP {'on' if report['native_dp'] else 'off'}, "
         f"native search {'on' if report.get('native_tm') else 'off'}, "
         f"one-call align {'on' if report.get('native_align') else 'off'}, "
-        f"dgesdd chain {'on' if report.get('native_svd') else 'off'})",
+        f"dgesdd chain {'on' if report.get('native_svd') else 'off'}, "
+        f"target {report.get('kernel_target') or 'none'})",
         f"regression: {reg['ratio']:.2f}x of baseline "
         f"{reg['baseline_pairs_per_second']:.2f} pairs/s "
         f"({reg['baseline_source']}, min {reg['min_ratio']:.2f}) -> "

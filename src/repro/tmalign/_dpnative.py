@@ -69,7 +69,16 @@ How the Kabsch and scoring loops match NumPy's floats:
   passes, and only the elementwise tail of the score is C;
 * window means are sequential sums, score sums use NumPy's pairwise
   order, and the rest is elementwise IEEE arithmetic compiled with
-  ``-ffp-contract=off``.
+  ``-ffp-contract=off``;
+* the TM-score term ``1 / (1 + (d / d0)^2)`` of the score matrices and
+  of every search iteration takes no double-precision division where
+  ``fma()`` is an instruction: ``d / d0`` is Markstein's corrected
+  product with ``RN(1 / d0)``, and ``1 / u`` a single-precision seed and
+  three Newton steps, the last Markstein's correction.  Both are
+  correctly rounded, so the term has the division form's bits; the few
+  lanes the theorems leave out (an all-ones significand of ``u``, ``u``
+  not finite or past ``2^100``, ``d0`` outside ``[2^-500, 2^500]``) are
+  recomputed in the division form (``term_fast`` derives it).
 
 The SVDs (~350 per ck34 pair once the window screen prunes, ~1,100
 without it) take ``dgesdd``'s own code path for this input
@@ -99,8 +108,12 @@ The GEMM order depends on the OpenBLAS kernel the CPU selects, so
 points (:data:`NATIVE_HANDLES`) on a fixed probe against the NumPy path
 when the package loads and switches them off on any bit difference;
 ``nw_forward`` does not depend on BLAS and stays on.  The library is
-built on first use by :mod:`repro._native`; set
-``REPRO_NO_NATIVE_DP=1`` to disable all of it.
+built on first use by :mod:`repro._native`, its ``HOT`` entry points for
+the best instruction-set target the CPU runs: ``arch=x86-64-v4`` (AVX-512,
+with 512-bit vectors in the elementwise loops), ``fma`` (FMA3 and AVX) or
+``default`` (baseline code, where the term keeps its division form);
+:func:`kernel_target` names the one loaded.  Set ``REPRO_NO_NATIVE_DP=1``
+to disable all of it.
 """
 
 from __future__ import annotations
@@ -115,7 +128,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro._native import load_library
+from repro._native import cpu_targets, load_library
 
 __all__ = [
     "load_forward_kernel",
@@ -125,6 +138,7 @@ __all__ = [
     "NATIVE_DP_ENV",
     "NATIVE_HANDLES",
     "native_handles",
+    "kernel_target",
 ]
 
 NATIVE_DP_ENV = "REPRO_NO_NATIVE_DP"
@@ -146,14 +160,20 @@ _SOURCE = r"""
 #include <string.h>
 #include <math.h>
 
-/* Hot entry points get an FMA-instruction clone next to the baseline
- * one (glibc ifunc dispatch); both compute fma() with one rounding, so
- * the choice changes speed only. */
-#if defined(__GNUC__) && !defined(__clang__) && defined(__x86_64__) \
-    && defined(__GLIBC__)
-#define HOT __attribute__((target_clones("fma", "default")))
+/* Hot entry points are compiled for the instruction-set target the
+ * loader picked for this CPU (REPRO_TARGET: "arch=x86-64-v4", whose
+ * 512-bit vectors the elementwise loops fill, or "fma"); without one
+ * they are baseline code.  Every target computes fma() with one
+ * rounding, so the choice changes speed only.  FAST_FMA says fma() is
+ * an instruction, which the divider-free TM-score term needs to pay
+ * off: every named target has one, while in baseline code fma() is a
+ * libm call and the term keeps its division form. */
+#ifdef REPRO_TARGET
+#define HOT __attribute__((target(REPRO_TARGET)))
+#define FAST_FMA 1
 #else
 #define HOT
+#define FAST_FMA 0
 #endif
 #define INLINE static inline __attribute__((always_inline))
 
@@ -575,16 +595,88 @@ static double pairwise_sum(const double *a, ptrdiff_t n)
     return res;
 }
 
+/* ---- the TM-score term 1 / (1 + (s / d0)^2) of a distance s ---- */
+
+/* The term as NumPy computes it: q = s / d0, u = q * q + 1, then 1 / u,
+ * each step correctly rounded. */
+INLINE double term_div(double s, double d0)
+{
+    const double q = s / d0;
+    return 1.0 / (q * q + 1.0);
+}
+
+/* Whether term_fast() stands in for term_div() at this d0: fma() is an
+ * instruction, and d0 lies in [2^-500, 2^500], where no step of
+ * term_fast() overflows and the remainder r below is exact. */
+INLINE int term_fast_ok(double d0)
+{
+    return FAST_FMA && d0 >= 0x1p-500 && d0 <= 0x1p500;
+}
+
+#define MANTISSA 0x000FFFFFFFFFFFFFull
+#define MANTISSA_BITS 0x0.fffffffffffffp-1022 /* MANTISSA as a double */
+
+/* term_div(s, d0) without a double-precision division, given
+ * inv = RN(1 / d0); s is a sqrt, so 0, at least 2^-537, inf or NaN.
+ * Each step rounds as term_div()'s does (P. Markstein, "Computation of
+ * elementary functions on the IBM RISC System/6000 processor", IBM J.
+ * Res. Develop. 34(1), 1990; J.-M. Muller et al., Handbook of
+ * Floating-Point Arithmetic, on FMA-based division):
+ *
+ * - q = RN(s / d0).  inv is within half an ulp of 1 / d0, so
+ *   q0 = RN(s inv) is within one ulp of s / d0; r = s - d0 q0 is then
+ *   exact in one fma, and RN(q0 + r inv) is RN(s / d0) (Markstein's
+ *   division theorem).  For s >= 2^-537 and d0 <= 2^500 the product
+ *   d0 q0 has no bit below 2^-1074, so r is exact; a q0 that underflows
+ *   means q < 2^-27, and then u = 1 for every q within an ulp of it.
+ * - u = RN(RN(q q) + 1): term_div()'s own two roundings.
+ * - RN(1 / u).  For u in [1, 2^100) the single-precision seed
+ *   1.0f / (float)u is within 2^-23 of 1 / u; two Newton steps
+ *   y + y RN(1 - u y) bring it within one ulp, and the third is
+ *   Markstein's correction, which returns RN(1 / u) unless u's
+ *   significand is all ones (there 1 / u sits just past a midpoint and
+ *   the correction lands on the tie).
+ *
+ * So *bad is set for the lanes outside those theorems: u with an
+ * all-ones significand, and u not in [1, 2^100) (s inf or NaN, a q0 that
+ * overflowed, a seed that would).  The caller then redoes its whole row
+ * or pair list with term_div() from the same input.  Stress runs of
+ * 10^9 random and adversarial (s, d0) and u against the division form
+ * found no other difference. */
+INLINE double term_fast(double s, double d0, double inv, uint64_t *bad)
+{
+    const double q0 = s * inv;
+    const double q = fma(fma(-d0, q0, s), inv, q0);
+    const double u = q * q + 1.0;
+    double y = (double)(1.0f / (float)u), low;
+    uint64_t bits;
+    y = fma(y, fma(-u, y, 1.0), y);
+    y = fma(y, fma(-u, y, 1.0), y);
+    y = fma(y, fma(-u, y, 1.0), y); /* Markstein's correction */
+    /* u's significand bits, compared as the subnormal double they make:
+     * equal values are equal bits there, and a floating-point compare
+     * vectorises at full width on the fma target (AVX has no 256-bit
+     * integer compare) */
+    memcpy(&bits, &u, sizeof bits);
+    bits &= MANTISSA;
+    memcpy(&low, &bits, sizeof low);
+    *bad |= (low == MANTISSA_BITS) | !(u < 0x1p100);
+    return y;
+}
+
 /* TM-score of m pairs under (rot, tra); dist gets the pair distances,
  * sbuf (m doubles) is scratch. */
 INLINE double score(const double *pa, const double *pb, ptrdiff_t m,
                     const double *rot, const double *tra, double d0,
                     double lnorm, double *dist, double *sbuf)
 {
+    const int fast = term_fast_ok(d0);
+    const double inv = 1.0 / d0;
+    uint64_t bad = !fast;
     ptrdiff_t i;
     int j;
     for (i = 0; i < m; ++i) {
-        double w[3], d;
+        double w[3];
         for (j = 0; j < 3; ++j) {
             double acc = 0.0;
             acc = fma(pa[3 * i + 0], rot[3 * j + 0], acc);
@@ -594,11 +686,12 @@ INLINE double score(const double *pa, const double *pb, ptrdiff_t m,
             w[j] = acc * acc;
         }
         /* np.add.reduce: identity 0.0, then the elements in order */
-        d = sqrt(((0.0 + w[0]) + w[1]) + w[2]);
-        dist[i] = d;
-        d = d / d0;
-        sbuf[i] = 1.0 / (d * d + 1.0);
+        dist[i] = sqrt(((0.0 + w[0]) + w[1]) + w[2]);
     }
+    if (fast)
+        for (i = 0; i < m; ++i) sbuf[i] = term_fast(dist[i], d0, inv, &bad);
+    if (bad)
+        for (i = 0; i < m; ++i) sbuf[i] = term_div(dist[i], d0);
     return (0.0 + pairwise_sum(sbuf, m)) / lnorm;
 }
 
@@ -1174,6 +1267,13 @@ HOT int tm_search(const double *pa, const double *pb, ptrdiff_t n,
     return 0;
 }
 
+/* cross_distances' distance from |a|^2, |b|^2 and a . b */
+INLINE double gram_distance(double asq, double bsq, double dot)
+{
+    const double d = (asq + bsq) - 2.0 * dot;
+    return __builtin_sqrt(0.0 > d ? 0.0 : d); /* np.maximum(d, 0.0), NaN kept */
+}
+
 /* TM-score terms of every residue pair under (rot, tra), as
  * tmscore.tm_score_matrix builds them: cross_distances(xf.apply(xa), ya)
  * then the in-place 1 / (1 + (d / d0)^2).  The transform is score()'s
@@ -1182,14 +1282,20 @@ HOT int tm_search(const double *pa, const double *pb, ptrdiff_t n,
  * tile edges (columns 208-211 at lb = 215, 216-219 at lb = 220 on one
  * build), where a hand-written fma chain differs in the last bit.  The
  * rest is elementwise in NumPy's op order and vectorises without
- * changing a bit.  mv (3 la), asq (la) and bsq (lb) are scratch; S gets
- * la rows of leading stride lb. */
+ * changing a bit.  The terms of a row go to trow first: a row with a lane
+ * term_fast() does not cover is redone with term_div() from the GEMM
+ * output, which S still holds (another GEMM call could tile the row
+ * differently).  mv (3 la), asq (la), bsq and trow (lb each) are scratch;
+ * S gets la rows of leading stride lb. */
 INLINE void score_matrix(const double *restrict xa, ptrdiff_t la,
                          const double *restrict ya, ptrdiff_t lb,
                          const double *rot, const double *tra, double d0,
                          double *restrict mv, double *restrict asq,
-                         double *restrict bsq, double *restrict S)
+                         double *restrict bsq, double *restrict trow,
+                         double *restrict S)
 {
+    const int fast = term_fast_ok(d0);
+    const double inv = 1.0 / d0;
     ptrdiff_t i, j;
     int k;
     for (i = 0; i < la; ++i) {
@@ -1211,12 +1317,15 @@ INLINE void score_matrix(const double *restrict xa, ptrdiff_t la,
     for (i = 0; i < la; ++i) {
         double *restrict row = S + i * lb;
         const double a = asq[i];
-        for (j = 0; j < lb; ++j) {
-            double d = (a + bsq[j]) - 2.0 * row[j];
-            d = 0.0 > d ? 0.0 : d; /* np.maximum(d, 0.0), NaN kept */
-            d = __builtin_sqrt(d) / d0;
-            row[j] = 1.0 / (d * d + 1.0);
-        }
+        uint64_t bad = !fast;
+        if (fast)
+            for (j = 0; j < lb; ++j)
+                trow[j] = term_fast(gram_distance(a, bsq[j], row[j]), d0, inv,
+                                    &bad);
+        if (bad)
+            for (j = 0; j < lb; ++j)
+                trow[j] = term_div(gram_distance(a, bsq[j], row[j]), d0);
+        memcpy(row, trow, sizeof(double) * lb);
     }
 }
 
@@ -1227,10 +1336,10 @@ HOT int tm_scores(const double *xa, ptrdiff_t la, const double *ya,
                   ptrdiff_t lb, const double *rot, const double *tra,
                   double d0, double *S)
 {
-    double *buf = calloc(4 * la + lb + 1, sizeof(double));
+    double *buf = calloc(4 * la + 2 * lb + 1, sizeof(double));
     if (!buf) return -1;
     score_matrix(xa, la, ya, lb, rot, tra, d0, buf, buf + 3 * la,
-                 buf + 4 * la, S);
+                 buf + 4 * la, buf + 4 * la + lb, S);
     free(buf);
     return 0;
 }
@@ -1240,7 +1349,7 @@ HOT int tm_scores(const double *xa, ptrdiff_t la, const double *ya,
  * seeds and selections, the score matrix and its scratch, the three DP
  * matrices, and the alignment history (indices, lengths, corner scores). */
 struct refine_ws {
-    double *pa, *pb, *dist, *mv, *asq, *bsq, *S, *M, *Ix, *Iy, *hdp;
+    double *pa, *pb, *dist, *mv, *asq, *bsq, *trow, *S, *M, *Ix, *Iy, *hdp;
     ptrdiff_t *hai, *haj, *hn;
     int64_t *seeds;
     unsigned char *sel;
@@ -1251,7 +1360,7 @@ static void refine_sizes(ptrdiff_t la, ptrdiff_t lb, ptrdiff_t nfracs,
                          ptrdiff_t *ns, ptrdiff_t *nsel)
 {
     const ptrdiff_t cap = la < lb ? la : lb, cells = (la + 1) * (lb + 1);
-    *nf = 8 * cap + 4 * la + lb + la * lb + 3 * cells + max_iters + 1;
+    *nf = 8 * cap + 4 * la + 2 * lb + la * lb + 3 * cells + max_iters + 1;
     *nh = 2 * (max_iters + 1) * cap + max_iters + 1;
     *ns = 2 * nfracs * (cap + 1);
     *nsel = 2 * cap + 1;
@@ -1282,7 +1391,8 @@ static void refine_carve(unsigned char *ws, ptrdiff_t la, ptrdiff_t lb,
     w->mv = w->dist + 2 * cap;
     w->asq = w->mv + 3 * la;
     w->bsq = w->asq + la;
-    w->S = w->bsq + lb;
+    w->trow = w->bsq + lb;
+    w->S = w->trow + lb;
     w->M = w->S + la * lb;
     w->Ix = w->M + cells;
     w->Iy = w->Ix + cells;
@@ -1374,7 +1484,8 @@ INLINE void refine_core(const double *xa, ptrdiff_t la, const double *ya,
         } else if (++stale >= patience) {
             break;
         }
-        score_matrix(xa, la, ya, lb, rot, tra, d0, w->mv, w->asq, w->bsq, w->S);
+        score_matrix(xa, la, ya, lb, rot, tra, d0, w->mv, w->asq, w->bsq,
+                     w->trow, w->S);
         ops[2] += la * lb;
         nw_forward(w->M, w->Ix, w->Iy, w->S, la, lb, stride, lb, gap);
         ops[3] += la * lb;
@@ -1707,7 +1818,8 @@ HOT ptrdiff_t tm_align_pair(const double *xa, ptrdiff_t la, const double *ya,
     /* combined: mix * ss + (1 - mix) * score, as three in-place ufuncs */
     if (flags & 8) {
         const double keep = 1.0 - mix;
-        score_matrix(xa, la, ya, lb, rot_q, tra_q, d0, w.mv, w.asq, w.bsq, w.S);
+        score_matrix(xa, la, ya, lb, rot_q, tra_q, d0, w.mv, w.asq, w.bsq,
+                     w.trow, w.S);
         ops[2] += la * lb;
         for (k = 0; k < la; ++k)
             for (c = 0; c < lb; ++c) {
@@ -1798,8 +1910,27 @@ _N = ctypes.c_ssize_t
 _D = ctypes.c_double
 
 
+def _load() -> tuple:
+    """The kernel built for the best target this CPU runs whose build
+    succeeds (a compiler that does not know a target falls to the next),
+    and that target; ``(None, None)`` when none loads."""
+    for target in cpu_targets():
+        lib = load_library(
+            "tmalign", _SOURCE, NATIVE_DP_ENV, libs=("-lm",), target=target
+        )
+        if lib is not None:
+            return lib, target
+    return None, None
+
+
 def _library() -> Optional[ctypes.CDLL]:
-    return load_library("tmalign", _SOURCE, NATIVE_DP_ENV, libs=("-lm",))
+    return _load()[0]
+
+
+def kernel_target() -> Optional[str]:
+    """The instruction-set target of the kernel this process loads (one
+    of :data:`repro._native.TARGETS`), or None when none loads."""
+    return _load()[1]
 
 
 def load_forward_kernel() -> Optional[ctypes._CFuncPtr]:

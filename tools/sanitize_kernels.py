@@ -5,8 +5,10 @@ loader's own flags plus ``-O1 -g -fsanitize=address,undefined
 -fno-sanitize-recover=all``, loads that build in place of the cached
 optimised one, runs the TM-align kernel's self-check, then pytest over
 the given arguments (default: the native, batch and golden tests) in the
-same process.  Every sanitizer report aborts the process, so exit status
-0 means none was made.  The sanitizer runtimes must be preloaded::
+same process.  With ``--differential N`` it runs an N-pair
+``tools/kernel_differential.py`` subset on that build instead of pytest.
+Every sanitizer report aborts the process, so exit status 0 means none
+was made.  The sanitizer runtimes must be preloaded::
 
     LD_PRELOAD="$(cc -print-file-name=libasan.so):$(cc -print-file-name=libubsan.so)" \\
     ASAN_OPTIONS=detect_leaks=0 PYTHONPATH=src python tools/sanitize_kernels.py
@@ -53,6 +55,11 @@ def main(argv: list[str]) -> int | str:
         return "the SW kernel did not load"
     if not _dpnative.self_check():
         return "the TM-align kernel's self-check switched the native paths off"
+    if argv[:1] == ["--differential"]:
+        sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
+        import kernel_differential
+
+        return kernel_differential.main(["--pairs", *argv[1:2]])
     return pytest.main(["-x", "-q", "-p", "no:cacheprovider", *(argv or TESTS)])
 
 
