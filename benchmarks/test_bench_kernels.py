@@ -68,14 +68,3 @@ def test_bench_blosum62_local_alignment_300x300(benchmark):
     res = benchmark(align_sequences, a, b)
     assert res.score >= 0
 
-
-def test_bench_consensus_561_pairs(benchmark):
-    from repro.psc.consensus import consensus_scores
-
-    rng = np.random.default_rng(6)
-    pairs = [(f"c{i}", f"c{j}") for i in range(34) for j in range(i + 1, 34)]
-    tables = {
-        m: {p: float(rng.uniform()) for p in pairs} for m in ("a", "b", "c")
-    }
-    combined = benchmark(consensus_scores, tables, "borda")
-    assert len(combined) == len(pairs)

@@ -15,7 +15,7 @@ structures bit-for-bit.
 from repro.datasets.registry import Dataset, load_dataset, DATASET_BUILDERS
 from repro.datasets.ck34 import build_ck34
 from repro.datasets.rs119 import build_rs119
-from repro.datasets.pairs import all_vs_all_pairs, blocked_pairs, one_vs_all_pairs
+from repro.datasets.pairs import all_vs_all_pairs, blocked_pairs
 
 __all__ = [
     "Dataset",
@@ -25,5 +25,4 @@ __all__ = [
     "build_rs119",
     "all_vs_all_pairs",
     "blocked_pairs",
-    "one_vs_all_pairs",
 ]

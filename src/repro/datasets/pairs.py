@@ -1,12 +1,10 @@
-"""Pair enumeration for one-vs-all and all-vs-all PSC tasks."""
+"""Pair enumeration for all-vs-all PSC tasks."""
 
 from __future__ import annotations
 
 from typing import Iterator
 
-from repro.datasets.registry import Dataset
-
-__all__ = ["all_vs_all_pairs", "blocked_pairs", "one_vs_all_pairs", "n_all_vs_all"]
+__all__ = ["all_vs_all_pairs", "blocked_pairs", "n_all_vs_all"]
 
 
 def all_vs_all_pairs(
@@ -58,12 +56,3 @@ def blocked_pairs(n: int, block_size: int) -> Iterator[tuple[int, int]]:
                 start = max(i + 1, lo_j)
                 for j in range(start, hi_j):
                     yield (i, j)
-
-
-def one_vs_all_pairs(query_idx: int, dataset: Dataset) -> Iterator[tuple[int, int]]:
-    """Pairs comparing ``query_idx`` against every other chain."""
-    if not 0 <= query_idx < len(dataset):
-        raise IndexError(f"query index {query_idx} out of range")
-    for j in range(len(dataset)):
-        if j != query_idx:
-            yield (query_idx, j)

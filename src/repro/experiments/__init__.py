@@ -21,7 +21,6 @@ from repro.experiments.bench import run_bench
 from repro.experiments.common import (
     SLAVE_GRID_FULL,
     SLAVE_GRID_QUICK,
-    clear_evaluator_pool,
     render_table,
     shared_evaluator,
 )
@@ -42,7 +41,6 @@ __all__ = [
     "SLAVE_GRID_QUICK",
     "render_table",
     "shared_evaluator",
-    "clear_evaluator_pool",
     "run_bench",
     "run_table1",
     "run_table3",

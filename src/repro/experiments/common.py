@@ -15,7 +15,6 @@ __all__ = [
     "ascii_plot",
     "ExperimentResult",
     "shared_evaluator",
-    "clear_evaluator_pool",
 ]
 
 # The paper varies active slaves over the odd counts 1..47.
@@ -40,11 +39,6 @@ def shared_evaluator(dataset: Dataset, mode: EvalMode | str = EvalMode.MODEL) ->
         evaluator = JobEvaluator(dataset, mode=mode)
         _EVALUATOR_POOL[key] = evaluator
     return evaluator
-
-
-def clear_evaluator_pool() -> None:
-    """Drop all pooled evaluators (tests / memory reclamation)."""
-    _EVALUATOR_POOL.clear()
 
 
 @dataclass

@@ -56,11 +56,12 @@ def _det3_sign(m: np.ndarray) -> float:
 
     Only used on products of orthogonal matrices, whose determinant is
     +/-1 up to rounding, so the sign is unambiguous under any correctly
-    rounded evaluation order.
+    rounded evaluation order and never zero.  NaN factors (a failed SVD)
+    give -1, as in the native kernel.
     """
     (a, b, c), (d, e, f), (g, h, i) = m.tolist()
     det = a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
-    return 0.0 if det == 0.0 else (1.0 if det > 0.0 else -1.0)
+    return 1.0 if det > 0.0 else -1.0
 
 
 def _check_pair(mobile: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -121,13 +122,7 @@ def kabsch(
         cov = pm.T @ pt
 
     u, _, vt = _svd3(cov)
-    d = _det3_sign(vt.T @ u.T)
-    if d > 0:
-        diag = _DIAG_KEEP
-    elif d < 0:
-        diag = _DIAG_FLIP
-    else:  # degenerate (rank-deficient) covariance
-        diag = np.diag([1.0, 1.0, 0.0])
+    diag = _DIAG_KEEP if _det3_sign(vt.T @ u.T) > 0 else _DIAG_FLIP
     rot = vt.T @ diag @ u.T
     tra = mu_t - rot @ mu_m
     return RigidTransform.from_trusted(rot, tra)
@@ -206,8 +201,7 @@ def rotations_from_covariances(cov: np.ndarray) -> np.ndarray:
     # Python (float64 and Python floats share IEEE semantics, and one
     # tolist() beats ~15 tiny vectorized ops for the hot k <= 32 case).
     if k <= 32:
-        signs = [_det3_sign(m) for m in rots]
-        improper = [i for i, s in enumerate(signs) if s <= 0.0]
+        improper = [i for i, m in enumerate(rots) if _det3_sign(m) < 0.0]
     else:
         m = rots
         det = (
@@ -215,21 +209,12 @@ def rotations_from_covariances(cov: np.ndarray) -> np.ndarray:
             - m[:, 0, 1] * (m[:, 1, 0] * m[:, 2, 2] - m[:, 1, 2] * m[:, 2, 0])
             + m[:, 0, 2] * (m[:, 1, 0] * m[:, 2, 1] - m[:, 1, 1] * m[:, 2, 0])
         )
-        signs = None
         improper = np.nonzero(~(det > 0.0))[0].tolist()
     if improper:
-        # improper (reflection) slices: redo with diag(1, 1, -1); exact-zero
-        # determinants (degenerate covariance) use diag(1, 1, 0) as in the
-        # serial kernel
-        if signs is not None:
-            zeros = [i for i in improper if signs[i] == 0.0]
-        else:
-            zeros = [i for i in improper if _det3_sign(rots[i]) == 0.0]
+        # improper (reflection) slices: redo with diag(1, 1, -1)
         vt_f = vt[improper].transpose(0, 2, 1)
         u_f = u[improper].transpose(0, 2, 1)
         rots[improper] = np.matmul(np.matmul(vt_f, _DIAG_FLIP), u_f)
-        for i in zeros:
-            rots[i] = vt[i].T @ np.diag([1.0, 1.0, 0.0]) @ u[i].T
     return rots
 
 

@@ -20,7 +20,7 @@ from repro.sim.engine import (
     AllOf,
     AnyOf,
 )
-from repro.sim.resources import Resource, Store, PriorityResource
+from repro.sim.resources import Resource, Store
 
 __all__ = [
     "Environment",
@@ -32,5 +32,4 @@ __all__ = [
     "AnyOf",
     "Resource",
     "Store",
-    "PriorityResource",
 ]

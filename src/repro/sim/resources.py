@@ -2,7 +2,6 @@
 
 * :class:`Resource` — counted resource with a FIFO wait queue (models a
   link, a disk controller, a dispatch slot).
-* :class:`PriorityResource` — same, but waiters carry a priority.
 * :class:`Store` — unbounded FIFO of Python objects (models a mailbox or
   message channel); ``put`` never blocks, ``get`` blocks until an item is
   available.
@@ -13,13 +12,12 @@ to be yielded from a process.
 
 from __future__ import annotations
 
-import heapq
 from collections import deque
 from typing import Any, Optional
 
 from repro.sim.engine import Environment, Event, SimulationError
 
-__all__ = ["Resource", "PriorityResource", "Store"]
+__all__ = ["Resource", "Store"]
 
 
 class Request(Event):
@@ -105,39 +103,6 @@ class Resource:
         self._users.add(req)
         self.total_grants += 1
         req.succeed(req)
-
-
-class PriorityResource(Resource):
-    """Resource whose wait queue is ordered by (priority, fifo sequence)."""
-
-    def __init__(self, env: Environment, capacity: int = 1) -> None:
-        super().__init__(env, capacity)
-        self._pq: list[tuple[float, int, Request]] = []
-        self._pq_seq = 0
-
-    @property
-    def queue_len(self) -> int:
-        return len(self._pq)
-
-    def request(self, priority: float = 0.0) -> Request:  # type: ignore[override]
-        req = Request(self.env, self)
-        if len(self._users) < self.capacity and not self._pq:
-            self._users.add(req)
-            self.total_grants += 1
-            req.succeed_now(req)
-        else:
-            heapq.heappush(self._pq, (priority, self._pq_seq, req))
-            self._pq_seq += 1
-            self.peak_queue_len = max(self.peak_queue_len, len(self._pq))
-        return req
-
-    def release(self, req: Request) -> None:  # type: ignore[override]
-        if req not in self._users:
-            raise SimulationError("releasing a request that does not hold the resource")
-        self._users.discard(req)
-        while self._pq and len(self._users) < self.capacity:
-            _, _, nxt = heapq.heappop(self._pq)
-            self._grant(nxt)
 
 
 class Store:

@@ -13,7 +13,6 @@ reads Cα atoms).  This package provides:
 from repro.structure.model import Chain
 from repro.structure.pdbio import chain_to_pdb, chain_from_pdb, read_pdb_file, write_pdb_file
 from repro.structure.secstruct import assign_secondary, SS_HELIX, SS_STRAND, SS_TURN, SS_COIL
-from repro.structure.consensus import find_medoid, consensus_structure
 from repro.structure.synthetic import (
     FoldSpec,
     SSElement,
@@ -37,8 +36,6 @@ __all__ = [
     "SS_STRAND",
     "SS_TURN",
     "SS_COIL",
-    "find_medoid",
-    "consensus_structure",
     "FoldSpec",
     "SSElement",
     "build_helix",

@@ -513,8 +513,8 @@ INLINE void rotation_from_cov(const double *cov, double *rot)
     det = rot[0] * (rot[4] * rot[8] - rot[5] * rot[7])
         - rot[1] * (rot[3] * rot[8] - rot[5] * rot[6])
         + rot[2] * (rot[3] * rot[7] - rot[4] * rot[6]);
-    if (!(det > 0.0)) { /* reflection: diag(1,1,-1), degenerate: (1,1,0) */
-        double diag[9] = {1, 0, 0, 0, 1, 0, 0, 0, det == 0.0 ? 0.0 : -1.0};
+    if (!(det > 0.0)) { /* reflection (or NaN factors): diag(1,1,-1) */
+        double diag[9] = {1, 0, 0, 0, 1, 0, 0, 0, -1};
         double t[9];
         mm3(vtT, diag, t);
         mm3(t, uT, rot);

@@ -9,7 +9,6 @@ from repro.datasets import (
     build_ck34,
     build_rs119,
     load_dataset,
-    one_vs_all_pairs,
 )
 from repro.datasets.pairs import n_all_vs_all
 from repro.structure.model import Chain
@@ -144,12 +143,3 @@ class TestPairEnumeration:
 
     def test_unordered_i_lt_j(self):
         assert all(i < j for i, j in all_vs_all_pairs(10))
-
-    def test_one_vs_all(self, ck34_mini):
-        pairs = list(one_vs_all_pairs(2, ck34_mini))
-        assert len(pairs) == len(ck34_mini) - 1
-        assert all(i == 2 and j != 2 for i, j in pairs)
-
-    def test_one_vs_all_bad_index(self, ck34_mini):
-        with pytest.raises(IndexError):
-            list(one_vs_all_pairs(99, ck34_mini))

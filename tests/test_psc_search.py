@@ -1,11 +1,25 @@
 """One-vs-all ranked search and all-vs-all score tables."""
 
+import numpy as np
 import pytest
 
 from repro.cost.counters import CostCounter
 from repro.parallel import ParallelConfig
-from repro.psc.methods import SSECompositionMethod, TMAlignMethod
+from repro.psc.methods import SSECompositionMethod, TMAlignMethod, get_method
 from repro.psc.search import all_vs_all, one_vs_all
+
+
+def _family_auc(table, dataset, key):
+    """Mann-Whitney AUC of same-family pairs over cross-family pairs: the
+    chance that a random same-family pair outscores a random cross-family
+    one, ties counting half."""
+    family = {c.name: c.family for c in dataset}
+    same, cross = [], []
+    for (a, b), scores in table.items():
+        (same if family[a] == family[b] else cross).append(scores[key])
+    same, cross = np.array(same)[:, None], np.array(cross)[None, :]
+    wins = (same > cross).sum() + 0.5 * (same == cross).sum()
+    return float(wins / (same.size * cross.size))
 
 
 class TestOneVsAll:
@@ -41,6 +55,38 @@ class TestOneVsAll:
     def test_hit_details_preserved(self, ck34_mini):
         hits = one_vs_all(ck34_mini[0], ck34_mini, method=SSECompositionMethod())
         assert all("similarity" in h.details for h in hits)
+
+
+class TestFamilyRanking:
+    """Search quality on known families: same-family chains must outrank
+    the rest, which is what a ranked PSC search is for."""
+
+    @pytest.fixture(scope="class")
+    def two_families(self, ck34):
+        return ck34.subset(12, "ck34-quality")  # 8 globins + 4 TIM barrels
+
+    @pytest.mark.parametrize("name", ["sse_composition", "kabsch_rmsd"])
+    def test_family_auc_above_chance(self, ck34, name):
+        table = all_vs_all(ck34, method=get_method(name))
+        assert _family_auc(table, ck34, "similarity") > 0.6  # even crude methods
+
+    def test_tmalign_auc_beats_sse_on_mini(self, two_families):
+        """TM-align must be the better fold detector: the reason it is
+        worth parallelizing at all."""
+        tm = all_vs_all(two_families, method=TMAlignMethod())
+        sse = all_vs_all(two_families, method=SSECompositionMethod())
+        tm_auc = _family_auc(tm, two_families, "tm_norm_b")
+        assert tm_auc > 0.95
+        assert tm_auc >= _family_auc(sse, two_families, "similarity")
+
+    def test_recovers_families(self, two_families):
+        """Each query's hits above the conventional 0.5 same-fold TM-score
+        line are exactly the rest of its family."""
+        for query in two_families:
+            hits = one_vs_all(query, two_families, method=TMAlignMethod())
+            above = {h.chain_name for h in hits if h.score > 0.5}
+            family = {c.name for c in two_families if c.family == query.family}
+            assert above == family - {query.name}, query.name
 
 
 class TestAllVsAll:

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.sim.engine import Environment, SimulationError
-from repro.sim.resources import PriorityResource, Resource, Store
+from repro.sim.resources import Resource, Store
 
 
 class TestResource:
@@ -91,32 +91,6 @@ class TestResource:
     def test_bad_capacity(self):
         with pytest.raises(ValueError):
             Resource(Environment(), capacity=0)
-
-
-class TestPriorityResource:
-    def test_priority_order(self):
-        env = Environment()
-        res = PriorityResource(env)
-        order = []
-
-        def holder():
-            req = res.request(priority=0)
-            yield req
-            yield env.timeout(1.0)
-            res.release(req)
-
-        def worker(tag, prio):
-            yield env.timeout(0.1)  # arrive while holder holds
-            req = res.request(priority=prio)
-            yield req
-            order.append(tag)
-            res.release(req)
-
-        env.process(holder())
-        env.process(worker("low", 5))
-        env.process(worker("high", 1))
-        env.run()
-        assert order == ["high", "low"]
 
 
 class TestStore:
