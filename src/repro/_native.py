@@ -78,8 +78,16 @@ def cpu_targets() -> list:
     return [t for t in TARGETS if _TARGET_FLAGS[t] <= flags]
 
 
+# A macro the preprocessor can test, for a target whose instructions a
+# source names directly (intrinsics): REPRO_TARGET is a string to it.
+_TARGET_MACROS = {"arch=x86-64-v4": "REPRO_AVX512"}
+
+
 def _target_args(target: Optional[str]) -> list:
-    return [] if target in (None, "default") else [f'-DREPRO_TARGET="{target}"']
+    if target in (None, "default"):
+        return []
+    macro = _TARGET_MACROS.get(target)
+    return [f'-DREPRO_TARGET="{target}"', *([f"-D{macro}"] if macro else [])]
 
 
 def _build_library(
@@ -124,7 +132,8 @@ def load_library(
     non-empty value, forces None (the NumPy fallback).  ``libs`` are
     extra linker arguments such as ``-lm``.  ``target`` (one of
     :data:`TARGETS`) defines ``REPRO_TARGET`` as that string for every
-    target but ``default``; the source decides what to compile for it.
+    target but ``default``, and ``REPRO_AVX512`` for ``arch=x86-64-v4``;
+    the source decides what to compile for it.
     """
     if os.environ.get(disable_env):
         return None

@@ -20,7 +20,10 @@ public entry point of the package has one native call:
 * ``tm_search`` — ``superposition_search``: the seed schedule of its
   fractions, then per seed Kabsch on the seed window, score / reselect
   with cutoff escalation / convergence check, keeping the first strictly
-  best score in serial seed order.
+  best score in serial seed order.  A reselection is a branch-free list
+  of the selected pair indices, whose pairs are gathered into contiguous
+  rows for Kabsch; it has converged when it lists the same pairs as the
+  previous one.
 * ``tm_align_pair`` — ``align.tm_align`` for one pair, in the order the
   Python orchestration runs its stages and with their arithmetic:
 
@@ -73,12 +76,16 @@ How the Kabsch and scoring loops match NumPy's floats:
 * the TM-score term ``1 / (1 + (d / d0)^2)`` of the score matrices and
   of every search iteration takes no double-precision division where
   ``fma()`` is an instruction: ``d / d0`` is Markstein's corrected
-  product with ``RN(1 / d0)``, and ``1 / u`` a single-precision seed and
-  three Newton steps, the last Markstein's correction.  Both are
+  product with ``RN(1 / d0)``, and ``1 / u`` a seed within ``2^-14``
+  and three Newton steps, the last Markstein's correction.  Both are
   correctly rounded, so the term has the division form's bits; the few
   lanes the theorems leave out (an all-ones significand of ``u``, ``u``
   not finite or past ``2^100``, ``d0`` outside ``[2^-500, 2^500]``) are
-  recomputed in the division form (``term_fast`` derives it).
+  recomputed in the division form (``term_fast`` derives it).  On the
+  ``arch=x86-64-v4`` target the term rows (``term_grams`` for a score
+  matrix row, ``term_dists`` for a search's distances) are explicit
+  AVX-512 with masked tails, seeded by ``_mm512_rcp14_pd``; elsewhere
+  they are ``term_fast`` per lane with a ``1.0f / (float)u`` seed.
 
 The SVDs (~350 per ck34 pair once the window screen prunes, ~1,100
 without it) take ``dgesdd``'s own code path for this input
@@ -110,7 +117,8 @@ when the package loads and switches them off on any bit difference;
 ``nw_forward`` does not depend on BLAS and stays on.  The library is
 built on first use by :mod:`repro._native`, its ``HOT`` entry points for
 the best instruction-set target the CPU runs: ``arch=x86-64-v4`` (AVX-512,
-with 512-bit vectors in the elementwise loops), ``fma`` (FMA3 and AVX) or
+with 512-bit vectors in the elementwise loops and intrinsics in the term
+rows), ``fma`` (FMA3 and AVX) or
 ``default`` (baseline code, where the term keeps its division form);
 :func:`kernel_target` names the one loaded.  Set ``REPRO_NO_NATIVE_DP=1``
 to disable all of it.
@@ -167,7 +175,9 @@ _SOURCE = r"""
  * rounding, so the choice changes speed only.  FAST_FMA says fma() is
  * an instruction, which the divider-free TM-score term needs to pay
  * off: every named target has one, while in baseline code fma() is a
- * libm call and the term keeps its division form. */
+ * libm call and the term keeps its division form.  REPRO_AVX512, which
+ * the loader defines for the x86-64-v4 target alone, compiles the term
+ * rows (term_grams, term_dists) as explicit AVX-512 intrinsics. */
 #ifdef REPRO_TARGET
 #define HOT __attribute__((target(REPRO_TARGET)))
 #define FAST_FMA 1
@@ -176,6 +186,9 @@ _SOURCE = r"""
 #define FAST_FMA 0
 #endif
 #define INLINE static inline __attribute__((always_inline))
+#ifdef REPRO_AVX512
+#include <immintrin.h>
+#endif
 
 /* np.maximum over the DP's non-NaN values.  Written with the strict
  * compare first it is the same function as `a >= b ? a : b` (on equal
@@ -532,20 +545,17 @@ void tm_rotations(const double *covs, ptrdiff_t n, double *rots)
     for (k = 0; k < n; ++k) rotation_from_cov(covs + 9 * k, rots + 9 * k);
 }
 
-/* Kabsch of pa onto pb over m point pairs: rows a0.. / b0.. when sel is
- * NULL, else the rows i < n with sel[i] (same rows of both sets). */
+/* Kabsch of pa onto pb over the m point pairs of rows a0.. / b0.. */
 INLINE void kabsch(const double *pa, const double *pb, ptrdiff_t a0,
-                   ptrdiff_t b0, ptrdiff_t m, const unsigned char *sel,
-                   ptrdiff_t n, double *rot, double *tra)
+                   ptrdiff_t b0, ptrdiff_t m, double *rot, double *tra)
 {
     double mu_a[3] = {0.0, 0.0, 0.0}, mu_b[3] = {0.0, 0.0, 0.0};
     double cov[9] = {0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0}, y[3];
-    ptrdiff_t r, rows = sel ? n : m;
+    ptrdiff_t r;
     int p, q;
     pa += 3 * a0;
     pb += 3 * b0;
-    for (r = 0; r < rows; ++r) {
-        if (sel && !sel[r]) continue;
+    for (r = 0; r < m; ++r) {
         for (p = 0; p < 3; ++p) {
             mu_a[p] += pa[3 * r + p];
             mu_b[p] += pb[3 * r + p];
@@ -555,9 +565,8 @@ INLINE void kabsch(const double *pa, const double *pb, ptrdiff_t a0,
         mu_a[p] /= (double)m;
         mu_b[p] /= (double)m;
     }
-    for (r = 0; r < rows; ++r) {
+    for (r = 0; r < m; ++r) {
         double da[3], db[3];
-        if (sel && !sel[r]) continue;
         for (p = 0; p < 3; ++p) {
             da[p] = pa[3 * r + p] - mu_a[p];
             db[p] = pb[3 * r + p] - mu_b[p];
@@ -616,6 +625,13 @@ INLINE int term_fast_ok(double d0)
 #define MANTISSA 0x000FFFFFFFFFFFFFull
 #define MANTISSA_BITS 0x0.fffffffffffffp-1022 /* MANTISSA as a double */
 
+/* cross_distances' distance from |a|^2, |b|^2 and a . b */
+INLINE double gram_distance(double asq, double bsq, double dot)
+{
+    const double d = (asq + bsq) - 2.0 * dot;
+    return __builtin_sqrt(0.0 > d ? 0.0 : d); /* np.maximum(d, 0.0), NaN kept */
+}
+
 /* term_div(s, d0) without a double-precision division, given
  * inv = RN(1 / d0); s is a sqrt, so 0, at least 2^-537, inf or NaN.
  * Each step rounds as term_div()'s does (P. Markstein, "Computation of
@@ -630,9 +646,15 @@ INLINE int term_fast_ok(double d0)
  *   d0 q0 has no bit below 2^-1074, so r is exact; a q0 that underflows
  *   means q < 2^-27, and then u = 1 for every q within an ulp of it.
  * - u = RN(RN(q q) + 1): term_div()'s own two roundings.
- * - RN(1 / u).  For u in [1, 2^100) the single-precision seed
- *   1.0f / (float)u is within 2^-23 of 1 / u; two Newton steps
- *   y + y RN(1 - u y) bring it within one ulp, and the third is
+ * - RN(1 / u).  For u in [1, 2^100) the seed y is within 2^-14 of 1 / u,
+ *   relatively: 1.0f / (float)u is within 2^-23, and the AVX-512 rows'
+ *   _mm512_rcp14_pd within 2^-14 by its specification.  A Newton step
+ *   y + y RN(1 - u y) takes a relative error e to at most
+ *   e^2 + 2^-53 e before its own rounding (the fma's remainder is
+ *   1 - u y to 2^-53), and the rounding adds half an ulp.  So the first
+ *   step leaves at most 2^-28 (1 + 2^-24), and the second
+ *   2^-56 (1 + 2^-23), an eighth of an ulp, plus its half-ulp rounding:
+ *   within one ulp of 1 / u.  The third step is
  *   Markstein's correction, which returns RN(1 / u) unless u's
  *   significand is all ones (there 1 / u sits just past a midpoint and
  *   the correction lands on the tie).
@@ -642,7 +664,7 @@ INLINE int term_fast_ok(double d0)
  * overflowed, a seed that would).  The caller then redoes its whole row
  * or pair list with term_div() from the same input.  Stress runs of
  * 10^9 random and adversarial (s, d0) and u against the division form
- * found no other difference. */
+ * found no other difference, for either seed. */
 INLINE double term_fast(double s, double d0, double inv, uint64_t *bad)
 {
     const double q0 = s * inv;
@@ -664,15 +686,106 @@ INLINE double term_fast(double s, double d0, double inv, uint64_t *bad)
     return y;
 }
 
+/* The term rows: out[j] = the term of distance s[j] (term_dists) or of
+ * gram_distance(a, bsq[j], dot[j]) (term_grams), j < n, each returning
+ * whether a lane needs term_div() (*bad of term_fast()).  A caller takes
+ * them only where term_fast_ok(d0). */
+#ifdef REPRO_AVX512
+/* Explicit AVX-512: term_fast() on 8 lanes, rcp14-seeded, the tail
+ * lanes masked (they load 0 and set no bad bit).  The intrinsics round
+ * as term_fast()'s scalar steps: fnmadd(d0, q0, s) is fma(-d0, q0, s),
+ * and the separate mul and add of u are its two roundings
+ * (-ffp-contract=off). */
+#define VEC static inline __attribute__((always_inline, target(REPRO_TARGET)))
+
+VEC __m512d term8(__m512d s, __m512d d0, __m512d inv, __mmask8 live,
+                  __mmask8 *bad)
+{
+    const __m512d one = _mm512_set1_pd(1.0);
+    const __m512i sig = _mm512_set1_epi64((long long)MANTISSA);
+    const __m512d q0 = _mm512_mul_pd(s, inv);
+    const __m512d q = _mm512_fmadd_pd(_mm512_fnmadd_pd(d0, q0, s), inv, q0);
+    const __m512d u = _mm512_add_pd(_mm512_mul_pd(q, q), one);
+    __m512d y = _mm512_rcp14_pd(u);
+    y = _mm512_fmadd_pd(y, _mm512_fnmadd_pd(u, y, one), y);
+    y = _mm512_fmadd_pd(y, _mm512_fnmadd_pd(u, y, one), y);
+    y = _mm512_fmadd_pd(y, _mm512_fnmadd_pd(u, y, one), y); /* Markstein */
+    *bad |= _mm512_mask_cmpeq_epi64_mask(
+                live, _mm512_and_si512(_mm512_castpd_si512(u), sig), sig)
+            | _mm512_mask_cmp_pd_mask(live, u, _mm512_set1_pd(0x1p100),
+                                      _CMP_NLT_UQ);
+    return y;
+}
+
+/* the lanes j.. of a row of n: all 8, or the n - j left */
+VEC __mmask8 live8(ptrdiff_t j, ptrdiff_t n)
+{
+    return n - j >= 8 ? (__mmask8)0xFF : (__mmask8)((1u << (n - j)) - 1u);
+}
+
+HOT static int term_dists(const double *s, ptrdiff_t n, double d0, double inv,
+                          double *out)
+{
+    const __m512d vd0 = _mm512_set1_pd(d0), vinv = _mm512_set1_pd(inv);
+    __mmask8 bad = 0;
+    ptrdiff_t j;
+    for (j = 0; j < n; j += 8) {
+        const __mmask8 live = live8(j, n);
+        _mm512_mask_storeu_pd(out + j, live,
+                              term8(_mm512_maskz_loadu_pd(live, s + j), vd0,
+                                    vinv, live, &bad));
+    }
+    return bad != 0;
+}
+
+HOT static int term_grams(double a, const double *bsq, const double *dot,
+                          ptrdiff_t n, double d0, double inv, double *out)
+{
+    const __m512d va = _mm512_set1_pd(a), two = _mm512_set1_pd(2.0);
+    const __m512d zero = _mm512_setzero_pd();
+    const __m512d vd0 = _mm512_set1_pd(d0), vinv = _mm512_set1_pd(inv);
+    __mmask8 bad = 0;
+    ptrdiff_t j;
+    for (j = 0; j < n; j += 8) {
+        const __mmask8 live = live8(j, n);
+        /* gram_distance(): np.maximum(d, 0.0) keeps NaN and -0.0 */
+        __m512d d = _mm512_sub_pd(
+            _mm512_add_pd(va, _mm512_maskz_loadu_pd(live, bsq + j)),
+            _mm512_mul_pd(two, _mm512_maskz_loadu_pd(live, dot + j)));
+        d = _mm512_mask_mov_pd(d, _mm512_cmp_pd_mask(d, zero, _CMP_LT_OQ), zero);
+        _mm512_mask_storeu_pd(out + j, live,
+                              term8(_mm512_sqrt_pd(d), vd0, vinv, live, &bad));
+    }
+    return bad != 0;
+}
+#else
+/* term_fast() lane by lane, left to the auto-vectoriser */
+INLINE int term_dists(const double *s, ptrdiff_t n, double d0, double inv,
+                      double *out)
+{
+    uint64_t bad = 0;
+    ptrdiff_t j;
+    for (j = 0; j < n; ++j) out[j] = term_fast(s[j], d0, inv, &bad);
+    return bad != 0;
+}
+
+INLINE int term_grams(double a, const double *bsq, const double *dot,
+                      ptrdiff_t n, double d0, double inv, double *out)
+{
+    uint64_t bad = 0;
+    ptrdiff_t j;
+    for (j = 0; j < n; ++j)
+        out[j] = term_fast(gram_distance(a, bsq[j], dot[j]), d0, inv, &bad);
+    return bad != 0;
+}
+#endif
+
 /* TM-score of m pairs under (rot, tra); dist gets the pair distances,
  * sbuf (m doubles) is scratch. */
 INLINE double score(const double *pa, const double *pb, ptrdiff_t m,
                     const double *rot, const double *tra, double d0,
                     double lnorm, double *dist, double *sbuf)
 {
-    const int fast = term_fast_ok(d0);
-    const double inv = 1.0 / d0;
-    uint64_t bad = !fast;
     ptrdiff_t i;
     int j;
     for (i = 0; i < m; ++i) {
@@ -688,9 +801,7 @@ INLINE double score(const double *pa, const double *pb, ptrdiff_t m,
         /* np.add.reduce: identity 0.0, then the elements in order */
         dist[i] = sqrt(((0.0 + w[0]) + w[1]) + w[2]);
     }
-    if (fast)
-        for (i = 0; i < m; ++i) sbuf[i] = term_fast(dist[i], d0, inv, &bad);
-    if (bad)
+    if (!term_fast_ok(d0) || term_dists(dist, m, d0, 1.0 / d0, sbuf))
         for (i = 0; i < m; ++i) sbuf[i] = term_div(dist[i], d0);
     return (0.0 + pairwise_sum(sbuf, m)) / lnorm;
 }
@@ -713,7 +824,7 @@ INLINE double window_exact(const double *xa, const double *ya, ptrdiff_t a0,
 {
     double rot[9], tra[3];
     ++win_counts[1];
-    kabsch(xa, ya, a0, b0, m, NULL, 0, rot, tra);
+    kabsch(xa, ya, a0, b0, m, rot, tra);
     return score(xa + 3 * a0, ya + 3 * b0, m, rot, tra, d0, lnorm, dist, sbuf);
 }
 
@@ -1154,32 +1265,49 @@ HOT ptrdiff_t tm_window_screens(const double *xa, ptrdiff_t na,
     return 0;
 }
 
+/* The indices i < n with dist[i] < cut, ascending, into idx; returns
+ * how many.  Branch-free: every index is written, and kept by counting
+ * it. */
+INLINE ptrdiff_t select_close(const double *dist, ptrdiff_t n, double cut,
+                              int64_t *idx)
+{
+    ptrdiff_t i, cnt = 0;
+    for (i = 0; i < n; ++i) {
+        idx[cnt] = i;
+        cnt += dist[i] < cut;
+    }
+    return cnt;
+}
+
 /* superposition_search over n matched pairs.  seeds holds (start, len)
- * per seed in schedule order; dist (2n doubles) and sel (2n bytes) are
- * scratch.  Writes the first strictly best score and its transform
- * (identity and -1 if none beats -1) and adds the kabsch, kabsch_point
- * and score_pair counts to ops[0..2]. */
+ * per seed in schedule order; dist (2n doubles), idx (2n indices) and
+ * ga (6n doubles) are scratch.  Each reselection's pairs are gathered
+ * in index order into ga (mobile) and ga + 3n (target), so kabsch()
+ * reads contiguous rows, with the sums of the NumPy path's pa[sel].
+ * Writes the first strictly best score and its transform (identity and
+ * -1 if none beats -1) and adds the kabsch, kabsch_point and score_pair
+ * counts to ops[0..2]. */
 INLINE void search(const double *pa, const double *pb, ptrdiff_t n,
                    const int64_t *seeds, ptrdiff_t nseeds, double d0,
                    double lnorm, double d0_search, ptrdiff_t max_iters,
-                   double *dist, unsigned char *sel, double *best_tm,
+                   double *dist, int64_t *idx, double *ga, double *best_tm,
                    double *best_rot, double *best_tra, int64_t *ops)
 {
-    ptrdiff_t s, it, i;
+    double *gb = ga + 3 * n;
+    ptrdiff_t s, it, k;
     *best_tm = -1.0;
-    for (i = 0; i < 9; ++i) best_rot[i] = (i % 4 == 0) ? 1.0 : 0.0;
-    for (i = 0; i < 3; ++i) best_tra[i] = 0.0;
+    for (k = 0; k < 9; ++k) best_rot[k] = (k % 4 == 0) ? 1.0 : 0.0;
+    for (k = 0; k < 3; ++k) best_tra[k] = 0.0;
     for (s = 0; s < nseeds; ++s) {
         double rot[9], tra[3];
-        unsigned char *cur = sel, *prev = sel + n, *tmp;
-        int has_prev = 0;
-        kabsch(pa, pb, seeds[2 * s], seeds[2 * s], seeds[2 * s + 1], NULL, 0,
-               rot, tra);
+        int64_t *cur = idx, *prev = idx + n, *tmp;
+        ptrdiff_t prev_cnt = -1; /* no selection yet */
+        kabsch(pa, pb, seeds[2 * s], seeds[2 * s], seeds[2 * s + 1], rot, tra);
         ops[0] += 1;
         ops[1] += seeds[2 * s + 1];
         for (it = 0; it < max_iters; ++it) {
             double tm, cut = d0_search;
-            ptrdiff_t cnt = 0;
+            ptrdiff_t cnt;
             tm = score(pa, pb, n, rot, tra, d0, lnorm, dist, dist + n);
             ops[2] += n;
             if (tm > *best_tm) {
@@ -1188,18 +1316,23 @@ INLINE void search(const double *pa, const double *pb, ptrdiff_t n,
                 memcpy(best_tra, tra, sizeof tra);
             }
             /* widen the cutoff by 0.5 until >= 3 pairs or 8 A */
-            for (i = 0; i < n; ++i) cnt += (cur[i] = dist[i] < cut);
+            cnt = select_close(dist, n, cut, cur);
             while (cnt < 3 && cut < 8.0) {
                 cut += 0.5;
-                cnt = 0;
-                for (i = 0; i < n; ++i) cnt += (cur[i] = dist[i] < cut);
+                cnt = select_close(dist, n, cut, cur);
             }
             if (cnt < 3) break; /* hopeless seed: nothing is close */
-            if (has_prev && memcmp(cur, prev, n) == 0) break; /* converged */
-            has_prev = 1;
-            kabsch(pa, pb, 0, 0, cnt, cur, n, rot, tra);
+            /* converged: the same selection as the previous iteration's */
+            if (cnt == prev_cnt && memcmp(cur, prev, sizeof(int64_t) * cnt) == 0)
+                break;
+            for (k = 0; k < cnt; ++k) {
+                memcpy(ga + 3 * k, pa + 3 * cur[k], sizeof(double) * 3);
+                memcpy(gb + 3 * k, pb + 3 * cur[k], sizeof(double) * 3);
+            }
+            kabsch(ga, gb, 0, 0, cnt, rot, tra);
             ops[0] += 1;
             ops[1] += cnt;
+            prev_cnt = cnt;
             tmp = prev;
             prev = cur;
             cur = tmp;
@@ -1255,38 +1388,36 @@ HOT int tm_search(const double *pa, const double *pb, ptrdiff_t n,
     ptrdiff_t k;
     for (k = 0; k < nfracs; ++k)
         if (fracs[k] < 1) return -2;
-    dist = malloc(sizeof(double) * (2 * n + 2 * nseeds_max) + 2 * n);
+    /* dist, the gathered pairs, the seeds and the selections: 8-byte
+     * entries throughout, so each part starts aligned */
+    dist = malloc(8 * (8 * n + 2 * nseeds_max + 2 * n));
     if (!dist) return -1;
-    seeds = (int64_t *)(dist + 2 * n);
+    seeds = (int64_t *)(dist + 8 * n);
     search(pa, pb, n, seeds,
            seed_schedule(n, fracs, nfracs, min_seed_len, seeds), d0, lnorm,
-           d0_search, max_iters, dist, (unsigned char *)(seeds + 2 * nseeds_max),
+           d0_search, max_iters, dist, seeds + 2 * nseeds_max, dist + 2 * n,
            out, out + 1, out + 10, ops);
     memcpy(out + 13, ops, sizeof ops);
     free(dist);
     return 0;
 }
 
-/* cross_distances' distance from |a|^2, |b|^2 and a . b */
-INLINE double gram_distance(double asq, double bsq, double dot)
-{
-    const double d = (asq + bsq) - 2.0 * dot;
-    return __builtin_sqrt(0.0 > d ? 0.0 : d); /* np.maximum(d, 0.0), NaN kept */
-}
-
 /* TM-score terms of every residue pair under (rot, tra), as
  * tmscore.tm_score_matrix builds them: cross_distances(xf.apply(xa), ya)
  * then the in-place 1 / (1 + (d / d0)^2).  The transform is score()'s
- * fma form.  The cross product a @ b.T calls the bound dgemm with the
- * arguments np.matmul passes: OpenBLAS switches kernels at its column
+ * fma form, or for la = 1 the dgemv np.matmul calls for one point.  The
+ * cross product a @ b.T calls the bound dgemm with the arguments
+ * np.matmul passes (its dgemv for one row or one column, one point on
+ * either side; a 1 x 1 product, np.dot's ddot in NumPy, matched the
+ * dgemm on 20,000 random pairs): OpenBLAS switches kernels at its column
  * tile edges (columns 208-211 at lb = 215, 216-219 at lb = 220 on one
  * build), where a hand-written fma chain differs in the last bit.  The
- * rest is elementwise in NumPy's op order and vectorises without
- * changing a bit.  The terms of a row go to trow first: a row with a lane
- * term_fast() does not cover is redone with term_div() from the GEMM
- * output, which S still holds (another GEMM call could tile the row
- * differently).  mv (3 la), asq (la), bsq and trow (lb each) are scratch;
- * S gets la rows of leading stride lb. */
+ * rest is elementwise in NumPy's op order, term_grams() per row, and
+ * vectorises without changing a bit.  The terms of a row go to trow
+ * first: a row with a lane term_fast() does not cover is redone with
+ * term_div() from the GEMM output, which S still holds (another GEMM
+ * call could tile the row differently).  mv (3 la), asq (la), bsq and
+ * trow (lb each) are scratch; S gets la rows of leading stride lb. */
 INLINE void score_matrix(const double *restrict xa, ptrdiff_t la,
                          const double *restrict ya, ptrdiff_t lb,
                          const double *rot, const double *tra, double d0,
@@ -1298,12 +1429,19 @@ INLINE void score_matrix(const double *restrict xa, ptrdiff_t la,
     const double inv = 1.0 / d0;
     ptrdiff_t i, j;
     int k;
+    if (la == 1) /* np.matmul moves a single point with a dgemv */
+        blas_gemv(102 /* ColMajor */, 112 /* Trans */, 3, 3, 1.0, rot, 3, xa,
+                  1, 0.0, mv, 1);
     for (i = 0; i < la; ++i) {
         for (k = 0; k < 3; ++k) {
             double acc = 0.0;
-            acc = fma(xa[3 * i + 0], rot[3 * k + 0], acc);
-            acc = fma(xa[3 * i + 1], rot[3 * k + 1], acc);
-            acc = fma(xa[3 * i + 2], rot[3 * k + 2], acc);
+            if (la == 1) {
+                acc = mv[k];
+            } else {
+                acc = fma(xa[3 * i + 0], rot[3 * k + 0], acc);
+                acc = fma(xa[3 * i + 1], rot[3 * k + 1], acc);
+                acc = fma(xa[3 * i + 2], rot[3 * k + 2], acc);
+            }
             mv[3 * i + k] = acc + tra[k];
         }
         asq[i] = (mv[3 * i] * mv[3 * i] + mv[3 * i + 1] * mv[3 * i + 1])
@@ -1312,17 +1450,21 @@ INLINE void score_matrix(const double *restrict xa, ptrdiff_t la,
     for (j = 0; j < lb; ++j)
         bsq[j] = (ya[3 * j] * ya[3 * j] + ya[3 * j + 1] * ya[3 * j + 1])
                  + ya[3 * j + 2] * ya[3 * j + 2];
-    blas_gemm(101 /* RowMajor */, 111 /* NoTrans */, 112 /* Trans */, la, lb,
-              3, 1.0, mv, 3, ya, 3, 0.0, S, lb);
+    /* np.matmul's own choice: a one-column or one-row product is a
+     * dgemv over the other operand */
+    if (la > 1 && lb == 1)
+        blas_gemv(102 /* ColMajor */, 112 /* Trans */, 3, la, 1.0, mv, 3, ya,
+                  1, 0.0, S, 1);
+    else if (la == 1 && lb > 1)
+        blas_gemv(102 /* ColMajor */, 112 /* Trans */, 3, lb, 1.0, ya, 3, mv,
+                  1, 0.0, S, 1);
+    else
+        blas_gemm(101 /* RowMajor */, 111 /* NoTrans */, 112 /* Trans */, la,
+                  lb, 3, 1.0, mv, 3, ya, 3, 0.0, S, lb);
     for (i = 0; i < la; ++i) {
         double *restrict row = S + i * lb;
         const double a = asq[i];
-        uint64_t bad = !fast;
-        if (fast)
-            for (j = 0; j < lb; ++j)
-                trow[j] = term_fast(gram_distance(a, bsq[j], row[j]), d0, inv,
-                                    &bad);
-        if (bad)
+        if (!fast || term_grams(a, bsq, row, lb, d0, inv, trow))
             for (j = 0; j < lb; ++j)
                 trow[j] = term_div(gram_distance(a, bsq[j], row[j]), d0);
         memcpy(row, trow, sizeof(double) * lb);
@@ -1346,36 +1488,39 @@ HOT int tm_scores(const double *xa, ptrdiff_t la, const double *ya,
 
 /* The refinement loop's scratch, carved by refine_carve from a workspace
  * of refine_bytes() bytes: the gathered pairs, the search's distances,
- * seeds and selections, the score matrix and its scratch, the three DP
- * matrices, and the alignment history (indices, lengths, corner scores). */
+ * gathered selections, seeds and selection indices, the score matrix and
+ * its scratch, the three DP matrices, and the alignment history
+ * (indices, lengths, corner scores). */
 struct refine_ws {
-    double *pa, *pb, *dist, *mv, *asq, *bsq, *trow, *S, *M, *Ix, *Iy, *hdp;
+    double *pa, *pb, *dist, *ga, *mv, *asq, *bsq, *trow, *S, *M, *Ix, *Iy;
+    double *hdp;
     ptrdiff_t *hai, *haj, *hn;
-    int64_t *seeds;
-    unsigned char *sel;
+    int64_t *seeds, *idx;
 };
 
+/* Entries of each 8-byte part: doubles, history indices, seeds and
+ * selection indices. */
 static void refine_sizes(ptrdiff_t la, ptrdiff_t lb, ptrdiff_t nfracs,
                          ptrdiff_t max_iters, ptrdiff_t *nf, ptrdiff_t *nh,
-                         ptrdiff_t *ns, ptrdiff_t *nsel)
+                         ptrdiff_t *ns, ptrdiff_t *nidx)
 {
     const ptrdiff_t cap = la < lb ? la : lb, cells = (la + 1) * (lb + 1);
-    *nf = 8 * cap + 4 * la + 2 * lb + la * lb + 3 * cells + max_iters + 1;
+    *nf = 14 * cap + 4 * la + 2 * lb + la * lb + 3 * cells + max_iters + 1;
     *nh = 2 * (max_iters + 1) * cap + max_iters + 1;
     *ns = 2 * nfracs * (cap + 1);
-    *nsel = 2 * cap + 1;
+    *nidx = 2 * cap;
 }
 
 /* Rounded up to a multiple of 64, so whatever is carved after it starts
- * as aligned as the workspace (scratch() hands out 64-byte aligned bytes;
- * the selection mask at the end has an odd length). */
+ * as aligned as the workspace (scratch() hands out 64-byte aligned
+ * bytes). */
 static ptrdiff_t refine_bytes(ptrdiff_t la, ptrdiff_t lb, ptrdiff_t nfracs,
                               ptrdiff_t max_iters)
 {
-    ptrdiff_t nf, nh, ns, nsel;
-    refine_sizes(la, lb, nfracs, max_iters, &nf, &nh, &ns, &nsel);
+    ptrdiff_t nf, nh, ns, nidx;
+    refine_sizes(la, lb, nfracs, max_iters, &nf, &nh, &ns, &nidx);
     return (sizeof(double) * nf + sizeof(ptrdiff_t) * nh
-            + sizeof(int64_t) * ns + nsel + 63) & ~(ptrdiff_t)63;
+            + sizeof(int64_t) * (ns + nidx) + 63) & ~(ptrdiff_t)63;
 }
 
 static void refine_carve(unsigned char *ws, ptrdiff_t la, ptrdiff_t lb,
@@ -1383,12 +1528,13 @@ static void refine_carve(unsigned char *ws, ptrdiff_t la, ptrdiff_t lb,
                          struct refine_ws *w)
 {
     const ptrdiff_t cap = la < lb ? la : lb, cells = (la + 1) * (lb + 1);
-    ptrdiff_t n_f, n_h, n_s, n_sel;
-    refine_sizes(la, lb, nfracs, max_iters, &n_f, &n_h, &n_s, &n_sel);
+    ptrdiff_t n_f, n_h, n_s, n_idx;
+    refine_sizes(la, lb, nfracs, max_iters, &n_f, &n_h, &n_s, &n_idx);
     w->pa = (double *)ws;
     w->pb = w->pa + 3 * cap;
     w->dist = w->pb + 3 * cap;
-    w->mv = w->dist + 2 * cap;
+    w->ga = w->dist + 2 * cap;
+    w->mv = w->ga + 6 * cap;
     w->asq = w->mv + 3 * la;
     w->bsq = w->asq + la;
     w->trow = w->bsq + lb;
@@ -1401,7 +1547,7 @@ static void refine_carve(unsigned char *ws, ptrdiff_t la, ptrdiff_t lb,
     w->haj = w->hai + (max_iters + 1) * cap;
     w->hn = w->haj + (max_iters + 1) * cap;
     w->seeds = (int64_t *)(w->hai + n_h);
-    w->sel = (unsigned char *)(w->seeds + n_s);
+    w->idx = w->seeds + n_s;
 }
 
 /* The DP matrices' boundaries, as dp._forward initialises them; the sweep
@@ -1474,7 +1620,7 @@ INLINE void refine_core(const double *xa, ptrdiff_t la, const double *ya,
         }
         nseeds = seed_schedule(n, fracs, nfracs, min_seed_len, w->seeds);
         search(w->pa, w->pb, n, w->seeds, nseeds, d0, lnorm, d0_search,
-               max_score_iters, w->dist, w->sel, &tm, rot, tra, ops);
+               max_score_iters, w->dist, w->idx, w->ga, &tm, rot, tra, ops);
         if (tm > *best_tm) {
             *best_tm = tm;
             memcpy(best_rot, rot, sizeof rot);
@@ -1808,7 +1954,7 @@ HOT ptrdiff_t tm_align_pair(const double *xa, ptrdiff_t la, const double *ya,
         gather(xa, ya, &cands[c], w.pa, w.pb);
         nseeds = seed_schedule(cands[c].n, &one, 1, min_seed_len, seeds);
         search(w.pa, w.pb, cands[c].n, seeds, nseeds, d0, lmin, clip_d0(d0),
-               max_score_iters, w.dist, w.sel, &tm, rot, tra, ops);
+               max_score_iters, w.dist, w.idx, w.ga, &tm, rot, tra, ops);
         if (tm > q) {
             q = tm;
             memcpy(rot_q, rot, sizeof rot);
@@ -1874,9 +2020,9 @@ HOT ptrdiff_t tm_align_pair(const double *xa, ptrdiff_t la, const double *ya,
     gather(xa, ya, &best, w.pa, w.pb);
     nseeds = seed_schedule(best.n, fracs, nfracs, min_seed_len, seeds);
     search(w.pa, w.pb, best.n, seeds, nseeds, d0_a, la, clip_d0(d0_a),
-           max_score_iters, w.dist, w.sel, out, rot, tra, ops);
+           max_score_iters, w.dist, w.idx, w.ga, out, rot, tra, ops);
     search(w.pa, w.pb, best.n, seeds, nseeds, d0_b, lb, clip_d0(d0_b),
-           max_score_iters, w.dist, w.sel, out + 1, rot, tra, ops);
+           max_score_iters, w.dist, w.idx, w.ga, out + 1, rot, tra, ops);
     /* RMSD under the best transform, the squared differences in the
      * score matrix's 3 la doubles of scratch */
     {

@@ -29,6 +29,14 @@ def test_every_target_is_checked_and_ends_in_default():
     assert _native._target_args("fma") == ['-DREPRO_TARGET="fma"']
 
 
+def test_only_the_avx512_target_names_its_instructions():
+    # the TM-align kernel's explicit AVX-512 term rows compile under it
+    assert _native._target_args("arch=x86-64-v4") == [
+        '-DREPRO_TARGET="arch=x86-64-v4"', "-DREPRO_AVX512"
+    ]
+    assert "REPRO_AVX512" in _dpnative._SOURCE
+
+
 def test_a_target_that_does_not_build_falls_to_the_next(monkeypatch):
     tried = []
 

@@ -21,10 +21,13 @@ import pytest
 
 from repro.cost.counters import CostCounter
 from repro.geometry.kabsch import kabsch, kabsch_batch
+from repro.tmalign import tmscore
 from repro.tmalign.dp import _NATIVE_FORWARD, nw_align
 from repro.tmalign.initial import fragment_threading, gapless_threading
+from repro.tmalign.params import TMAlignParams
 from repro.tmalign.result import Alignment
-from repro.tmalign.tmscore import superposition_search
+from repro.tmalign.tmscore import _seed_schedule, superposition_search
+from tests import tmalign_oracles
 from tests.test_tmalign_native import assert_scans_match
 from tests.tmalign_oracles import (
     fragment_threading_serial,
@@ -169,6 +172,88 @@ class TestLockstepSearch:
         ):
             assert repr(tm) == repr(tm_s)
             assert ctr.counts == cs.counts
+
+
+def _search_three_ways(pa, pb, d0, **kwargs):
+    """``superposition_search`` on the default and NumPy paths against
+    the serial oracle: the same score and transform bits and op counts."""
+    cs = CostCounter()
+    lnorm = pa.shape[0]
+    tm_s, xf_s = superposition_search_serial(pa, pb, d0, lnorm, counter=cs, **kwargs)
+    for (tm, xf), ctr in _both_paths(
+        lambda c: superposition_search(pa, pb, d0, lnorm, counter=c, **kwargs)
+    ):
+        assert repr(tm) == repr(tm_s)
+        assert xf.rotation.tobytes() == xf_s.rotation.tobytes()
+        assert xf.translation.tobytes() == xf_s.translation.tobytes()
+        assert ctr.counts == cs.counts
+
+
+@pytest.fixture
+def serial_kabsch_rows(monkeypatch):
+    """The mobile rows of each Kabsch the serial oracle runs, in order:
+    with ``seed_fractions=(1,)`` the first is the one seed's whole window
+    and every later one a reselection."""
+    rows = []
+    kabsch_ = tmalign_oracles.kabsch
+
+    def record(a, b, counter=None):
+        rows.append(np.array(a))
+        return kabsch_(a, b, counter=counter)
+
+    monkeypatch.setattr(tmalign_oracles, "kabsch", record)
+    return rows
+
+
+def _seed_distances(pa, pb, start, length):
+    xf = kabsch(pa[start:start + length], pb[start:start + length])
+    return np.linalg.norm(xf.apply(pa) - pb, axis=1)
+
+
+class TestSearchArms:
+    """The reselection arms of the compacted search (selection indices
+    gathered into contiguous rows), natively, on the NumPy path and
+    serially.  The compiled search runs even where the load-time
+    self-check switched it off, so a kernel that fails the check still
+    fails these tests rather than passing on the NumPy path."""
+
+    @pytest.fixture(autouse=True)
+    def compiled_search(self, monkeypatch):
+        if tmscore._KERNELS is None:
+            pytest.skip("compiled TM-align kernel unavailable")
+        monkeypatch.setattr(tmscore, "_NATIVE_SEARCH", tmscore._KERNELS.search)
+
+    def test_cut_widened_past_d0_search(self, rng, serial_kabsch_rows):
+        pa = _chain_coords(rng, 40, "walk")
+        q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+        pb = pa @ q + rng.normal(scale=1.5, size=(40, 3))
+        d = _seed_distances(pa, pb, 0, 40)
+        # nothing under the 0.5 A cutoff, 3 or more well before 8 A
+        assert (d < 0.5).sum() < 3 <= (d < 4.0).sum()
+        _search_three_ways(pa, pb, 3.0, d0_search=0.5, seed_fractions=(1,))
+        assert len(serial_kabsch_rows) >= 2 and len(serial_kabsch_rows[1]) >= 3
+
+    def test_hopeless_seeds_among_productive_ones(self, rng):
+        # the second half is the first's geometry scaled 12x: a seed over
+        # it (or over all 40) leaves no 3 pairs within 8 A
+        pa = _chain_coords(rng, 40, "walk")
+        pb = pa + rng.normal(scale=0.5, size=(40, 3))
+        pb[20:] = pa[20:] * 12.0
+        seeds = _seed_schedule(40, (1, 2, 4), TMAlignParams())
+        hopeless = [(_seed_distances(pa, pb, s, m) < 8.0).sum() < 3 for s, m in seeds]
+        assert any(hopeless) and not all(hopeless)
+        _search_three_ways(pa, pb, 3.0, seed_fractions=(1, 2, 4))
+
+    def test_same_count_other_pairs_is_not_converged(self, serial_kabsch_rows):
+        # a reselection of as many pairs as the previous one but not the
+        # same pairs must run another Kabsch: convergence compares indices
+        pa, pb = _paired_sets(np.random.default_rng(6), 30, "random")
+        _search_three_ways(pa, pb, 3.7, seed_fractions=(1,))
+        sels = serial_kabsch_rows[1:]
+        assert any(
+            len(x) == len(y) and x.tobytes() != y.tobytes()
+            for x, y in zip(sels, sels[1:])
+        )
 
 
 def _same_alignments(got, want):

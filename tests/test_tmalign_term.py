@@ -13,9 +13,11 @@ It falls back to the division form where those are not exact:
   distances so far past ``d0`` that the single-precision seed overflows;
 * every lane when ``d0`` is outside ``[2^-500, 2^500]``.
 
-Each arm must give NumPy's bits.  On a build whose hot functions are
-baseline code (the ``default`` target) every lane takes the division
-form, and these tests hold all the same.
+Each arm must give NumPy's bits.  On the ``arch=x86-64-v4`` target the
+rows run as explicit AVX-512, eight lanes at a time with masked tails,
+so the tail tests cover every row length mod 8.  On a build whose hot
+functions are baseline code (the ``default`` target) every lane takes
+the division form, and these tests hold all the same.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cost.counters import CostCounter
 from repro.geometry.distances import cross_distances
 from repro.geometry.transforms import RigidTransform
 from repro.structure.model import MAX_ABS_COORD
@@ -74,15 +77,20 @@ def _scores_match(xa, ya, xf, d0):
 
 def _search_both(pa, pb, d0, **kwargs):
     """``superposition_search`` natively and on the NumPy path; asserts
-    the same score and transform bits and returns the NumPy result."""
+    the same score and transform bits and op counts and returns the NumPy
+    result."""
     kwargs.setdefault("d0_search", 5.0)
+    c, c_n = CostCounter(), CostCounter()
     with np.errstate(all="ignore"):
-        tm, xf = superposition_search(pa, pb, d0, pa.shape[0], **kwargs)
+        tm, xf = superposition_search(pa, pb, d0, pa.shape[0], counter=c, **kwargs)
         with numpy_path():
-            tm_n, xf_n = superposition_search(pa, pb, d0, pa.shape[0], **kwargs)
+            tm_n, xf_n = superposition_search(
+                pa, pb, d0, pa.shape[0], counter=c_n, **kwargs
+            )
     assert repr(tm) == repr(tm_n)
     assert xf.rotation.tobytes() == xf_n.rotation.tobytes()
     assert xf.translation.tobytes() == xf_n.translation.tobytes()
+    assert c.counts == c_n.counts
     return tm_n, xf_n
 
 
@@ -144,6 +152,37 @@ class TestNonFiniteDistances:
         assert np.isfinite(tm) and tm > 0.0  # two inf distances score 0
         pb[5] = np.nan
         assert _search_both(pa, pb, 1.0, seed_fractions=(1, 2))[0] == -1.0
+
+
+class TestVectorTails:
+    """Rows of every length mod 8: the AVX-512 rows' masked tail lanes
+    must give NumPy's bits, and an all-ones or non-finite lane there must
+    be caught.  One column or one row is np.matmul's dgemv case."""
+
+    @pytest.mark.parametrize("lb", range(1, 18))
+    def test_score_matrix(self, rng, lb):
+        q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+        xf = RigidTransform.from_trusted(q, rng.normal(scale=3.0, size=3))
+        xa = rng.normal(scale=9.0, size=(11, 3))
+        ya = rng.normal(scale=9.0, size=(lb, 3))
+        _scores_match(xa, ya, xf, 3.3)
+        _scores_match(xa[:1], ya, xf, 3.3)  # one row: a dgemv in NumPy too
+        # the last lane of row 0 all-ones (the origin at distance q) ...
+        ya[-1] = 0.0
+        xa[0] = (_all_ones_distances()[0], 0.0, 0.0)
+        _scores_match(xa, ya, IDENTITY, 1.0)
+        assert _all_ones(_denominators(cross_distances(xa, ya), 1.0)[0, -1])
+        # ... and the last lane of every row at an infinite distance
+        ya[-1] = (1e200, 0.0, 0.0)
+        assert (_scores_match(xa, ya, IDENTITY, 2.5)[:, -1] == 0.0).all()
+
+    @pytest.mark.parametrize("n", range(3, 18))
+    def test_search(self, rng, n):
+        pa = np.cumsum(rng.normal(scale=2.0, size=(n, 3)), axis=0)
+        q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+        pb = pa @ q + rng.normal(scale=0.8, size=(n, 3))
+        _search_both(pa, pb, 2.7, d0_search=None)
+        _search_both(pa, pb, 2.7, d0_search=None, seed_fractions=(1,))
 
 
 D0_OUTSIDE = [0.0, 2.0**-1060, 5e-324, 2.0**-520, 2.0**600, 1.5 * 2.0**520]
