@@ -1054,12 +1054,6 @@ def build_parser() -> argparse.ArgumentParser:
             help="seconds before a stalled chunk gets a duplicate dispatch "
             "(0 = no stall detection)",
         )
-        p.add_argument(
-            "--inject",
-            default="",
-            help="deterministic fault plan for the farm workers, e.g. "
-            "'kill@0-3', 'raise@1-2#0|1', 'stall:1.5@2-4' (comma-separated)",
-        )
 
     def add_runs_dir(p) -> None:
         p.add_argument(
@@ -1112,6 +1106,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     add_farm(p)
     add_resilience(p)
+    p.add_argument(
+        "--inject",
+        default="",
+        help="deterministic fault plan for the farm workers, e.g. "
+        "'kill@0-3', 'raise@1-2#0|1', 'stall:1.5@2-4' (comma-separated)",
+    )
     add_runs_dir(p)
     p.set_defaults(fn=_cmd_matrix)
 

@@ -54,6 +54,16 @@ class TestParser:
         args = parser.parse_args(["search", "q", "--retries", "1"])
         assert args.retries == 1
 
+    def test_search_takes_no_fault_plan(self, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["search", "q", "--inject", "kill@0-1"])
+        assert err.value.code == 2
+        errors = [
+            line for line in capsys.readouterr().err.splitlines()
+            if "error:" in line
+        ]
+        assert len(errors) == 1 and "--inject" in errors[0]
+
     def test_trace_and_runs_commands_parse(self):
         parser = build_parser()
         args = parser.parse_args(
@@ -414,6 +424,28 @@ class TestBenchDriver:
         assert report["regression"]["passed"] is False
         assert report["plane"]["min_rebuild_speedup"] == 0
         assert report["plane"]["passed"] is True
+
+    def test_hotpaths_report_on_a_small_grid(self, tmp_path):
+        report = bench_mod.run_bench(slave_counts=(1, 3))
+        sweep = report["sweeps"]["ck34"]
+        assert [p["n_slaves"] for p in sweep["points"]] == [1, 3]
+        for point in sweep["points"]:
+            assert point["n_jobs"] == 561
+            assert min(point[k] for k in ("wall_seconds", "sim_events",
+                       "events_per_second", "sim_seconds")) > 0
+        assert sweep["sweep_wall_seconds"] > 0.0
+        # a partial grid claims no speedup against the full-grid baseline
+        assert "speedup_vs_pre_overhaul" not in sweep
+        assert set(bench_mod.PRE_OVERHAUL_SWEEP_WALL_S) == {"ck34", "rs119"}
+        assert report["schema"] == "repro-bench-hotpaths/1"
+        assert report["mode"] == "model"
+        assert set(report["micro"]) == {
+            "evaluate_memoized", "noc_transfer", "rcce_rendezvous"}
+        assert all(min(m.values()) > 0 for m in report["micro"].values())
+        assert "exp2 sweep" in bench_mod.format_bench_report(report)
+        out = tmp_path / "BENCH_hotpaths.json"
+        bench_mod.write_report(report, str(out))
+        assert json.loads(out.read_text()) == report
 
     def test_parallel_gate_reads_only_farm_points(self):
         """The workers=1 point runs the serial loop: it cannot pass the

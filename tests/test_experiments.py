@@ -5,6 +5,9 @@ checking the *relationships* the paper reports (who wins, monotonicity,
 approximate factors) rather than exact numbers.
 """
 
+import importlib.util
+from pathlib import Path
+
 import pytest
 
 from repro.experiments.ablations import (
@@ -126,6 +129,8 @@ class TestExp2:
         last = result.rows[-1]
         ck_speedup, rs_speedup = last[1], last[4]
         assert rs_speedup > ck_speedup
+        assert last[0] == 47
+        assert 30 < ck_speedup < 47 and 38 < rs_speedup < 47
 
     def test_one_slave_speedup_is_one(self, result):
         first = result.rows[0]
@@ -144,6 +149,7 @@ class TestTable5:
         vs_amd, vs_p54c = rs[4], rs[5]
         assert vs_amd == pytest.approx(11.4, rel=0.2)
         assert vs_p54c == pytest.approx(44.7, rel=0.15)
+        assert 38 < vs_p54c < 50
 
     def test_ordering_amd_p54c_rck(self, result):
         for row in result.rows:
@@ -177,3 +183,19 @@ class TestCsvExport:
         first_line = text.splitlines()[0]
         assert first_line == ",".join(res.columns)
         assert len(text.splitlines()) == 1 + len(res.rows)
+
+
+def test_doc_generator_replaces_only_its_own_sections():
+    path = Path(__file__).resolve().parent.parent / "tools" / "gen_experiments_md.py"
+    spec = importlib.util.spec_from_file_location("gen_experiments_md", path)
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)  # importing runs no experiment
+    generated = "# Doc\nnew intro\n## Table I\nnew 1\n## Table V\nnew 5\n---\nnew foot\n"
+    hand = "## Notes\nkept\n```\n# shell comment\n```\n"
+    old = ("# Doc\nintro\n## Table I\nold 1\n" + hand
+           + "## Table V\nold 5\n### Under V\nkept too\n" + hand + "---\nfoot\n")
+    assert gen.splice(old, generated) == (
+        "# Doc\nnew intro\n## Table I\nnew 1\n" + hand
+        + "## Table V\nnew 5\n### Under V\nkept too\n" + hand + "---\nnew foot\n")
+    with pytest.raises(ValueError, match="Table V"):
+        gen.splice("# Doc\n## Table I\n---\n", generated)

@@ -337,7 +337,24 @@ class TestNewAblations:
     def test_memory_ablation_rows(self):
         from repro.experiments.ablations import run_ablation_memory
 
-        res = run_ablation_memory(dataset="ck34-mini", n_slaves=4, limits=(4,))
-        assert len(res.rows) == 3  # preload + natural + blocked
+        res = run_ablation_memory(dataset="ck34-mini", n_slaves=4, limits=(4, 6))
+        assert len(res.rows) == 5  # preload + natural/blocked per limit
         preload_faults = res.rows[0][3]
         assert preload_faults == 0
+        for natural, blocked in zip(res.rows[1::2], res.rows[2::2]):
+            assert (natural[1], blocked[1]) == ("natural", "blocked")
+            assert blocked[3] < natural[3]
+
+    def test_energy_falls_as_slaves_are_added(self):
+        from repro.experiments.ablations import run_ablation_energy
+
+        res = run_ablation_energy(dataset="ck34", slave_counts=(1, 7, 47))
+        energies = [row[2] for row in res.rows if isinstance(row[0], int)]
+        assert len(energies) == 3 and energies == sorted(energies, reverse=True)
+
+    def test_full_init_set_scores_at_least_threading_only(self):
+        from repro.experiments.ablations import run_ablation_inits
+
+        res = run_ablation_inits(dataset="ck34", n_pairs=8)
+        by_name = {row[0]: row[1] for row in res.rows}
+        assert by_name["all inits (default)"] >= by_name["threading only"]
